@@ -7,7 +7,7 @@ to by (source, target, index) triples.  Composition tables are indexed
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .verdict import InputError
 

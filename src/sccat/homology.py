@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from . import intmat
 from .sset import SimplicialSet, SSetMap, pi0
-from .verdict import DIMENSION_BOUND, InputError, StructureError
+from .verdict import InputError, StructureError
 
 
 class DimensionBoundError(InputError):

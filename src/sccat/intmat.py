@@ -47,11 +47,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def transpose(a: Matrix) -> Matrix:
-    m, n = shape(a)
-    return [[a[i][j] for i in range(m)] for j in range(n)]
-
-
 def copy(a: Matrix) -> Matrix:
     return [row[:] for row in a]
 
@@ -242,10 +237,6 @@ def smith_normal_form(a: Matrix) -> SnfResult:
         if d[l][l] < 0:
             row_sub(l, l, 2)  # row_l -= 2*row_l, i.e. negate
     return SnfResult(left=left, diagonal=d, right=right)
-
-
-def snf_diagonal(a: Matrix) -> list:
-    return smith_normal_form(a).diagonal_entries()
 
 
 def rank(a: Matrix) -> int:

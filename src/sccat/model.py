@@ -9,10 +9,10 @@ the right-lifting-property route against the generating cofibrations;
 the acceptance suite cross-checks them.
 
 Cofibration checking is witness-based: a degeneracy-closed generator
-marking that passes the free-map check, a strong-retract witness, or a
-replayable construction record.  The free-map check decides unique word
-decomposition by exhaustive evaluation with pigeonhole termination, so it
-is always definite.
+marking that passes the free-map check, or a strong-retract witness.  The
+free-map check decides unique word decomposition by exhaustive evaluation
+with pigeonhole termination; it is definite unless its step cap cuts it
+short.
 """
 from __future__ import annotations
 
@@ -20,13 +20,14 @@ from dataclasses import dataclass
 
 from .cat import is_equivalence
 from .scat import (SFunctor, SimplicialCategory, compose_sfunctors,
-                   coproduct, empty_cat, functor_U_map, identity_sfunctor,
+                   coproduct, functor_U_map, identity_sfunctor,
                    is_homotopy_equivalence, pi0_functor, singleton_cat)
 from .search import enumerate_sfunctors
 from .sset import (SearchBudgetHit, boundary_inclusion, horn_inclusion)
 from .ssetcheck import (is_kan_fibration, is_weak_equivalence_sset,
                         is_weakly_contractible)
-from .verdict import (BUDGET, Budget, InputError, Verdict, aggregate)
+from .verdict import (BUDGET, Budget, BudgetExceeded, InputError, Verdict,
+                      aggregate)
 from .words import Attachment, pushout_generating, pushout_mediating
 
 
@@ -75,96 +76,40 @@ def verify_retract(f: SFunctor, g: SFunctor, w: RetractWitness) -> bool:
 
 
 def solve_lifting(problem: LiftingProblem, budget: Budget | None = None) -> Verdict:
-    """Search for a diagonal B -> C by exhaustive functor enumeration.
+    """Search for a diagonal B -> C by exhaustive functor enumeration: the
+    first functor under the left map and over the right map.
 
-    Object maps extend the constraints of both triangles, then simplex
-    assignments follow dimension by dimension.  DefiniteYes carries the
-    first witness in enumeration order, DefiniteNo means exhaustion, and
-    Unknown appears only on the node budget.
+    DefiniteYes carries the first witness in enumeration order, DefiniteNo
+    means exhaustion, and Unknown appears only on the node budget.
     """
     budget = budget or Budget()
     if not problem.commutes():
         raise InputError("lifting square does not commute")
-    left, right, top, bottom = (problem.left, problem.right, problem.top,
-                                problem.bottom)
-    b_cat, c_cat = left.target, right.source
-
-    ob_fixed = {}
-    for a in range(left.source.n_objects()):
-        img, want = left.ob(a), top.ob(a)
-        if ob_fixed.get(img, want) != want:
-            return Verdict.no(witness={"reason": "object constraints clash"})
-        ob_fixed[img] = want
-
-    forced = {}
-    for (a1, a2) in left.source.object_pairs():
-        pair_b = (left.ob(a1), left.ob(a2))
-        hom_c = c_cat.hom[(top.ob(a1), top.ob(a2))]
-        for k in range(left.source.dim_bound + 1):
-            for idx in left.source.hom[(a1, a2)].nondeg_indices(k):
-                img = left.apply(k, a1, a2, idx)
-                want = top.apply(k, a1, a2, idx)
-                rec = b_cat.hom[pair_b].dims[k][img]
-                if rec.nondeg:
-                    key, val = (k, pair_b, img), want
-                else:
-                    cur, dim = want, k
-                    for j in rec.word:
-                        cur = hom_c.face(dim, cur, j)
-                        dim -= 1
-                    if hom_c.apply_word(dim, cur, rec.word) != want:
-                        return Verdict.no(witness={
-                            "reason": "degenerate image has no compatible base"})
-                    key, val = (k - len(rec.word), pair_b, rec.base), cur
-                if forced.get(key, val) != val:
-                    return Verdict.no(witness={
-                        "reason": "top map inconsistent on a fiber of left"})
-                forced[key] = val
-
-    def ob_fiber(b, cand):
-        return right.ob(cand) == bottom.ob(b)
-
-    def fiber(ob_map, k, pair, idx, cand):
-        return (right.apply(k, ob_map[pair[0]], ob_map[pair[1]], cand)
-                == bottom.apply(k, pair[0], pair[1], idx))
-
     try:
-        found = enumerate_sfunctors(b_cat, c_cat, ob_fixed=ob_fixed,
-                                    ob_fiber=ob_fiber, forced=forced,
-                                    fiber=fiber, first_only=True,
-                                    max_nodes=budget.max_steps)
+        found = enumerate_sfunctors(problem.left.target, problem.right.source,
+                                    under=(problem.left, problem.top),
+                                    over=(problem.right, problem.bottom),
+                                    first_only=True, max_nodes=budget.max_steps)
     except SearchBudgetHit:
         return Verdict.unknown(BUDGET)
-    for cand in found:
-        w = LiftWitness(diagonal=cand)
-        if not verify_lift(problem, w):
-            raise AssertionError("search produced a non-lift; constraint bug")
-        return Verdict.yes(witness=w)
-    return Verdict.no(witness={"exhausted": True})
+    if not found:
+        return Verdict.no(witness={"exhausted": True})
+    w = LiftWitness(diagonal=found[0])
+    if not verify_lift(problem, w):
+        raise AssertionError("search produced a non-lift; constraint bug")
+    return Verdict.yes(witness=w)
 
 
 def enumerate_problem_squares(gen: SFunctor, f: SFunctor, budget: Budget):
     """All commuting squares with the generator on the left and f on the
-    right, bottoms first, each top constrained into the fibers of f."""
+    right, bottoms first, then the tops over f (f . top = bottom . gen)."""
     squares = []
-    bottoms = enumerate_sfunctors(gen.target, f.target,
-                                  max_nodes=budget.max_steps)
-    for bottom in bottoms:
-        bg = compose_sfunctors(bottom, gen)
-
-        def ob_fiber(a, cand, _bg=bg):
-            return f.ob(cand) == _bg.ob(a)
-
-        def fiber(ob_map, k, pair, idx, cand, _bg=bg):
-            return (f.apply(k, ob_map[pair[0]], ob_map[pair[1]], cand)
-                    == _bg.apply(k, pair[0], pair[1], idx))
-
-        tops = enumerate_sfunctors(gen.source, f.source, ob_fiber=ob_fiber,
-                                   fiber=fiber, max_nodes=budget.max_steps)
-        for top in tops:
-            problem = LiftingProblem(left=gen, right=f, top=top, bottom=bottom)
-            if problem.commutes():
-                squares.append(problem)
+    for bottom in enumerate_sfunctors(gen.target, f.target,
+                                      max_nodes=budget.max_steps):
+        for top in enumerate_sfunctors(gen.source, f.source,
+                                       over=(f, compose_sfunctors(bottom, gen)),
+                                       max_nodes=budget.max_steps):
+            squares.append(LiftingProblem(left=gen, right=f, top=top, bottom=bottom))
     return squares
 
 
@@ -358,7 +303,7 @@ def is_free_map(f: SFunctor, marking: GeneratorMarking,
 
     Always terminates: if two normalized words ever evaluate equally the
     answer is no, and otherwise the word count is bounded by the simplex
-    count.
+    count.  Past ``max_steps`` words it answers (None, {"step_cap": ...}).
     """
     src, tgt = f.source, f.target
     report = {}
@@ -435,7 +380,7 @@ def is_free_map(f: SFunctor, marking: GeneratorMarking,
                 new_word = word + (letter,)
                 steps += 1
                 if steps > max_steps:
-                    raise InputError("free-map check exceeded its step cap")
+                    return None, {"step_cap": max_steps}
                 key = (new_pair, new_value)
                 if key in seen:
                     return False, {"relation": {
@@ -474,17 +419,15 @@ def coproduct_inclusion_functor(h: SimplicialCategory) -> SFunctor:
 
 
 def is_a2_candidate(inc: SFunctor, budget: Budget | None = None, *,
-                    marking: GeneratorMarking | None = None,
-                    record=None) -> Verdict:
-    """Whether inc: {x} -> H is (up to the recorded desk-scale collapse)
-    a generating acyclic cofibration of the two-object kind.
+                    marking: GeneratorMarking | None = None) -> Verdict:
+    """Whether inc: {x} -> H is a generating acyclic cofibration of the
+    two-object kind.
 
     Checks: exactly two objects; all four function complexes weakly
-    contractible; a cofibration witness for {x} + {y} -> H, either a
-    marking passing the literal free-map check or a construction record
-    whose replay reproduces H bit-exactly (the record names the collapse
-    relations it enforced, and the verdict qualifier carries that).
-    Countability holds trivially at finite scale and is recorded.
+    contractible; a cofibration witness for {x} + {y} -> H, a marking
+    passing the literal free-map check within ``budget.max_steps`` words
+    (unknown(budget-exhausted) past them).  Countability holds trivially
+    at finite scale and is recorded.
     """
     budget = budget or Budget()
     h = inc.target
@@ -502,24 +445,17 @@ def is_a2_candidate(inc: SFunctor, budget: Budget | None = None, *,
     if not agg.is_definite:
         return Verdict.unknown(agg.reason or BUDGET, witness=agg.witness)
 
-    cofib_route = None
-    free_report = None
+    ok, free_report = None, None
     if marking is not None:
-        ok, free_report = is_free_map(coproduct_inclusion_functor(h), marking)
-        if ok:
-            cofib_route = {"cofibration_witness": "free-marking"}
-    if cofib_route is None and record is not None:
-        replayed = record.replay()
-        if replayed == h:
-            cofib_route = {"cofibration_witness": "construction-record",
-                           "collapse_relations": record.collapse_relations()}
-        else:
-            return Verdict.no(witness={"record_replay_mismatch": True})
-    if cofib_route is None:
+        ok, free_report = is_free_map(coproduct_inclusion_functor(h), marking,
+                                      max_steps=budget.max_steps)
+        if ok is None:
+            return Verdict.unknown(BUDGET, witness=free_report)
+    if not ok:
         return Verdict.no(witness={"cofibration_witness_missing": True,
                                    "free_map_report": free_report})
     return Verdict.yes(witness={"homs": "weakly contractible",
-                                **cofib_route},
+                                "cofibration_witness": "free-marking"},
                        countability="finite-scale-automatic")
 
 
@@ -549,8 +485,9 @@ def factor_bounded(f: SFunctor, gens, budget: Budget | None = None) -> FactorRes
     (ties by supplied order), earliest unliftable square first.  Attacking
     low-dimensional cells first provably diverges even on one-horn inputs,
     so the top-down order is the one that terminates at desk scale.
-    Stops with complete=False when the cell budget runs out; the exact
-    equation right . left = f holds on every return.
+    Stops with complete=False when the cell budget runs out or a search or
+    pushout exceeds the budget; the exact equation right . left = f holds
+    on every return.
     """
     budget = budget or Budget()
     stage = f.source
@@ -564,25 +501,26 @@ def factor_bounded(f: SFunctor, gens, budget: Budget | None = None) -> FactorRes
         target_square = None
         gen_used = None
         saw_unknown = False
-        for gen in gens:
-            for problem in enumerate_problem_squares(gen.map, right, budget):
-                v = solve_lifting(problem, budget)
-                if v.is_no:
-                    target_square = problem
-                    gen_used = gen
+        try:
+            for gen in gens:
+                for problem in enumerate_problem_squares(gen.map, right, budget):
+                    v = solve_lifting(problem, budget)
+                    if v.is_no:
+                        target_square = problem
+                        gen_used = gen
+                        break
+                    if not v.is_definite:
+                        saw_unknown = True
+                if target_square is not None:
                     break
-                if not v.is_definite:
-                    saw_unknown = True
-            if target_square is not None:
-                break
-        if target_square is None:
-            return FactorResult(left=left, right=right, cells=cells,
-                                complete=not saw_unknown)
-        if len(cells) >= max_cells:
-            return FactorResult(left=left, right=right, cells=cells,
-                                complete=False)
-        res = pushout_generating(stage, gen_used.attachment,
-                                 target_square.top, budget)
+            if target_square is None or len(cells) >= max_cells:
+                complete = target_square is None and not saw_unknown
+                return FactorResult(left=left, right=right, cells=cells,
+                                    complete=complete)
+            res = pushout_generating(stage, gen_used.attachment,
+                                     target_square.top, budget)
+        except (SearchBudgetHit, BudgetExceeded):
+            return FactorResult(left=left, right=right, cells=cells, complete=False)
         stage = res.category
         left = compose_sfunctors(res.inc_base, left)
         right = pushout_mediating(res, right, target_square.bottom)

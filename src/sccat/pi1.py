@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .sset import SimplicialSet, pi0, pi0_class_of
-from .verdict import (BUDGET, Budget, InputError, UNDECIDED_GROUP, Verdict)
+from .verdict import Budget, InputError, UNDECIDED_GROUP, Verdict
 
 # A word is a tuple of nonzero ints: +g means generator g-1, -g its inverse.
 Word = tuple

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .cat import FiniteCategory, FiniteFunctor
 from .sset import (SimplicialSet, SSetMap, empty_sset, identity_map, pi0,
-                   pi0_class_of, point, pullback_ssets, sub_complex,
-                   validate_sset, validate_sset_map)
+                   pi0_class_of, point, pullback_ssets, validate_sset,
+                   validate_sset_map)
 from .verdict import InputError, StructureError
 
 
@@ -624,15 +624,3 @@ def is_homotopy_equivalence(cat: SimplicialCategory, a: int, b: int,
     ok, _ = is_isomorphism(fc, a, b, cls)
     return ok
 
-
-def homotopy_equivalence_witness(cat: SimplicialCategory, a: int, b: int,
-                                 e: int):
-    """(True, (inverse class rep,)) or (False, None) with a re-checkable
-    inverse 0-simplex when one exists."""
-    from .cat import is_isomorphism
-    fc, classes = pi0_data(cat)
-    cls = pi0_class_of(cat.hom[(a, b)])[e]
-    ok, inv_cls = is_isomorphism(fc, a, b, cls)
-    if not ok:
-        return False, None
-    return True, classes[(b, a)][inv_cls][0]

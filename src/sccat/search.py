@@ -1,163 +1,114 @@
 """Exhaustive enumeration of functors between simplicial categories.
 
-Object maps are tried in lexicographic order, then simplex images are
-assigned dimension by dimension (pairs in index order, nondegenerate
-simplices in index order), pruned by face and degeneracy compatibility,
-forced identities, optional fibers, and composition preservation checked
-as soon as every participant of an instance is determined.  The order is
-part of the contract: counterexamples and witnesses must be reproducible.
+Object maps are tried in lexicographic order; for each, the simplex
+images of every hom pair are assigned at once by the slot search of
+``sset`` (dimension by dimension, pairs in index order, nondegenerate
+simplices in index order), with identities pinned and composition
+preservation checked as soon as every participant of an instance is
+determined.  A lifting square constrains the search through its two
+triangles: ``under=(i, top)`` and ``over=(p, bottom)``.  The order is part
+of the contract: counterexamples and witnesses must be reproducible.
 """
 from __future__ import annotations
 
 import itertools
 
 from .scat import SFunctor, SimplicialCategory
-from .sset import SSetMap, SearchBudgetHit
+from .sset import SSetMap, _pins_under, _slot_order, _SlotSearch
 from .verdict import InputError
 
 
 def _comp_instances(src: SimplicialCategory):
-    """All composition instances of the source, grouped by the slot from
-    which all three participants are determined."""
+    """All composition instances of the source, grouped by the search slot
+    after which all three participants are determined."""
     key = "comp_instances"
     if key in src._cache:
         return src._cache[key]
-    bound = src.dim_bound
-    slot_pos = {}
-    slots = []
-    for k in range(bound + 1):
-        for (a, b) in src.object_pairs():
-            for idx in src.hom[(a, b)].nondeg_indices(k):
-                slot_pos[(k, (a, b), idx)] = len(slots)
-                slots.append((k, (a, b), idx))
+    n = src.n_objects()
+    homs = [src.hom[pair] for pair in src.object_pairs()]
+    slot_pos = {slot: pos for pos, slot in enumerate(_slot_order(homs))}
 
     def det_slot(k, pair, idx):
-        rec = src.hom[pair].dims[k][idx]
-        if rec.nondeg:
-            return slot_pos[(k, pair, idx)]
+        rec = homs[pair].dims[k][idx]
         return slot_pos[(k - len(rec.word), pair, rec.base)]
 
-    grouped = [[] for _ in slots]
+    grouped = [[] for _ in slot_pos]
     for (a, b, c) in src.object_triples():
         hf, hg = src.hom[(a, b)], src.hom[(b, c)]
-        for k in range(bound + 1):
+        for k in range(src.dim_bound + 1):
             for g in range(hg.size(k)):
                 for f in range(hf.size(k)):
                     gf = src.comp(k, a, b, c, g, f)
-                    ready = -1
-                    for (kk, pair, idx) in ((k, (a, b), f), (k, (b, c), g),
-                                            (k, (a, c), gf)):
-                        ready = max(ready, det_slot(kk, pair, idx))
-                    if ready >= 0:
-                        grouped[ready].append((k, a, b, c, g, f, gf))
-    src._cache[key] = (slots, slot_pos, grouped)
-    return src._cache[key]
+                    ready = max(det_slot(k, a * n + b, f),
+                                det_slot(k, b * n + c, g),
+                                det_slot(k, a * n + c, gf))
+                    grouped[ready].append((k, a, b, c, g, f, gf))
+    src._cache[key] = grouped
+    return grouped
 
 
 def enumerate_sfunctors(src: SimplicialCategory, dst: SimplicialCategory, *,
-                        ob_fixed=None, ob_fiber=None, forced=None, fiber=None,
-                        first_only=False, max_nodes=None):
-    """All functors src -> dst subject to the constraints.
+                        under=None, over=None, first_only=False, max_nodes=None):
+    """All functors g: src -> dst, in search order.
 
-    ob_fixed: {object -> required image}; ob_fiber(a, cand) -> bool;
-    forced: {(k, (a, b), idx) -> required image index} on nondegenerate
-    source slots; fiber(ob_map, k, (a, b), idx, cand) -> bool.  Raises
-    SearchBudgetHit past max_nodes assignments.
+    ``under=(i, top)``, functors i: A -> src and top: A -> dst, keeps the g
+    with g . i = top; ``over=(p, bottom)``, functors p: dst -> D and
+    bottom: src -> D, keeps the g with p . g = bottom.  One node budget
+    covers every object map: past ``max_nodes`` assignments in total,
+    SearchBudgetHit is raised.
     """
     if src.dim_bound != dst.dim_bound:
         raise InputError("dim_bound mismatch")
-    ob_fixed = ob_fixed or {}
-    forced = forced or {}
-    bound = src.dim_bound
     n_src, n_dst = src.n_objects(), dst.n_objects()
-    slots, slot_pos, comp_groups = _comp_instances(src)
-    results = []
-    nodes = 0
-
     if n_src == 0:
         return [SFunctor(source=src, target=dst, ob_map=(), hom_maps={})]
+    pairs = list(src.object_pairs())
 
-    ob_choices = []
-    for a in range(n_src):
-        if a in ob_fixed:
-            cands = [ob_fixed[a]]
-        else:
-            cands = range(n_dst)
-        if ob_fiber is not None:
-            cands = [x for x in cands if ob_fiber(a, x)]
-        ob_choices.append(list(cands))
+    ob_pins, pins = {}, {}
+    if under is not None:
+        i, top = under
+        for a in range(i.source.n_objects()):
+            if ob_pins.setdefault(i.ob(a), top.ob(a)) != top.ob(a):
+                return []
+        pins = _pins_under([(i.ob(a) * n_src + i.ob(b), i.hom_maps[(a, b)],
+                             top.hom_maps[(a, b)])
+                            for (a, b) in i.source.object_pairs()])
+        if pins is None:
+            return []
+    ob_choices = [[ob_pins[a]] if a in ob_pins else range(n_dst)
+                  for a in range(n_src)]
+    if over is not None:
+        p, bottom = over
+        ob_choices = [[x for x in cands if p.ob(x) == bottom.ob(a)]
+                      for a, cands in enumerate(ob_choices)]
 
+    comp_groups = _comp_instances(src)
+    search = _SlotSearch([src.hom[pair] for pair in pairs], max_nodes)
+    results = []
     for ob_map in itertools.product(*ob_choices):
-        assign = {}
+        targets = [dst.hom[(ob_map[a], ob_map[b])] for (a, b) in pairs]
+        run_pins = {**pins, **{(0, a * n_src + a, src.identities[a]):
+                               dst.identities[ob_map[a]] for a in range(n_src)}}
+        over_tables = None
+        if over is not None:
+            over_tables = [(p.hom_maps[(ob_map[a], ob_map[b])].assign,
+                            bottom.hom_maps[(a, b)].assign) for (a, b) in pairs]
 
-        def image_of(k, pair, idx):
-            rec = src.hom[pair].dims[k][idx]
-            if rec.nondeg:
-                return assign[(k, pair, idx)]
-            bdim = k - len(rec.word)
-            base_img = assign[(bdim, pair, rec.base)]
-            tgt = dst.hom[(ob_map[pair[0]], ob_map[pair[1]])]
-            return tgt.apply_word(bdim, base_img, rec.word)
-
-        def comp_ok(pos):
+        def comp_ok(pos, image):
             for (k, a, b, c, g, f, gf) in comp_groups[pos]:
-                img_f = image_of(k, (a, b), f)
-                img_g = image_of(k, (b, c), g)
-                img_gf = image_of(k, (a, c), gf)
+                img_f = image(k, a * n_src + b, f)
+                img_g = image(k, b * n_src + c, g)
+                img_gf = image(k, a * n_src + c, gf)
                 if dst.comp(k, ob_map[a], ob_map[b], ob_map[c],
                             img_g, img_f) != img_gf:
                     return False
             return True
 
-        def candidates(pos):
-            k, pair, idx = slots[pos]
-            tgt = dst.hom[(ob_map[pair[0]], ob_map[pair[1]])]
-            if k == 0:
-                if idx == src.identities[pair[0]] and pair[0] == pair[1]:
-                    cands = [dst.identities[ob_map[pair[0]]]]
-                else:
-                    cands = range(tgt.size(0))
-            else:
-                rec = src.hom[pair].dims[k][idx]
-                key = tuple(image_of(k - 1, pair, f) for f in rec.faces)
-                cands = tgt.face_key_index(k).get(key, ())
-            want = forced.get((k, pair, idx))
-            out = []
-            for cand in cands:
-                if want is not None and cand != want:
-                    continue
-                if fiber is not None and not fiber(ob_map, k, pair, idx, cand):
-                    continue
-                out.append(cand)
-            return out
-
-        def finish():
-            hom_maps = {}
-            for (a, b) in src.object_pairs():
-                tgt = dst.hom[(ob_map[a], ob_map[b])]
-                hom_maps[(a, b)] = SSetMap(
-                    src.hom[(a, b)], tgt,
-                    [[image_of(k, (a, b), i)
-                      for i in range(src.hom[(a, b)].size(k))]
-                     for k in range(bound + 1)])
-            results.append(SFunctor(source=src, target=dst,
-                                    ob_map=tuple(ob_map), hom_maps=hom_maps))
-
-        def rec_assign(pos):
-            nonlocal nodes
-            if pos == len(slots):
-                finish()
-                return not first_only
-            for cand in candidates(pos):
-                nodes += 1
-                if max_nodes is not None and nodes > max_nodes:
-                    raise SearchBudgetHit()
-                assign[slots[pos]] = cand
-                if comp_ok(pos) and not rec_assign(pos + 1):
-                    return False
-            assign.pop(slots[pos], None)
-            return True
-
-        if not rec_assign(0):
+        for tables in search.run(targets, run_pins, over_tables, comp_ok,
+                                 first_only):
+            results.append(SFunctor(source=src, target=dst, ob_map=ob_map, hom_maps={
+                pair: SSetMap(src.hom[pair], targets[q], tables[q])
+                for q, pair in enumerate(pairs)}))
+        if first_only and results:
             break
     return results

@@ -55,6 +55,21 @@ def compose_words(outer: tuple, inner: tuple) -> tuple:
     return w
 
 
+def _face_of_degeneracy(word: tuple, i: int) -> tuple:
+    """d_i s_word in normal form: (w, None) when d_i cancels one degeneracy
+    and d_i s_word = s_w, else (w, i') with d_i s_word = s_w d_i'."""
+    prefix = []
+    for pos, j in enumerate(word):
+        if i < j:
+            prefix.append(j - 1)
+        elif i <= j + 1:
+            return compose_words(tuple(prefix), word[pos + 1:]), None
+        else:
+            prefix.append(j)
+            i -= 1
+    return tuple(prefix), i
+
+
 def degeneracy_words(base_dim: int, length: int) -> list:
     """All normal degeneracy words of the given length over a base_dim simplex.
 
@@ -217,22 +232,11 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
 
     def face_pair(bd: int, bi: int, word: tuple, i: int) -> tuple:
         """d_i applied to s_word(base) as a (base_dim, base_idx, word) pair."""
-        prefix = []
-        rest = list(word)
-        while rest:
-            j = rest[0]
-            if i < j:
-                prefix.append(j - 1)
-                rest.pop(0)
-            elif i == j or i == j + 1:
-                return (bd, bi, compose_words(tuple(prefix), tuple(rest[1:])))
-            else:
-                prefix.append(j)
-                i -= 1
-                rest.pop(0)
-        fb, fw = face_data[bd][bi][i]
-        fdim = bd - 1 - len(fw)
-        return (fdim, fb, compose_words(tuple(prefix), fw))
+        w2, i2 = _face_of_degeneracy(word, i)
+        if i2 is None:
+            return (bd, bi, w2)
+        fb, fw = face_data[bd][bi][i2]
+        return (bd - 1 - len(fw), fb, compose_words(w2, fw))
 
     dims = []
     for k in range(dim_bound + 1):
@@ -301,23 +305,33 @@ def _nondecreasing_tuples(values: list, length: int):
     return itertools.combinations_with_replacement(values, length)
 
 
+def _simplex_members(n):
+    verts = list(range(n + 1))
+    return lambda ln: list(_nondecreasing_tuples(verts, ln))
+
+
+def _boundary_members(n):
+    verts = list(range(n + 1))
+    full = set(verts)
+    return lambda ln: [t for t in _nondecreasing_tuples(verts, ln) if set(t) != full]
+
+
+def _horn_members(n, k):
+    verts = list(range(n + 1))
+    return lambda ln: [t for t in _nondecreasing_tuples(verts, ln)
+                       if (set(verts) - set(t)) - {k}]
+
+
 def standard_simplex(n: int, dim_bound: int = 4) -> SimplicialSet:
     if n < 0 or n > dim_bound:
         raise InputError(f"standard_simplex: need 0 <= n <= dim_bound, got n={n}")
-    verts = list(range(n + 1))
-    return from_simplex_tuples(dim_bound, lambda ln: _nondecreasing_tuples(verts, ln))
+    return from_simplex_tuples(dim_bound, _simplex_members(n))
 
 
 def boundary(n: int, dim_bound: int = 4) -> SimplicialSet:
     if n < 0 or n > dim_bound:
         raise InputError(f"boundary: need 0 <= n <= dim_bound, got n={n}")
-    verts = list(range(n + 1))
-    full = set(verts)
-
-    def members(ln):
-        return [t for t in _nondecreasing_tuples(verts, ln) if set(t) != full]
-
-    return from_simplex_tuples(dim_bound, members)
+    return from_simplex_tuples(dim_bound, _boundary_members(n))
 
 
 def horn(n: int, k: int, dim_bound: int = 4) -> SimplicialSet:
@@ -325,17 +339,7 @@ def horn(n: int, k: int, dim_bound: int = 4) -> SimplicialSet:
         raise InputError(f"horn: need 1 <= n <= dim_bound, got n={n}")
     if k < 0 or k > n:
         raise InputError(f"horn: need 0 <= k <= n, got k={k}")
-    verts = list(range(n + 1))
-
-    def members(ln):
-        out = []
-        for t in _nondecreasing_tuples(verts, ln):
-            missing = set(verts) - set(t)
-            if missing - {k}:
-                out.append(t)
-        return out
-
-    return from_simplex_tuples(dim_bound, members)
+    return from_simplex_tuples(dim_bound, _horn_members(n, k))
 
 
 def point(dim_bound: int = 4) -> SimplicialSet:
@@ -739,31 +743,14 @@ def attach_nondeg(x: SimplicialSet, k: int, faces: list) -> tuple:
             new_index[(d, w)] = counts[d]
             counts[d] += 1
 
-    def old_pair_lookup(d, bdim, bidx, word):
-        return x.pair_index(d)[(bdim, bidx, word)]
-
     def face_of_new(d, word, i):
         """d_i of s_word(new cell) as an index in dimension d-1 (old or new)."""
-        prefix = []
-        rest = list(word)
-        ii = i
-        while rest:
-            j = rest[0]
-            if ii < j:
-                prefix.append(j - 1)
-                rest.pop(0)
-            elif ii == j or ii == j + 1:
-                w2 = compose_words(tuple(prefix), tuple(rest[1:]))
-                return new_index[(d - 1, w2)]
-            else:
-                prefix.append(j)
-                ii -= 1
-                rest.pop(0)
-        f = faces[ii]  # face of the new cell itself: an old simplex of dim k-1
-        rec = x.dims[k - 1][f]
-        bdim = k - 1 - len(rec.word)
-        w2 = compose_words(tuple(prefix), rec.word)
-        return old_pair_lookup(d - 1, bdim, rec.base, w2)
+        w2, i2 = _face_of_degeneracy(word, i)
+        if i2 is None:
+            return new_index[(d - 1, w2)]
+        rec = x.dims[k - 1][faces[i2]]  # a face of the new cell: an old simplex
+        return x.pair_index(d - 1)[(k - 1 - len(rec.word), rec.base,
+                                    compose_words(w2, rec.word))]
 
     dims = []
     for d in range(bound + 1):
@@ -786,97 +773,7 @@ def attach_nondeg(x: SimplicialSet, k: int, faces: list) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# enumeration of simplicial maps
-
-class SearchBudgetHit(Exception):
-    pass
-
-
-def enumerate_sset_maps(x: SimplicialSet, y: SimplicialSet, *, forced=None,
-                        fiber=None, first_only=False, max_nodes=None):
-    """All simplicial maps x -> y, by exhaustive assignment on the
-    nondegenerate simplices of x, dimension by dimension, in index order.
-
-    ``forced`` maps (dim, idx) of a nondegenerate source simplex to a
-    required image; ``fiber(k, idx, cand)`` may veto candidates.  Images of
-    degenerate simplices are determined by their decompositions.  Raises
-    SearchBudgetHit when more than ``max_nodes`` assignments are explored.
-    """
-    if x.dim_bound != y.dim_bound:
-        raise InputError("dim_bound mismatch")
-    forced = forced or {}
-    bound = x.dim_bound
-    slots = [(k, idx) for k in range(bound + 1) for idx in x.nondeg_indices(k)]
-    assign = {}
-    results = []
-    nodes = 0
-
-    def image_of(k, idx):
-        s = x.dims[k][idx]
-        if s.nondeg:
-            return assign[(k, idx)]
-        bdim = k - len(s.word)
-        return y.apply_word(bdim, assign[(bdim, s.base)], s.word)
-
-    def finish():
-        full = []
-        for k in range(bound + 1):
-            full.append([image_of(k, i) for i in range(x.size(k))])
-        results.append(SSetMap(x, y, full))
-
-    def candidates(k, idx):
-        if k == 0:
-            cands = range(y.size(0))
-        else:
-            s = x.dims[k][idx]
-            key = tuple(image_of(k - 1, f) for f in s.faces)
-            cands = y.face_key_index(k).get(key, ())
-        want = forced.get((k, idx))
-        out = []
-        for c in cands:
-            if want is not None and c != want:
-                continue
-            if fiber is not None and not fiber(k, idx, c):
-                continue
-            out.append(c)
-        return out
-
-    def rec(pos):
-        nonlocal nodes
-        if pos == len(slots):
-            finish()
-            return not first_only
-        k, idx = slots[pos]
-        for c in candidates(k, idx):
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise SearchBudgetHit()
-            assign[(k, idx)] = c
-            if not rec(pos + 1):
-                return False
-        assign.pop((k, idx), None)
-        return True
-
-    rec(0)
-    return results
-
-
-def _simplex_members(n):
-    verts = list(range(n + 1))
-    return lambda ln: list(_nondecreasing_tuples(verts, ln))
-
-
-def _boundary_members(n):
-    verts = list(range(n + 1))
-    full = set(verts)
-    return lambda ln: [t for t in _nondecreasing_tuples(verts, ln) if set(t) != full]
-
-
-def _horn_members(n, k):
-    verts = list(range(n + 1))
-    return lambda ln: [t for t in _nondecreasing_tuples(verts, ln)
-                       if (set(verts) - set(t)) - {k}]
-
+# boundary and horn inclusions
 
 def _tuple_inclusion(small_members, big_members, small, big) -> SSetMap:
     assign = []
@@ -896,3 +793,145 @@ def horn_inclusion(n: int, k: int, dim_bound: int = 4) -> SSetMap:
     """The inclusion of the (n, k)-horn into the n-simplex."""
     return _tuple_inclusion(_horn_members(n, k), _simplex_members(n),
                             horn(n, k, dim_bound), standard_simplex(n, dim_bound))
+
+
+# ---------------------------------------------------------------------------
+# one search for maps under i and over p
+#
+# Every lifting question asks for maps g: B -> C with g . i = top (under
+# i) and p . g = bottom (over p).  For simplicial functors the question is
+# the simplicial-set one on every hom pair at once, so one backtracker
+# serves both: it assigns the nondegenerate simplices of a list of
+# (source, target) hom pairs.
+
+class SearchBudgetHit(Exception):
+    pass
+
+
+def _slot_order(sources: list) -> list:
+    """The nondegenerate simplices of the sources as (dim, pair, index)
+    slots, by dimension, then pair, then index: the search order, which
+    is part of the contract (witnesses must be reproducible)."""
+    bound = sources[0].dim_bound
+    return [(k, p, idx) for k in range(bound + 1)
+            for p, x in enumerate(sources) for idx in x.nondeg_indices(k)]
+
+
+def _pins_under(parts) -> dict | None:
+    """The images that g . i = top forces on nondegenerate simplices of B.
+
+    ``parts`` lists (pair, i, top) with i: A -> B and top: A -> C on one
+    hom pair.  When i(a) = s_w(b), the equation s_w(g(b)) = top(a) pins
+    g(b) to the unique c with s_w(c) = top(a).  Returns {(dim, pair, idx):
+    image}, or None when no map satisfies the equation.
+    """
+    pins = {}
+    for pair, i, top in parts:
+        b, c = i.target, top.target
+        for k in range(i.source.dim_bound + 1):
+            for idx in i.source.nondeg_indices(k):
+                rec = b.dims[k][i.assign[k][idx]]
+                want = cur = top.assign[k][idx]
+                dim = k
+                for j in rec.word:
+                    cur = c.face(dim, cur, j)
+                    dim -= 1
+                if c.apply_word(dim, cur, rec.word) != want:
+                    return None
+                if pins.setdefault((dim, pair, rec.base), cur) != cur:
+                    return None
+    return pins
+
+
+class _SlotSearch:
+    """Backtracking assignment of the nondegenerate simplices of a list of
+    source complexes (one per hom pair) into target complexes.
+
+    A slot's candidates are the target simplices whose faces are the
+    images already assigned (every vertex in dimension 0), narrowed by
+    pins and by the over-tables; degenerate simplices follow through
+    ``apply_word``.  The node count is shared by every ``run`` of one
+    search, so ``max_nodes`` bounds one top-level call.
+    """
+
+    def __init__(self, sources: list, max_nodes=None):
+        self.sources = sources
+        self.slots = _slot_order(sources)
+        self.max_nodes = max_nodes
+        self.nodes = 0
+
+    def run(self, targets: list, pins: dict, over=None, check=None,
+            first_only=False) -> list:
+        """Image tables [pair][dim][index] of every complete assignment, in
+        search order.  ``over[pair]`` = (p, bottom) assignment tables keep
+        a candidate c for (k, idx) only if p[k][c] == bottom[k][idx];
+        ``check(pos, image)`` may veto the assignment of slot ``pos``.
+        """
+        sources, slots = self.sources, self.slots
+        assign = [[[None] * x.size(k) for k in range(x.dim_bound + 1)]
+                  for x in sources]
+        results = []
+
+        def image(k, p, idx):
+            rec = sources[p].dims[k][idx]
+            if rec.nondeg:
+                return assign[p][k][idx]
+            bdim = k - len(rec.word)
+            return targets[p].apply_word(bdim, assign[p][bdim][rec.base], rec.word)
+
+        def candidates(k, p, idx):
+            y = targets[p]
+            if k == 0:
+                cands = range(y.size(0))
+            else:
+                faces = sources[p].dims[k][idx].faces
+                cands = y.face_key_index(k).get(
+                    tuple(image(k - 1, p, f) for f in faces), ())
+            want = pins.get((k, p, idx))
+            if want is not None:
+                cands = [want] if want in cands else []
+            if over is not None:
+                down, bottom = over[p]
+                cands = [c for c in cands if down[k][c] == bottom[k][idx]]
+            return cands
+
+        def rec(pos):
+            if pos == len(slots):
+                results.append([[[image(k, p, i) for i in range(x.size(k))]
+                                 for k in range(x.dim_bound + 1)]
+                                for p, x in enumerate(sources)])
+                return not first_only
+            k, p, idx = slots[pos]
+            for c in candidates(k, p, idx):
+                self.nodes += 1
+                if self.max_nodes is not None and self.nodes > self.max_nodes:
+                    raise SearchBudgetHit()
+                assign[p][k][idx] = c
+                if (check is None or check(pos, image)) and not rec(pos + 1):
+                    return False
+            return True
+
+        rec(0)
+        return results
+
+
+def enumerate_sset_maps(x: SimplicialSet, y: SimplicialSet, *, under=None,
+                        over=None, first_only=False, max_nodes=None):
+    """All simplicial maps g: x -> y, by exhaustive assignment on the
+    nondegenerate simplices of x, dimension by dimension, in index order.
+
+    ``under=(i, top)``, maps i: A -> x and top: A -> y, keeps the g with
+    g . i = top; ``over=(p, bottom)``, maps p: y -> D and bottom: x -> D,
+    keeps the g with p . g = bottom.  Images of degenerate simplices are
+    determined by their decompositions.  Raises SearchBudgetHit when more
+    than ``max_nodes`` assignments are explored.
+    """
+    if x.dim_bound != y.dim_bound:
+        raise InputError("dim_bound mismatch")
+    pins = _pins_under([(0, *under)]) if under is not None else {}
+    if pins is None:
+        return []
+    if over is not None:
+        over = [(over[0].assign, over[1].assign)]
+    found = _SlotSearch([x], max_nodes).run([y], pins, over, first_only=first_only)
+    return [SSetMap(x, y, tables[0]) for tables in found]

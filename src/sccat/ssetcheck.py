@@ -12,9 +12,11 @@ are sound, isomorphisms and simply connected comparisons are decided, and
 everything else returns unknown.
 
 Lifting problems of simplicial sets are solved by exhaustive search over
-assignments on nondegenerate simplices; Kan and acyclic-fibration checks
-reduce to those searches against horn and boundary inclusions up to the
-budgeted dimension, and that bound is recorded in the verdict qualifier.
+assignments on nondegenerate simplices: a square's tops are the maps over
+p, its diagonals the maps under i and over p.  Kan and acyclic-fibration
+checks reduce to those searches against horn and boundary inclusions up
+to the budgeted dimension, and that bound is recorded in the verdict
+qualifier.
 """
 from __future__ import annotations
 
@@ -22,12 +24,10 @@ from dataclasses import dataclass
 
 from . import homology as hml
 from .pi1 import edge_path_presentation, is_trivial_group
-from .sset import (SimplicialSet, SSetMap, SearchBudgetHit, boundary,
-                   boundary_inclusion, compose_maps, empty_sset,
-                   enumerate_sset_maps, horn, horn_inclusion, identity_map,
-                   is_iso_map, pi0, pi0_class_of, standard_simplex)
-from .verdict import (BUDGET, Budget, InputError, UNDECIDED_GROUP, Verdict,
-                      aggregate)
+from .sset import (SimplicialSet, SSetMap, SearchBudgetHit, boundary_inclusion,
+                   compose_maps, enumerate_sset_maps, horn_inclusion, is_iso_map,
+                   pi0, pi0_class_of, standard_simplex)
+from .verdict import BUDGET, Budget, UNDECIDED_GROUP, Verdict, aggregate
 
 
 def is_weakly_contractible(x: SimplicialSet, budget: Budget | None = None) -> Verdict:
@@ -131,50 +131,6 @@ def check_square_lift(square: SSetSquare, diagonal: SSetMap) -> bool:
             and compose_maps(square.p, diagonal) == square.bottom)
 
 
-def _retract_by_word(y: SimplicialSet, k: int, idx: int, word: tuple):
-    """The unique c with s_word(c) = idx, or None if idx is not in the
-    image of s_word."""
-    cur, dim = idx, k
-    for j in word:
-        cur = y.face(dim, cur, j)
-        dim -= 1
-    return cur if y.apply_word(dim, cur, word) == idx else None
-
-
-def _diagonal_search(square: SSetSquare, max_nodes):
-    """First diagonal (in enumeration order) by exhaustive assignment on
-    nondegenerate simplices of B, pruned by both triangle constraints."""
-    i, p, top, bottom = square.i, square.p, square.top, square.bottom
-    b, c = i.target, p.source
-    forced = {}
-    for k in range(i.source.dim_bound + 1):
-        for idx in i.source.nondeg_indices(k):
-            img = i.assign[k][idx]
-            want = top.assign[k][idx]
-            rec = b.dims[k][img]
-            if rec.nondeg:
-                key, val = (k, img), want
-            else:
-                # s_word(base) must land on `want`; that pins the base image
-                base = _retract_by_word(c, k, want, rec.word)
-                if base is None:
-                    return None
-                key, val = (k - len(rec.word), rec.base), base
-            if forced.get(key, val) != val:
-                return None  # the top map is inconsistent on a fiber of i
-            forced[key] = val
-
-    def fiber(k, idx, cand):
-        return p.assign[k][cand] == bottom.assign[k][idx]
-
-    found = enumerate_sset_maps(b, c, forced=forced, fiber=fiber,
-                                first_only=True, max_nodes=max_nodes)
-    for g in found:
-        if check_square_lift(square, g):
-            return g
-    return None
-
-
 def naive_diagonal_exists(square: SSetSquare) -> bool:
     """Slow independent re-search used to re-validate DefiniteNo squares:
     plain enumeration of all maps B -> C with no pruning beyond validity."""
@@ -188,37 +144,31 @@ def naive_diagonal_exists(square: SSetSquare) -> bool:
 def enumerate_squares(i: SSetMap, p: SSetMap, max_nodes=None):
     """All commutative squares with i on the left and p on the right.
 
-    Bottom maps are enumerated first, then tops constrained into the
-    fibers of p, in deterministic search order.
+    Bottom maps are enumerated first, then the tops over p (p . top =
+    bottom . i), in deterministic search order.
     """
     squares = []
-    bottoms = enumerate_sset_maps(i.target, p.target, max_nodes=max_nodes)
-    for bottom in bottoms:
-        want = compose_maps(bottom, i)
-
-        def fiber(k, idx, cand, _want=want):
-            return p.assign[k][cand] == _want.assign[k][idx]
-
-        tops = enumerate_sset_maps(i.source, p.source, fiber=fiber,
-                                   max_nodes=max_nodes)
-        for top in tops:
-            sq = SSetSquare(i=i, p=p, top=top, bottom=bottom)
-            if sq.commutes():
-                squares.append(sq)
+    for bottom in enumerate_sset_maps(i.target, p.target, max_nodes=max_nodes):
+        for top in enumerate_sset_maps(i.source, p.source, max_nodes=max_nodes,
+                                       over=(p, compose_maps(bottom, i))):
+            squares.append(SSetSquare(i=i, p=p, top=top, bottom=bottom))
     return squares
 
 
 def has_rlp_sset(p: SSetMap, i: SSetMap, budget: Budget | None = None) -> Verdict:
-    """Right lifting property of p against i, by exhaustive search."""
+    """Right lifting property of p against i, by exhaustive search: each
+    square's diagonal is the first map B -> C under i and over p."""
     budget = budget or Budget()
     try:
         squares = enumerate_squares(i, p, max_nodes=budget.max_steps)
         witnesses = []
         for sq in squares:
-            diag = _diagonal_search(sq, max_nodes=budget.max_steps)
-            if diag is None:
+            diag = enumerate_sset_maps(i.target, p.source, under=(i, sq.top),
+                                       over=(p, sq.bottom), first_only=True,
+                                       max_nodes=budget.max_steps)
+            if not diag:
                 return Verdict.no(witness={"square": sq})
-            witnesses.append((sq, diag))
+            witnesses.append((sq, diag[0]))
     except SearchBudgetHit:
         return Verdict.unknown(BUDGET)
     return Verdict.yes(witness={"lifts": witnesses})

@@ -61,17 +61,24 @@ class Verdict:
 
 
 def aggregate(verdicts: Iterable[Verdict], witness_on_yes: Any = None, **qualifier) -> Verdict:
-    """Combine sub-verdicts; no > unknown > yes."""
+    """Combine sub-verdicts; no > unknown > yes.  A yes keeps the smallest
+    ``checked_max_dim`` of the sub-verdicts and the caller, so a check
+    truncated at some dimension never reads as a plain yes."""
     pending_unknown = None
+    dims = [qualifier["checked_max_dim"]] if "checked_max_dim" in qualifier else []
     for v in verdicts:
         if v.is_no:
             return Verdict(NO, witness=v.witness, qualifier={**v.qualifier, **qualifier})
         if v.kind == UNKNOWN and pending_unknown is None:
             pending_unknown = v
+        if "checked_max_dim" in v.qualifier:
+            dims.append(v.qualifier["checked_max_dim"])
     if pending_unknown is not None:
         return Verdict(UNKNOWN, witness=pending_unknown.witness,
                        reason=pending_unknown.reason,
                        qualifier={**pending_unknown.qualifier, **qualifier})
+    if dims:
+        qualifier["checked_max_dim"] = min(dims)
     return Verdict(YES, witness=witness_on_yes, qualifier=qualifier)
 
 

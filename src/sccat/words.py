@@ -24,12 +24,11 @@ finished tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .scat import (SFunctor, SimplicialCategory, compose_sfunctors,
                    singleton_cat, functor_U, functor_U_map, empty_cat)
-from .sset import (SimplicialSet, SSetMap, derive_records, empty_sset,
-                   identity_map)
+from .sset import SimplicialSet, SSetMap, derive_records
 from .verdict import Budget, BudgetExceeded, InputError
 
 # letters: ("C", a, b, idx) with C-object endpoints, or ("F", u, v, idx)

@@ -13,7 +13,8 @@ from sccat.scat import (SFunctor, compose_sfunctors, coproduct, double_object,
                         empty_cat, functor_U, functor_U_map,
                         identity_sfunctor, singleton_cat, validate_sfunctor)
 from sccat.sset import (SSetMap, boundary, boundary_inclusion, empty_sset,
-                        horn_inclusion, point, standard_simplex)
+                        horn, horn_inclusion, identity_map, point,
+                        standard_simplex)
 from sccat.verdict import Budget
 
 D = 2
@@ -60,6 +61,13 @@ def test_two_singletons_into_codiscrete_not_w2_failure():
 def test_identity_is_fibration():
     for cat in [walking_arrow(D), codiscrete_groupoid(2, D)]:
         assert is_fibration(identity_sfunctor(cat), B).is_yes
+
+
+def test_fibration_yes_keeps_checked_dimension():
+    f = functor_U_map(identity_map(horn(2, 1, 3)))
+    v = is_fibration(f, Budget(max_dim=1))
+    assert v.is_yes
+    assert v.qualifier["checked_max_dim"] == 1
 
 
 def test_singleton_into_codiscrete_not_fibration():
@@ -285,6 +293,24 @@ def test_a2_candidate_u_point_rejected_on_contractibility():
     assert v.witness["hom_not_weakly_contractible"] == (1, 0)
 
 
+def test_free_map_step_cap_answers_unknown():
+    h = functor_U(boundary(1, D))
+    ok, report = is_free_map(coproduct_inclusion_functor(h),
+                             marking_all_nonidentity(h), max_steps=3)
+    assert ok is None
+    assert report == {"step_cap": 3}
+
+
+def test_a2_candidate_step_cap_is_budget_exhausted():
+    # codiscrete(2) needs three words to show its relation h . g = id
+    h = codiscrete_groupoid(2, D)
+    inc = inclusion_of_object(h, 0, singleton_cat(D))
+    v = is_a2_candidate(inc, Budget(max_dim=2, max_steps=2),
+                        marking=marking_all_nonidentity(h))
+    assert v.kind == "unknown" and v.reason == "budget-exhausted"
+    assert v.witness == {"step_cap": 2}
+
+
 # -- factorization ---------------------------------------------------------------------
 
 def test_factor_bounded_already_rlp():
@@ -316,3 +342,21 @@ def test_factor_bounded_horn_cell():
     assert res.complete
     assert compose_sfunctors(res.right, res.left) == f
     assert len(res.cells) >= 1
+
+
+def test_factor_bounded_search_budget_returns_incomplete():
+    f = functor_U_map(horn_inclusion(2, 1, D))
+    res = factor_bounded(f, generating_acyclic_a1(2, D),
+                         Budget(max_dim=2, max_words=16, max_steps=5))
+    assert not res.complete
+    assert compose_sfunctors(res.right, res.left) == f
+
+
+def test_factor_bounded_pushout_budget_returns_incomplete():
+    # after C2, C2 and one free arrow x -> y from C1[0], gluing the free
+    # arrow y -> x gives words of every length: the pushout overruns
+    # max_words
+    f = empty_to(codiscrete_groupoid(2, D))
+    res = factor_bounded(f, generating_cofibrations(1, D), B)
+    assert not res.complete
+    assert compose_sfunctors(res.right, res.left) == f
