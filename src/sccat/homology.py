@@ -8,10 +8,11 @@ degree, including the top one, where the incoming boundary is zero.
 
 Besides Betti numbers and torsion this module computes whether a
 simplicial map induces isomorphisms on homology, which is what the
-weak-equivalence checkers consume.  The induced-map test presents each
-homology group by a saturated kernel basis and uses that finitely
-generated abelian groups are Hopfian: a surjection between groups with
-equal invariants is an isomorphism.
+weak-equivalence checkers consume.  Finitely generated abelian groups are
+Hopfian, so between groups with equal invariants the induced map is an
+isomorphism iff it is onto.  That is one lattice test: the image cycles
+together with the target boundaries must span the target cycle lattice,
+which one Smith normal form decides without coordinates.
 """
 from __future__ import annotations
 
@@ -130,70 +131,31 @@ def chain_map_matrix(f: SSetMap, k: int):
     return mat
 
 
-def _homology_presentation(x: SimplicialSet, k: int):
-    """(kernel basis columns, relation matrix) presenting H_k.
-
-    Generators are a saturated integral basis of ker d_k; relations are the
-    coordinates of the boundaries of (k+1)-simplices in that basis.
-    """
-    d_k = boundary_matrix(x, k)
-    d_k1 = boundary_matrix(x, k + 1)
-    n_k = len(x.nondeg_indices(k))
-    if k == 0:
-        kernel = [[1 if i == j else 0 for i in range(n_k)] for j in range(n_k)]
-    else:
-        kernel = intmat.kernel_basis(d_k)
-    s = len(kernel)
-    kmat = intmat.from_columns(kernel, n_k) if s else intmat.zeros(n_k, 0)
-    rels = []
-    for col in intmat.columns(d_k1):
-        if s == 0:
-            if any(col):
-                raise StructureError("boundary not a cycle")
-            rels.append([])
-            continue
-        coords = intmat.solve(kmat, col)
-        if coords is None:
-            raise StructureError("boundary image escapes the kernel lattice")
-        rels.append(coords)
-    relmat = intmat.from_columns(rels, s) if rels else intmat.zeros(s, 0)
-    return kmat, relmat
-
-
 def homology_map_is_iso(f: SSetMap, k: int) -> bool:
-    """Whether H_k(f) is an isomorphism.  Always definite."""
-    if homology(f.source, k) != homology(f.target, k):
+    """Whether H_k(f) is an isomorphism.  Always definite.
+
+    With equal groups on both sides, H_k(f) is an isomorphism iff it is
+    onto, i.e. iff f(Z_k X) + B_k Y = Z_k Y.  The cycle lattice Z_k Y is a
+    kernel, hence saturated, so the glued generators span it iff their rank
+    is dim Z_k Y and every invariant factor is 1.
+    """
+    x, y = f.source, f.target
+    if homology(x, k) != homology(y, k):
         return False
-    kx, _ = _homology_presentation(f.source, k)
-    ky, rel_y = _homology_presentation(f.target, k)
-    chain = chain_map_matrix(f, k)
-    s_x = intmat.shape(kx)[1]
-    s_y = intmat.shape(ky)[1]
-    # matrix of f_* on kernel generators, in target kernel coordinates
-    cols = []
-    for j in range(s_x):
-        vec = [kx[i][j] for i in range(len(kx))]
-        img = [sum(chain[r][i] * vec[i] for i in range(len(vec)))
-               for r in range(len(chain))]
-        if s_y == 0:
-            if any(img):
-                raise StructureError("cycle maps to a non-cycle")
-            cols.append([])
-            continue
-        coords = intmat.solve(ky, img)
-        if coords is None:
-            raise StructureError("image cycle escapes the target kernel lattice")
-        cols.append(coords)
-    fmat = intmat.from_columns(cols, s_y) if cols else intmat.zeros(s_y, 0)
-    # surjectivity of a map onto Z^{s_y} / rel_y: [F | R] must have all
-    # invariant factors 1 and full rank s_y
-    glued = [fmat[i] + rel_y[i] for i in range(s_y)]
-    if s_y == 0:
-        return True
-    snf = intmat.smith_normal_form(glued)
-    diag = snf.diagonal_entries()
-    return len([d for d in diag if d != 0]) == s_y and all(
-        d == 1 for d in diag[:s_y])
+    n_x = len(x.nondeg_indices(k))
+    if k == 0:
+        # a 0-row matrix reads as shape (0, 0), so d_0 has no usable kernel
+        cycles = intmat.identity(n_x)
+    else:
+        cycles = intmat.from_columns(intmat.kernel_basis(boundary_matrix(x, k)), n_x)
+    images = intmat.matmul(chain_map_matrix(f, k), cycles)
+    d_y = boundary_matrix(y, k)
+    if any(any(row) for row in intmat.matmul(d_y, images)):
+        raise StructureError("cycle maps to a non-cycle")
+    glued = [a + b for a, b in zip(images, boundary_matrix(y, k + 1))]
+    cycle_rank = len(y.nondeg_indices(k)) - (intmat.rank(d_y) if k > 0 else 0)
+    factors = intmat.smith_normal_form(glued).invariant_factors()
+    return len(factors) == cycle_rank and all(d == 1 for d in factors)
 
 
 def homology_iso_all_degrees(f: SSetMap) -> tuple:

@@ -280,10 +280,5 @@ def solve(a: Matrix, b: list) -> list | None:
     return [sum(snf.right[i][k] * y[k] for k in range(n)) for i in range(n)]
 
 
-def columns(a: Matrix) -> list:
-    m, n = shape(a)
-    return [[a[i][j] for i in range(m)] for j in range(n)]
-
-
 def from_columns(cols: list, nrows: int) -> Matrix:
     return [[col[i] for col in cols] for i in range(nrows)]

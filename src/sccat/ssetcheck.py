@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import homology as hml
-from .pi1 import edge_path_presentation, is_trivial_group
+from .pi1 import fundamental_group_trivial
 from .sset import (SimplicialSet, SSetMap, SearchBudgetHit, boundary_inclusion,
                    compose_maps, enumerate_sset_maps, horn_inclusion, is_iso_map,
                    pi0, pi0_class_of, standard_simplex)
@@ -31,16 +31,13 @@ from .verdict import BUDGET, Budget, UNDECIDED_GROUP, Verdict, aggregate
 
 
 def is_weakly_contractible(x: SimplicialSet, budget: Budget | None = None) -> Verdict:
-    budget = budget or Budget()
-    comps = pi0(x)
-    if len(comps) != 1:
-        return Verdict.no(witness={"pi0_classes": len(comps)})
-    for k in range(1, x.dim_bound + 1):
-        h = hml.homology(x, k)
-        if h != (0, []):
-            return Verdict.no(witness={"nonvanishing_homology": {"degree": k,
-                                                                 "value": h}})
-    pi1_verdict = is_trivial_group(edge_path_presentation(x, comps[0][0]), budget)
+    ok, fail = hml.reduced_homology_vanishes(x)
+    if not ok:
+        k, h = fail
+        if k == 0:
+            return Verdict.no(witness={"pi0_classes": h})
+        return Verdict.no(witness={"nonvanishing_homology": {"degree": k, "value": h}})
+    pi1_verdict = fundamental_group_trivial(x, pi0(x)[0][0], budget)
     if pi1_verdict.is_no:
         return Verdict.no(witness={"pi1": pi1_verdict.witness})
     if not pi1_verdict.is_definite:
@@ -65,10 +62,7 @@ def pi0_bijective(f: SSetMap) -> bool:
 
 
 def _all_components_simply_connected(x: SimplicialSet, budget: Budget) -> Verdict:
-    sub = []
-    for comp in pi0(x):
-        sub.append(is_trivial_group(edge_path_presentation(x, comp[0]), budget))
-    return aggregate(sub)
+    return aggregate([fundamental_group_trivial(x, comp[0], budget) for comp in pi0(x)])
 
 
 def is_weak_equivalence_sset(f: SSetMap, budget: Budget | None = None) -> Verdict:
@@ -92,14 +86,14 @@ def is_weak_equivalence_sset(f: SSetMap, budget: Budget | None = None) -> Verdic
         return Verdict.no(witness={"homology_failure_degree": fail,
                                    "source": hml.homology(f.source, fail),
                                    "target": hml.homology(f.target, fail)})
-    wc_x = is_weakly_contractible(f.source, budget)
-    wc_y = is_weakly_contractible(f.target, budget)
-    if wc_x.is_yes and wc_y.is_yes:
-        return Verdict.yes(witness={"both_weakly_contractible": True},
-                           route="contractible")
+    # with pi0 and homology matched, both sides are weakly contractible
+    # iff both are simply connected and the source is acyclic
     sc_x = _all_components_simply_connected(f.source, budget)
     sc_y = _all_components_simply_connected(f.target, budget)
     if sc_x.is_yes and sc_y.is_yes:
+        if hml.reduced_homology_vanishes(f.source)[0]:
+            return Verdict.yes(witness={"both_weakly_contractible": True},
+                               route="contractible")
         return Verdict.yes(witness={"pi0": "bijective", "pi1": "trivial",
                                     "homology": "isomorphism"},
                            route="simply-connected")

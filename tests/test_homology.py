@@ -1,13 +1,19 @@
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sccat import intmat
 from sccat.homology import (
     DimensionBoundError, betti, boundary_matrix, chain_map_matrix, homology,
     homology_iso_all_degrees, homology_map_is_iso, reduced_homology_vanishes,
 )
 from sccat.sset import (
-    boundary, boundary_inclusion, disjoint_union, enumerate_sset_maps,
-    horn, horn_inclusion, identity_map, pi0, point, standard_simplex,
+    SSetMap, boundary, boundary_inclusion, disjoint_union, enumerate_sset_maps,
+    from_nondegenerate, horn, horn_inclusion, identity_map, pi0, point,
+    standard_simplex,
 )
+from sccat.verdict import StructureError
 from tests.test_sset import projective_plane
 
 
@@ -104,3 +110,100 @@ def test_chain_map_kills_degenerate_images():
     f = enumerate_sset_maps(d1, point(1))[0]
     m = chain_map_matrix(f, 1)
     assert m == [[0]] or m == []
+
+
+def cycle(n, dim_bound):
+    """n vertices and n edges, edge i running from vertex i to vertex i+1."""
+    return from_nondegenerate(dim_bound, [
+        [[] for _ in range(n)],
+        [[((i + 1) % n, ()), (i, ())] for i in range(n)]])
+
+
+def test_double_wrap_of_circle_is_not_homology_iso():
+    # H_1 is Z on both sides, but the double wrap multiplies it by 2
+    c6, c3 = cycle(6, 2), cycle(3, 2)
+    wrap = next(f for f in enumerate_sset_maps(c6, c3)
+                if f.assign[0] == (0, 1, 2, 0, 1, 2))
+    assert homology(c6, 1) == homology(c3, 1) == (1, [])
+    assert homology_map_is_iso(wrap, 0)
+    assert not homology_map_is_iso(wrap, 1)
+    assert homology_iso_all_degrees(wrap) == (False, 1)
+
+
+def test_cycle_mapped_to_a_non_cycle_raises():
+    # not a simplicial map: every edge of the 3-cycle goes to edge 0, so
+    # the fundamental cycle goes to 3 * edge 0, which has a boundary
+    c3 = cycle(3, 2)
+    assign = [list(level) for level in identity_map(c3).assign]
+    assign[1][:3] = [0, 0, 0]
+    with pytest.raises(StructureError):
+        homology_map_is_iso(SSetMap(c3, c3, assign), 1)
+
+
+# ---------------------------------------------------------------------------
+# oracle: f is a homology isomorphism iff its mapping cone is acyclic
+
+def _rank_of_chains(x, k):
+    return len(x.nondeg_indices(k)) if 0 <= k <= x.dim_bound else 0
+
+
+def cone_boundary(f, n):
+    """d_n of the mapping cone, C_n = C_{n-1} X + C_n Y and
+    d(a, b) = (-d a, f a + d b), built from the boundary and chain maps."""
+    x, y = f.source, f.target
+    rx, ry = _rank_of_chains(x, n - 2), _rank_of_chains(y, n - 1)
+    cx, cy = _rank_of_chains(x, n - 1), _rank_of_chains(y, n)
+    blocks = []
+    if 1 <= n - 1 <= x.dim_bound:
+        blocks.append((boundary_matrix(x, n - 1), 0, 0, -1))
+    if 0 <= n - 1 <= x.dim_bound:
+        blocks.append((chain_map_matrix(f, n - 1), rx, 0, 1))
+    if 1 <= n <= y.dim_bound:
+        blocks.append((boundary_matrix(y, n), rx, cx, 1))
+    mat = intmat.zeros(rx + ry, cx + cy)
+    for block, r0, c0, sign in blocks:
+        for i, row in enumerate(block):
+            for j, v in enumerate(row):
+                mat[r0 + i][c0 + j] += sign * v
+    return mat
+
+
+def cone_is_acyclic_in(f, n):
+    incoming = intmat.smith_normal_form(cone_boundary(f, n + 1))
+    chains = _rank_of_chains(f.source, n - 1) + _rank_of_chains(f.target, n)
+    return (intmat.rank_rational(cone_boundary(f, n)) + incoming.rank() == chains
+            and all(d == 1 for d in incoming.invariant_factors()))
+
+
+def _oracle_complexes(dim_bound):
+    return [cycle(3, dim_bound), cycle(6, dim_bound), boundary(2, dim_bound),
+            horn(2, 1, dim_bound), standard_simplex(2, dim_bound),
+            projective_plane(dim_bound),
+            disjoint_union(point(dim_bound), boundary(2, dim_bound))[0]]
+
+
+ORACLE_COMPLEXES = {d: _oracle_complexes(d) for d in (2, 3)}
+
+
+@lru_cache(maxsize=None)
+def oracle_maps(dim_bound, i, j):
+    spaces = ORACLE_COMPLEXES[dim_bound]
+    return enumerate_sset_maps(spaces[i], spaces[j])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_homology_iso_iff_mapping_cone_acyclic(data):
+    dim_bound = data.draw(st.sampled_from([2, 3]))
+    last = len(ORACLE_COMPLEXES[dim_bound]) - 1
+    i, j = data.draw(st.integers(0, last)), data.draw(st.integers(0, last))
+    maps = oracle_maps(dim_bound, i, j)
+    if not maps:
+        return
+    f = data.draw(st.sampled_from(maps))
+    ok, degree = homology_iso_all_degrees(f)
+    bad = [n for n in range(dim_bound + 2) if not cone_is_acyclic_in(f, n)]
+    assert ok == (not bad)
+    if not ok:
+        # H_degree(f) fails to be onto (cone degree) or one-to-one (degree + 1)
+        assert bad[0] in (degree, degree + 1)
