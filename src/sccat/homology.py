@@ -12,7 +12,9 @@ weak-equivalence checkers consume.  Finitely generated abelian groups are
 Hopfian, so between groups with equal invariants the induced map is an
 isomorphism iff it is onto.  That is one lattice test: the image cycles
 together with the target boundaries must span the target cycle lattice,
-which one Smith normal form decides without coordinates.
+which one Smith normal form decides without coordinates.  Each boundary
+matrix is factored once per complex and cached with it, so Betti
+numbers, cycle bases and ranks share one factorization.
 """
 from __future__ import annotations
 
@@ -60,6 +62,14 @@ def boundary_matrix(x: SimplicialSet, k: int):
     return mat
 
 
+def _boundary_snf(x: SimplicialSet, k: int) -> intmat.SnfResult:
+    """The Smith normal form of d_k, factored once per complex."""
+    key = ("snf", k)
+    if key not in x._cache:
+        x._cache[key] = intmat.smith_normal_form(boundary_matrix(x, k))
+    return x._cache[key]
+
+
 def assert_chain_complex(x: SimplicialSet) -> None:
     """dd = 0 on the normalized complex; raised eagerly before any SNF."""
     for k in range(1, x.dim_bound + 1):
@@ -81,11 +91,9 @@ def homology(x: SimplicialSet, k: int) -> tuple:
     if key in x._cache:
         return x._cache[key]
     assert_chain_complex(x)
-    d_k = boundary_matrix(x, k)
-    d_k1 = boundary_matrix(x, k + 1)
     n_k = len(x.nondeg_indices(k))
-    rank_k = intmat.smith_normal_form(d_k).rank() if k > 0 else 0
-    snf_above = intmat.smith_normal_form(d_k1)
+    rank_k = _boundary_snf(x, k).rank() if k > 0 else 0
+    snf_above = _boundary_snf(x, k + 1)
     betti = (n_k - rank_k) - snf_above.rank()
     torsion = sorted(d for d in snf_above.invariant_factors() if d != 1)
     if betti < 0:
@@ -147,13 +155,13 @@ def homology_map_is_iso(f: SSetMap, k: int) -> bool:
         # a 0-row matrix reads as shape (0, 0), so d_0 has no usable kernel
         cycles = intmat.identity(n_x)
     else:
-        cycles = intmat.from_columns(intmat.kernel_basis(boundary_matrix(x, k)), n_x)
+        cycles = intmat.from_columns(_boundary_snf(x, k).kernel_basis(), n_x)
     images = intmat.matmul(chain_map_matrix(f, k), cycles)
     d_y = boundary_matrix(y, k)
     if any(any(row) for row in intmat.matmul(d_y, images)):
         raise StructureError("cycle maps to a non-cycle")
     glued = [a + b for a, b in zip(images, boundary_matrix(y, k + 1))]
-    cycle_rank = len(y.nondeg_indices(k)) - (intmat.rank(d_y) if k > 0 else 0)
+    cycle_rank = len(y.nondeg_indices(k)) - (_boundary_snf(y, k).rank() if k > 0 else 0)
     factors = intmat.smith_normal_form(glued).invariant_factors()
     return len(factors) == cycle_rank and all(d == 1 for d in factors)
 

@@ -125,6 +125,13 @@ class SnfResult:
     def invariant_factors(self) -> list:
         return [d for d in self.diagonal_entries() if d != 0]
 
+    def kernel_basis(self) -> list:
+        """Basis of the input's integer kernel, as column vectors: the
+        columns of the right transform whose diagonal entry vanishes."""
+        m = len(self.diagonal)
+        return [[row[j] for row in self.right] for j in range(len(self.right))
+                if j >= m or self.diagonal[j][j] == 0]
+
     def validate(self, original: Matrix) -> list:
         """Return a list of violated invariants (empty when sound)."""
         bad = []
@@ -249,15 +256,7 @@ def kernel_basis(a: Matrix) -> list:
     Columns of the right transform whose diagonal entry vanishes form a
     saturated basis, so integral cycles always have integral coordinates.
     """
-    m, n = shape(a)
-    snf = smith_normal_form(a)
-    diag = snf.diagonal
-    basis = []
-    for j in range(n):
-        dj = diag[j][j] if j < m else 0
-        if dj == 0:
-            basis.append([snf.right[i][j] for i in range(n)])
-    return basis
+    return smith_normal_form(a).kernel_basis()
 
 
 def solve(a: Matrix, b: list) -> list | None:

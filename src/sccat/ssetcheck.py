@@ -11,12 +11,19 @@ The weak-equivalence checker is deliberately partial: definite answers
 are sound, isomorphisms and simply connected comparisons are decided, and
 everything else returns unknown.
 
-Lifting problems of simplicial sets are solved by exhaustive search over
-assignments on nondegenerate simplices: a square's tops are the maps over
-p, its diagonals the maps under i and over p.  Kan and acyclic-fibration
-checks reduce to those searches against horn and boundary inclusions up
-to the budgeted dimension, and that bound is recorded in the verdict
-qualifier.
+Kan and acyclic-fibration checks are decided on Yoneda data, with no map
+built.  A map Delta[n] -> Y is an n-simplex of Y, and a map from the horn
+(n, k) or the boundary of Delta[n] to X is a tuple of compatible
+(n-1)-simplices, so the lifting property of p against a horn or boundary
+is a join: compatible face tuples of X, the n-simplices of Y over them,
+and a lookup of a filler among the n-simplices of X keyed by faces and
+image.  Horns and boundaries are checked up to the budgeted dimension,
+which the verdict qualifier records, under one step count for the whole
+check.  Only the first horn or boundary that fails is searched again, to
+build its counterexample square: ``has_rlp_sset`` solves one lifting
+problem by exhaustive search over assignments on nondegenerate simplices
+(a square's tops are the maps over p, its diagonals the maps under i and
+over p) and stays the independent oracle of the join.
 """
 from __future__ import annotations
 
@@ -168,35 +175,109 @@ def has_rlp_sset(p: SSetMap, i: SSetMap, budget: Budget | None = None) -> Verdic
     return Verdict.yes(witness={"lifts": witnesses})
 
 
+class _Steps:
+    """One step count for a whole top-level call."""
+
+    def __init__(self, cap: int):
+        self.left = cap
+
+    def charge(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise SearchBudgetHit()
+
+
+def _rlp_by_faces(p: SSetMap, n: int, k: int | None, steps: _Steps) -> bool:
+    """Whether p: X -> Y has the RLP against the horn (n, k), or against
+    the boundary of Delta[n] when k is None, decided on Yoneda data.
+
+    A map from the horn (boundary) to X is a tuple (x_i), i != k, of
+    (n-1)-simplices with d_i x_j = d_{j-1} x_i for i < j; a map Delta[n] ->
+    Y is an n-simplex y; the square commutes iff d_i y = p(x_i) for i != k,
+    and a lift is an x in X_n with d_i x = x_i and p(x) = y.  One step per
+    tuple extension and per bottom y.
+    """
+    x, y, pa = p.source, p.target, p.assign
+    if n == 0:
+        hit = set(pa[0])
+        for b in range(y.size(0)):
+            steps.charge()
+            if b not in hit:
+                return False
+        return True
+    pos = [i for i in range(n + 1) if i != k]
+    # candidates for x_{pos[m]}, keyed by the faces the earlier x_i fix
+    joins = []
+    for m in range(len(pos)):
+        known = pos[:m] if n >= 2 else []
+        table = {}
+        for c, rec in enumerate(x.dims[n - 1]):
+            table.setdefault(tuple(rec.faces[i] for i in known), []).append(c)
+        joins.append(table)
+    bottoms = {}
+    for b, rec in enumerate(y.dims[n]):
+        bottoms.setdefault(tuple(rec.faces[i] for i in pos), []).append(b)
+    fillers = {(tuple(rec.faces[i] for i in pos), pa[n][c])
+               for c, rec in enumerate(x.dims[n])}
+    xs = []
+
+    def extend(m):
+        if m == len(pos):
+            for b in bottoms.get(tuple(pa[n - 1][c] for c in xs), ()):
+                steps.charge()
+                if (tuple(xs), b) not in fillers:
+                    return False
+            return True
+        key = tuple(x.face(n - 1, c, pos[m] - 1) for c in xs) if n >= 2 else ()
+        for c in joins[m].get(key, ()):
+            steps.charge()
+            xs.append(c)
+            ok = extend(m + 1)
+            xs.pop()
+            if not ok:
+                return False
+        return True
+
+    return extend(0)
+
+
+def _rlp_against_cells(p: SSetMap, cells: list, budget: Budget, bound: int,
+                       tag: str, yes_witness: dict) -> Verdict:
+    """RLP of p against the horn (n, k) of each cell in order, or the
+    boundary of Delta[n] when k is None, under one step count for the
+    whole call.  Only the first cell that fails is searched again, by
+    ``has_rlp_sset``, for its counterexample square."""
+    steps = _Steps(budget.max_steps)
+    try:
+        failed = next(((n, k) for n, k in cells if not _rlp_by_faces(p, n, k, steps)),
+                      None)
+    except SearchBudgetHit:
+        return Verdict.unknown(BUDGET, checked_max_dim=bound)
+    if failed is None:
+        return Verdict.yes(witness=yes_witness, checked_max_dim=bound)
+    n, k = failed
+    d = p.source.dim_bound
+    v = has_rlp_sset(p, boundary_inclusion(n, d) if k is None else horn_inclusion(n, k, d),
+                     budget)
+    if not v.is_no:
+        return Verdict.unknown(BUDGET, checked_max_dim=bound)
+    return Verdict.no(witness={tag: n if k is None else (n, k), **v.witness},
+                      checked_max_dim=bound)
+
+
 def is_kan_fibration(p: SSetMap, budget: Budget | None = None) -> Verdict:
     budget = budget or Budget()
     bound = min(budget.max_dim, p.source.dim_bound)
-    sub = []
-    for n in range(1, bound + 1):
-        for k in range(n + 1):
-            inc = horn_inclusion(n, k, p.source.dim_bound)
-            v = has_rlp_sset(p, inc, budget)
-            if v.is_no:
-                return Verdict.no(witness={"horn": (n, k), **v.witness},
-                                  checked_max_dim=bound)
-            sub.append(v)
-    return aggregate(sub, witness_on_yes={"all_horns_filled": True},
-                     checked_max_dim=bound)
+    horns = [(n, k) for n in range(1, bound + 1) for k in range(n + 1)]
+    return _rlp_against_cells(p, horns, budget, bound, "horn",
+                              {"all_horns_filled": True})
 
 
 def is_acyclic_fibration_sset(p: SSetMap, budget: Budget | None = None) -> Verdict:
     budget = budget or Budget()
     bound = min(budget.max_dim, p.source.dim_bound)
-    sub = []
-    for n in range(0, bound + 1):
-        inc = boundary_inclusion(n, p.source.dim_bound)
-        v = has_rlp_sset(p, inc, budget)
-        if v.is_no:
-            return Verdict.no(witness={"boundary": n, **v.witness},
-                              checked_max_dim=bound)
-        sub.append(v)
-    return aggregate(sub, witness_on_yes={"all_boundaries_lift": True},
-                     checked_max_dim=bound)
+    return _rlp_against_cells(p, [(n, None) for n in range(bound + 1)], budget, bound,
+                              "boundary", {"all_boundaries_lift": True})
 
 
 def unique_map_to_point(x: SimplicialSet) -> SSetMap:

@@ -88,7 +88,10 @@ class Budget:
 
     max_dim bounds the dimension of generating maps tried, max_words the
     number of adjoined-generator letters in a composite word, max_steps
-    the number of search nodes expanded.
+    the number of search nodes expanded.  For ``is_kan_fibration`` and
+    ``is_acyclic_fibration_sset``, max_steps is one total per top-level
+    call over all horns or boundaries; the search for the counterexample
+    square of a failing one gets max_steps of its own.
     """
     max_dim: int = 4
     max_words: int = 64

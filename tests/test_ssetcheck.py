@@ -1,16 +1,21 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sccat.ssetcheck import (
-    SSetSquare, check_square_lift, enumerate_squares, has_rlp_sset,
-    is_acyclic_fibration_sset, is_kan_fibration, is_weak_equivalence_sset,
-    is_weakly_contractible, naive_diagonal_exists, unique_map_to_point,
+    SSetSquare, _rlp_by_faces, _Steps, check_square_lift, enumerate_squares,
+    has_rlp_sset, is_acyclic_fibration_sset, is_kan_fibration,
+    is_weak_equivalence_sset, is_weakly_contractible, naive_diagonal_exists,
+    unique_map_to_point,
 )
 from sccat.sset import (
     boundary, boundary_inclusion, compose_maps, disjoint_union,
-    enumerate_sset_maps, horn, horn_inclusion, identity_map, point,
-    standard_simplex,
+    enumerate_sset_maps, from_simplicial_complex, horn, horn_inclusion,
+    identity_map, point, standard_simplex,
 )
-from sccat.verdict import Budget
+from sccat.verdict import BUDGET, Budget, Verdict, aggregate
+from tests.test_homology import cycle
 from tests.test_sset import projective_plane
 
 B = Budget(max_dim=3)
@@ -173,3 +178,121 @@ def test_enumerate_squares_commute():
     p = unique_map_to_point(standard_simplex(2, dim_bound=2))
     for sq in enumerate_squares(i, p):
         assert sq.commutes()
+
+
+# -- the face-tuple decision against the exhaustive search -------------------
+
+def kan_by_search(p, budget):
+    """The Kan check as one exhaustive square search per horn."""
+    bound = min(budget.max_dim, p.source.dim_bound)
+    sub = []
+    for n in range(1, bound + 1):
+        for k in range(n + 1):
+            v = has_rlp_sset(p, horn_inclusion(n, k, p.source.dim_bound), budget)
+            if v.is_no:
+                return Verdict.no(witness={"horn": (n, k), **v.witness},
+                                  checked_max_dim=bound)
+            sub.append(v)
+    return aggregate(sub, witness_on_yes={"all_horns_filled": True},
+                     checked_max_dim=bound)
+
+
+def acyclic_fibration_by_search(p, budget):
+    """The acyclic-fibration check as one exhaustive square search per
+    boundary."""
+    bound = min(budget.max_dim, p.source.dim_bound)
+    sub = []
+    for n in range(bound + 1):
+        v = has_rlp_sset(p, boundary_inclusion(n, p.source.dim_bound), budget)
+        if v.is_no:
+            return Verdict.no(witness={"boundary": n, **v.witness},
+                              checked_max_dim=bound)
+        sub.append(v)
+    return aggregate(sub, witness_on_yes={"all_boundaries_lift": True},
+                     checked_max_dim=bound)
+
+
+def _lifting_complexes(dim_bound):
+    out = [point(dim_bound), boundary(1, dim_bound), standard_simplex(1, dim_bound),
+           standard_simplex(2, dim_bound), boundary(2, dim_bound),
+           horn(2, 0, dim_bound), horn(2, 1, dim_bound), cycle(3, dim_bound)]
+    if dim_bound >= 3:
+        out += [standard_simplex(3, dim_bound), horn(3, 1, dim_bound)]
+    return out
+
+
+LIFTING_COMPLEXES = {d: _lifting_complexes(d) for d in (2, 3)}
+
+
+@lru_cache(maxsize=None)
+def lifting_maps(dim_bound, i, j):
+    spaces = LIFTING_COMPLEXES[dim_bound]
+    return enumerate_sset_maps(spaces[i], spaces[j])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_face_tuple_decision_equals_square_search(data):
+    dim_bound = data.draw(st.sampled_from([2, 3]))
+    last = len(LIFTING_COMPLEXES[dim_bound]) - 1
+    i, j = data.draw(st.integers(0, last)), data.draw(st.integers(0, last))
+    maps = lifting_maps(dim_bound, i, j)
+    if not maps:
+        return
+    p = data.draw(st.sampled_from(maps))
+    for fast, slow in [(is_kan_fibration, kan_by_search),
+                       (is_acyclic_fibration_sset, acyclic_fibration_by_search)]:
+        v = fast(p, Budget())
+        assert v == slow(p, Budget())
+        if v.is_no:
+            square = v.witness["square"]
+            assert square.commutes()
+            assert not naive_diagonal_exists(square)
+
+
+# -- one step budget per top-level call --------------------------------------
+
+def test_kan_budget_exhausted_keeps_checked_dimension():
+    v = is_kan_fibration(identity_map(standard_simplex(3, 3)),
+                         Budget(max_dim=3, max_steps=50))
+    assert v.kind == "unknown" and v.reason == BUDGET
+    assert v.qualifier["checked_max_dim"] == 3
+
+
+def _steps_used(p, n, k):
+    steps = _Steps(10**9)
+    assert _rlp_by_faces(p, n, k, steps)
+    return 10**9 - steps.left
+
+
+def test_max_steps_bounds_all_horns_together():
+    # every horn fits under the cap on its own, the whole check does not
+    p = identity_map(standard_simplex(2, 2))
+    per_horn = [_steps_used(p, n, k) for n in (1, 2) for k in range(n + 1)]
+    cap = max(per_horn)
+    assert sum(per_horn) > cap
+    v = is_kan_fibration(p, Budget(max_steps=cap))
+    assert v.kind == "unknown" and v.reason == BUDGET
+    assert is_kan_fibration(p, Budget(max_steps=sum(per_horn))).is_yes
+    assert is_kan_fibration(p, Budget(max_steps=sum(per_horn) - 1)).kind == "unknown"
+
+
+def test_max_steps_bounds_all_boundaries_together():
+    p = identity_map(standard_simplex(2, 2))
+    total = sum(_steps_used(p, n, None) for n in range(3))
+    assert is_acyclic_fibration_sset(p, Budget(max_steps=total)).is_yes
+    v = is_acyclic_fibration_sset(p, Budget(max_steps=total - 1))
+    assert v.kind == "unknown" and v.reason == BUDGET
+
+
+def test_no_without_its_square_reads_unknown():
+    # two points onto the ends of Delta[1] next to eight more points: the
+    # horn (1, 0) fails within three steps, but the square search first
+    # enumerates every map Delta[1] -> Y over ten vertices
+    y, inc, _ = disjoint_union(standard_simplex(1, 2),
+                               from_simplicial_complex([(v,) for v in range(8)], 2))
+    p = compose_maps(inc, boundary_inclusion(1, 2))
+    assert not _rlp_by_faces(p, 1, 0, _Steps(3))
+    v = is_kan_fibration(p, Budget(max_steps=20))
+    assert v.kind == "unknown" and v.reason == BUDGET and v.witness is None
+    assert is_kan_fibration(p, Budget()).witness["horn"] == (1, 0)
