@@ -71,11 +71,16 @@ def _boundary_snf(x: SimplicialSet, k: int) -> intmat.SnfResult:
 
 
 def assert_chain_complex(x: SimplicialSet) -> None:
-    """dd = 0 on the normalized complex; raised eagerly before any SNF."""
+    """dd = 0 on the normalized complex; raised eagerly before any SNF.
+    A complex that passes is marked in its cache and not multiplied out
+    again; one that fails raises on every call."""
+    if "chain_complex" in x._cache:
+        return
     for k in range(1, x.dim_bound + 1):
         prod = intmat.matmul(boundary_matrix(x, k), boundary_matrix(x, k + 1))
         if any(any(v for v in row) for row in prod):
             raise StructureError(f"boundary squared is nonzero in degree {k + 1}")
+    x._cache["chain_complex"] = True
 
 
 def homology(x: SimplicialSet, k: int) -> tuple:

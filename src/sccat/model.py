@@ -8,6 +8,16 @@ Acyclic fibrations get two independent routes: the definitional one and
 the right-lifting-property route against the generating cofibrations;
 the acceptance suite cross-checks them.
 
+A functor U(K) -> C is a pair of objects (c, c'), possibly equal, with a
+map K -> Hom_C(c, c'), since U(K) has no composites but identities.  So f
+has the right lifting property against U(i) iff every hom map f_{c,c'}
+has it against i.  Factorization uses this for the generators U(horn) of
+A1 and U(boundary) of C1: each round decides them hom by hom on the
+Yoneda data of ``ssetcheck`` and searches functor squares only for the
+first generator that fails, to find the square its cell is glued along.
+The generic functor search stays the route of ``has_rlp_against_set``,
+the independent check of the definitional route.
+
 Cofibration checking is witness-based: a degeneracy-closed generator
 marking that passes the free-map check, or a strong-retract witness.  The
 free-map check decides unique word decomposition by exhaustive evaluation
@@ -24,8 +34,8 @@ from .scat import (SFunctor, SimplicialCategory, compose_sfunctors,
                    is_homotopy_equivalence, pi0_functor, singleton_cat)
 from .search import enumerate_sfunctors
 from .sset import (SearchBudgetHit, boundary_inclusion, horn_inclusion)
-from .ssetcheck import (is_kan_fibration, is_weak_equivalence_sset,
-                        is_weakly_contractible)
+from .ssetcheck import (_kan_fibration, _rlp_by_faces, _Steps,
+                        is_weak_equivalence_sset, is_weakly_contractible)
 from .verdict import (BUDGET, Budget, BudgetExceeded, InputError, Verdict,
                       aggregate)
 from .words import Attachment, pushout_generating, pushout_mediating
@@ -100,37 +110,62 @@ def solve_lifting(problem: LiftingProblem, budget: Budget | None = None) -> Verd
     return Verdict.yes(witness=w)
 
 
-def enumerate_problem_squares(gen: SFunctor, f: SFunctor, budget: Budget):
-    """All commuting squares with the generator on the left and f on the
-    right, bottoms first, then the tops over f (f . top = bottom . gen)."""
-    squares = []
+def _problem_squares(gen: SFunctor, f: SFunctor, budget: Budget):
+    """The squares of ``enumerate_problem_squares``, in its order, made
+    one bottom's tops at a time as they are asked for."""
     for bottom in enumerate_sfunctors(gen.target, f.target,
                                       max_nodes=budget.max_steps):
         for top in enumerate_sfunctors(gen.source, f.source,
                                        over=(f, compose_sfunctors(bottom, gen)),
                                        max_nodes=budget.max_steps):
-            squares.append(LiftingProblem(left=gen, right=f, top=top, bottom=bottom))
-    return squares
+            yield LiftingProblem(left=gen, right=f, top=top, bottom=bottom)
+
+
+def enumerate_problem_squares(gen: SFunctor, f: SFunctor, budget: Budget):
+    """All commuting squares with the generator on the left and f on the
+    right, bottoms first, then the tops over f (f . top = bottom . gen)."""
+    return list(_problem_squares(gen, f, budget))
+
+
+def _first_unliftable(gen: SFunctor, f: SFunctor, budget: Budget):
+    """(the first square against gen that has no lift, or None; whether
+    some square before it came back unknown)."""
+    saw_unknown = False
+    for problem in _problem_squares(gen, f, budget):
+        v = solve_lifting(problem, budget)
+        if v.is_no:
+            return problem, saw_unknown
+        saw_unknown = saw_unknown or not v.is_definite
+    return None, saw_unknown
 
 
 def has_rlp_against_set(f: SFunctor, gens, budget: Budget | None = None) -> Verdict:
-    """RLP of f against every generator; a definite counterexample square
-    dominates, then unknowns, then yes."""
+    """RLP of f against every generator, by the generic functor search; a
+    definite counterexample square dominates, then unknowns, then yes."""
     budget = budget or Budget()
-    sub = []
+    saw_unknown = False
     try:
         for gen in gens:
             gmap = gen.map if isinstance(gen, GeneratorMap) else gen
-            name = gen.name if isinstance(gen, GeneratorMap) else "generator"
-            for problem in enumerate_problem_squares(gmap, f, budget):
-                v = solve_lifting(problem, budget)
-                if v.is_no:
-                    return Verdict.no(witness={"generator": name,
-                                               "square": problem})
-                sub.append(v)
+            problem, unknown = _first_unliftable(gmap, f, budget)
+            if problem is not None:
+                name = gen.name if isinstance(gen, GeneratorMap) else "generator"
+                return Verdict.no(witness={"generator": name, "square": problem})
+            saw_unknown = saw_unknown or unknown
     except SearchBudgetHit:
         return Verdict.unknown(BUDGET)
-    return aggregate(sub, witness_on_yes={"all_squares_lift": True})
+    if saw_unknown:
+        return Verdict.unknown(BUDGET)
+    return Verdict.yes(witness={"all_squares_lift": True})
+
+
+def _rlp_by_homs(f: SFunctor, cell: tuple, steps: _Steps) -> bool:
+    """Whether f has the RLP against U(i), for i the horn (n, k) or, when
+    k is None, the boundary of Delta[n]: whether every hom map of f, on
+    every pair of source objects (equal ones too), has it against i."""
+    n, k = cell
+    return all(_rlp_by_faces(f.hom_maps[pair], n, k, steps)
+               for pair in f.source.object_pairs())
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +187,13 @@ def is_dk_equivalence(f: SFunctor, budget: Budget | None = None) -> Verdict:
 
 
 def is_fibration(f: SFunctor, budget: Budget | None = None) -> Verdict:
-    """F1 on every function complex; F2 by finite enumeration."""
+    """F1 on every function complex, under one step count for all of
+    them; F2 by finite enumeration."""
     budget = budget or Budget()
+    steps = _Steps(budget.max_steps)
     sub = []
     for (a, b) in f.source.object_pairs():
-        v = is_kan_fibration(f.hom_maps[(a, b)], budget)
+        v = _kan_fibration(f.hom_maps[(a, b)], budget, steps)
         if v.is_no:
             return Verdict.no(witness={"f1_failure": (a, b), **(v.witness or {})})
         sub.append(v)
@@ -206,10 +243,13 @@ def is_acyclic_fibration_by_rlp(f: SFunctor, budget: Budget | None = None) -> Ve
 
 @dataclass(frozen=True)
 class GeneratorMap:
+    """``cell`` is (n, k) when map is U(horn (n, k) -> Delta[n]) and
+    (n, None) when it is U(boundary -> Delta[n]); None otherwise."""
     name: str
     map: SFunctor
     attachment: Attachment
     dim: int = 0
+    cell: tuple | None = None
 
 
 def c2_generator(dim_bound: int = 4) -> GeneratorMap:
@@ -226,7 +266,8 @@ def generating_cofibrations(n_max: int, dim_bound: int = 4) -> list:
         inc = boundary_inclusion(n, dim_bound)
         gens.append(GeneratorMap(name=f"C1[{n}]", map=functor_U_map(inc),
                                  attachment=Attachment.from_sset_mono(
-                                     inc, label=f"C1[{n}]"), dim=n))
+                                     inc, label=f"C1[{n}]"), dim=n,
+                                 cell=(n, None)))
     gens.append(c2_generator(dim_bound))
     return gens
 
@@ -242,7 +283,8 @@ def generating_acyclic_a1(n_max: int, dim_bound: int = 4) -> list:
             gens.append(GeneratorMap(name=f"A1[{n},{k}]",
                                      map=functor_U_map(inc),
                                      attachment=Attachment.from_sset_mono(
-                                         inc, label=f"A1[{n},{k}]"), dim=n))
+                                         inc, label=f"A1[{n},{k}]"), dim=n,
+                                     cell=(n, k)))
     return gens
 
 
@@ -485,11 +527,19 @@ def factor_bounded(f: SFunctor, gens, budget: Budget | None = None) -> FactorRes
     (ties by supplied order), earliest unliftable square first.  Attacking
     low-dimensional cells first provably diverges even on one-horn inputs,
     so the top-down order is the one that terminates at desk scale.
-    Stops with complete=False when the cell budget runs out or a search or
+
+    Each round walks the generators in that order.  A generator with a
+    ``cell`` (A1, C1) is decided hom by hom on Yoneda data and skipped when
+    every hom map lifts; these joins share one count of ``budget.max_steps``
+    steps for the whole call.  The first generator that fails, or that has
+    no cell (C2, caller-built maps), is searched square by square for the
+    first square with no lift, which is glued on.  Stops with
+    complete=False when the cell budget runs out or a join, search or
     pushout exceeds the budget; the exact equation right . left = f holds
     on every return.
     """
     budget = budget or Budget()
+    steps = _Steps(budget.max_steps)
     stage = f.source
     left = identity_sfunctor(f.source)
     right = f
@@ -498,32 +548,28 @@ def factor_bounded(f: SFunctor, gens, budget: Budget | None = None) -> FactorRes
     order = sorted(range(len(gens)), key=lambda i: (-gens[i].dim, i))
     gens = [gens[i] for i in order]
     while True:
-        target_square = None
-        gen_used = None
+        square = None
         saw_unknown = False
         try:
             for gen in gens:
-                for problem in enumerate_problem_squares(gen.map, right, budget):
-                    v = solve_lifting(problem, budget)
-                    if v.is_no:
-                        target_square = problem
-                        gen_used = gen
-                        break
-                    if not v.is_definite:
-                        saw_unknown = True
-                if target_square is not None:
+                if gen.cell is not None and _rlp_by_homs(right, gen.cell, steps):
+                    continue
+                square, unknown = _first_unliftable(gen.map, right, budget)
+                if square is not None:
                     break
-            if target_square is None or len(cells) >= max_cells:
-                complete = target_square is None and not saw_unknown
+                if gen.cell is not None and not unknown:
+                    raise AssertionError("the join fails where every square "
+                                         "lifts; lifting bug")
+                saw_unknown = saw_unknown or unknown
+            if square is None or len(cells) >= max_cells:
+                complete = square is None and not saw_unknown
                 return FactorResult(left=left, right=right, cells=cells,
                                     complete=complete)
-            res = pushout_generating(stage, gen_used.attachment,
-                                     target_square.top, budget)
+            res = pushout_generating(stage, gen.attachment, square.top, budget)
         except (SearchBudgetHit, BudgetExceeded):
             return FactorResult(left=left, right=right, cells=cells, complete=False)
         stage = res.category
         left = compose_sfunctors(res.inc_base, left)
-        right = pushout_mediating(res, right, target_square.bottom)
-        cells.append(CellRecord(generator=gen_used.name,
-                                glue=target_square.top,
-                                bottom=target_square.bottom))
+        right = pushout_mediating(res, right, square.bottom)
+        cells.append(CellRecord(generator=gen.name, glue=square.top,
+                                bottom=square.bottom))

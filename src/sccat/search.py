@@ -8,6 +8,13 @@ preservation checked as soon as every participant of an instance is
 determined.  A lifting square constrains the search through its two
 triangles: ``under=(i, top)`` and ``over=(p, bottom)``.  The order is part
 of the contract: counterexamples and witnesses must be reproducible.
+
+Instances of the unit laws, g . id = g and id . f = f, are not checked:
+identities are pinned in dimension 0 and degenerate images follow their
+decompositions, so an identity tower always goes to an identity tower,
+and such an instance holds by the target's own unit law, which
+``validate_scat`` checks.  A source U(K) has no other composites, so a
+search from it checks no composition at all.
 """
 from __future__ import annotations
 
@@ -19,8 +26,9 @@ from .verdict import InputError
 
 
 def _comp_instances(src: SimplicialCategory):
-    """All composition instances of the source, grouped by the search slot
-    after which all three participants are determined."""
+    """The composition instances of the source other than the unit laws,
+    grouped by the search slot after which all three participants are
+    determined."""
     key = "comp_instances"
     if key in src._cache:
         return src._cache[key]
@@ -36,8 +44,13 @@ def _comp_instances(src: SimplicialCategory):
     for (a, b, c) in src.object_triples():
         hf, hg = src.hom[(a, b)], src.hom[(b, c)]
         for k in range(src.dim_bound + 1):
+            id_a, id_b = src.identity_tower(a, k), src.identity_tower(b, k)
             for g in range(hg.size(k)):
+                if b == c and g == id_b:
+                    continue
                 for f in range(hf.size(k)):
+                    if a == b and f == id_a:
+                        continue
                     gf = src.comp(k, a, b, c, g, f)
                     ready = max(det_slot(k, a * n + b, f),
                                 det_slot(k, b * n + c, g),
@@ -104,11 +117,10 @@ def enumerate_sfunctors(src: SimplicialCategory, dst: SimplicialCategory, *,
                     return False
             return True
 
-        for tables in search.run(targets, run_pins, over_tables, comp_ok,
-                                 first_only):
+        for tables in search.run(targets, run_pins, over_tables, comp_ok):
             results.append(SFunctor(source=src, target=dst, ob_map=ob_map, hom_maps={
                 pair: SSetMap(src.hom[pair], targets[q], tables[q])
                 for q, pair in enumerate(pairs)}))
-        if first_only and results:
-            break
+            if first_only:
+                return results
     return results

@@ -860,17 +860,16 @@ class _SlotSearch:
         self.max_nodes = max_nodes
         self.nodes = 0
 
-    def run(self, targets: list, pins: dict, over=None, check=None,
-            first_only=False) -> list:
+    def run(self, targets: list, pins: dict, over=None, check=None):
         """Image tables [pair][dim][index] of every complete assignment, in
-        search order.  ``over[pair]`` = (p, bottom) assignment tables keep
-        a candidate c for (k, idx) only if p[k][c] == bottom[k][idx];
-        ``check(pos, image)`` may veto the assignment of slot ``pos``.
+        search order, made one at a time as they are asked for.
+        ``over[pair]`` = (p, bottom) assignment tables keep a candidate c
+        for (k, idx) only if p[k][c] == bottom[k][idx]; ``check(pos,
+        image)`` may veto the assignment of slot ``pos``.
         """
         sources, slots = self.sources, self.slots
         assign = [[[None] * x.size(k) for k in range(x.dim_bound + 1)]
                   for x in sources]
-        results = []
 
         def image(k, p, idx):
             rec = sources[p].dims[k][idx]
@@ -897,22 +896,35 @@ class _SlotSearch:
 
         def rec(pos):
             if pos == len(slots):
-                results.append([[[image(k, p, i) for i in range(x.size(k))]
-                                 for k in range(x.dim_bound + 1)]
-                                for p, x in enumerate(sources)])
-                return not first_only
+                yield [[[image(k, p, i) for i in range(x.size(k))]
+                        for k in range(x.dim_bound + 1)]
+                       for p, x in enumerate(sources)]
+                return
             k, p, idx = slots[pos]
             for c in candidates(k, p, idx):
                 self.nodes += 1
                 if self.max_nodes is not None and self.nodes > self.max_nodes:
                     raise SearchBudgetHit()
                 assign[p][k][idx] = c
-                if (check is None or check(pos, image)) and not rec(pos + 1):
-                    return False
-            return True
+                if check is None or check(pos, image):
+                    yield from rec(pos + 1)
 
-        rec(0)
-        return results
+        return rec(0)
+
+
+def _sset_maps(x: SimplicialSet, y: SimplicialSet, under=None, over=None,
+               max_nodes=None):
+    """The maps of ``enumerate_sset_maps``, in its order, made one at a
+    time as they are asked for."""
+    if x.dim_bound != y.dim_bound:
+        raise InputError("dim_bound mismatch")
+    pins = _pins_under([(0, *under)]) if under is not None else {}
+    if pins is None:
+        return
+    if over is not None:
+        over = [(over[0].assign, over[1].assign)]
+    for tables in _SlotSearch([x], max_nodes).run([y], pins, over):
+        yield SSetMap(x, y, tables[0])
 
 
 def enumerate_sset_maps(x: SimplicialSet, y: SimplicialSet, *, under=None,
@@ -926,12 +938,5 @@ def enumerate_sset_maps(x: SimplicialSet, y: SimplicialSet, *, under=None,
     determined by their decompositions.  Raises SearchBudgetHit when more
     than ``max_nodes`` assignments are explored.
     """
-    if x.dim_bound != y.dim_bound:
-        raise InputError("dim_bound mismatch")
-    pins = _pins_under([(0, *under)]) if under is not None else {}
-    if pins is None:
-        return []
-    if over is not None:
-        over = [(over[0].assign, over[1].assign)]
-    found = _SlotSearch([x], max_nodes).run([y], pins, over, first_only=first_only)
-    return [SSetMap(x, y, tables[0]) for tables in found]
+    found = _sset_maps(x, y, under, over, max_nodes)
+    return list(itertools.islice(found, 1) if first_only else found)

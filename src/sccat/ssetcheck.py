@@ -23,7 +23,8 @@ check.  Only the first horn or boundary that fails is searched again, to
 build its counterexample square: ``has_rlp_sset`` solves one lifting
 problem by exhaustive search over assignments on nondegenerate simplices
 (a square's tops are the maps over p, its diagonals the maps under i and
-over p) and stays the independent oracle of the join.
+over p), stops at the first square with no diagonal, and stays the
+independent oracle of the join.
 """
 from __future__ import annotations
 
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 
 from . import homology as hml
 from .pi1 import fundamental_group_trivial
-from .sset import (SimplicialSet, SSetMap, SearchBudgetHit, boundary_inclusion,
-                   compose_maps, enumerate_sset_maps, horn_inclusion, is_iso_map,
-                   pi0, pi0_class_of, standard_simplex)
+from .sset import (SimplicialSet, SSetMap, SearchBudgetHit, _sset_maps,
+                   boundary_inclusion, compose_maps, enumerate_sset_maps,
+                   horn_inclusion, is_iso_map, pi0, pi0_class_of, standard_simplex)
 from .verdict import BUDGET, Budget, UNDECIDED_GROUP, Verdict, aggregate
 
 
@@ -142,28 +143,33 @@ def naive_diagonal_exists(square: SSetSquare) -> bool:
     return False
 
 
+def _squares(i: SSetMap, p: SSetMap, max_nodes=None):
+    """The squares of ``enumerate_squares``, in its order: the bottoms are
+    listed at once, the tops of each bottom made one at a time as they are
+    asked for."""
+    for bottom in enumerate_sset_maps(i.target, p.target, max_nodes=max_nodes):
+        for top in _sset_maps(i.source, p.source, over=(p, compose_maps(bottom, i)),
+                              max_nodes=max_nodes):
+            yield SSetSquare(i=i, p=p, top=top, bottom=bottom)
+
+
 def enumerate_squares(i: SSetMap, p: SSetMap, max_nodes=None):
     """All commutative squares with i on the left and p on the right.
 
     Bottom maps are enumerated first, then the tops over p (p . top =
     bottom . i), in deterministic search order.
     """
-    squares = []
-    for bottom in enumerate_sset_maps(i.target, p.target, max_nodes=max_nodes):
-        for top in enumerate_sset_maps(i.source, p.source, max_nodes=max_nodes,
-                                       over=(p, compose_maps(bottom, i))):
-            squares.append(SSetSquare(i=i, p=p, top=top, bottom=bottom))
-    return squares
+    return list(_squares(i, p, max_nodes))
 
 
 def has_rlp_sset(p: SSetMap, i: SSetMap, budget: Budget | None = None) -> Verdict:
     """Right lifting property of p against i, by exhaustive search: each
-    square's diagonal is the first map B -> C under i and over p."""
+    square's diagonal is the first map B -> C under i and over p.  Stops
+    at the first square with no diagonal."""
     budget = budget or Budget()
     try:
-        squares = enumerate_squares(i, p, max_nodes=budget.max_steps)
         witnesses = []
-        for sq in squares:
+        for sq in _squares(i, p, max_nodes=budget.max_steps):
             diag = enumerate_sset_maps(i.target, p.source, under=(i, sq.top),
                                        over=(p, sq.bottom), first_only=True,
                                        max_nodes=budget.max_steps)
@@ -242,12 +248,11 @@ def _rlp_by_faces(p: SSetMap, n: int, k: int | None, steps: _Steps) -> bool:
 
 
 def _rlp_against_cells(p: SSetMap, cells: list, budget: Budget, bound: int,
-                       tag: str, yes_witness: dict) -> Verdict:
+                       tag: str, yes_witness: dict, steps: _Steps) -> Verdict:
     """RLP of p against the horn (n, k) of each cell in order, or the
-    boundary of Delta[n] when k is None, under one step count for the
-    whole call.  Only the first cell that fails is searched again, by
-    ``has_rlp_sset``, for its counterexample square."""
-    steps = _Steps(budget.max_steps)
+    boundary of Delta[n] when k is None, charging every join to ``steps``.
+    Only the first cell that fails is searched again, by ``has_rlp_sset``,
+    for its counterexample square."""
     try:
         failed = next(((n, k) for n, k in cells if not _rlp_by_faces(p, n, k, steps)),
                       None)
@@ -265,19 +270,26 @@ def _rlp_against_cells(p: SSetMap, cells: list, budget: Budget, bound: int,
                       checked_max_dim=bound)
 
 
-def is_kan_fibration(p: SSetMap, budget: Budget | None = None) -> Verdict:
-    budget = budget or Budget()
+def _kan_fibration(p: SSetMap, budget: Budget, steps: _Steps) -> Verdict:
+    """``is_kan_fibration`` with its joins charged to ``steps``, which a
+    caller may share between several maps."""
     bound = min(budget.max_dim, p.source.dim_bound)
     horns = [(n, k) for n in range(1, bound + 1) for k in range(n + 1)]
     return _rlp_against_cells(p, horns, budget, bound, "horn",
-                              {"all_horns_filled": True})
+                              {"all_horns_filled": True}, steps)
+
+
+def is_kan_fibration(p: SSetMap, budget: Budget | None = None) -> Verdict:
+    budget = budget or Budget()
+    return _kan_fibration(p, budget, _Steps(budget.max_steps))
 
 
 def is_acyclic_fibration_sset(p: SSetMap, budget: Budget | None = None) -> Verdict:
     budget = budget or Budget()
     bound = min(budget.max_dim, p.source.dim_bound)
     return _rlp_against_cells(p, [(n, None) for n in range(bound + 1)], budget, bound,
-                              "boundary", {"all_boundaries_lift": True})
+                              "boundary", {"all_boundaries_lift": True},
+                              _Steps(budget.max_steps))
 
 
 def unique_map_to_point(x: SimplicialSet) -> SSetMap:

@@ -90,8 +90,11 @@ class Budget:
     number of adjoined-generator letters in a composite word, max_steps
     the number of search nodes expanded.  For ``is_kan_fibration`` and
     ``is_acyclic_fibration_sset``, max_steps is one total per top-level
-    call over all horns or boundaries; the search for the counterexample
-    square of a failing one gets max_steps of its own.
+    call over all horns or boundaries, for ``is_fibration`` one total over
+    the horns of every hom map, and for ``factor_bounded`` one total over
+    the hom-wise lifting checks of every round.  Each search for a
+    counterexample square, and each functor search, gets max_steps of its
+    own.
     """
     max_dim: int = 4
     max_words: int = 64

@@ -56,6 +56,28 @@ def test_homology_degree_out_of_range():
         homology(x, -1)
 
 
+def test_chain_complex_checked_once_per_complex(monkeypatch):
+    # d_k d_{k+1} for k = 1, 2, 3, multiplied out once for all degrees
+    products = []
+    matmul = intmat.matmul
+    monkeypatch.setattr(intmat, "matmul",
+                        lambda a, b: products.append(1) or matmul(a, b))
+    x = standard_simplex(3, dim_bound=3)
+    for k in range(4):
+        homology(x, k)
+    assert len(products) == 3
+
+
+def test_nonzero_boundary_squared_raises_on_every_call():
+    # a triangle whose three faces are one edge: d d sigma = d e != 0
+    x = from_nondegenerate(2, [[[], []], [[(1, ()), (0, ())]],
+                               [[(0, ()), (0, ()), (0, ())]]])
+    for _ in range(2):
+        for k in range(3):
+            with pytest.raises(StructureError):
+                homology(x, k)
+
+
 def test_homology_torsion_projective_plane():
     x = projective_plane(dim_bound=3)
     assert homology(x, 0) == (1, [])

@@ -1,21 +1,27 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sccat.constructions_basic import (codiscrete_groupoid,
                                        inclusion_of_object, walking_arrow)
 from sccat.model import (
-    GeneratorMarking, LiftingProblem, LiftWitness, RetractWitness,
-    coproduct_inclusion_functor, factor_bounded, generating_acyclic_a1,
+    CellRecord, FactorResult, GeneratorMarking, LiftingProblem, LiftWitness,
+    RetractWitness, _rlp_by_homs, c2_generator, coproduct_inclusion_functor,
+    enumerate_problem_squares, factor_bounded, generating_acyclic_a1,
     generating_cofibrations, has_rlp_against_set, is_a2_candidate,
     is_acyclic_fibration, is_acyclic_fibration_by_rlp, is_dk_equivalence,
     is_fibration, is_free_map, solve_lifting, verify_lift, verify_retract,
 )
-from sccat.scat import (SFunctor, compose_sfunctors, coproduct, double_object,
-                        empty_cat, functor_U, functor_U_map,
-                        identity_sfunctor, singleton_cat, validate_sfunctor)
-from sccat.sset import (SSetMap, boundary, boundary_inclusion, empty_sset,
-                        horn, horn_inclusion, identity_map, point,
+from sccat.scat import (SFunctor, SimplicialCategory, build_compose,
+                        compose_sfunctors, coproduct, double_object, empty_cat,
+                        functor_U, functor_U_map, identity_sfunctor,
+                        singleton_cat, validate_scat, validate_sfunctor)
+from sccat.sset import (SearchBudgetHit, SSetMap, boundary, boundary_inclusion,
+                        empty_sset, horn, horn_inclusion, identity_map, point,
                         standard_simplex)
-from sccat.verdict import Budget
+from sccat.ssetcheck import _rlp_by_faces, _Steps, unique_map_to_point
+from sccat.verdict import BUDGET, Budget, BudgetExceeded
+from sccat.words import pushout_generating, pushout_mediating
+from tests.test_ssetcheck import LIFTING_COMPLEXES, lifting_maps
 
 D = 2
 B = Budget(max_dim=2, max_words=16, max_steps=500_000)
@@ -61,6 +67,24 @@ def test_two_singletons_into_codiscrete_not_w2_failure():
 def test_identity_is_fibration():
     for cat in [walking_arrow(D), codiscrete_groupoid(2, D)]:
         assert is_fibration(identity_sfunctor(cat), B).is_yes
+
+
+def test_max_steps_bounds_all_homs_of_a_fibration_together():
+    # U(id Delta[2]): the Delta[2] hom alone needs 104 steps, the identity
+    # homs on the two objects and the empty hom need steps on top
+    f = functor_U_map(identity_map(standard_simplex(2, D)))
+    per_hom = []
+    for pair in f.source.object_pairs():
+        steps = _Steps(10**9)
+        for n in (1, 2):
+            for k in range(n + 1):
+                assert _rlp_by_faces(f.hom_maps[pair], n, k, steps)
+        per_hom.append(10**9 - steps.left)
+    assert max(per_hom) == 104 < sum(per_hom)
+    v = is_fibration(f, Budget(max_steps=104))
+    assert v.kind == "unknown" and v.reason == BUDGET
+    assert is_fibration(f, Budget(max_steps=sum(per_hom))).is_yes
+    assert is_fibration(f, Budget(max_steps=sum(per_hom) - 1)).kind == "unknown"
 
 
 def test_fibration_yes_keeps_checked_dimension():
@@ -119,6 +143,19 @@ def test_generating_set_counts():
     a1 = generating_acyclic_a1(1, D)
     assert [g.name for g in a1] == ["A1[1,0]", "A1[1,1]"]
     assert len(generating_acyclic_a1(2, D)) == 5
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_generator_cells_name_their_maps(d):
+    for g in generating_acyclic_a1(d, d) + generating_cofibrations(d, d):
+        if g.name == "C2":
+            assert g.cell is None
+            continue
+        n, k = g.cell
+        inc = boundary_inclusion(n, d) if k is None else horn_inclusion(n, k, d)
+        assert g.map == functor_U_map(inc)
+        assert g.name == (f"C1[{n}]" if k is None else f"A1[{n},{k}]")
+    assert c2_generator(d).cell is None
 
 
 def test_generator_maps_validate():
@@ -360,3 +397,88 @@ def test_factor_bounded_pushout_budget_returns_incomplete():
     res = factor_bounded(f, generating_cofibrations(1, D), B)
     assert not res.complete
     assert compose_sfunctors(res.right, res.left) == f
+
+
+# -- factorization decided hom by hom, against the generic search ---------------
+
+def factor_by_search(f, gens, budget):
+    """factor_bounded as every round's full generic search: all squares
+    against each generator in order, each solved by functor search."""
+    gens = sorted(gens, key=lambda g: -g.dim)
+    stage, left, right, cells = f.source, identity_sfunctor(f.source), f, []
+    while True:
+        found, saw_unknown = None, False
+        try:
+            for gen in gens:
+                for problem in enumerate_problem_squares(gen.map, right, budget):
+                    v = solve_lifting(problem, budget)
+                    if v.is_no:
+                        found = gen, problem
+                        break
+                    saw_unknown = saw_unknown or not v.is_definite
+                if found is not None:
+                    break
+            if found is None or len(cells) >= max(1, budget.max_words):
+                return FactorResult(left=left, right=right, cells=cells,
+                                    complete=found is None and not saw_unknown)
+            gen, problem = found
+            res = pushout_generating(stage, gen.attachment, problem.top, budget)
+        except (SearchBudgetHit, BudgetExceeded):
+            return FactorResult(left=left, right=right, cells=cells, complete=False)
+        stage = res.category
+        left = compose_sfunctors(res.inc_base, left)
+        right = pushout_mediating(res, right, problem.bottom)
+        cells.append(CellRecord(generator=gen.name, glue=problem.top,
+                                bottom=problem.bottom))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_factorization_equals_the_generic_search(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    last = len(LIFTING_COMPLEXES[d]) - 1
+    maps = lifting_maps(d, data.draw(st.integers(0, last)),
+                        data.draw(st.integers(0, last)))
+    if not maps:
+        return
+    f = functor_U_map(data.draw(st.sampled_from(maps)))
+    gens = data.draw(st.sampled_from([generating_acyclic_a1(d, d),
+                                      generating_cofibrations(1, d)]))
+    budget = Budget(max_words=3)
+    res = factor_bounded(f, gens, budget)
+    assert res == factor_by_search(f, gens, budget)
+    assert compose_sfunctors(res.right, res.left) == f
+    # the join is the generic search's verdict, on the input and on the
+    # factorization's right map, whose homs are pushouts
+    for g in gens:
+        if g.cell is not None:
+            for h in (f, res.right):
+                assert (_rlp_by_homs(h, g.cell, _Steps(10**9))
+                        == has_rlp_against_set(h, [g]).is_yes)
+
+
+def test_join_reads_the_endomorphism_homs():
+    # one object whose endomorphisms are Z/2, discrete: a square against
+    # U(i) may send both objects of U(i) to that one object
+    two = boundary(1, D)    # simplex j is vertex j in every dimension
+    z2 = SimplicialCategory(objects=("x",), hom={(0, 0): two},
+                            compose=build_compose(1, {(0, 0): two}, D,
+                                                  lambda k, a, b, c, g, f: g ^ f),
+                            identities=(0,), dim_bound=D)
+    assert validate_scat(z2) == []
+    pt = singleton_cat(D)
+    collapse = SFunctor(source=z2, target=pt, ob_map=(0,),
+                        hom_maps={(0, 0): unique_map_to_point(two)})
+    unit = inclusion_of_object(z2, 0, pt)
+    verdicts = {}
+    for f in (collapse, unit):
+        for g in generating_cofibrations(2, D) + generating_acyclic_a1(2, D):
+            if g.cell is not None:
+                join = _rlp_by_homs(f, g.cell, _Steps(10**9))
+                assert join == has_rlp_against_set(f, [g]).is_yes
+                verdicts[f is unit, g.name] = join
+    # the collapse does not lift two distinct units to an edge, the unit
+    # misses the vertex 1; horns lift in discrete homs
+    assert not verdicts[False, "C1[1]"] and verdicts[False, "C1[0]"]
+    assert not verdicts[True, "C1[0]"]
+    assert all(verdicts[False, f"A1[{n},{k}]"] for n in (1, 2) for k in range(n + 1))

@@ -173,6 +173,22 @@ def test_acyclic_fibration_identity_on_sphere():
     assert is_acyclic_fibration_sset(identity_map(boundary(2, 2)), B).is_yes
 
 
+def test_square_search_stops_at_the_first_square_without_a_lift(monkeypatch):
+    # Delta[2] -> point against the outer horn (2, 0): the 4th of 14
+    # squares has no filler, and no square after it is made
+    from sccat import ssetcheck
+    i = horn_inclusion(2, 0, dim_bound=2)
+    p = unique_map_to_point(standard_simplex(2, dim_bound=2))
+    squares = enumerate_squares(i, p)
+    made = []
+    monkeypatch.setattr(ssetcheck, "SSetSquare",
+                        lambda **kw: made.append(1) or SSetSquare(**kw))
+    v = has_rlp_sset(p, i, B)
+    assert v.is_no
+    assert len(made) == squares.index(v.witness["square"]) + 1 == 4
+    assert len(squares) == 14
+
+
 def test_enumerate_squares_commute():
     i = horn_inclusion(2, 1, dim_bound=2)
     p = unique_map_to_point(standard_simplex(2, dim_bound=2))
