@@ -33,7 +33,7 @@ from .scat import (SFunctor, SimplicialCategory, compose_sfunctors,
                    coproduct, functor_U_map, identity_sfunctor,
                    is_homotopy_equivalence, pi0_functor, singleton_cat)
 from .search import enumerate_sfunctors
-from .sset import (SearchBudgetHit, boundary_inclusion, horn_inclusion)
+from .sset import SearchBudgetHit, SSetMap, boundary_inclusion, horn_inclusion
 from .ssetcheck import (_kan_fibration, _rlp_by_faces, _Steps,
                         is_weak_equivalence_sset, is_weakly_contractible)
 from .verdict import (BUDGET, Budget, BudgetExceeded, InputError, Verdict,
@@ -297,9 +297,6 @@ class GeneratorMarking:
     generators.  Degeneracies of marked simplices must be marked."""
     marked: dict
 
-    def marks(self, pair) -> frozenset:
-        return self.marked.get(pair, frozenset())
-
     @staticmethod
     def close_under_degeneracies(cat: SimplicialCategory, marked: dict) -> "GeneratorMarking":
         out = {pair: set(entries) for pair, entries in marked.items()}
@@ -447,7 +444,6 @@ def coproduct_inclusion_functor(h: SimplicialCategory) -> SFunctor:
     sx = singleton_cat(h.dim_bound, label=str(h.objects[0]))
     sy = singleton_cat(h.dim_bound, label=str(h.objects[1]))
     cop, _ = coproduct([sx, sy])
-    from .sset import SSetMap
     hom_maps = {}
     for (a, b) in cop.object_pairs():
         src_hom = cop.hom[(a, b)]

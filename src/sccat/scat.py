@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cat import FiniteCategory, FiniteFunctor
-from .sset import (SimplicialSet, SSetMap, empty_sset, identity_map, pi0,
-                   pi0_class_of, point, pullback_ssets, validate_sset,
-                   validate_sset_map)
+from .cat import FiniteCategory, FiniteFunctor, is_isomorphism
+from .sset import (SimplicialSet, SSetMap, compose_maps, empty_sset,
+                   identity_map, pi0, pi0_class_of, point, pullback_ssets,
+                   validate_sset, validate_sset_map)
 from .verdict import InputError, StructureError
 
 
@@ -70,9 +70,6 @@ class SimplicialCategory:
     # -- accessors -----------------------------------------------------------
     def n_objects(self) -> int:
         return len(self.objects)
-
-    def hom_of(self, a: int, b: int) -> SimplicialSet:
-        return self.hom[(a, b)]
 
     def comp(self, k: int, a: int, b: int, c: int, g: int, f: int) -> int:
         return self.compose[(a, b, c)][k][g][f]
@@ -240,9 +237,6 @@ class SFunctor:
     def ob(self, a: int) -> int:
         return self.ob_map[a]
 
-    def on_hom(self, a: int, b: int) -> SSetMap:
-        return self.hom_maps[(a, b)]
-
     def apply(self, k: int, a: int, b: int, idx: int) -> int:
         return self.hom_maps[(a, b)].assign[k][idx]
 
@@ -303,7 +297,6 @@ def identity_sfunctor(cat: SimplicialCategory) -> SFunctor:
 def compose_sfunctors(G: SFunctor, F: SFunctor) -> SFunctor:
     if F.target != G.source:
         raise InputError("functors not composable")
-    from .sset import compose_maps
     n = F.source.n_objects()
     return SFunctor(
         source=F.source, target=G.target,
@@ -618,7 +611,6 @@ def is_homotopy_equivalence(cat: SimplicialCategory, a: int, b: int,
     component category."""
     if not (0 <= e < cat.hom[(a, b)].size(0)):
         raise InputError("not a 0-simplex of the stated hom")
-    from .cat import is_isomorphism
     fc, classes = pi0_data(cat)
     cls = pi0_class_of(cat.hom[(a, b)])[e]
     ok, _ = is_isomorphism(fc, a, b, cls)

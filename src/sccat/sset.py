@@ -9,13 +9,17 @@ Nothing above ``dim_bound`` is stored; everything up there is degenerate
 by construction, so the objects are honest ``dim_bound``-skeletal
 simplicial sets.
 
-Construction goes through two disciplined routes:
+Face and degeneracy index tables are built in two ways:
 
 * vertex-tuple complexes (standard simplices, boundaries, horns,
   simplicial complexes), where simplices are nondecreasing vertex tuples;
 * explicit nondegenerate skeleta (``from_nondegenerate``), where each
   nondegenerate simplex lists its faces as (base, degeneracy word) pairs,
   and the full tables are materialized from the simplicial identities.
+
+The operations on finished sets (subcomplexes, disjoint unions,
+pullbacks, cell attachment) build their tables from those of their
+inputs.  Records are derived once, from the tables, by ``derive_records``.
 
 Derived structure (face-key indexes, pi0, vertex sets) is cached on the
 instance; values are treated as immutable after construction.
@@ -170,16 +174,6 @@ class SimplicialSet:
             cur_dim += 1
         return cur
 
-    def pair_index(self, k: int) -> dict:
-        """(base_dim, base_idx, word) -> index, for dimension k."""
-        key = ("pairs", k)
-        if key not in self._cache:
-            table = {}
-            for i, s in enumerate(self.dims[k]):
-                table[(k - len(s.word), s.base, s.word)] = i
-            self._cache[key] = table
-        return self._cache[key]
-
     def face_key_index(self, k: int) -> dict:
         """tuple(faces) -> list of simplex indices, for dimension k >= 1."""
         key = ("facekey", k)
@@ -207,6 +201,44 @@ class SimplicialSet:
 
 
 # ---------------------------------------------------------------------------
+# records from tables: the one place EZ decompositions are made
+
+def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> list:
+    """Simplex records from face and degeneracy index tables.
+
+    ``faces_tables[k][idx]`` lists the faces of the k-simplex idx and
+    ``degens_tables[k][idx]`` its degeneracies (read only for k <
+    dim_bound).  A simplex x is degenerate exactly when s_j d_j x = x for
+    some j; then its base is that of d_j x and its word is s_j after the
+    word of d_j x.  The EZ decomposition is unique, so every constructor
+    builds only its tables and derives its records here.
+    """
+    decomp = [dict() for _ in range(dim_bound + 1)]  # idx -> (base, word)
+    dims = []
+    for k in range(dim_bound + 1):
+        level = []
+        for idx in range(len(faces_tables[k])):
+            faces = tuple(faces_tables[k][idx])
+            degens = tuple(degens_tables[k][idx]) if k + 1 <= dim_bound else ()
+            deg_j = None
+            for j in range(k):
+                w = faces[j]
+                if degens_tables[k - 1][w][j] == idx:
+                    deg_j = j
+                    break
+            if deg_j is None:
+                decomp[k][idx] = (idx, ())
+            else:
+                w = faces[deg_j]
+                b, word = decomp[k - 1][w]
+                decomp[k][idx] = (b, word_after_degeneracy(word, deg_j))
+            base, word = decomp[k][idx]
+            level.append(Simplex(faces=faces, degens=degens, base=base, word=word))
+        dims.append(level)
+    return dims
+
+
+# ---------------------------------------------------------------------------
 # construction: generic materialization from a nondegenerate skeleton
 
 def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
@@ -215,8 +247,11 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
     ``face_data[k]`` lists the nondegenerate k-simplices; each entry is a
     list of k+1 faces, a face being ``(base_index, word)`` with
     ``base_index`` into the nondegenerate list of dimension
-    ``k - 1 - len(word)``.  Dimension 0 entries are ``[]``.
+    ``k - 1 - len(word)``.  Dimension 0 entries are ``[]``.  Nondegenerate
+    simplices above ``dim_bound`` raise InputError.
     """
+    if any(face_data[dim_bound + 1:]):
+        raise InputError("from_nondegenerate: nondegenerate simplices above dim_bound")
     if len(face_data) < dim_bound + 1:
         face_data = list(face_data) + [[] for _ in range(dim_bound + 1 - len(face_data))]
     order = []  # per dim: list of (base_dim, base_idx, word)
@@ -238,36 +273,18 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
         fb, fw = face_data[bd][bi][i2]
         return (bd - 1 - len(fw), fb, compose_words(w2, fw))
 
-    dims = []
+    faces, degens = [], []
     for k in range(dim_bound + 1):
-        level = []
-        for (bd, bi, w) in order[k]:
-            if k == 0:
-                faces = ()
-            else:
-                faces = tuple(index[k - 1][face_pair(bd, bi, w, i)] for i in range(k + 1))
-            if k + 1 <= dim_bound:
-                degens = tuple(index[k + 1][(bd, bi, word_after_degeneracy(w, j))]
-                               for j in range(k + 1))
-            else:
-                degens = ()
-            base = index[bd][(bd, bi, ())]
-            level.append(Simplex(faces=faces, degens=degens, base=base, word=w))
-        dims.append(level)
-    return SimplicialSet(dim_bound, dims)
+        faces.append([tuple(index[k - 1][face_pair(bd, bi, w, i)] for i in range(k + 1))
+                      if k else () for (bd, bi, w) in order[k]])
+        if k < dim_bound:
+            degens.append([tuple(index[k + 1][(bd, bi, word_after_degeneracy(w, j))]
+                                 for j in range(k + 1)) for (bd, bi, w) in order[k]])
+    return SimplicialSet(dim_bound, derive_records(dim_bound, faces, degens))
 
 
 # ---------------------------------------------------------------------------
 # construction: vertex-tuple complexes
-
-def _tuple_decomposition(t: tuple) -> tuple:
-    """EZ decomposition of a nondecreasing tuple: (base_tuple, word)."""
-    for j in range(len(t) - 1):
-        if t[j] == t[j + 1]:
-            base, inner = _tuple_decomposition(t[:j + 1] + t[j + 2:])
-            return base, compose_words((j,), inner)
-    return t, ()
-
 
 def from_simplex_tuples(dim_bound: int, members) -> SimplicialSet:
     """Simplicial set whose k-simplices are the nondecreasing (k+1)-tuples
@@ -282,23 +299,14 @@ def from_simplex_tuples(dim_bound: int, members) -> SimplicialSet:
         tups = sorted(members(k + 1))
         levels.append(tups)
         index.append({t: i for i, t in enumerate(tups)})
-    dims = []
+    faces, degens = [], []
     for k in range(dim_bound + 1):
-        level = []
-        for t in levels[k]:
-            if k == 0:
-                faces = ()
-            else:
-                faces = tuple(index[k - 1][t[:i] + t[i + 1:]] for i in range(k + 1))
-            if k + 1 <= dim_bound:
-                degens = tuple(index[k + 1][t[:j + 1] + t[j:]] for j in range(k + 1))
-            else:
-                degens = ()
-            base_t, word = _tuple_decomposition(t)
-            base = index[k - len(word)][base_t]
-            level.append(Simplex(faces=faces, degens=degens, base=base, word=word))
-        dims.append(level)
-    return SimplicialSet(dim_bound, dims)
+        faces.append([tuple(index[k - 1][t[:i] + t[i + 1:]] for i in range(k + 1))
+                      if k else () for t in levels[k]])
+        if k < dim_bound:
+            degens.append([tuple(index[k + 1][t[:j + 1] + t[j:]] for j in range(k + 1))
+                           for t in levels[k]])
+    return SimplicialSet(dim_bound, derive_records(dim_bound, faces, degens))
 
 
 def _nondecreasing_tuples(values: list, length: int):
@@ -352,10 +360,13 @@ def empty_sset(dim_bound: int = 4) -> SimplicialSet:
 
 def from_simplicial_complex(facets: list, dim_bound: int = 4) -> SimplicialSet:
     """Simplicial set of an abstract simplicial complex given by facets
-    (iterables of comparable vertex labels)."""
+    (iterables of comparable vertex labels).  A facet of dimension above
+    ``dim_bound`` raises InputError."""
     faces = set()
     for f in facets:
         f = tuple(sorted(set(f)))
+        if len(f) > dim_bound + 1:
+            raise InputError(f"from_simplicial_complex: facet {f} above dim_bound")
         for r in range(1, len(f) + 1):
             faces.update(itertools.combinations(f, r))
     verts = sorted({v for f in faces for v in f})
@@ -595,32 +606,27 @@ def is_iso_map(f: SSetMap) -> SSetMap | None:
 def sub_complex(x: SimplicialSet, keep: list) -> tuple:
     """Subcomplex on the kept simplices; returns (sub, inclusion, idx_maps).
 
-    ``keep[k]`` is an iterable of indices, which must be closed under
-    faces and degeneracies (checked).
+    ``keep[k]`` is an iterable of indices into dimension k, which must be
+    closed under faces and degeneracies (checked).
     """
     keep = [sorted(set(keep[k])) if k < len(keep) else [] for k in range(x.dim_bound + 1)]
+    for k, level in enumerate(keep):
+        if level and not (0 <= level[0] and level[-1] < x.size(k)):
+            raise InputError(f"subcomplex index out of range at dim {k}")
     pos = [{idx: i for i, idx in enumerate(level)} for level in keep]
+    faces, degens = [], []
     for k in range(x.dim_bound + 1):
+        faces.append([])
+        degens.append([])
         for idx in keep[k]:
             s = x.dims[k][idx]
             if k >= 1 and any(f not in pos[k - 1] for f in s.faces):
                 raise InputError(f"subcomplex not closed under faces at dim {k}")
             if k + 1 <= x.dim_bound and any(d not in pos[k + 1] for d in s.degens):
                 raise InputError(f"subcomplex not closed under degeneracies at dim {k}")
-    dims = []
-    for k in range(x.dim_bound + 1):
-        level = []
-        for idx in keep[k]:
-            s = x.dims[k][idx]
-            faces = tuple(pos[k - 1][f] for f in s.faces) if k >= 1 else ()
-            degens = tuple(pos[k + 1][d] for d in s.degens) if k + 1 <= x.dim_bound else ()
-            bdim = k - len(s.word)
-            if s.base not in pos[bdim]:
-                raise InputError("subcomplex dropped a decomposition base")
-            level.append(Simplex(faces=faces, degens=degens,
-                                 base=pos[bdim][s.base], word=s.word))
-        dims.append(level)
-    sub = SimplicialSet(x.dim_bound, dims)
+            faces[k].append(tuple(pos[k - 1][f] for f in s.faces))
+            degens[k].append(tuple(pos[k + 1][d] for d in s.degens))
+    sub = SimplicialSet(x.dim_bound, derive_records(x.dim_bound, faces, degens))
     incl = SSetMap(sub, x, [list(level) for level in keep])
     return sub, incl, pos
 
@@ -629,58 +635,24 @@ def disjoint_union(x: SimplicialSet, y: SimplicialSet) -> tuple:
     """(x ⊔ y, inclusion of x, inclusion of y)."""
     if x.dim_bound != y.dim_bound:
         raise InputError("dim_bound mismatch")
-    dims = []
-    for k in range(x.dim_bound + 1):
-        off = x.size(k)
+    bound = x.dim_bound
+    faces, degens = [], []
+    for k in range(bound + 1):
         off_below = x.size(k - 1) if k > 0 else 0
-        off_above = x.size(k + 1) if k + 1 <= x.dim_bound else 0
-        level = list(x.dims[k])
-        for s in y.dims[k]:
-            faces = tuple(f + off_below for f in s.faces)
-            degens = tuple(d + off_above for d in s.degens)
-            level.append(Simplex(faces=faces, degens=degens,
-                                 base=s.base + x.size(k - len(s.word)), word=s.word))
-        dims.append(level)
-    z = SimplicialSet(x.dim_bound, dims)
-    inc_x = SSetMap(x, z, [list(range(x.size(k))) for k in range(x.dim_bound + 1)])
+        off_above = x.size(k + 1) if k + 1 <= bound else 0
+        faces.append([s.faces for s in x.dims[k]]
+                     + [tuple(f + off_below for f in s.faces) for s in y.dims[k]])
+        degens.append([s.degens for s in x.dims[k]]
+                      + [tuple(d + off_above for d in s.degens) for s in y.dims[k]])
+    z = SimplicialSet(bound, derive_records(bound, faces, degens))
+    inc_x = SSetMap(x, z, [list(range(x.size(k))) for k in range(bound + 1)])
     inc_y = SSetMap(y, z, [[i + x.size(k) for i in range(y.size(k))]
-                           for k in range(x.dim_bound + 1)])
+                           for k in range(bound + 1)])
     return z, inc_x, inc_y
 
 
 # ---------------------------------------------------------------------------
-# decomposition derivation for table-built complexes (pullbacks, words)
-
-def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> list:
-    """Build Simplex records from raw face/degeneracy tables.
-
-    Degeneracy flags and EZ decompositions are derived from the tables via
-    the retraction test s_j d_j = id on degenerate simplices.
-    """
-    decomp = [dict() for _ in range(dim_bound + 1)]  # idx -> (base, word)
-    dims = []
-    for k in range(dim_bound + 1):
-        level = []
-        for idx in range(len(faces_tables[k])):
-            faces = tuple(faces_tables[k][idx])
-            degens = tuple(degens_tables[k][idx]) if k + 1 <= dim_bound else ()
-            deg_j = None
-            for j in range(k):
-                w = faces[j]
-                if degens_tables[k - 1][w][j] == idx:
-                    deg_j = j
-                    break
-            if deg_j is None:
-                decomp[k][idx] = (idx, ())
-            else:
-                w = faces[deg_j]
-                b, word = decomp[k - 1][w]
-                decomp[k][idx] = (b, word_after_degeneracy(word, deg_j))
-            base, word = decomp[k][idx]
-            level.append(Simplex(faces=faces, degens=degens, base=base, word=word))
-        dims.append(level)
-    return dims
-
+# pullbacks
 
 def pullback_ssets(f: SSetMap, g: SSetMap) -> tuple:
     """Levelwise pullback X x_Z Y of f: X -> Z, g: Y -> Z.
@@ -733,43 +705,26 @@ def attach_nondeg(x: SimplicialSet, k: int, faces: list) -> tuple:
     if k == 0 and faces:
         raise InputError("0-simplices have no faces")
     bound = x.dim_bound
-    new_at = {d: [] for d in range(bound + 1)}  # dim -> list of words
+    new_index = {}  # (dim, word) -> index of s_word(new cell)
     for d in range(k, bound + 1):
-        new_at[d] = degeneracy_words(k, d - k)
-    counts = {d: x.size(d) for d in range(bound + 1)}
-    new_index = {}
-    for d in range(k, bound + 1):
-        for w in new_at[d]:
-            new_index[(d, w)] = counts[d]
-            counts[d] += 1
+        for n, w in enumerate(degeneracy_words(k, d - k)):
+            new_index[(d, w)] = x.size(d) + n
 
     def face_of_new(d, word, i):
         """d_i of s_word(new cell) as an index in dimension d-1 (old or new)."""
         w2, i2 = _face_of_degeneracy(word, i)
         if i2 is None:
             return new_index[(d - 1, w2)]
-        rec = x.dims[k - 1][faces[i2]]  # a face of the new cell: an old simplex
-        return x.pair_index(d - 1)[(k - 1 - len(rec.word), rec.base,
-                                    compose_words(w2, rec.word))]
+        return x.apply_word(k - 1, faces[i2], w2)  # s_w2 of an old face
 
-    dims = []
-    for d in range(bound + 1):
-        level = list(x.dims[d])
-        # old simplices: degeneracies stay old; nothing to rewrite
-        for w in new_at.get(d, []):
-            if d >= 1:
-                fcs = tuple(face_of_new(d, w, i) for i in range(d + 1))
-            else:
-                fcs = ()
-            if d + 1 <= bound:
-                dgs = tuple(new_index[(d + 1, word_after_degeneracy(w, j))]
-                            for j in range(d + 1))
-            else:
-                dgs = ()
-            level.append(Simplex(faces=fcs, degens=dgs,
-                                 base=new_index[(k, ())], word=w))
-        dims.append(level)
-    return SimplicialSet(bound, dims), new_index[(k, ())]
+    face_tables = [[s.faces for s in level] for level in x.dims]
+    degen_tables = [[s.degens for s in level] for level in x.dims]
+    for (d, w) in new_index:
+        face_tables[d].append(tuple(face_of_new(d, w, i) for i in range(d + 1)) if d else ())
+        degen_tables[d].append(tuple(new_index[(d + 1, word_after_degeneracy(w, j))]
+                                     for j in range(d + 1)) if d < bound else ())
+    return (SimplicialSet(bound, derive_records(bound, face_tables, degen_tables)),
+            new_index[(k, ())])
 
 
 # ---------------------------------------------------------------------------

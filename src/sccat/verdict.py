@@ -18,9 +18,8 @@ UNKNOWN = "unknown"
 # reasons an Unknown verdict may carry
 BUDGET = "budget-exhausted"
 UNDECIDED_GROUP = "undecided-group"
-DIMENSION_BOUND = "dimension-bound"
 
-_REASONS = (BUDGET, UNDECIDED_GROUP, DIMENSION_BOUND)
+_REASONS = (BUDGET, UNDECIDED_GROUP)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scat import (SFunctor, SimplicialCategory, compose_sfunctors,
-                   singleton_cat, functor_U, functor_U_map, empty_cat)
+from .constructions_basic import inclusion_of_object
+from .scat import (SFunctor, SimplicialCategory, build_compose,
+                   compose_sfunctors, singleton_cat, functor_U, functor_U_map,
+                   empty_cat)
 from .sset import SimplicialSet, SSetMap, derive_records
 from .verdict import Budget, BudgetExceeded, InputError
 
@@ -64,7 +66,6 @@ class Attachment:
     def a2(h: SimplicialCategory, x_index: int = 0, label: str = "a2") -> "Attachment":
         if h.n_objects() != 2:
             raise InputError("an A2 attachment target has exactly two objects")
-        from .constructions_basic import inclusion_of_object
         a = singleton_cat(h.dim_bound, label=str(h.objects[x_index]))
         inc = inclusion_of_object(h, x_index, a)
         return Attachment(kind="a2", A=a, F=h, inc=inc, label=label)
@@ -79,7 +80,6 @@ class PushoutResult:
     attachment: Attachment
     glue: SFunctor
     new_objects: tuple
-    word_index: dict            # (k, (a, b)) -> {word: index}
     words: dict                 # (k, (a, b)) -> [word, ...]
 
 
@@ -333,21 +333,12 @@ class _WordEngine:
                 homs[(a, b)] = SimplicialSet(
                     bound, derive_records(bound, faces_tables, degens_tables))
 
-        compose = {}
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    levels = []
-                    for k in range(bound + 1):
-                        rows = []
-                        for g in words[(k, (b, c))]:
-                            row = []
-                            for f in words[(k, (a, b))]:
-                                w = self.normalize(k, list(f) + list(g))
-                                row.append(index[(k, (a, c))][w])
-                            rows.append(tuple(row))
-                        levels.append(tuple(rows))
-                    compose[(a, b, c)] = tuple(levels)
+        def rule(k, a, b, c, g, f):
+            """g after f is the normal form of the word f g."""
+            w = self.normalize(k, words[(k, (a, b))][f] + words[(k, (b, c))][g])
+            return index[(k, (a, c))][w]
+
+        compose = build_compose(n, homs, bound, rule)
 
         labels = list(self.C.objects)
         for u in self.new_objects:
@@ -387,8 +378,7 @@ class _WordEngine:
         return PushoutResult(category=D, inc_base=inc_base,
                              inc_attached=inc_attached, stabilized=True,
                              attachment=self.att, glue=self.glue,
-                             new_objects=tuple(self.new_objects),
-                             word_index=index, words=words)
+                             new_objects=tuple(self.new_objects), words=words)
 
 
 def pushout_generating(base: SimplicialCategory, attachment: Attachment,
@@ -411,7 +401,6 @@ def glue_at_object(attachment: Attachment, base: SimplicialCategory,
     """Glue a one-object attachment source onto the given base object."""
     if attachment.kind != "a2":
         raise InputError("glue_at_object needs an a2 attachment")
-    from .constructions_basic import inclusion_of_object
     return inclusion_of_object(base, obj, attachment.A)
 
 

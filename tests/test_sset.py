@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sccat import sset
 from sccat.sset import (
@@ -9,6 +12,7 @@ from sccat.sset import (
     pi0, point, pullback_ssets, standard_simplex, sub_complex, validate_sset,
     validate_sset_map, word_after_degeneracy,
 )
+from sccat.verdict import InputError
 
 
 # -- degeneracy word algebra -------------------------------------------------
@@ -238,3 +242,92 @@ def test_empty_sset():
     e = empty_sset(2)
     assert validate_sset(e) == []
     assert pi0(e) == []
+
+
+# -- input checks --------------------------------------------------------------
+
+def test_sub_complex_rejects_indices_out_of_range():
+    x = standard_simplex(1, dim_bound=1)
+    # -1 would name the degenerate edge a second time
+    with pytest.raises(InputError):
+        sub_complex(x, [[0, 1], [0, 2, -1]])
+    with pytest.raises(InputError):
+        sub_complex(x, [[0, 1, 2], [0]])
+
+
+def test_from_nondegenerate_rejects_cells_above_dim_bound():
+    with pytest.raises(InputError):
+        from_nondegenerate(1, [[[]], [[(0, ()), (0, ())]],
+                               [[(0, ()), (0, (0,)), (0, ())]]])
+    # empty levels above dim_bound drop nothing
+    assert from_nondegenerate(1, [[[]], [], []]) == point(1)
+
+
+def test_from_simplicial_complex_rejects_facets_above_dim_bound():
+    with pytest.raises(InputError):
+        from_simplicial_complex([(0, 1, 2)], dim_bound=1)
+    assert (from_simplicial_complex([(0, 1, 2)], dim_bound=2)
+            == standard_simplex(2, dim_bound=2))
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for d in range(5) for n in range(d + 1)])
+def test_inclusion_sources_are_the_constructors(n, d):
+    assert boundary_inclusion(n, d).source == boundary(n, d)
+    for k in range(n + 1) if n >= 1 else ():
+        assert horn_inclusion(n, k, d).source == horn(n, k, d)
+
+
+# -- derived records on random inputs ------------------------------------------
+#
+# Every constructor derives its records from its tables; validate_sset checks
+# each record's decomposition against the tables, so it is the oracle here.
+
+def complexes(d):
+    """Face-closed complexes on four vertices, and a loop and the projective
+    plane, whose nondegenerate simplices have coinciding vertices."""
+    faces = [f for r in range(1, d + 2) for f in itertools.combinations(range(4), r)]
+    loops = [from_nondegenerate(d, [[[]], [[(0, ()), (0, ())]]]),
+             projective_plane(d)]
+    return st.one_of(
+        st.lists(st.sampled_from(faces), min_size=1, max_size=3).map(
+            lambda facets: from_simplicial_complex(facets, d)),
+        st.sampled_from(loops))
+
+
+def closed_keep(x, picks):
+    """The simplices whose nondegenerate base is an iterated face of a pick."""
+    bases, stack = set(), list(picks)
+    while stack:
+        k, idx = stack.pop()
+        rec = x.dims[k][idx]
+        b = (k - len(rec.word), rec.base)
+        if b not in bases:
+            bases.add(b)
+            stack.extend((b[0] - 1, f) for f in x.dims[b[0]][b[1]].faces)
+    return [[i for i, s in enumerate(x.dims[k]) if (k - len(s.word), s.base) in bases]
+            for k in range(x.dim_bound + 1)]
+
+
+def draw_simplex(data, x):
+    k = data.draw(st.sampled_from([k for k in range(x.dim_bound + 1) if x.size(k)]))
+    return k, data.draw(st.integers(0, x.size(k) - 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_derived_records_validate(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    x, y = data.draw(complexes(d)), data.draw(complexes(d))
+    picks = [draw_simplex(data, x) for _ in range(data.draw(st.integers(0, 3)))]
+    sub, incl, _ = sub_complex(x, closed_keep(x, picks))
+    assert validate_sset(sub) == [] and validate_sset_map(incl) == []
+    z, inc_x, inc_y = disjoint_union(x, y)
+    assert validate_sset(z) == []
+    assert validate_sset_map(inc_x) == [] and validate_sset_map(inc_y) == []
+    # attach cells one after another, each along the faces of a simplex that
+    # is there (old or new, degenerate or not)
+    for _ in range(data.draw(st.integers(1, 3))):
+        k, idx = draw_simplex(data, z)
+        z, new = attach_nondeg(z, k, list(z.dims[k][idx].faces))
+        assert validate_sset(z) == []
+        assert z.dims[k][new].nondeg
