@@ -13,10 +13,10 @@ map K -> Hom_C(c, c'), since U(K) has no composites but identities.  So f
 has the right lifting property against U(i) iff every hom map f_{c,c'}
 has it against i.  Factorization uses this for the generators U(horn) of
 A1 and U(boundary) of C1: each round decides them hom by hom on the
-Yoneda data of ``ssetcheck`` and searches functor squares only for the
-first generator that fails, to find the square its cell is glued along.
-The generic functor search stays the route of ``has_rlp_against_set``,
-the independent check of the definitional route.
+Yoneda data of ``ssetcheck``, which also names the first square with no
+lift, and decides C2 on objects.  The generic functor search stays the
+route of ``has_rlp_against_set``, the independent check of the
+definitional route.
 
 Cofibration checking is witness-based: a degeneracy-closed generator
 marking that passes the free-map check, or a strong-retract witness.  The
@@ -29,16 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cat import is_equivalence
+from .constructions_basic import inclusion_of_object
 from .scat import (SFunctor, SimplicialCategory, compose_sfunctors,
-                   coproduct, functor_U_map, identity_sfunctor,
-                   is_homotopy_equivalence, pi0_functor, singleton_cat)
+                   coproduct, identity_sfunctor, is_homotopy_equivalence,
+                   pi0_functor, singleton_cat, u_functor)
 from .search import enumerate_sfunctors
 from .sset import SearchBudgetHit, SSetMap, boundary_inclusion, horn_inclusion
-from .ssetcheck import (_kan_fibration, _rlp_by_faces, _Steps,
+from .ssetcheck import (_first_square, _kan_fibration, _rlp_by_faces, _Steps, _unfilled,
                         is_weak_equivalence_sset, is_weakly_contractible)
 from .verdict import (BUDGET, Budget, BudgetExceeded, InputError, Verdict,
                       aggregate)
-from .words import Attachment, pushout_generating, pushout_mediating
+from .words import (Attachment, glue_for_c2, pushout_generating,
+                    pushout_mediating)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +162,38 @@ def has_rlp_against_set(f: SFunctor, gens, budget: Budget | None = None) -> Verd
 
 
 def _rlp_by_homs(f: SFunctor, cell: tuple, steps: _Steps) -> bool:
-    """Whether f has the RLP against U(i), for i the horn (n, k) or, when
-    k is None, the boundary of Delta[n]: whether every hom map of f, on
-    every pair of source objects (equal ones too), has it against i."""
+    """Whether f has the RLP against U(i), i the horn (n, k) or, k None, the
+    boundary of Delta[n]: whether every hom map of f has it against i."""
     n, k = cell
     return all(_rlp_by_faces(f.hom_maps[pair], n, k, steps)
                for pair in f.source.object_pairs())
+
+
+def _first_unliftable_cell(f: SFunctor, gen: GeneratorMap, steps: _Steps):
+    """The first square against the A1 or C1 generator ``gen`` with no lift,
+    in ``enumerate_problem_squares`` order, or None: bottom objects (c, c')
+    in order, then ``_first_square`` among the hom maps over them."""
+    n, k = gen.cell
+    src, tgt = f.source, f.target
+    for c, c2 in tgt.object_pairs():
+        over = [(a, b) for a, b in src.object_pairs() if (f.ob(a), f.ob(b)) == (c, c2)]
+        unfilled = [_unfilled(f.hom_maps[pair], n, k, steps) for pair in over]
+        if any(unfilled):
+            q, top, bottom = _first_square([f.hom_maps[pair] for pair in over], unfilled,
+                                           gen.map.hom_maps[(0, 1)], n, k)
+            return LiftingProblem(left=gen.map, right=f,
+                                  top=u_functor(gen.map.source, src, *over[q], top),
+                                  bottom=u_functor(gen.map.target, tgt, c, c2, bottom))
+    return None
+
+
+def _first_unliftable_c2(f: SFunctor, gen: GeneratorMap):
+    """The first square against C2 with no lift, or None: f lifts iff it is
+    surjective on objects, and the first bottom is the least object missed."""
+    d = min(set(range(f.target.n_objects())) - set(f.ob_map), default=None)
+    return None if d is None else LiftingProblem(
+        left=gen.map, right=f, top=glue_for_c2(gen.attachment, f.source),
+        bottom=inclusion_of_object(f.target, d, gen.map.target))
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +228,12 @@ def is_fibration(f: SFunctor, budget: Budget | None = None) -> Verdict:
     src, tgt = f.source, f.target
     for a1 in range(src.n_objects()):
         for b in range(tgt.n_objects()):
-            hom = tgt.hom[(f.ob(a1), b)]
-            for e in range(hom.size(0)):
-                if not is_homotopy_equivalence(tgt, f.ob(a1), b, e):
-                    continue
-                found = False
-                for a2 in range(src.n_objects()):
-                    if f.ob(a2) != b:
-                        continue
-                    for d in range(src.hom[(a1, a2)].size(0)):
-                        if (f.apply(0, a1, a2, d) == e
-                                and is_homotopy_equivalence(src, a1, a2, d)):
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
+            for e in range(tgt.hom[(f.ob(a1), b)].size(0)):
+                if is_homotopy_equivalence(tgt, f.ob(a1), b, e) and not any(
+                        f.ob(a2) == b and f.apply(0, a1, a2, d) == e
+                        and is_homotopy_equivalence(src, a1, a2, d)
+                        for a2 in range(src.n_objects())
+                        for d in range(src.hom[(a1, a2)].size(0))):
                     return Verdict.no(witness={"f2_failure": {
                         "object": a1, "target": b, "equivalence": e}})
     return aggregate(sub, witness_on_yes={"f1": "all hom maps", "f2": "lifted"})
@@ -263,10 +281,8 @@ def generating_cofibrations(n_max: int, dim_bound: int = 4) -> list:
         raise InputError("n_max exceeds dim_bound")
     gens = []
     for n in range(n_max + 1):
-        inc = boundary_inclusion(n, dim_bound)
-        gens.append(GeneratorMap(name=f"C1[{n}]", map=functor_U_map(inc),
-                                 attachment=Attachment.from_sset_mono(
-                                     inc, label=f"C1[{n}]"), dim=n,
+        att = Attachment.from_sset_mono(boundary_inclusion(n, dim_bound), label=f"C1[{n}]")
+        gens.append(GeneratorMap(name=att.label, map=att.inc, attachment=att, dim=n,
                                  cell=(n, None)))
     gens.append(c2_generator(dim_bound))
     return gens
@@ -279,11 +295,9 @@ def generating_acyclic_a1(n_max: int, dim_bound: int = 4) -> list:
     gens = []
     for n in range(1, n_max + 1):
         for k in range(n + 1):
-            inc = horn_inclusion(n, k, dim_bound)
-            gens.append(GeneratorMap(name=f"A1[{n},{k}]",
-                                     map=functor_U_map(inc),
-                                     attachment=Attachment.from_sset_mono(
-                                         inc, label=f"A1[{n},{k}]"), dim=n,
+            att = Attachment.from_sset_mono(horn_inclusion(n, k, dim_bound),
+                                            label=f"A1[{n},{k}]")
+            gens.append(GeneratorMap(name=att.label, map=att.inc, attachment=att, dim=n,
                                      cell=(n, k)))
     return gens
 
@@ -377,19 +391,10 @@ def is_free_map(f: SFunctor, marking: GeneratorMarking,
                  for k in range(bound + 1)]
 
     def letters_at(k):
-        out = []
-        for pair in sorted(image):
-            for (kk, idx) in sorted(image[pair]):
-                if kk != k:
-                    continue
-                if pair[0] == pair[1] and idx == id_towers[k][pair[0]]:
-                    continue
-                out.append(("i", pair, idx))
-        for pair in sorted(marking.marked):
-            for (kk, idx) in sorted(marking.marked[pair]):
-                if kk == k:
-                    out.append(("g", pair, idx))
-        return out
+        return ([("i", pair, idx) for pair in sorted(image) for kk, idx in sorted(image[pair])
+                 if kk == k and not (pair[0] == pair[1] and idx == id_towers[k][pair[0]])]
+                + [("g", pair, idx) for pair in sorted(marking.marked)
+                   for kk, idx in sorted(marking.marked[pair]) if kk == k])
 
     steps = 0
     for k in range(bound + 1):
@@ -431,8 +436,7 @@ def is_free_map(f: SFunctor, marking: GeneratorMarking,
         for (a, b) in tgt.object_pairs():
             for idx in range(tgt.hom[(a, b)].size(k)):
                 if ((a, b), idx) not in seen:
-                    return False, {"not_generated": {"pair": (a, b),
-                                                     "dimension": k,
+                    return False, {"not_generated": {"pair": (a, b), "dimension": k,
                                                      "simplex": idx}}
     return True, {"free": True}
 
@@ -444,16 +448,8 @@ def coproduct_inclusion_functor(h: SimplicialCategory) -> SFunctor:
     sx = singleton_cat(h.dim_bound, label=str(h.objects[0]))
     sy = singleton_cat(h.dim_bound, label=str(h.objects[1]))
     cop, _ = coproduct([sx, sy])
-    hom_maps = {}
-    for (a, b) in cop.object_pairs():
-        src_hom = cop.hom[(a, b)]
-        tgt_hom = h.hom[(a, b)]
-        if a == b:
-            assign = [[h.identity_tower(a, k)] for k in range(h.dim_bound + 1)]
-        else:
-            assign = [[] for _ in range(h.dim_bound + 1)]
-        hom_maps[(a, b)] = SSetMap(src_hom, tgt_hom, assign)
-    return SFunctor(source=cop, target=h, ob_map=(0, 1), hom_maps=hom_maps)
+    return u_functor(cop, h, 0, 1, SSetMap(cop.hom[(0, 1)], h.hom[(0, 1)],
+                                           [[] for _ in range(h.dim_bound + 1)]))
 
 
 def is_a2_candidate(inc: SFunctor, budget: Budget | None = None, *,
@@ -472,8 +468,7 @@ def is_a2_candidate(inc: SFunctor, budget: Budget | None = None, *,
     if h.n_objects() != 2 or inc.source.n_objects() != 1:
         return Verdict.no(witness={"shape": "needs {x} -> H with two objects"})
     contractibility = []
-    hom_order = [(0, 1), (1, 0), (0, 0), (1, 1)]
-    for pair in hom_order:
+    for pair in [(0, 1), (1, 0), (0, 0), (1, 1)]:
         v = is_weakly_contractible(h.hom[pair], budget)
         if v.is_no:
             return Verdict.no(witness={"hom_not_weakly_contractible": pair,
@@ -527,40 +522,38 @@ def factor_bounded(f: SFunctor, gens, budget: Budget | None = None) -> FactorRes
     Each round walks the generators in that order.  A generator with a
     ``cell`` (A1, C1) is decided hom by hom on Yoneda data and skipped when
     every hom map lifts; these joins share one count of ``budget.max_steps``
-    steps for the whole call.  The first generator that fails, or that has
-    no cell (C2, caller-built maps), is searched square by square for the
-    first square with no lift, which is glued on.  Stops with
-    complete=False when the cell budget runs out or a join, search or
-    pushout exceeds the budget; the exact equation right . left = f holds
-    on every return.
+    steps for the whole call.  The first one that fails names its first
+    square with no lift, in ``enumerate_problem_squares`` order: bottom
+    objects (c, c'), the bottom's n-simplex y by the images of Delta[n]'s
+    nondegenerate simplices, top objects (a, a') over (c, c'), then the
+    face tuple by the images of the horn's or boundary's nondegenerate
+    simplices.  C2 fails iff the right map misses an object, first the
+    least one.  Other generators raise InputError.  Stops with
+    complete=False when the cell budget runs out or a join or pushout
+    exceeds the budget; the exact equation right . left = f holds on every
+    return.
     """
     budget = budget or Budget()
     steps = _Steps(budget.max_steps)
-    stage = f.source
-    left = identity_sfunctor(f.source)
-    right = f
-    cells = []
+    stage, left, right, cells = f.source, identity_sfunctor(f.source), f, []
     max_cells = max(1, budget.max_words)
     order = sorted(range(len(gens)), key=lambda i: (-gens[i].dim, i))
     gens = [gens[i] for i in order]
     while True:
         square = None
-        saw_unknown = False
         try:
             for gen in gens:
-                if gen.cell is not None and _rlp_by_homs(right, gen.cell, steps):
-                    continue
-                square, unknown = _first_unliftable(gen.map, right, budget)
+                if gen.cell is not None:
+                    square = _first_unliftable_cell(right, gen, steps)
+                elif gen.attachment.kind == "c2":
+                    square = _first_unliftable_c2(right, gen)
+                else:
+                    raise InputError(f"factor_bounded: {gen.name} is not A1, C1 or C2")
                 if square is not None:
                     break
-                if gen.cell is not None and not unknown:
-                    raise AssertionError("the join fails where every square "
-                                         "lifts; lifting bug")
-                saw_unknown = saw_unknown or unknown
             if square is None or len(cells) >= max_cells:
-                complete = square is None and not saw_unknown
                 return FactorResult(left=left, right=right, cells=cells,
-                                    complete=complete)
+                                    complete=square is None)
             res = pushout_generating(stage, gen.attachment, square.top, budget)
         except (SearchBudgetHit, BudgetExceeded):
             return FactorResult(left=left, right=right, cells=cells, complete=False)

@@ -340,12 +340,21 @@ def functor_U(x: SimplicialSet) -> SimplicialCategory:
 
 def functor_U_map(g: SSetMap) -> SFunctor:
     """U applied to a simplicial-set map."""
-    src, tgt = functor_U(g.source), functor_U(g.target)
-    pt_id = identity_map(src.hom[(0, 0)])
-    return SFunctor(source=src, target=tgt, ob_map=(0, 1),
-                    hom_maps={(0, 0): pt_id, (1, 1): pt_id, (0, 1): g,
-                              (1, 0): SSetMap(src.hom[(1, 0)], tgt.hom[(1, 0)],
-                                              [[] for _ in range(g.source.dim_bound + 1)])})
+    return u_functor(functor_U(g.source), functor_U(g.target), 0, 1, g)
+
+
+def u_functor(u_cat: SimplicialCategory, target: SimplicialCategory, gx: int,
+              gy: int, hom_map: SSetMap) -> SFunctor:
+    """The functor from u_cat = U(X) (or a category of its shape) to the
+    target sending x, y to gx, gy and X = Hom(x, y) by hom_map."""
+    obs, bound = (gx, gy), target.dim_bound
+    hom_maps = {(o, o): SSetMap(u_cat.hom[(o, o)], target.hom[(g, g)],
+                                [[target.identity_tower(g, k)] for k in range(bound + 1)])
+                for o, g in enumerate(obs)}
+    hom_maps[(0, 1)] = hom_map
+    hom_maps[(1, 0)] = SSetMap(u_cat.hom[(1, 0)], target.hom[(gy, gx)],
+                               [[] for _ in range(bound + 1)])
+    return SFunctor(source=u_cat, target=target, ob_map=obs, hom_maps=hom_maps)
 
 
 def full_subcategory(cat: SimplicialCategory, objs) -> tuple:

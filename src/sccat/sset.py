@@ -238,6 +238,14 @@ def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> l
     return dims
 
 
+def _require_face_identities(face, k: int, faces) -> None:
+    """InputError unless the faces of a new k-simplex satisfy d_i d_j =
+    d_{j-1} d_i for i < j; ``face(c, i)`` is d_i of the (k-1)-simplex c."""
+    if any(face(faces[j], i) != face(faces[i], j - 1)
+           for j in range(1, k + 1 if k >= 2 else 0) for i in range(j)):
+        raise InputError(f"the faces of a new {k}-simplex break d_i d_j = d_(j-1) d_i")
+
+
 # ---------------------------------------------------------------------------
 # construction: generic materialization from a nondegenerate skeleton
 
@@ -277,6 +285,8 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
     for k in range(dim_bound + 1):
         faces.append([tuple(index[k - 1][face_pair(bd, bi, w, i)] for i in range(k + 1))
                       if k else () for (bd, bi, w) in order[k]])
+        for cell in faces[k][:len(face_data[k])]:
+            _require_face_identities(lambda c, i: faces[k - 1][c][i], k, cell)
         if k < dim_bound:
             degens.append([tuple(index[k + 1][(bd, bi, word_after_degeneracy(w, j))]
                                  for j in range(k + 1)) for (bd, bi, w) in order[k]])
@@ -704,6 +714,7 @@ def attach_nondeg(x: SimplicialSet, k: int, faces: list) -> tuple:
         raise InputError("need k+1 faces")
     if k == 0 and faces:
         raise InputError("0-simplices have no faces")
+    _require_face_identities(lambda c, i: x.face(k - 1, c, i), k, faces)
     bound = x.dim_bound
     new_index = {}  # (dim, word) -> index of s_word(new cell)
     for d in range(k, bound + 1):

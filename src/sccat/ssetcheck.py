@@ -19,12 +19,9 @@ is a join: compatible face tuples of X, the n-simplices of Y over them,
 and a lookup of a filler among the n-simplices of X keyed by faces and
 image.  Horns and boundaries are checked up to the budgeted dimension,
 which the verdict qualifier records, under one step count for the whole
-check.  Only the first horn or boundary that fails is searched again, to
-build its counterexample square: ``has_rlp_sset`` solves one lifting
-problem by exhaustive search over assignments on nondegenerate simplices
-(a square's tops are the maps over p, its diagonals the maps under i and
-over p), stops at the first square with no diagonal, and stays the
-independent oracle of the join.
+check.  The first one that fails names its counterexample square from
+the same join, first in the order of the exhaustive search
+``has_rlp_sset``, which stays the join's independent oracle.
 """
 from __future__ import annotations
 
@@ -32,9 +29,10 @@ from dataclasses import dataclass
 
 from . import homology as hml
 from .pi1 import fundamental_group_trivial
-from .sset import (SimplicialSet, SSetMap, SearchBudgetHit, _sset_maps,
-                   boundary_inclusion, compose_maps, enumerate_sset_maps,
-                   horn_inclusion, is_iso_map, pi0, pi0_class_of, standard_simplex)
+from .sset import (SimplicialSet, SSetMap, SearchBudgetHit, _slot_order,
+                   _sset_maps, boundary_inclusion, compose_maps,
+                   enumerate_sset_maps, horn_inclusion, identity_map, is_iso_map,
+                   pi0, pi0_class_of, standard_simplex)
 from .verdict import BUDGET, Budget, UNDECIDED_GROUP, Verdict, aggregate
 
 
@@ -193,30 +191,20 @@ class _Steps:
             raise SearchBudgetHit()
 
 
-def _rlp_by_faces(p: SSetMap, n: int, k: int | None, steps: _Steps) -> bool:
-    """Whether p: X -> Y has the RLP against the horn (n, k), or against
-    the boundary of Delta[n] when k is None, decided on Yoneda data.
-
-    A map from the horn (boundary) to X is a tuple (x_i), i != k, of
-    (n-1)-simplices with d_i x_j = d_{j-1} x_i for i < j; a map Delta[n] ->
-    Y is an n-simplex y; the square commutes iff d_i y = p(x_i) for i != k,
-    and a lift is an x in X_n with d_i x = x_i and p(x) = y.  One step per
-    tuple extension and per bottom y.
-    """
+def _unfilled(p: SSetMap, n: int, k: int | None, steps: _Steps) -> dict:
+    """The squares of p: X -> Y against the horn (n, k), or the boundary of
+    Delta[n] when k is None, that have no filler: {bottom y: face tuples
+    over y}.  A map from the horn (boundary) to X is a tuple (x_i), i != k,
+    of (n-1)-simplices with d_i x_j = d_{j-1} x_i for i < j; a map Delta[n]
+    -> Y is an n-simplex y; the square commutes iff d_i y = p(x_i) for i !=
+    k, and a lift is an x in X_n with d_i x = x_i and p(x) = y.  One step
+    per tuple extension and per bottom y."""
     x, y, pa = p.source, p.target, p.assign
-    if n == 0:
-        hit = set(pa[0])
-        for b in range(y.size(0)):
-            steps.charge()
-            if b not in hit:
-                return False
-        return True
-    pos = [i for i in range(n + 1) if i != k]
+    pos = [i for i in range(n + 1) if i != k] if n else []
     # candidates for x_{pos[m]}, keyed by the faces the earlier x_i fix
     joins = []
     for m in range(len(pos)):
-        known = pos[:m] if n >= 2 else []
-        table = {}
+        known, table = pos[:m] if n >= 2 else [], {}
         for c, rec in enumerate(x.dims[n - 1]):
             table.setdefault(tuple(rec.faces[i] for i in known), []).append(c)
         joins.append(table)
@@ -225,49 +213,98 @@ def _rlp_by_faces(p: SSetMap, n: int, k: int | None, steps: _Steps) -> bool:
         bottoms.setdefault(tuple(rec.faces[i] for i in pos), []).append(b)
     fillers = {(tuple(rec.faces[i] for i in pos), pa[n][c])
                for c, rec in enumerate(x.dims[n])}
-    xs = []
+    out, xs = {}, []
 
     def extend(m):
         if m == len(pos):
+            t = tuple(xs)
             for b in bottoms.get(tuple(pa[n - 1][c] for c in xs), ()):
                 steps.charge()
-                if (tuple(xs), b) not in fillers:
-                    return False
-            return True
+                if (t, b) not in fillers:
+                    out.setdefault(b, []).append(t)
+            return
         key = tuple(x.face(n - 1, c, pos[m] - 1) for c in xs) if n >= 2 else ()
         for c in joins[m].get(key, ()):
             steps.charge()
             xs.append(c)
-            ok = extend(m + 1)
+            extend(m + 1)
             xs.pop()
-            if not ok:
-                return False
-        return True
 
-    return extend(0)
+    extend(0)
+    return out
 
 
-def _rlp_against_cells(p: SSetMap, cells: list, budget: Budget, bound: int,
-                       tag: str, yes_witness: dict, steps: _Steps) -> Verdict:
+def _rlp_by_faces(p: SSetMap, n: int, k: int | None, steps: _Steps) -> bool:
+    """Whether p has the RLP against the horn (n, k), or against the
+    boundary of Delta[n] when k is None: whether no square fails."""
+    return not _unfilled(p, n, k, steps)
+
+
+def _face_images(i: SSetMap, tgt: SimplicialSet, dim: int, roots: dict) -> dict:
+    """{(d, s): image} for the simplices s of i's target (Delta[n]) below
+    the dim-simplices in ``roots``, under the map to tgt that sends each r
+    in roots to roots[r], and so the faces of r to its faces."""
+    img = {(dim, r): v for r, v in roots.items()}
+    for d in range(dim, 0, -1):
+        for (e, s), v in list(img.items()):
+            if e == d:
+                img.update(((d - 1, f), tgt.face(d, v, j))
+                           for j, f in enumerate(i.target.dims[d][s].faces))
+    return img
+
+
+def _yoneda_map(i: SSetMap, tgt: SimplicialSet, img: dict) -> SSetMap:
+    """The map from i's source to tgt that sends each nondegenerate simplex
+    s to img[i(s)]; degenerate simplices follow their decompositions."""
+    def image(k, rec):
+        base_dim = k - len(rec.word)
+        return tgt.apply_word(base_dim, img[(base_dim, i.assign[base_dim][rec.base])],
+                              rec.word)
+
+    return SSetMap(i.source, tgt, [[image(k, rec) for rec in level]
+                                   for k, level in enumerate(i.source.dims)])
+
+
+def _first_square(ps: list, unfilled: list, i: SSetMap, n: int, k: int | None) -> tuple:
+    """The first square with no filler among ``unfilled``, the
+    ``_unfilled`` of the maps ps into one Y against i, the inclusion of the
+    horn (n, k) or of the boundary (k None) into Delta[n], as (index into
+    ps, top, bottom).  First in the search's order: bottoms, then ps, then
+    tops, each map by its images of nondegenerate simplices in slot order."""
+    delta, y = i.target, ps[0].target
+    top, ident = delta.nondeg_indices(n)[0], identity_map(delta)
+    faces = [delta.face(n, top, j) for j in range(n + 1) if j != k] if n else []
+    down = {b: _face_images(ident, y, n, {top: b}) for bad in unfilled for b in bad}
+    down_slots, up_slots = ([(d, m.assign[d][s]) for d, _, s in _slot_order([m.source])]
+                            for m in (ident, i))
+    q, b = min(((q, b) for q, bad in enumerate(unfilled) for b in bad),
+               key=lambda qb: ([down[qb[1]][t] for t in down_slots], qb[0]))
+    x = ps[q].source
+    up = min((_face_images(i, x, n - 1, dict(zip(faces, xs))) for xs in unfilled[q][b]),
+             key=lambda img: [img[t] for t in up_slots])
+    return q, _yoneda_map(i, x, up), _yoneda_map(ident, y, down[b])
+
+
+def _rlp_against_cells(p: SSetMap, cells: list, bound: int, tag: str,
+                       yes_witness: dict, steps: _Steps) -> Verdict:
     """RLP of p against the horn (n, k) of each cell in order, or the
-    boundary of Delta[n] when k is None, charging every join to ``steps``.
-    Only the first cell that fails is searched again, by ``has_rlp_sset``,
-    for its counterexample square."""
+    boundary of Delta[n] when k is None, charging every walk to ``steps``;
+    the first cell that fails names its square by ``_first_square``."""
+    d = p.source.dim_bound
     try:
-        failed = next(((n, k) for n, k in cells if not _rlp_by_faces(p, n, k, steps)),
-                      None)
+        for n, k in cells:
+            unfilled = _unfilled(p, n, k, steps)
+            if not unfilled:
+                continue
+            i = boundary_inclusion(n, d) if k is None else horn_inclusion(n, k, d)
+            _, top, bottom = _first_square([p], [unfilled], i, n, k)
+            return Verdict.no(witness={tag: n if k is None else (n, k),
+                                       "square": SSetSquare(i=i, p=p, top=top,
+                                                            bottom=bottom)},
+                              checked_max_dim=bound)
     except SearchBudgetHit:
         return Verdict.unknown(BUDGET, checked_max_dim=bound)
-    if failed is None:
-        return Verdict.yes(witness=yes_witness, checked_max_dim=bound)
-    n, k = failed
-    d = p.source.dim_bound
-    v = has_rlp_sset(p, boundary_inclusion(n, d) if k is None else horn_inclusion(n, k, d),
-                     budget)
-    if not v.is_no:
-        return Verdict.unknown(BUDGET, checked_max_dim=bound)
-    return Verdict.no(witness={tag: n if k is None else (n, k), **v.witness},
-                      checked_max_dim=bound)
+    return Verdict.yes(witness=yes_witness, checked_max_dim=bound)
 
 
 def _kan_fibration(p: SSetMap, budget: Budget, steps: _Steps) -> Verdict:
@@ -275,8 +312,8 @@ def _kan_fibration(p: SSetMap, budget: Budget, steps: _Steps) -> Verdict:
     caller may share between several maps."""
     bound = min(budget.max_dim, p.source.dim_bound)
     horns = [(n, k) for n in range(1, bound + 1) for k in range(n + 1)]
-    return _rlp_against_cells(p, horns, budget, bound, "horn",
-                              {"all_horns_filled": True}, steps)
+    return _rlp_against_cells(p, horns, bound, "horn", {"all_horns_filled": True},
+                              steps)
 
 
 def is_kan_fibration(p: SSetMap, budget: Budget | None = None) -> Verdict:
@@ -287,7 +324,7 @@ def is_kan_fibration(p: SSetMap, budget: Budget | None = None) -> Verdict:
 def is_acyclic_fibration_sset(p: SSetMap, budget: Budget | None = None) -> Verdict:
     budget = budget or Budget()
     bound = min(budget.max_dim, p.source.dim_bound)
-    return _rlp_against_cells(p, [(n, None) for n in range(bound + 1)], budget, bound,
+    return _rlp_against_cells(p, [(n, None) for n in range(bound + 1)], bound,
                               "boundary", {"all_boundaries_lift": True},
                               _Steps(budget.max_steps))
 

@@ -91,9 +91,9 @@ class Budget:
     ``is_acyclic_fibration_sset``, max_steps is one total per top-level
     call over all horns or boundaries, for ``is_fibration`` one total over
     the horns of every hom map, and for ``factor_bounded`` one total over
-    the hom-wise lifting checks of every round.  Each search for a
-    counterexample square, and each functor search, gets max_steps of its
-    own.
+    the hom-wise lifting checks of every round, which also name their
+    counterexample squares.  Each functor search (route (b),
+    ``solve_lifting``) gets max_steps of its own.
     """
     max_dim: int = 4
     max_words: int = 64

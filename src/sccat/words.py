@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .constructions_basic import inclusion_of_object
 from .scat import (SFunctor, SimplicialCategory, build_compose,
-                   compose_sfunctors, singleton_cat, functor_U, functor_U_map,
-                   empty_cat)
+                   compose_sfunctors, singleton_cat, functor_U_map, empty_cat,
+                   u_functor)
 from .sset import SimplicialSet, SSetMap, derive_records
 from .verdict import Budget, BudgetExceeded, InputError
 
@@ -55,11 +55,10 @@ class Attachment:
 
     @staticmethod
     def from_sset_mono(i: SSetMap, label: str = "") -> "Attachment":
-        for k in range(i.source.dim_bound + 1):
-            if len(set(i.assign[k])) != i.source.size(k):
-                raise InputError("attachment needs a monomorphism of simplicial sets")
-        return Attachment(kind="usset", A=functor_U(i.source),
-                          F=functor_U(i.target), inc=functor_U_map(i),
+        if any(len(set(i.assign[k])) != i.source.size(k) for k in range(i.source.dim_bound + 1)):
+            raise InputError("attachment needs a monomorphism of simplicial sets")
+        inc = functor_U_map(i)
+        return Attachment(kind="usset", A=inc.source, F=inc.target, inc=inc,
                           label=label or "U(mono)")
 
     @staticmethod
@@ -192,11 +191,8 @@ class _WordEngine:
     # -- closure ---------------------------------------------------------------
     def generate(self):
         bound = self.bound
-        words = {}
-        for k in range(bound + 1):
-            for a in range(self.n_objects):
-                for b in range(self.n_objects):
-                    words[(k, a, b)] = {}
+        words = {(k, a, b): {} for k in range(bound + 1)
+                 for a in range(self.n_objects) for b in range(self.n_objects)}
 
         def add(k, a, b, w):
             bucket = words[(k, a, b)]
@@ -264,74 +260,41 @@ class _WordEngine:
 
         # deterministic order: images of old simplices first (in old index
         # order), then everything else by (generator count, length, letters)
-        words = {}
-        index = {}
-        old_word = {}
+        words, index, old_word = {}, {}, {}
+        n_old = self.C.n_objects()
         for k in range(bound + 1):
-            for (a, b) in self.C.object_pairs():
-                lst = []
-                seen = set()
-                for idx in range(self.C.hom[(a, b)].size(k)):
-                    w = self.normalize(k, [("C", a, b, idx)])
-                    old_word[(k, a, b, idx)] = w
-                    if w not in seen:
-                        seen.add(w)
-                        lst.append(w)
-                rest = sorted((w for w in raw[(k, a, b)] if w not in seen),
-                              key=word_key)
-                lst.extend(rest)
-                words[(k, (a, b))] = lst
-                index[(k, (a, b))] = {w: i for i, w in enumerate(lst)}
             for a in range(n):
                 for b in range(n):
-                    if (k, (a, b)) in words:
-                        continue
-                    lst = sorted(raw[(k, a, b)], key=word_key)
+                    old = self.C.hom[(a, b)].size(k) if max(a, b) < n_old else 0
+                    for idx in range(old):
+                        old_word[(k, a, b, idx)] = self.normalize(k, [("C", a, b, idx)])
+                    lst = list(dict.fromkeys(old_word[(k, a, b, idx)] for idx in range(old)))
+                    seen = set(lst)
+                    lst += sorted((w for w in raw[(k, a, b)] if w not in seen), key=word_key)
                     words[(k, (a, b))] = lst
                     index[(k, (a, b))] = {w: i for i, w in enumerate(lst)}
 
-        def letter_face(k, letter, i):
+        def letter_op(k, letter, op, i):
+            """d_i (op "face") or s_i (op "degeneracy") of one letter."""
             tag, a, b, idx = letter
             hom = self.C.hom[(a, b)] if tag == "C" else self.F.hom[(a, b)]
-            return (tag, a, b, hom.face(k, idx, i))
+            return (tag, a, b, getattr(hom, op)(k, idx, i))
 
-        def letter_degen(k, letter, j):
-            tag, a, b, idx = letter
-            hom = self.C.hom[(a, b)] if tag == "C" else self.F.hom[(a, b)]
-            return (tag, a, b, hom.degeneracy(k, idx, j))
+        def op_table(k, pair, op, dk):
+            """Per word of Hom_pair in dimension k, the indices of its k + 1
+            faces (dk = -1) or degeneracies (dk = +1)."""
+            return [[index[(k + dk, pair)][self.normalize(
+                k + dk, [letter_op(k, l, op, i) for l in w])] for i in range(k + 1)]
+                for w in words[(k, pair)]]
 
         homs = {}
-        for a in range(n):
-            for b in range(n):
-                faces_tables = []
-                degens_tables = []
-                for k in range(bound + 1):
-                    lst = words[(k, (a, b))]
-                    faces_lvl = []
-                    degens_lvl = []
-                    for w in lst:
-                        if k >= 1:
-                            fcs = []
-                            for i in range(k + 1):
-                                fw = self.normalize(
-                                    k - 1, [letter_face(k, l, i) for l in w])
-                                fcs.append(index[(k - 1, (a, b))][fw])
-                            faces_lvl.append(fcs)
-                        else:
-                            faces_lvl.append([])
-                        if k + 1 <= bound:
-                            dgs = []
-                            for j in range(k + 1):
-                                dw = self.normalize(
-                                    k + 1, [letter_degen(k, l, j) for l in w])
-                                dgs.append(index[(k + 1, (a, b))][dw])
-                            degens_lvl.append(dgs)
-                        else:
-                            degens_lvl.append([])
-                    faces_tables.append(faces_lvl)
-                    degens_tables.append(degens_lvl)
-                homs[(a, b)] = SimplicialSet(
-                    bound, derive_records(bound, faces_tables, degens_tables))
+        for pair in ((a, b) for a in range(n) for b in range(n)):
+            faces_tables = [op_table(k, pair, "face", -1) if k else
+                            [[] for _ in words[(k, pair)]] for k in range(bound + 1)]
+            degens_tables = [op_table(k, pair, "degeneracy", 1) if k < bound else
+                             [[] for _ in words[(k, pair)]] for k in range(bound + 1)]
+            homs[pair] = SimplicialSet(bound, derive_records(bound, faces_tables,
+                                                             degens_tables))
 
         def rule(k, a, b, c, g, f):
             """g after f is the normal form of the word f g."""
@@ -360,18 +323,17 @@ class _WordEngine:
                 for (a, b) in self.C.object_pairs()})
 
         f_ob = tuple(self.f2d[u] for u in range(self.F.n_objects()))
+
+        def f_image(k, u, v, idx):
+            w = self.normalize(k, [("F", u, v, idx)])
+            return index[(k, self.word_endpoints(w, (self.f2d[u], self.f2d[v])))][w]
+
         f_maps = {}
         for (u, v) in self.F.object_pairs():
-            du, dv = self.f2d[u], self.f2d[v]
-            assign = []
-            for k in range(bound + 1):
-                level = []
-                for idx in range(self.F.hom[(u, v)].size(k)):
-                    w = self.normalize(k, [("F", u, v, idx)])
-                    sa, sb = self.word_endpoints(w, (du, dv))
-                    level.append(index[(k, (sa, sb))][w])
-                assign.append(level)
-            f_maps[(u, v)] = SSetMap(self.F.hom[(u, v)], homs[(du, dv)], assign)
+            h = self.F.hom[(u, v)]
+            f_maps[(u, v)] = SSetMap(h, homs[(self.f2d[u], self.f2d[v])],
+                                     [[f_image(k, u, v, idx) for idx in range(h.size(k))]
+                                      for k in range(bound + 1)])
         inc_attached = SFunctor(source=self.F, target=D, ob_map=f_ob,
                                 hom_maps=f_maps)
 
@@ -410,22 +372,10 @@ def glue_for_u(attachment: Attachment, base: SimplicialCategory, gx: int,
     Hom(gx, gy) by the given simplicial map."""
     if attachment.kind != "usset":
         raise InputError("glue_for_u needs a U(mono) attachment")
-    a_cat = attachment.A
-    bound = base.dim_bound
-    if hom_map.source != a_cat.hom[(0, 1)] or hom_map.target != base.hom[(gx, gy)]:
+    if hom_map.source != attachment.A.hom[(0, 1)] or hom_map.target != base.hom[(gx, gy)]:
         raise InputError("hom_map must send Hom(x, y) of the source into "
                          "Hom(gx, gy) of the base")
-    def id_tower_map(o, g):
-        return SSetMap(a_cat.hom[(o, o)], base.hom[(g, g)],
-                       [[base.identity_tower(g, k)]
-                        for k in range(bound + 1)])
-    return SFunctor(source=a_cat, target=base, ob_map=(gx, gy),
-                    hom_maps={(0, 0): id_tower_map(0, gx),
-                              (1, 1): id_tower_map(1, gy),
-                              (0, 1): hom_map,
-                              (1, 0): SSetMap(a_cat.hom[(1, 0)],
-                                              base.hom[(gy, gx)],
-                                              [[] for _ in range(bound + 1)])})
+    return u_functor(attachment.A, base, gx, gy, hom_map)
 
 
 def pushout_mediating(result: PushoutResult, to_base: SFunctor,

@@ -9,9 +9,9 @@ from sccat.homology import (
     homology_iso_all_degrees, homology_map_is_iso, reduced_homology_vanishes,
 )
 from sccat.sset import (
-    SSetMap, boundary, boundary_inclusion, disjoint_union, enumerate_sset_maps,
-    from_nondegenerate, horn, horn_inclusion, identity_map, pi0, point,
-    standard_simplex,
+    SimplicialSet, SSetMap, boundary, boundary_inclusion, derive_records,
+    disjoint_union, enumerate_sset_maps, from_nondegenerate, horn, horn_inclusion,
+    identity_map, pi0, point, standard_simplex,
 )
 from sccat.verdict import StructureError
 from tests.test_sset import projective_plane
@@ -68,10 +68,19 @@ def test_chain_complex_checked_once_per_complex(monkeypatch):
     assert len(products) == 3
 
 
+def triangle_on_one_edge():
+    """A triangle whose three faces are one edge e (d_0 e = 1, d_1 e = 0),
+    built from its tables: the constructors reject such faces."""
+    faces = [[(), ()],
+             [(1, 0), (0, 0), (1, 1)],                         # e, s_0 0, s_0 1
+             [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 0, 1), (2, 0, 0)]]
+    degens = [[(1,), (2,)], [(3, 4), (1, 1), (2, 2)], [()] * 5]
+    return SimplicialSet(2, derive_records(2, faces, degens))
+
+
 def test_nonzero_boundary_squared_raises_on_every_call():
     # a triangle whose three faces are one edge: d d sigma = d e != 0
-    x = from_nondegenerate(2, [[[], []], [[(1, ()), (0, ())]],
-                               [[(0, ()), (0, ()), (0, ())]]])
+    x = triangle_on_one_edge()
     for _ in range(2):
         for k in range(3):
             with pytest.raises(StructureError):

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,8 @@ from sccat.constructions_basic import (codiscrete_groupoid,
                                        inclusion_of_object, walking_arrow)
 from sccat.model import (
     CellRecord, FactorResult, GeneratorMarking, LiftingProblem, LiftWitness,
-    RetractWitness, _rlp_by_homs, c2_generator, coproduct_inclusion_functor,
+    RetractWitness, _first_unliftable_c2, _first_unliftable_cell, _rlp_by_homs,
+    c2_generator, coproduct_inclusion_functor,
     enumerate_problem_squares, factor_bounded, generating_acyclic_a1,
     generating_cofibrations, has_rlp_against_set, is_a2_candidate,
     is_acyclic_fibration, is_acyclic_fibration_by_rlp, is_dk_equivalence,
@@ -15,6 +18,7 @@ from sccat.scat import (SFunctor, SimplicialCategory, build_compose,
                         compose_sfunctors, coproduct, double_object, empty_cat,
                         functor_U, functor_U_map, identity_sfunctor,
                         singleton_cat, validate_scat, validate_sfunctor)
+from sccat.search import enumerate_sfunctors
 from sccat.sset import (SearchBudgetHit, SSetMap, boundary, boundary_inclusion,
                         empty_sset, horn, horn_inclusion, identity_map, point,
                         standard_simplex)
@@ -156,6 +160,14 @@ def test_generator_cells_name_their_maps(d):
         assert g.map == functor_U_map(inc)
         assert g.name == (f"C1[{n}]" if k is None else f"A1[{n},{k}]")
     assert c2_generator(d).cell is None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_generators_build_their_map_once(d):
+    for g in generating_acyclic_a1(d, d) + generating_cofibrations(d, d):
+        att = g.attachment
+        assert g.map is att.inc
+        assert att.A is att.inc.source and att.F is att.inc.target
 
 
 def test_generator_maps_validate():
@@ -455,6 +467,54 @@ def test_factorization_equals_the_generic_search(data):
             for h in (f, res.right):
                 assert (_rlp_by_homs(h, g.cell, _Steps(10**9))
                         == has_rlp_against_set(h, [g]).is_yes)
+
+
+def z2_category(d):
+    """One object whose endomorphisms are Z/2, discrete."""
+    two = boundary(1, d)    # simplex j is vertex j in every dimension
+    return SimplicialCategory(objects=("x",), hom={(0, 0): two},
+                              compose=build_compose(1, {(0, 0): two}, d,
+                                                    lambda k, a, b, c, g, f: g ^ f),
+                              identities=(0,), dim_bound=d)
+
+
+MULTI_OBJECT_CATEGORIES = [empty_cat(D), singleton_cat(D), walking_arrow(D),
+                           codiscrete_groupoid(2, D), z2_category(D),
+                           functor_U(standard_simplex(1, D)),
+                           coproduct([walking_arrow(D), z2_category(D)])[0],
+                           coproduct([singleton_cat(D), codiscrete_groupoid(2, D)])[0]]
+
+
+@lru_cache(maxsize=None)
+def multi_object_functors(i, j):
+    return enumerate_sfunctors(MULTI_OBJECT_CATEGORIES[i], MULTI_OBJECT_CATEGORIES[j])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_factorization_of_multi_object_functors_equals_the_generic_search(data):
+    # squares with c = c' or a = a' (one-object categories, functors that
+    # are not injective on objects) and the C2 rule (functors that miss
+    # objects)
+    last = len(MULTI_OBJECT_CATEGORIES) - 1
+    functors = multi_object_functors(data.draw(st.integers(0, last)),
+                                     data.draw(st.integers(1, last)))
+    if not functors:
+        return
+    f = data.draw(st.sampled_from(functors))
+    gens = data.draw(st.sampled_from([[c2_generator(D)], generating_cofibrations(1, D),
+                                      generating_acyclic_a1(2, D)]))
+    budget = Budget(max_words=3)
+    res = factor_bounded(f, gens, budget)
+    assert res == factor_by_search(f, gens, budget)
+    assert compose_sfunctors(res.right, res.left) == f
+    # each generator's named square is the search's first square; squares
+    # with a = a' only show here, as their pushouts overrun max_words
+    for g in gens:
+        v = has_rlp_against_set(f, [g])
+        named = (_first_unliftable_c2(f, g) if g.cell is None
+                 else _first_unliftable_cell(f, g, _Steps(10**9)))
+        assert named == (v.witness["square"] if v.is_no else None)
 
 
 def test_join_reads_the_endomorphism_homs():

@@ -263,6 +263,29 @@ def test_from_nondegenerate_rejects_cells_above_dim_bound():
     assert from_nondegenerate(1, [[[]], [], []]) == point(1)
 
 
+def test_attach_nondeg_rejects_faces_breaking_the_face_identities():
+    # three copies of the edge 0 -> 1: d_0 d_2 = 1 but d_1 d_0 = 0
+    with pytest.raises(InputError):
+        attach_nondeg(standard_simplex(1, 2), 2, [1, 1, 1])
+    # the boundary of Delta[2] takes its triangle back: d_i is the edge
+    # without vertex i, and the edges (0, 1), (0, 2), (1, 2) come in order
+    bd = boundary(2, 2)
+    edges = bd.nondeg_indices(1)
+    x, _ = attach_nondeg(bd, 2, [edges[2], edges[1], edges[0]])
+    assert validate_sset(x) == []
+
+
+def test_from_nondegenerate_rejects_faces_breaking_the_face_identities():
+    # a triangle whose three faces are one edge 1 -> 0
+    with pytest.raises(InputError):
+        from_nondegenerate(2, [[[], []], [[(1, ()), (0, ())]],
+                               [[(0, ()), (0, ()), (0, ())]]])
+    # the edge twice and a loop l at 0 fit as the triangle (0, 0, 1)
+    x = from_nondegenerate(2, [[[], []], [[(1, ()), (0, ())], [(0, ()), (0, ())]],
+                               [[(0, ()), (0, ()), (1, ())]]])
+    assert validate_sset(x) == []
+
+
 def test_from_simplicial_complex_rejects_facets_above_dim_bound():
     with pytest.raises(InputError):
         from_simplicial_complex([(0, 1, 2)], dim_bound=1)

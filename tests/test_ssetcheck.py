@@ -301,14 +301,17 @@ def test_max_steps_bounds_all_boundaries_together():
     assert v.kind == "unknown" and v.reason == BUDGET
 
 
-def test_no_without_its_square_reads_unknown():
+def test_no_names_its_square_from_the_join():
     # two points onto the ends of Delta[1] next to eight more points: the
-    # horn (1, 0) fails within three steps, but the square search first
-    # enumerates every map Delta[1] -> Y over ten vertices
+    # join of the horn (1, 0) takes five steps and names its square, where
+    # the square search first enumerates every map Delta[1] -> Y over ten
+    # vertices and runs out of twenty steps
     y, inc, _ = disjoint_union(standard_simplex(1, 2),
                                from_simplicial_complex([(v,) for v in range(8)], 2))
     p = compose_maps(inc, boundary_inclusion(1, 2))
-    assert not _rlp_by_faces(p, 1, 0, _Steps(3))
+    assert not _rlp_by_faces(p, 1, 0, _Steps(5))
+    assert has_rlp_sset(p, horn_inclusion(1, 0, 2), Budget(max_steps=20)).kind == "unknown"
     v = is_kan_fibration(p, Budget(max_steps=20))
-    assert v.kind == "unknown" and v.reason == BUDGET and v.witness is None
-    assert is_kan_fibration(p, Budget()).witness["horn"] == (1, 0)
+    assert v == kan_by_search(p, Budget())
+    assert v.is_no and v.witness["horn"] == (1, 0)
+    assert not naive_diagonal_exists(v.witness["square"])
