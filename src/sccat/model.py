@@ -34,11 +34,11 @@ from .scat import (SFunctor, SimplicialCategory, compose_sfunctors,
                    coproduct, identity_sfunctor, is_homotopy_equivalence,
                    pi0_functor, singleton_cat, u_functor)
 from .search import enumerate_sfunctors
-from .sset import SearchBudgetHit, SSetMap, boundary_inclusion, horn_inclusion
-from .ssetcheck import (_first_square, _kan_fibration, _rlp_by_faces, _Steps, _unfilled,
+from .sset import SSetMap, boundary_inclusion, horn_inclusion
+from .ssetcheck import (_first_square, _kan_fibration, _unfilled,
                         is_weak_equivalence_sset, is_weakly_contractible)
 from .verdict import (BUDGET, Budget, BudgetExceeded, InputError, Verdict,
-                      aggregate)
+                      _Steps, aggregate)
 from .words import (Attachment, glue_for_c2, pushout_generating,
                     pushout_mediating)
 
@@ -102,7 +102,7 @@ def solve_lifting(problem: LiftingProblem, budget: Budget | None = None) -> Verd
                                     under=(problem.left, problem.top),
                                     over=(problem.right, problem.bottom),
                                     first_only=True, max_nodes=budget.max_steps)
-    except SearchBudgetHit:
+    except BudgetExceeded:
         return Verdict.unknown(BUDGET)
     if not found:
         return Verdict.no(witness={"exhausted": True})
@@ -142,31 +142,22 @@ def _first_unliftable(gen: SFunctor, f: SFunctor, budget: Budget):
 
 
 def has_rlp_against_set(f: SFunctor, gens, budget: Budget | None = None) -> Verdict:
-    """RLP of f against every generator, by the generic functor search; a
-    definite counterexample square dominates, then unknowns, then yes."""
+    """RLP of f against every GeneratorMap in gens, by the generic functor
+    search; a definite counterexample square dominates, then unknowns, then
+    yes."""
     budget = budget or Budget()
     saw_unknown = False
     try:
         for gen in gens:
-            gmap = gen.map if isinstance(gen, GeneratorMap) else gen
-            problem, unknown = _first_unliftable(gmap, f, budget)
+            problem, unknown = _first_unliftable(gen.map, f, budget)
             if problem is not None:
-                name = gen.name if isinstance(gen, GeneratorMap) else "generator"
-                return Verdict.no(witness={"generator": name, "square": problem})
+                return Verdict.no(witness={"generator": gen.name, "square": problem})
             saw_unknown = saw_unknown or unknown
-    except SearchBudgetHit:
+    except BudgetExceeded:
         return Verdict.unknown(BUDGET)
     if saw_unknown:
         return Verdict.unknown(BUDGET)
     return Verdict.yes(witness={"all_squares_lift": True})
-
-
-def _rlp_by_homs(f: SFunctor, cell: tuple, steps: _Steps) -> bool:
-    """Whether f has the RLP against U(i), i the horn (n, k) or, k None, the
-    boundary of Delta[n]: whether every hom map of f has it against i."""
-    n, k = cell
-    return all(_rlp_by_faces(f.hom_maps[pair], n, k, steps)
-               for pair in f.source.object_pairs())
 
 
 def _first_unliftable_cell(f: SFunctor, gen: GeneratorMap, steps: _Steps):
@@ -555,7 +546,7 @@ def factor_bounded(f: SFunctor, gens, budget: Budget | None = None) -> FactorRes
                 return FactorResult(left=left, right=right, cells=cells,
                                     complete=square is None)
             res = pushout_generating(stage, gen.attachment, square.top, budget)
-        except (SearchBudgetHit, BudgetExceeded):
+        except BudgetExceeded:
             return FactorResult(left=left, right=right, cells=cells, complete=False)
         stage = res.category
         left = compose_sfunctors(res.inc_base, left)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .sset import SimplicialSet, pi0, pi0_class_of
-from .verdict import Budget, InputError, UNDECIDED_GROUP, Verdict
+from .verdict import Budget, BudgetExceeded, InputError, UNDECIDED_GROUP, Verdict
 
 # A word is a tuple of nonzero ints: +g means generator g-1, -g its inverse.
 Word = tuple
@@ -75,10 +75,6 @@ def abelianization_invariants(p: GroupPresentation) -> tuple:
 # ---------------------------------------------------------------------------
 # Todd-Coxeter coset enumeration over the trivial subgroup (HLT style)
 
-class _TableFull(Exception):
-    pass
-
-
 class _CosetTable:
     """Coset table over the trivial subgroup with lazy coincidence merging.
 
@@ -114,7 +110,7 @@ class _CosetTable:
 
     def define(self, a: int, c: int) -> int:
         if len(self.table) >= self.max_cosets:
-            raise _TableFull()
+            raise BudgetExceeded("coset table full")
         b = len(self.table)
         self.table.append([None] * self.n_cols)
         self.parent.append(b)
@@ -224,7 +220,7 @@ def coset_enumeration(p: GroupPresentation, max_cosets: int) -> int | None:
                     tbl.scan(a, rel, fill=False)
             if not tbl.merged_flag:
                 break
-    except _TableFull:
+    except BudgetExceeded:
         return None
     return len(tbl.live())
 

@@ -68,7 +68,7 @@ def enumerate_sfunctors(src: SimplicialCategory, dst: SimplicialCategory, *,
     with g . i = top; ``over=(p, bottom)``, functors p: dst -> D and
     bottom: src -> D, keeps the g with p . g = bottom.  One node budget
     covers every object map: past ``max_nodes`` assignments in total,
-    SearchBudgetHit is raised.
+    BudgetExceeded is raised.
     """
     if src.dim_bound != dst.dim_bound:
         raise InputError("dim_bound mismatch")

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .verdict import InputError
+from .verdict import InputError, _Steps
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +163,6 @@ class SimplicialSet:
             self._cache[key] = tuple(i for i, s in enumerate(self.dims[k]) if s.nondeg)
         return self._cache[key]
 
-    def base_dim(self, k: int, idx: int) -> int:
-        return k - len(self.dims[k][idx].word)
-
     def apply_word(self, dim: int, idx: int, word: tuple) -> int:
         """Index of s_word applied to the simplex (dim, idx)."""
         cur_dim, cur = dim, idx
@@ -255,8 +252,10 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
     ``face_data[k]`` lists the nondegenerate k-simplices; each entry is a
     list of k+1 faces, a face being ``(base_index, word)`` with
     ``base_index`` into the nondegenerate list of dimension
-    ``k - 1 - len(word)``.  Dimension 0 entries are ``[]``.  Nondegenerate
-    simplices above ``dim_bound`` raise InputError.
+    ``k - 1 - len(word)`` and ``word`` a normal degeneracy word over it.
+    Dimension 0 entries are ``[]``.  Nondegenerate simplices above
+    ``dim_bound``, a face count other than k + 1 and a face that names no
+    such base and word raise InputError.
     """
     if any(face_data[dim_bound + 1:]):
         raise InputError("from_nondegenerate: nondegenerate simplices above dim_bound")
@@ -283,6 +282,11 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
 
     faces, degens = [], []
     for k in range(dim_bound + 1):
+        for cell in face_data[k]:
+            if len(cell) != (k + 1 if k else 0) or any(
+                    (k - 1 - len(w), b, tuple(w)) not in index[k - 1] for b, w in cell):
+                raise InputError(f"from_nondegenerate: a {k}-simplex needs {k + 1 if k else 0}"
+                                 " faces, each a base with a normal word over it")
         faces.append([tuple(index[k - 1][face_pair(bd, bi, w, i)] for i in range(k + 1))
                       if k else () for (bd, bi, w) in order[k]])
         for cell in faces[k][:len(face_data[k])]:
@@ -546,9 +550,6 @@ class SSetMap:
         if len(self.assign) != source.dim_bound + 1:
             raise InputError("assignment must cover every tracked dimension")
 
-    def __call__(self, k: int, idx: int) -> int:
-        return self.assign[k][idx]
-
     def __eq__(self, other):
         return (isinstance(other, SSetMap) and self.source == other.source
                 and self.target == other.target and self.assign == other.assign)
@@ -714,6 +715,8 @@ def attach_nondeg(x: SimplicialSet, k: int, faces: list) -> tuple:
         raise InputError("need k+1 faces")
     if k == 0 and faces:
         raise InputError("0-simplices have no faces")
+    if any(not 0 <= c < x.size(k - 1) for c in faces):
+        raise InputError("face index out of range")
     _require_face_identities(lambda c, i: x.face(k - 1, c, i), k, faces)
     bound = x.dim_bound
     new_index = {}  # (dim, word) -> index of s_word(new cell)
@@ -770,10 +773,6 @@ def horn_inclusion(n: int, k: int, dim_bound: int = 4) -> SSetMap:
 # serves both: it assigns the nondegenerate simplices of a list of
 # (source, target) hom pairs.
 
-class SearchBudgetHit(Exception):
-    pass
-
-
 def _slot_order(sources: list) -> list:
     """The nondegenerate simplices of the sources as (dim, pair, index)
     slots, by dimension, then pair, then index: the search order, which
@@ -816,15 +815,17 @@ class _SlotSearch:
     A slot's candidates are the target simplices whose faces are the
     images already assigned (every vertex in dimension 0), narrowed by
     pins and by the over-tables; degenerate simplices follow through
-    ``apply_word``.  The node count is shared by every ``run`` of one
-    search, so ``max_nodes`` bounds one top-level call.
+    ``apply_word``.  Its slot order is the one definition of the search
+    order; ``ssetcheck`` names counterexample squares with it.  Every
+    candidate tried is one step of a ``_Steps(max_nodes)`` counter shared
+    by every ``run`` of one search, so ``max_nodes`` bounds one top-level
+    call and BudgetExceeded is raised past it.
     """
 
     def __init__(self, sources: list, max_nodes=None):
         self.sources = sources
         self.slots = _slot_order(sources)
-        self.max_nodes = max_nodes
-        self.nodes = 0
+        self.steps = _Steps(max_nodes)
 
     def run(self, targets: list, pins: dict, over=None, check=None):
         """Image tables [pair][dim][index] of every complete assignment, in
@@ -868,9 +869,7 @@ class _SlotSearch:
                 return
             k, p, idx = slots[pos]
             for c in candidates(k, p, idx):
-                self.nodes += 1
-                if self.max_nodes is not None and self.nodes > self.max_nodes:
-                    raise SearchBudgetHit()
+                self.steps.charge()
                 assign[p][k][idx] = c
                 if check is None or check(pos, image):
                     yield from rec(pos + 1)
@@ -901,7 +900,7 @@ def enumerate_sset_maps(x: SimplicialSet, y: SimplicialSet, *, under=None,
     ``under=(i, top)``, maps i: A -> x and top: A -> y, keeps the g with
     g . i = top; ``over=(p, bottom)``, maps p: y -> D and bottom: x -> D,
     keeps the g with p . g = bottom.  Images of degenerate simplices are
-    determined by their decompositions.  Raises SearchBudgetHit when more
+    determined by their decompositions.  Raises BudgetExceeded when more
     than ``max_nodes`` assignments are explored.
     """
     found = _sset_maps(x, y, under, over, max_nodes)

@@ -19,9 +19,11 @@ is a join: compatible face tuples of X, the n-simplices of Y over them,
 and a lookup of a filler among the n-simplices of X keyed by faces and
 image.  Horns and boundaries are checked up to the budgeted dimension,
 which the verdict qualifier records, under one step count for the whole
-check.  The first one that fails names its counterexample square from
-the same join, first in the order of the exhaustive search
-``has_rlp_sset``, which stays the join's independent oracle.
+check.  The first one that fails names its counterexample square: the
+join says which bottoms and face tuples have no filler, and the slot
+search of ``sset``, the one definition of the search order, walks the
+maps until the first of them.  So the square is the one the exhaustive
+search ``has_rlp_sset`` finds, which stays the join's independent oracle.
 """
 from __future__ import annotations
 
@@ -29,11 +31,11 @@ from dataclasses import dataclass
 
 from . import homology as hml
 from .pi1 import fundamental_group_trivial
-from .sset import (SimplicialSet, SSetMap, SearchBudgetHit, _slot_order,
-                   _sset_maps, boundary_inclusion, compose_maps,
-                   enumerate_sset_maps, horn_inclusion, identity_map, is_iso_map,
-                   pi0, pi0_class_of, standard_simplex)
-from .verdict import BUDGET, Budget, UNDECIDED_GROUP, Verdict, aggregate
+from .sset import (SimplicialSet, SSetMap, _SlotSearch, _sset_maps,
+                   boundary_inclusion, compose_maps, enumerate_sset_maps,
+                   horn_inclusion, is_iso_map, pi0, pi0_class_of, standard_simplex)
+from .verdict import (BUDGET, Budget, BudgetExceeded, UNDECIDED_GROUP, Verdict,
+                      _Steps, aggregate)
 
 
 def is_weakly_contractible(x: SimplicialSet, budget: Budget | None = None) -> Verdict:
@@ -174,21 +176,9 @@ def has_rlp_sset(p: SSetMap, i: SSetMap, budget: Budget | None = None) -> Verdic
             if not diag:
                 return Verdict.no(witness={"square": sq})
             witnesses.append((sq, diag[0]))
-    except SearchBudgetHit:
+    except BudgetExceeded:
         return Verdict.unknown(BUDGET)
     return Verdict.yes(witness={"lifts": witnesses})
-
-
-class _Steps:
-    """One step count for a whole top-level call."""
-
-    def __init__(self, cap: int):
-        self.left = cap
-
-    def charge(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise SearchBudgetHit()
 
 
 def _unfilled(p: SSetMap, n: int, k: int | None, steps: _Steps) -> dict:
@@ -234,55 +224,42 @@ def _unfilled(p: SSetMap, n: int, k: int | None, steps: _Steps) -> dict:
     return out
 
 
-def _rlp_by_faces(p: SSetMap, n: int, k: int | None, steps: _Steps) -> bool:
-    """Whether p has the RLP against the horn (n, k), or against the
-    boundary of Delta[n] when k is None: whether no square fails."""
-    return not _unfilled(p, n, k, steps)
+def _first_map(x: SimplicialSet, y: SimplicialSet, over, keep) -> SSetMap:
+    """The first map x -> y in search order, over ``over`` = (p, bottom)
+    when given, whose images ``image(k, idx)`` pass ``keep(image)``.  keep
+    is asked at the last slot, so a failing candidate builds no map."""
+    search = _SlotSearch([x])
+    last = len(search.slots) - 1
+    over = [(over[0].assign, over[1].assign)] if over else None
 
+    def check(pos, image):
+        return pos < last or keep(lambda k, idx: image(k, 0, idx))
 
-def _face_images(i: SSetMap, tgt: SimplicialSet, dim: int, roots: dict) -> dict:
-    """{(d, s): image} for the simplices s of i's target (Delta[n]) below
-    the dim-simplices in ``roots``, under the map to tgt that sends each r
-    in roots to roots[r], and so the faces of r to its faces."""
-    img = {(dim, r): v for r, v in roots.items()}
-    for d in range(dim, 0, -1):
-        for (e, s), v in list(img.items()):
-            if e == d:
-                img.update(((d - 1, f), tgt.face(d, v, j))
-                           for j, f in enumerate(i.target.dims[d][s].faces))
-    return img
-
-
-def _yoneda_map(i: SSetMap, tgt: SimplicialSet, img: dict) -> SSetMap:
-    """The map from i's source to tgt that sends each nondegenerate simplex
-    s to img[i(s)]; degenerate simplices follow their decompositions."""
-    def image(k, rec):
-        base_dim = k - len(rec.word)
-        return tgt.apply_word(base_dim, img[(base_dim, i.assign[base_dim][rec.base])],
-                              rec.word)
-
-    return SSetMap(i.source, tgt, [[image(k, rec) for rec in level]
-                                   for k, level in enumerate(i.source.dims)])
+    for tables in search.run([y], {}, over, check):
+        return SSetMap(x, y, tables[0])
+    raise AssertionError("the face-tuple join and the slot search disagree")
 
 
 def _first_square(ps: list, unfilled: list, i: SSetMap, n: int, k: int | None) -> tuple:
     """The first square with no filler among ``unfilled``, the
     ``_unfilled`` of the maps ps into one Y against i, the inclusion of the
     horn (n, k) or of the boundary (k None) into Delta[n], as (index into
-    ps, top, bottom).  First in the search's order: bottoms, then ps, then
-    tops, each map by its images of nondegenerate simplices in slot order."""
-    delta, y = i.target, ps[0].target
-    top, ident = delta.nondeg_indices(n)[0], identity_map(delta)
-    faces = [delta.face(n, top, j) for j in range(n + 1) if j != k] if n else []
-    down = {b: _face_images(ident, y, n, {top: b}) for bad in unfilled for b in bad}
-    down_slots, up_slots = ([(d, m.assign[d][s]) for d, _, s in _slot_order([m.source])]
-                            for m in (ident, i))
-    q, b = min(((q, b) for q, bad in enumerate(unfilled) for b in bad),
-               key=lambda qb: ([down[qb[1]][t] for t in down_slots], qb[0]))
-    x = ps[q].source
-    up = min((_face_images(i, x, n - 1, dict(zip(faces, xs))) for xs in unfilled[q][b]),
-             key=lambda img: [img[t] for t in up_slots])
-    return q, _yoneda_map(i, x, up), _yoneda_map(ident, y, down[b])
+    ps, top, bottom), in the order of the slot search, which is the one
+    definition of it: the first bottom Delta[n] -> Y that some ps[q]
+    misses, the least such q, then the first top over it whose face tuple
+    ps[q] misses.  The walks have no cap and charge nothing."""
+    delta = i.target
+    top = delta.nondeg_indices(n)[0]
+    bad = {b for miss in unfilled for b in miss}
+    bottom = _first_map(delta, ps[0].target, None, lambda image: image(n, top) in bad)
+    b = bottom.assign[n][top]
+    q = next(q for q, miss in enumerate(unfilled) if b in miss)
+    faces = [i.assign[n - 1].index(delta.face(n, top, j))
+             for j in range(n + 1) if j != k] if n else []
+    tuples = set(unfilled[q][b])
+    up = _first_map(i.source, ps[q].source, (ps[q], compose_maps(bottom, i)),
+                    lambda image: tuple(image(n - 1, c) for c in faces) in tuples)
+    return q, up, bottom
 
 
 def _rlp_against_cells(p: SSetMap, cells: list, bound: int, tag: str,
@@ -302,7 +279,7 @@ def _rlp_against_cells(p: SSetMap, cells: list, bound: int, tag: str,
                                        "square": SSetSquare(i=i, p=p, top=top,
                                                             bottom=bottom)},
                               checked_max_dim=bound)
-    except SearchBudgetHit:
+    except BudgetExceeded:
         return Verdict.unknown(BUDGET, checked_max_dim=bound)
     return Verdict.yes(witness=yes_witness, checked_max_dim=bound)
 

@@ -87,13 +87,14 @@ class Budget:
 
     max_dim bounds the dimension of generating maps tried, max_words the
     number of adjoined-generator letters in a composite word, max_steps
-    the number of search nodes expanded.  For ``is_kan_fibration`` and
+    the number of steps a :class:`_Steps` counter allows: search nodes,
+    join steps or pushout word compositions.  For ``is_kan_fibration`` and
     ``is_acyclic_fibration_sset``, max_steps is one total per top-level
     call over all horns or boundaries, for ``is_fibration`` one total over
     the horns of every hom map, and for ``factor_bounded`` one total over
-    the hom-wise lifting checks of every round, which also name their
-    counterexample squares.  Each functor search (route (b),
-    ``solve_lifting``) gets max_steps of its own.
+    the hom-wise lifting checks of every round; naming a counterexample
+    square charges nothing.  Each functor search (route (b),
+    ``solve_lifting``) and each pushout gets max_steps of its own.
     """
     max_dim: int = 4
     max_words: int = 64
@@ -105,14 +106,22 @@ class Budget:
 
 
 class BudgetExceeded(Exception):
-    """Raised when a construction cannot finish within its budget.
+    """The one budget signal: a search, join, coset table or pushout ran out
+    of its budget.  Decision procedures catch it and answer unknown."""
 
-    Carries whatever partial result was built, for diagnostics.
-    """
 
-    def __init__(self, message: str, partial: Any = None):
-        super().__init__(message)
-        self.partial = partial
+class _Steps:
+    """The one step counter of every engine: ``charge`` raises
+    BudgetExceeded past ``cap`` steps, never when ``cap`` is None.  One
+    counter may be shared by the sub-checks of a whole call."""
+
+    def __init__(self, cap: int | None):
+        self.left = float("inf") if cap is None else cap
+
+    def charge(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise BudgetExceeded("step budget exhausted")
 
 
 class InputError(ValueError):

@@ -16,7 +16,9 @@ A have been rewritten into C through the glue, and adjacent letters that
 compose inside a single factor have been composed there ("unit and
 existing-composition reductions").  Normal forms are unique, so the word
 category is the genuine pushout whenever generation stabilizes; if new
-words keep appearing past the word budget, BudgetExceeded is raised.
+words keep appearing past ``max_words`` letters of F, or the closure
+composes more than ``max_steps`` pairs of words (one ``_Steps`` count per
+pushout), BudgetExceeded is raised.
 
 Faces, degeneracies and composition act letterwise, which keeps the whole
 construction simplicial; stale decomposition data is re-derived from the
@@ -31,7 +33,7 @@ from .scat import (SFunctor, SimplicialCategory, build_compose,
                    compose_sfunctors, singleton_cat, functor_U_map, empty_cat,
                    u_functor)
 from .sset import SimplicialSet, SSetMap, derive_records
-from .verdict import Budget, BudgetExceeded, InputError
+from .verdict import Budget, BudgetExceeded, InputError, _Steps
 
 # letters: ("C", a, b, idx) with C-object endpoints, or ("F", u, v, idx)
 # with F-object endpoints; the simplex dimension is carried by the word.
@@ -199,9 +201,7 @@ class _WordEngine:
             if w in bucket:
                 return False
             if self.word_f_count(w) > self.budget.max_words:
-                raise BudgetExceeded(
-                    "free closure did not stabilize within max_words",
-                    partial=words)
+                raise BudgetExceeded("free closure did not stabilize within max_words")
             bucket[w] = len(bucket)
             return True
 
@@ -221,7 +221,7 @@ class _WordEngine:
                     add(k, sa, sb, w)
 
         # closure under composition, breadth-first by rounds
-        steps = 0
+        steps = _Steps(self.budget.max_steps)
         for k in range(bound + 1):
             changed = True
             while changed:
@@ -234,11 +234,7 @@ class _WordEngine:
                         for w1 in snapshot[(a, b)]:
                             for c in range(self.n_objects):
                                 for w2 in snapshot[(b, c)]:
-                                    steps += 1
-                                    if steps > self.budget.max_steps:
-                                        raise BudgetExceeded(
-                                            "free closure exceeded max_steps",
-                                            partial=words)
+                                    steps.charge()
                                     w = self.normalize(k, list(w1) + list(w2))
                                     sa, sb = self.word_endpoints(w, (a, c))
                                     if add(k, sa, sb, w):

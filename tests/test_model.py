@@ -7,7 +7,7 @@ from sccat.constructions_basic import (codiscrete_groupoid,
                                        inclusion_of_object, walking_arrow)
 from sccat.model import (
     CellRecord, FactorResult, GeneratorMarking, LiftingProblem, LiftWitness,
-    RetractWitness, _first_unliftable_c2, _first_unliftable_cell, _rlp_by_homs,
+    RetractWitness, _first_unliftable_c2, _first_unliftable_cell,
     c2_generator, coproduct_inclusion_functor,
     enumerate_problem_squares, factor_bounded, generating_acyclic_a1,
     generating_cofibrations, has_rlp_against_set, is_a2_candidate,
@@ -19,16 +19,23 @@ from sccat.scat import (SFunctor, SimplicialCategory, build_compose,
                         functor_U, functor_U_map, identity_sfunctor,
                         singleton_cat, validate_scat, validate_sfunctor)
 from sccat.search import enumerate_sfunctors
-from sccat.sset import (SearchBudgetHit, SSetMap, boundary, boundary_inclusion,
-                        empty_sset, horn, horn_inclusion, identity_map, point,
-                        standard_simplex)
-from sccat.ssetcheck import _rlp_by_faces, _Steps, unique_map_to_point
-from sccat.verdict import BUDGET, Budget, BudgetExceeded
+from sccat.sset import (SSetMap, boundary, boundary_inclusion, empty_sset, horn,
+                        horn_inclusion, identity_map, point, standard_simplex)
+from sccat.ssetcheck import unique_map_to_point
+from sccat.verdict import BUDGET, Budget, BudgetExceeded, _Steps
 from sccat.words import pushout_generating, pushout_mediating
-from tests.test_ssetcheck import LIFTING_COMPLEXES, lifting_maps
+from tests.test_ssetcheck import LIFTING_COMPLEXES, _rlp_by_faces, lifting_maps
 
 D = 2
 B = Budget(max_dim=2, max_words=16, max_steps=500_000)
+
+
+def _rlp_by_homs(f, cell, steps):
+    """Whether f has the RLP against U(i), i the horn (n, k) or, k None, the
+    boundary of Delta[n]: whether every hom map of f has it against i."""
+    n, k = cell
+    return all(_rlp_by_faces(f.hom_maps[pair], n, k, steps)
+               for pair in f.source.object_pairs())
 
 
 def empty_to(cat):
@@ -243,6 +250,19 @@ def test_rlp_a1_detects_non_kan_hom():
     assert fib(f, B).is_no
 
 
+def test_route_b_and_solve_lifting_read_unknown_past_max_steps():
+    # the functor searches of route (b) and of one lifting square run out
+    # of a one-step budget: unknown, never a raise
+    f = identity_sfunctor(codiscrete_groupoid(2, D))
+    v = is_acyclic_fibration_by_rlp(f, Budget(max_dim=1, max_steps=1))
+    assert v.kind == "unknown" and v.reason == BUDGET
+    assert v.qualifier["route"] == "b"
+    problem = enumerate_problem_squares(generating_cofibrations(1, D)[1].map, f, B)[0]
+    assert solve_lifting(problem, B).is_yes
+    v = solve_lifting(problem, Budget(max_steps=1))
+    assert v.kind == "unknown" and v.reason == BUDGET
+
+
 # -- retracts ------------------------------------------------------------------------
 
 def test_retract_of_itself():
@@ -435,7 +455,7 @@ def factor_by_search(f, gens, budget):
                                     complete=found is None and not saw_unknown)
             gen, problem = found
             res = pushout_generating(stage, gen.attachment, problem.top, budget)
-        except (SearchBudgetHit, BudgetExceeded):
+        except BudgetExceeded:
             return FactorResult(left=left, right=right, cells=cells, complete=False)
         stage = res.category
         left = compose_sfunctors(res.inc_base, left)

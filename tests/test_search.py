@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from sccat.constructions_basic import codiscrete_groupoid, walking_arrow
 from sccat.scat import compose_sfunctors, functor_U, identity_sfunctor
 from sccat.search import enumerate_sfunctors
-from sccat.sset import (SearchBudgetHit, compose_maps, enumerate_sset_maps,
-                        from_nondegenerate, from_simplicial_complex, horn)
+from sccat.sset import (compose_maps, enumerate_sset_maps, from_nondegenerate,
+                        from_simplicial_complex, horn)
+from sccat.verdict import BudgetExceeded
 
 D = 2
 # faces of Delta[3] of dimension at most D, as vertex tuples
@@ -79,7 +80,7 @@ def least_budget(src, dst, **kw):
         try:
             enumerate_sfunctors(src, dst, max_nodes=m, **kw)
             return m
-        except SearchBudgetHit:
+        except BudgetExceeded:
             pass
 
 

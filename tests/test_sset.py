@@ -286,6 +286,28 @@ def test_from_nondegenerate_rejects_faces_breaking_the_face_identities():
     assert validate_sset(x) == []
 
 
+def test_attach_nondeg_rejects_face_indices_out_of_range():
+    # -1 would name vertex 1 through negative indexing, 7 no vertex at all
+    for faces in ([-1, 0], [7, 0], [0, 2]):
+        with pytest.raises(InputError):
+            attach_nondeg(standard_simplex(1, 2), 1, faces)
+
+
+@pytest.mark.parametrize("cells", [
+    [[[]], [[(5, ()), (0, ())]]],                   # no vertex 5
+    [[[]], [[(-1, ()), (0, ())]]],                  # a negative base
+    [[[]], [[(0, ()), (0, ()), (0, ())]]],          # three faces for an edge
+    [[[]], [[(0, ())]]],                            # one face for an edge
+    [[[(0, ())]]],                                  # a vertex with a face
+    [[[]], [[(0, ()), (0, ())]], [[(0, (3,)), (0, (0,)), (0, ())]]],  # s_3 of a vertex
+    [[[]], [[(0, ()), (0, ())]], [[(0, (1,)), (0, (0,)), (0, ())]]],  # s_1 of a vertex
+    [[[]], [[(0, ()), (0, ())]], [[(0, (0, 0)), (0, (0,)), (0, ())]]],  # an edge's word twice as long
+])
+def test_from_nondegenerate_rejects_faces_that_name_no_simplex(cells):
+    with pytest.raises(InputError):
+        from_nondegenerate(2, cells)
+
+
 def test_from_simplicial_complex_rejects_facets_above_dim_bound():
     with pytest.raises(InputError):
         from_simplicial_complex([(0, 1, 2)], dim_bound=1)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sccat.ssetcheck import (
-    SSetSquare, _rlp_by_faces, _Steps, check_square_lift, enumerate_squares,
+    SSetSquare, _unfilled, check_square_lift, enumerate_squares,
     has_rlp_sset, is_acyclic_fibration_sset, is_kan_fibration,
     is_weak_equivalence_sset, is_weakly_contractible, naive_diagonal_exists,
     unique_map_to_point,
@@ -14,7 +14,7 @@ from sccat.sset import (
     enumerate_sset_maps, from_simplicial_complex, horn, horn_inclusion,
     identity_map, point, standard_simplex,
 )
-from sccat.verdict import BUDGET, Budget, Verdict, aggregate
+from sccat.verdict import BUDGET, Budget, Verdict, _Steps, aggregate
 from tests.test_homology import cycle
 from tests.test_sset import projective_plane
 
@@ -198,6 +198,12 @@ def test_enumerate_squares_commute():
 
 # -- the face-tuple decision against the exhaustive search -------------------
 
+def _rlp_by_faces(p, n, k, steps):
+    """Whether p has the RLP against the horn (n, k), or against the
+    boundary of Delta[n] when k is None: whether the join misses no square."""
+    return not _unfilled(p, n, k, steps)
+
+
 def kan_by_search(p, budget):
     """The Kan check as one exhaustive square search per horn."""
     bound = min(budget.max_dim, p.source.dim_bound)
@@ -298,6 +304,21 @@ def test_max_steps_bounds_all_boundaries_together():
     total = sum(_steps_used(p, n, None) for n in range(3))
     assert is_acyclic_fibration_sset(p, Budget(max_steps=total)).is_yes
     v = is_acyclic_fibration_sset(p, Budget(max_steps=total - 1))
+    assert v.kind == "unknown" and v.reason == BUDGET
+
+
+def test_naming_the_square_of_a_no_charges_no_step():
+    # the boundary of Delta[2] -> point: the horns (1, 0), (1, 1) lift and
+    # (2, 0) does not, so the joins' total is exactly enough for the no
+    p = unique_map_to_point(boundary(2, 2))
+    steps = _Steps(10**9)
+    assert _rlp_by_faces(p, 1, 0, steps) and _rlp_by_faces(p, 1, 1, steps)
+    assert not _rlp_by_faces(p, 2, 0, steps)
+    total = 10**9 - steps.left
+    v = is_kan_fibration(p, Budget(max_steps=total))
+    assert v.is_no and v.witness["horn"] == (2, 0)
+    assert not naive_diagonal_exists(v.witness["square"])
+    v = is_kan_fibration(p, Budget(max_steps=total - 1))
     assert v.kind == "unknown" and v.reason == BUDGET
 
 

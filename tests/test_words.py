@@ -142,6 +142,17 @@ def test_walking_arrow_free_inverse_does_not_stabilize():
         pushout_generating(base, att, glue, Budget(max_words=6, max_steps=10**6))
 
 
+def test_pushout_budget_exceeded_past_max_steps():
+    # the generator between disjoint objects stabilizes within B, but its
+    # closure composes more than one pair of words
+    base, _ = coproduct([singleton_cat(D, "a"), singleton_cat(D, "b")])
+    att = point_attachment()
+    glue = glue_for_u(att, base, 0, 1, empty_hom_map(att, base, 0, 1))
+    assert pushout_generating(base, att, glue, B).stabilized
+    with pytest.raises(BudgetExceeded):
+        pushout_generating(base, att, glue, Budget(max_words=B.max_words, max_steps=1))
+
+
 def test_adjoin_generator_to_disjoint_objects_stabilizes():
     # the same free generator between two objects with no path back is fine
     base, _ = coproduct([singleton_cat(D, "a"), singleton_cat(D, "b")])
