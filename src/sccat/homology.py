@@ -12,9 +12,10 @@ weak-equivalence checkers consume.  Finitely generated abelian groups are
 Hopfian, so between groups with equal invariants the induced map is an
 isomorphism iff it is onto.  That is one lattice test: the image cycles
 together with the target boundaries must span the target cycle lattice,
-which one Smith normal form decides without coordinates.  Each boundary
-matrix is factored once per complex and cached with it, so Betti
-numbers, cycle bases and ranks share one factorization.
+which its invariant factors decide without coordinates.  Each boundary
+matrix is reduced once per complex (`intmat.invariant_factors`) and its
+invariant factors, which give ranks, Betti numbers and torsion, are cached
+with it; the cycle basis is a separate cache, read on the source side only.
 """
 from __future__ import annotations
 
@@ -62,16 +63,27 @@ def boundary_matrix(x: SimplicialSet, k: int):
     return mat
 
 
-def _boundary_snf(x: SimplicialSet, k: int) -> intmat.SnfResult:
-    """The Smith normal form of d_k, factored once per complex."""
-    key = ("snf", k)
+def _boundary_factors(x: SimplicialSet, k: int) -> list:
+    """The invariant factors of d_k, computed once per complex."""
+    key = ("factors", k)
     if key not in x._cache:
-        x._cache[key] = intmat.smith_normal_form(boundary_matrix(x, k))
+        x._cache[key] = intmat.invariant_factors(boundary_matrix(x, k))
+    return x._cache[key]
+
+
+def _cycle_basis(x: SimplicialSet, k: int):
+    """A basis of Z_k X as matrix columns, computed once per complex.  The
+    0-row d_0 reads as shape (0, 0), so its kernel is not asked for."""
+    key = ("cycles", k)
+    if key not in x._cache:
+        n = len(x.nondeg_indices(k))
+        x._cache[key] = (intmat.from_columns(intmat.kernel_basis(boundary_matrix(x, k)), n)
+                         if k else intmat.identity(n))
     return x._cache[key]
 
 
 def assert_chain_complex(x: SimplicialSet) -> None:
-    """dd = 0 on the normalized complex; raised eagerly before any SNF.
+    """dd = 0 on the normalized complex; raised eagerly before any reduction.
     A complex that passes is marked in its cache and not multiplied out
     again; one that fails raises on every call."""
     if "chain_complex" in x._cache:
@@ -97,10 +109,9 @@ def homology(x: SimplicialSet, k: int) -> tuple:
         return x._cache[key]
     assert_chain_complex(x)
     n_k = len(x.nondeg_indices(k))
-    rank_k = _boundary_snf(x, k).rank() if k > 0 else 0
-    snf_above = _boundary_snf(x, k + 1)
-    betti = (n_k - rank_k) - snf_above.rank()
-    torsion = sorted(d for d in snf_above.invariant_factors() if d != 1)
+    above = _boundary_factors(x, k + 1)
+    betti = n_k - len(_boundary_factors(x, k)) - len(above)
+    torsion = sorted(d for d in above if d != 1)
     if betti < 0:
         raise StructureError("negative betti number: boundary data inconsistent")
     result = (betti, torsion)
@@ -150,24 +161,20 @@ def homology_map_is_iso(f: SSetMap, k: int) -> bool:
     With equal groups on both sides, H_k(f) is an isomorphism iff it is
     onto, i.e. iff f(Z_k X) + B_k Y = Z_k Y.  The cycle lattice Z_k Y is a
     kernel, hence saturated, so the glued generators span it iff their rank
-    is dim Z_k Y and every invariant factor is 1.
+    is dim Z_k Y and every invariant factor is 1.  The target's cached
+    invariant factors give dim Z_k Y; the cycle basis is read on the
+    source side only.
     """
     x, y = f.source, f.target
     if homology(x, k) != homology(y, k):
         return False
-    n_x = len(x.nondeg_indices(k))
-    if k == 0:
-        # a 0-row matrix reads as shape (0, 0), so d_0 has no usable kernel
-        cycles = intmat.identity(n_x)
-    else:
-        cycles = intmat.from_columns(_boundary_snf(x, k).kernel_basis(), n_x)
-    images = intmat.matmul(chain_map_matrix(f, k), cycles)
+    images = intmat.matmul(chain_map_matrix(f, k), _cycle_basis(x, k))
     d_y = boundary_matrix(y, k)
     if any(any(row) for row in intmat.matmul(d_y, images)):
         raise StructureError("cycle maps to a non-cycle")
     glued = [a + b for a, b in zip(images, boundary_matrix(y, k + 1))]
-    cycle_rank = len(y.nondeg_indices(k)) - (_boundary_snf(y, k).rank() if k > 0 else 0)
-    factors = intmat.smith_normal_form(glued).invariant_factors()
+    cycle_rank = len(y.nondeg_indices(k)) - len(_boundary_factors(y, k))
+    factors = intmat.invariant_factors(glued)
     return len(factors) == cycle_rank and all(d == 1 for d in factors)
 
 

@@ -1,10 +1,15 @@
 """Exact integer matrix arithmetic: Smith normal form, kernels, solving.
 
-Matrices are rectangular lists of lists of Python ints, row major.  All
-arithmetic is exact; nothing here touches floating point.  The Smith
-normal form keeps both transforms so results can be re-checked by
-multiplication, and pivot selection is deterministic (smallest absolute
-value, then lowest row, then lowest column) so witnesses are reproducible.
+Matrices are rectangular lists of lists of Python ints, row major; all
+arithmetic is exact.  Invariant factors, ranks and kernels are reduced
+sparsely first: boundary and relator matrices have a +-1 pivot almost
+everywhere, and each splits off a summand 1 by unimodular column
+operations (Kaczynski, Mrozek and Slusarek 1998; Dumas, Heckenbach,
+Saunders and Welker 2003).  Only the block left without a unit is put
+through the one dense Smith normal form.  It keeps both transforms, for
+the residual kernel, for `solve`, and so tests can re-check it by
+multiplication as the reduction's oracle; its pivot rule (smallest
+absolute value, then lowest row, then lowest column) is deterministic.
 """
 from __future__ import annotations
 
@@ -246,17 +251,88 @@ def smith_normal_form(a: Matrix) -> SnfResult:
     return SnfResult(left=left, diagonal=d, right=right)
 
 
+def _sub_multiple(dst: dict, q: int, src: dict) -> None:
+    """dst -= q * src, on sparse vectors."""
+    for i, v in src.items():
+        w = dst.get(i, 0) - q * v
+        if w:
+            dst[i] = w
+        else:
+            dst.pop(i, None)
+
+
+def _column_reduce(a: Matrix) -> tuple:
+    """Eliminate the +-1 pivots of `a` by sparse unimodular column operations.
+
+    Passes visit the live columns (`{row: value}` dicts) in index order;
+    each takes its unit in the row with the fewest live entries, then the
+    lowest, and clears that row from every other live column.  So `a` is
+    equivalent to 1^units + L, L the live block.  Returns (units, [(live
+    column, transform column t), ...]), where `a` t is the live column.
+    """
+    m, n = shape(a)
+    cols = [{i: a[i][j] for i in range(m) if a[i][j]} for j in range(n)]
+    trans = [{j: 1} for j in range(n)]
+    where = [{j for j in range(n) if a[i][j]} for i in range(m)]  # row -> live columns
+    live = [True] * n
+    units, progress = 0, True
+    while progress:
+        progress = False
+        for j in range(n):
+            col = cols[j]
+            rows = [i for i, v in col.items() if v in (1, -1)] if live[j] else []
+            if not rows:
+                continue
+            r = min(rows, key=lambda i: (len(where[i]), i))
+            live[j], units, progress = False, units + 1, True
+            for i in col:
+                where[i].discard(j)
+            for c in sorted(where[r]):
+                q = cols[c][r] * col[r]
+                _sub_multiple(cols[c], q, col)
+                _sub_multiple(trans[c], q, trans[j])
+                for i in col:
+                    if i in cols[c]:
+                        where[i].add(c)
+                    else:
+                        where[i].discard(c)
+    return units, [(cols[j], trans[j]) for j in range(n) if live[j]]
+
+
+def _dense_block(live: list) -> Matrix:
+    """The nonzero live columns as a dense matrix on the rows they touch."""
+    rows = sorted({i for col, _ in live for i in col})
+    return [[col.get(i, 0) for col, _ in live] for i in rows]
+
+
+def invariant_factors(a: Matrix) -> list:
+    """The nonzero diagonal of the Smith normal form of `a`, in order."""
+    units, live = _column_reduce(a)
+    block = _dense_block([ct for ct in live if ct[0]])
+    return [1] * units + (smith_normal_form(block).invariant_factors() if block else [])
+
+
 def rank(a: Matrix) -> int:
-    return smith_normal_form(a).rank()
+    return len(invariant_factors(a))
 
 
 def kernel_basis(a: Matrix) -> list:
-    """Basis of the integer kernel, as column vectors (lists of ints).
+    """Saturated basis of the integer kernel, as column vectors (lists of ints).
 
-    Columns of the right transform whose diagonal entry vanishes form a
-    saturated basis, so integral cycles always have integral coordinates.
+    The transform T is unimodular, so ker a = T (0 + ker L): the transforms
+    of the zero live columns, then the dense kernel of the others through T.
     """
-    return smith_normal_form(a).kernel_basis()
+    n = shape(a)[1]
+    _, live = _column_reduce(a)
+    basis = [t for col, t in live if not col]
+    nonzero = [ct for ct in live if ct[0]]
+    if nonzero:
+        for v in smith_normal_form(_dense_block(nonzero)).kernel_basis():
+            vec = {}
+            for vk, (_, t) in zip(v, nonzero):
+                _sub_multiple(vec, -vk, t)
+            basis.append(vec)
+    return [[vec.get(i, 0) for i in range(n)] for vec in basis]
 
 
 def solve(a: Matrix, b: list) -> list | None:

@@ -6,8 +6,8 @@ that miss a breadth-first spanning tree, relators come from the boundaries
 of nondegenerate 2-simplices, with tree edges and degenerate edges read as
 the identity.
 
-Triviality is decided with cheap sound obstructions first (the Smith form
-of the abelianized relator matrix gives a definite "no"), then a bounded
+Triviality is decided with cheap sound obstructions first (the invariant
+factors of the abelianized relator matrix give a definite "no"), then a bounded
 Todd-Coxeter coset enumeration over the trivial subgroup: if it completes,
 the group order is the number of surviving cosets, which settles the
 question either way; if the coset table overflows its budget the verdict
@@ -63,10 +63,7 @@ def abelianized_matrix(p: GroupPresentation):
 
 def abelianization_invariants(p: GroupPresentation) -> tuple:
     """(betti, torsion list) of the abelianized group."""
-    if p.n_generators == 0:
-        return (0, [])
-    snf = intmat.smith_normal_form(abelianized_matrix(p))
-    facs = snf.invariant_factors()
+    facs = intmat.invariant_factors(abelianized_matrix(p))
     betti = p.n_generators - len(facs)
     torsion = sorted(d for d in facs if d != 1)
     return (betti, torsion)

@@ -10,9 +10,10 @@ from sccat.homology import (
 )
 from sccat.sset import (
     SimplicialSet, SSetMap, boundary, boundary_inclusion, derive_records,
-    disjoint_union, enumerate_sset_maps, from_nondegenerate, horn, horn_inclusion,
-    identity_map, pi0, point, standard_simplex,
+    disjoint_union, enumerate_sset_maps, from_nondegenerate, from_simplicial_complex, horn,
+    horn_inclusion, identity_map, pi0, point, standard_simplex,
 )
+from sccat.ssetcheck import is_weakly_contractible
 from sccat.verdict import StructureError
 from tests.test_sset import projective_plane
 
@@ -238,3 +239,41 @@ def test_homology_iso_iff_mapping_cone_acyclic(data):
     if not ok:
         # H_degree(f) fails to be onto (cone degree) or one-to-one (degree + 1)
         assert bad[0] in (degree, degree + 1)
+
+
+# ---------------------------------------------------------------------------
+# unit pivots are eliminated sparsely; only what is left is factored densely
+
+def torus_facets():
+    """The 3x3 grid with opposite sides identified: 9 vertices, 18 triangles."""
+    out = []
+    for i in range(3):
+        for j in range(3):
+            a, b = 3 * i + j, 3 * ((i + 1) % 3) + j
+            c, d = 3 * ((i + 1) % 3) + (j + 1) % 3, 3 * i + (j + 1) % 3
+            out += [(a, b, c), (a, d, c)]
+    return out
+
+
+def grid_disk_facets(n):
+    """An n x n grid of vertices, each square cut along a diagonal."""
+    out = []
+    for i in range(n - 1):
+        for j in range(n - 1):
+            a = i * n + j
+            out += [(a, a + 1, a + n + 1), (a, a + n, a + n + 1)]
+    return out
+
+
+def test_unit_pivots_leave_no_dense_snf(monkeypatch):
+    dense = []
+    snf = intmat.smith_normal_form
+    monkeypatch.setattr(intmat, "smith_normal_form", lambda a: dense.append(a) or snf(a))
+    torus = from_simplicial_complex(torus_facets(), 3)
+    assert homology_iso_all_degrees(identity_map(torus)) == (True, None)
+    assert dense == []
+    assert is_weakly_contractible(from_simplicial_complex(grid_disk_facets(4), 2)).is_yes
+    assert dense == []
+    # RP^2: d_1 = [[0]] has no pivot to factor, d_2 = [[2]] has no unit
+    assert homology(projective_plane(2), 1) == (0, [2])
+    assert dense == [[[2]]]

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sccat import intmat
 
@@ -76,3 +77,56 @@ def test_determinant_matches_expansion():
     assert intmat.determinant([[1, 2], [3, 4]]) == -2
     assert intmat.determinant([[2, 0, 1], [1, 1, 0], [0, 3, 1]]) == 5
     assert intmat.determinant([[0, 1], [1, 0]]) == -1
+
+
+# ---------------------------------------------------------------------------
+# oracle: the sparse unit-pivot reduction against the dense Smith normal form
+
+@st.composite
+def small_matrices(draw):
+    """Up to 7 x 8; entries from a pool with units, or from one without any,
+    so that the dense residual path runs."""
+    pool = draw(st.sampled_from([(-1, 0, 0, 1), (-3, -2, 0, 0, 2, 3)]))
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    return [[draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(m)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_matrices())
+@example([])
+@example([[], [], []])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[2, 3], [3, 2]])
+def test_reduction_matches_dense_snf(a):
+    ncols = intmat.shape(a)[1]
+    assert intmat.invariant_factors(a) == intmat.smith_normal_form(a).invariant_factors()
+    assert intmat.rank(a) == intmat.rank_rational(a)
+    basis = intmat.kernel_basis(a)
+    assert len(basis) == ncols - intmat.rank_rational(a)
+    for vec in basis:
+        assert all(sum(v * x for v, x in zip(row, vec)) == 0 for row in a)
+    if basis:
+        # saturated: the basis columns have only unit invariant factors
+        cols = intmat.from_columns(basis, ncols)
+        assert intmat.smith_normal_form(cols).invariant_factors() == [1] * len(basis)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_matrices())
+@example([])
+@example([[], [], []])
+@example([[0, 0, 0], [0, 0, 0]])
+def test_invariant_factors_match_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    expected = invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)
+    assert intmat.invariant_factors(a) == [abs(int(d)) for d in expected if d]
+
+
+def test_reduction_passes_again_for_units_made_by_a_pivot(monkeypatch):
+    # column 0 has no unit until the pivot of column 1 clears row 0 from it
+    dense = []
+    snf = intmat.smith_normal_form
+    monkeypatch.setattr(intmat, "smith_normal_form", lambda a: dense.append(a) or snf(a))
+    assert intmat.invariant_factors([[2, 1], [3, 1]]) == [1, 1]
+    assert dense == []
