@@ -13,9 +13,9 @@ Hopfian, so between groups with equal invariants the induced map is an
 isomorphism iff it is onto.  That is one lattice test: the image cycles
 together with the target boundaries must span the target cycle lattice,
 which its invariant factors decide without coordinates.  Each boundary
-matrix is reduced once per complex (`intmat.invariant_factors`) and its
-invariant factors, which give ranks, Betti numbers and torsion, are cached
-with it; the cycle basis is a separate cache, read on the source side only.
+matrix is reduced once per complex (`intmat.Reduction`) and cached; its
+invariant factors give ranks, Betti numbers and torsion, and the source
+side's cycle basis is read off the same reduction.
 """
 from __future__ import annotations
 
@@ -63,11 +63,12 @@ def boundary_matrix(x: SimplicialSet, k: int):
     return mat
 
 
-def _boundary_factors(x: SimplicialSet, k: int) -> list:
-    """The invariant factors of d_k, computed once per complex."""
-    key = ("factors", k)
+def _boundary_reduction(x: SimplicialSet, k: int) -> intmat.Reduction:
+    """The reduction of d_k, computed once per complex: its invariant
+    factors and its cycle basis are both read off it."""
+    key = ("reduced", k)
     if key not in x._cache:
-        x._cache[key] = intmat.invariant_factors(boundary_matrix(x, k))
+        x._cache[key] = intmat.Reduction(boundary_matrix(x, k))
     return x._cache[key]
 
 
@@ -77,7 +78,7 @@ def _cycle_basis(x: SimplicialSet, k: int):
     key = ("cycles", k)
     if key not in x._cache:
         n = len(x.nondeg_indices(k))
-        x._cache[key] = (intmat.from_columns(intmat.kernel_basis(boundary_matrix(x, k)), n)
+        x._cache[key] = (intmat.from_columns(_boundary_reduction(x, k).kernel_basis(), n)
                          if k else intmat.identity(n))
     return x._cache[key]
 
@@ -109,8 +110,8 @@ def homology(x: SimplicialSet, k: int) -> tuple:
         return x._cache[key]
     assert_chain_complex(x)
     n_k = len(x.nondeg_indices(k))
-    above = _boundary_factors(x, k + 1)
-    betti = n_k - len(_boundary_factors(x, k)) - len(above)
+    above = _boundary_reduction(x, k + 1).invariant_factors()
+    betti = n_k - len(_boundary_reduction(x, k).invariant_factors()) - len(above)
     torsion = sorted(d for d in above if d != 1)
     if betti < 0:
         raise StructureError("negative betti number: boundary data inconsistent")
@@ -173,7 +174,7 @@ def homology_map_is_iso(f: SSetMap, k: int) -> bool:
     if any(any(row) for row in intmat.matmul(d_y, images)):
         raise StructureError("cycle maps to a non-cycle")
     glued = [a + b for a, b in zip(images, boundary_matrix(y, k + 1))]
-    cycle_rank = len(y.nondeg_indices(k)) - len(_boundary_factors(y, k))
+    cycle_rank = len(y.nondeg_indices(k)) - len(_boundary_reduction(y, k).invariant_factors())
     factors = intmat.invariant_factors(glued)
     return len(factors) == cycle_rank and all(d == 1 for d in factors)
 

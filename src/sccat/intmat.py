@@ -6,10 +6,12 @@ sparsely first: boundary and relator matrices have a +-1 pivot almost
 everywhere, and each splits off a summand 1 by unimodular column
 operations (Kaczynski, Mrozek and Slusarek 1998; Dumas, Heckenbach,
 Saunders and Welker 2003).  Only the block left without a unit is put
-through the one dense Smith normal form.  It keeps both transforms, for
-the residual kernel, for `solve`, and so tests can re-check it by
-multiplication as the reduction's oracle; its pivot rule (smallest
-absolute value, then lowest row, then lowest column) is deterministic.
+through the one dense Smith normal form.  A `Reduction` holds both
+stages, so a caller that caches it reads invariant factors and kernel
+off one pass.  The dense form keeps both transforms, for the residual
+kernel, for `solve`, and so tests can re-check it by multiplication as
+the reduction's oracle; its pivot rule (smallest absolute value, then
+lowest row, then lowest column) is deterministic.
 """
 from __future__ import annotations
 
@@ -305,11 +307,41 @@ def _dense_block(live: list) -> Matrix:
     return [[col.get(i, 0) for col, _ in live] for i in rows]
 
 
+class Reduction:
+    """A matrix reduced once: its +-1 pivots split off sparsely, then the
+    live block put through the dense Smith normal form.  Invariant factors
+    and kernel basis are both read off it.  `live` holds the (live column,
+    transform column) pairs; `snf` is None when no live column is nonzero.
+    """
+    __slots__ = ("units", "live", "snf", "n")
+
+    def __init__(self, a: Matrix):
+        self.units, self.live = _column_reduce(a)
+        nonzero = [ct for ct in self.live if ct[0]]
+        self.snf = smith_normal_form(_dense_block(nonzero)) if nonzero else None
+        self.n = shape(a)[1]
+
+    def invariant_factors(self) -> list:
+        return [1] * self.units + (self.snf.invariant_factors() if self.snf else [])
+
+    def kernel_basis(self) -> list:
+        """The transform T is unimodular, so ker a = T (0 + ker L): the
+        transforms of the zero live columns, then the dense kernel of the
+        others through T."""
+        basis = [t for col, t in self.live if not col]
+        if self.snf:
+            nonzero = [ct for ct in self.live if ct[0]]
+            for v in self.snf.kernel_basis():
+                vec = {}
+                for vk, (_, t) in zip(v, nonzero):
+                    _sub_multiple(vec, -vk, t)
+                basis.append(vec)
+        return [[vec.get(i, 0) for i in range(self.n)] for vec in basis]
+
+
 def invariant_factors(a: Matrix) -> list:
     """The nonzero diagonal of the Smith normal form of `a`, in order."""
-    units, live = _column_reduce(a)
-    block = _dense_block([ct for ct in live if ct[0]])
-    return [1] * units + (smith_normal_form(block).invariant_factors() if block else [])
+    return Reduction(a).invariant_factors()
 
 
 def rank(a: Matrix) -> int:
@@ -317,22 +349,8 @@ def rank(a: Matrix) -> int:
 
 
 def kernel_basis(a: Matrix) -> list:
-    """Saturated basis of the integer kernel, as column vectors (lists of ints).
-
-    The transform T is unimodular, so ker a = T (0 + ker L): the transforms
-    of the zero live columns, then the dense kernel of the others through T.
-    """
-    n = shape(a)[1]
-    _, live = _column_reduce(a)
-    basis = [t for col, t in live if not col]
-    nonzero = [ct for ct in live if ct[0]]
-    if nonzero:
-        for v in smith_normal_form(_dense_block(nonzero)).kernel_basis():
-            vec = {}
-            for vk, (_, t) in zip(v, nonzero):
-                _sub_multiple(vec, -vk, t)
-            basis.append(vec)
-    return [[vec.get(i, 0) for i in range(n)] for vec in basis]
+    """Saturated basis of the integer kernel, as column vectors (lists of ints)."""
+    return Reduction(a).kernel_basis()
 
 
 def solve(a: Matrix, b: list) -> list | None:

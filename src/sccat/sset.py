@@ -12,7 +12,9 @@ simplicial sets.
 Face and degeneracy index tables are built in two ways:
 
 * vertex-tuple complexes (standard simplices, boundaries, horns,
-  simplicial complexes), where simplices are nondecreasing vertex tuples;
+  simplicial complexes), where simplices are nondecreasing vertex tuples,
+  built from the complex's simplices: each level is those of its own
+  dimension plus the degeneracies t[:j+1] + t[j:] of the level below;
 * explicit nondegenerate skeleta (``from_nondegenerate``), where each
   nondegenerate simplex lists its faces as (base, degeneracy word) pairs,
   and the full tables are materialized from the simplicial identities.
@@ -206,31 +208,27 @@ def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> l
     ``faces_tables[k][idx]`` lists the faces of the k-simplex idx and
     ``degens_tables[k][idx]`` its degeneracies (read only for k <
     dim_bound).  A simplex x is degenerate exactly when s_j d_j x = x for
-    some j; then its base is that of d_j x and its word is s_j after the
-    word of d_j x.  The EZ decomposition is unique, so every constructor
-    builds only its tables and derives its records here.
+    some j; then its base is that of d_j x, read off the record already
+    built one level down, and its word is s_j after the word of d_j x.
+    The EZ decomposition is unique, so every constructor builds only its
+    tables and derives its records here.
     """
-    decomp = [dict() for _ in range(dim_bound + 1)]  # idx -> (base, word)
     dims = []
     for k in range(dim_bound + 1):
         level = []
-        for idx in range(len(faces_tables[k])):
-            faces = tuple(faces_tables[k][idx])
-            degens = tuple(degens_tables[k][idx]) if k + 1 <= dim_bound else ()
-            deg_j = None
+        below = dims[k - 1] if k else ()
+        degens_below = degens_tables[k - 1] if k else ()
+        for idx, faces in enumerate(faces_tables[k]):
+            faces = tuple(faces)
+            degens = tuple(degens_tables[k][idx]) if k < dim_bound else ()
             for j in range(k):
-                w = faces[j]
-                if degens_tables[k - 1][w][j] == idx:
-                    deg_j = j
+                if degens_below[faces[j]][j] == idx:
+                    rec = below[faces[j]]
+                    level.append(Simplex(faces, degens, rec.base,
+                                         word_after_degeneracy(rec.word, j)))
                     break
-            if deg_j is None:
-                decomp[k][idx] = (idx, ())
             else:
-                w = faces[deg_j]
-                b, word = decomp[k - 1][w]
-                decomp[k][idx] = (b, word_after_degeneracy(word, deg_j))
-            base, word = decomp[k][idx]
-            level.append(Simplex(faces=faces, degens=degens, base=base, word=word))
+                level.append(Simplex(faces, degens, idx, ()))
         dims.append(level)
     return dims
 
@@ -300,60 +298,53 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
 # ---------------------------------------------------------------------------
 # construction: vertex-tuple complexes
 
-def from_simplex_tuples(dim_bound: int, members) -> SimplicialSet:
-    """Simplicial set whose k-simplices are the nondecreasing (k+1)-tuples
-    produced by ``members(k + 1)``.
+def from_simplex_tuples(dim_bound: int, simplices) -> SimplicialSet:
+    """Simplicial set of a simplicial complex whose ``simplices`` are
+    nonempty sorted vertex tuples, closed under subsets, of at most
+    dim_bound + 1 entries.
 
-    The tuple family must be closed under dropping and duplicating
-    entries.  Tuples are indexed in lexicographic order.
+    Its k-simplices are the nondecreasing (k+1)-tuples whose vertex set is
+    a simplex, in lexicographic order.  By Eilenberg-Zilber each
+    degenerate one is s_j t = t[:j+1] + t[j:] of a tuple t one level
+    down, so level k is built from level k-1 and the complex's own
+    (k+1)-tuples, and the degeneracies of level k-1 are read off the same
+    tuples.  The sorted tuple levels are kept in the cache, for inclusions.
     """
-    levels = []
-    index = []
+    own = [[] for _ in range(dim_bound + 1)]
+    for t in simplices:
+        own[len(t) - 1].append(t)
+    levels, faces, degens, index = [], [], [], {}
     for k in range(dim_bound + 1):
-        tups = sorted(members(k + 1))
-        levels.append(tups)
-        index.append({t: i for i, t in enumerate(tups)})
-    faces, degens = [], []
-    for k in range(dim_bound + 1):
-        faces.append([tuple(index[k - 1][t[:i] + t[i + 1:]] for i in range(k + 1))
-                      if k else () for t in levels[k]])
-        if k < dim_bound:
-            degens.append([tuple(index[k + 1][t[:j + 1] + t[j:]] for j in range(k + 1))
-                           for t in levels[k]])
-    return SimplicialSet(dim_bound, derive_records(dim_bound, faces, degens))
+        up = [[t[:j + 1] + t[j:] for j in range(k)] for t in levels[-1]] if k else []
+        level = sorted({*own[k], *itertools.chain.from_iterable(up)})
+        below, index = index, {t: i for i, t in enumerate(level)}
+        # combinations(t, k) drops the entries of t from the last one down
+        faces.append([tuple(map(below.__getitem__, itertools.combinations(t, k)))[::-1]
+                      if k else () for t in level])
+        if k:
+            degens.append([tuple(map(index.__getitem__, row)) for row in up])
+        levels.append(level)
+    x = SimplicialSet(dim_bound, derive_records(dim_bound, faces, degens))
+    x._cache["tuples"] = levels
+    return x
 
 
-def _nondecreasing_tuples(values: list, length: int):
-    return itertools.combinations_with_replacement(values, length)
-
-
-def _simplex_members(n):
-    verts = list(range(n + 1))
-    return lambda ln: list(_nondecreasing_tuples(verts, ln))
-
-
-def _boundary_members(n):
-    verts = list(range(n + 1))
-    full = set(verts)
-    return lambda ln: [t for t in _nondecreasing_tuples(verts, ln) if set(t) != full]
-
-
-def _horn_members(n, k):
-    verts = list(range(n + 1))
-    return lambda ln: [t for t in _nondecreasing_tuples(verts, ln)
-                       if (set(verts) - set(t)) - {k}]
+def _simplex_faces(n: int, missing=()) -> list:
+    """The nonempty faces of Delta[n] as vertex tuples, less ``missing``."""
+    return [t for r in range(1, n + 2) for t in itertools.combinations(range(n + 1), r)
+            if t not in missing]
 
 
 def standard_simplex(n: int, dim_bound: int = 4) -> SimplicialSet:
     if n < 0 or n > dim_bound:
         raise InputError(f"standard_simplex: need 0 <= n <= dim_bound, got n={n}")
-    return from_simplex_tuples(dim_bound, _simplex_members(n))
+    return from_simplex_tuples(dim_bound, _simplex_faces(n))
 
 
 def boundary(n: int, dim_bound: int = 4) -> SimplicialSet:
     if n < 0 or n > dim_bound:
         raise InputError(f"boundary: need 0 <= n <= dim_bound, got n={n}")
-    return from_simplex_tuples(dim_bound, _boundary_members(n))
+    return from_simplex_tuples(dim_bound, _simplex_faces(n, {tuple(range(n + 1))}))
 
 
 def horn(n: int, k: int, dim_bound: int = 4) -> SimplicialSet:
@@ -361,7 +352,8 @@ def horn(n: int, k: int, dim_bound: int = 4) -> SimplicialSet:
         raise InputError(f"horn: need 1 <= n <= dim_bound, got n={n}")
     if k < 0 or k > n:
         raise InputError(f"horn: need 0 <= k <= n, got k={k}")
-    return from_simplex_tuples(dim_bound, _horn_members(n, k))
+    full = tuple(range(n + 1))
+    return from_simplex_tuples(dim_bound, _simplex_faces(n, {full, full[:k] + full[k + 1:]}))
 
 
 def point(dim_bound: int = 4) -> SimplicialSet:
@@ -374,22 +366,22 @@ def empty_sset(dim_bound: int = 4) -> SimplicialSet:
 
 def from_simplicial_complex(facets: list, dim_bound: int = 4) -> SimplicialSet:
     """Simplicial set of an abstract simplicial complex given by facets
-    (iterables of comparable vertex labels).  A facet of dimension above
-    ``dim_bound`` raises InputError."""
+    (iterables of hashable, comparable vertex labels).  A facet of
+    dimension above ``dim_bound`` and labels that do not sort raise
+    InputError."""
+    facets = [set(f) for f in facets]
+    try:
+        rank = {v: i for i, v in enumerate(sorted(set().union(*facets)))}
+    except TypeError:
+        raise InputError("from_simplicial_complex: vertex labels must be comparable") from None
     faces = set()
     for f in facets:
-        f = tuple(sorted(set(f)))
         if len(f) > dim_bound + 1:
-            raise InputError(f"from_simplicial_complex: facet {f} above dim_bound")
+            raise InputError(f"from_simplicial_complex: facet {tuple(sorted(f))} above dim_bound")
+        f = sorted(rank[v] for v in f)
         for r in range(1, len(f) + 1):
             faces.update(itertools.combinations(f, r))
-    verts = sorted({v for f in faces for v in f})
-
-    def members(ln):
-        return [t for t in _nondecreasing_tuples(verts, ln)
-                if tuple(sorted(set(t))) in faces]
-
-    return from_simplex_tuples(dim_bound, members)
+    return from_simplex_tuples(dim_bound, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -744,24 +736,24 @@ def attach_nondeg(x: SimplicialSet, k: int, faces: list) -> tuple:
 # ---------------------------------------------------------------------------
 # boundary and horn inclusions
 
-def _tuple_inclusion(small_members, big_members, small, big) -> SSetMap:
+def _tuple_inclusion(small: SimplicialSet, big: SimplicialSet) -> SSetMap:
+    """The inclusion of one vertex-tuple set in another: each sorted level
+    of ``small`` is a sublist of that of ``big``, matched in one walk."""
     assign = []
-    for k in range(small.dim_bound + 1):
-        index = {t: i for i, t in enumerate(sorted(big_members(k + 1)))}
-        assign.append([index[t] for t in sorted(small_members(k + 1))])
+    for lows, highs in zip(small._cache["tuples"], big._cache["tuples"]):
+        walk = iter(enumerate(highs))
+        assign.append([next(i for i, t in walk if t == s) for s in lows])
     return SSetMap(small, big, assign)
 
 
 def boundary_inclusion(n: int, dim_bound: int = 4) -> SSetMap:
     """The inclusion of the boundary into the n-simplex."""
-    return _tuple_inclusion(_boundary_members(n), _simplex_members(n),
-                            boundary(n, dim_bound), standard_simplex(n, dim_bound))
+    return _tuple_inclusion(boundary(n, dim_bound), standard_simplex(n, dim_bound))
 
 
 def horn_inclusion(n: int, k: int, dim_bound: int = 4) -> SSetMap:
     """The inclusion of the (n, k)-horn into the n-simplex."""
-    return _tuple_inclusion(_horn_members(n, k), _simplex_members(n),
-                            horn(n, k, dim_bound), standard_simplex(n, dim_bound))
+    return _tuple_inclusion(horn(n, k, dim_bound), standard_simplex(n, dim_bound))
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,13 @@ def test_from_simplicial_complex_rejects_facets_above_dim_bound():
             == standard_simplex(2, dim_bound=2))
 
 
+def test_from_simplicial_complex_rejects_incomparable_labels():
+    # within one facet, and across facets (only the vertex order compares them)
+    for facets in ([(0, "a")], [(0,), ("a",)]):
+        with pytest.raises(InputError):
+            from_simplicial_complex(facets, 2)
+
+
 @pytest.mark.parametrize("n,d", [(n, d) for d in range(5) for n in range(d + 1)])
 def test_inclusion_sources_are_the_constructors(n, d):
     assert boundary_inclusion(n, d).source == boundary(n, d)
@@ -376,3 +383,69 @@ def test_derived_records_validate(data):
         z, new = attach_nondeg(z, k, list(z.dims[k][idx].faces))
         assert validate_sset(z) == []
         assert z.dims[k][new].nondeg
+
+
+# -- vertex-tuple sets against the slow reference ------------------------------
+#
+# The constructors build each level from the one below; the reference filters
+# every nondecreasing tuple over the vertices, slices out faces and
+# degeneracies, and reads the EZ decomposition off the repeated entries:
+# t = s_j1 ... s_jr u, where u drops the repeats and j1 > ... > jr are the
+# positions i with t[i] == t[i + 1].
+
+def reference_tuples(simplices, dim_bound):
+    """(sorted tuple levels, records as (faces, degens, base, word))."""
+    simplices = set(simplices)
+    verts = sorted({v for t in simplices for v in t})
+    levels = [sorted(t for t in itertools.combinations_with_replacement(verts, k + 1)
+                     if tuple(sorted(set(t))) in simplices) for k in range(dim_bound + 1)]
+    index = [{t: i for i, t in enumerate(level)} for level in levels]
+    records = []
+    for k, level in enumerate(levels):
+        records.append([])
+        for t in level:
+            u = tuple(sorted(set(t)))
+            records[k].append((
+                tuple(index[k - 1][t[:i] + t[i + 1:]] for i in range(k + 1)) if k else (),
+                tuple(index[k + 1][t[:j + 1] + t[j:]] for j in range(k + 1))
+                if k < dim_bound else (),
+                index[len(u) - 1][u],
+                tuple(i for i in reversed(range(k)) if t[i] == t[i + 1])))
+    return levels, records
+
+
+def records_of(x):
+    return [[(s.faces, s.degens, s.base, s.word) for s in level] for level in x.dims]
+
+
+def closure(facets):
+    return {c for f in facets for r in range(1, len(f) + 1)
+            for c in itertools.combinations(sorted(f), r)}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_tuple_sets_match_the_reference(data):
+    d = data.draw(st.integers(0, 4))
+    labels = data.draw(st.sampled_from([[3, -1, 7, 0, 12, 5], ["b", "ab", "a", "ba", "c", "bb"]]))
+    facets = data.draw(st.lists(st.lists(st.sampled_from(labels), min_size=1,
+                                         max_size=d + 1, unique=True), max_size=4))
+    _, want = reference_tuples(closure(facets), d)
+    assert records_of(from_simplicial_complex(facets, d)) == want
+    assert records_of(sset.from_simplex_tuples(d, sorted(closure(facets)))) == want
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for d in range(5) for n in range(d + 1)])
+def test_simplex_boundary_horn_and_inclusions_match_the_reference(n, d):
+    full = tuple(range(n + 1))
+    faces = closure([full])
+    big, want = reference_tuples(faces, d)
+    assert records_of(standard_simplex(n, d)) == want
+    sides = [(boundary_inclusion(n, d), faces - {full})]
+    sides += [(horn_inclusion(n, k, d), faces - {full, full[:k] + full[k + 1:]})
+              for k in range(n + 1) if n >= 1]
+    for inc, small_faces in sides:
+        small, want = reference_tuples(small_faces, d)
+        assert records_of(inc.source) == want
+        assert inc.assign == tuple(tuple(big[k].index(t) for t in small[k])
+                                   for k in range(d + 1))
