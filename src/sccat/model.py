@@ -11,12 +11,11 @@ the acceptance suite cross-checks them.
 A functor U(K) -> C is a pair of objects (c, c'), possibly equal, with a
 map K -> Hom_C(c, c'), since U(K) has no composites but identities.  So f
 has the right lifting property against U(i) iff every hom map f_{c,c'}
-has it against i.  Factorization uses this for the generators U(horn) of
-A1 and U(boundary) of C1: each round decides them hom by hom on the
-Yoneda data of ``ssetcheck``, which also names the first square with no
-lift, and decides C2 on objects.  The generic functor search stays the
-route of ``has_rlp_against_set``, the independent check of the
-definitional route.
+has it against i.  Route (b) and each round of factorization decide the
+generators U(boundary) of C1 and U(horn) of A1 this way, hom by hom on
+the Yoneda data of ``ssetcheck``, which also names the first square with
+no lift, and C2 on objects.  The generic functor search of
+``has_rlp_against_set`` stays as the independent check of both routes.
 
 Cofibration checking is witness-based: a degeneracy-closed generator
 marking that passes the free-map check, or a strong-retract witness.  The
@@ -27,19 +26,20 @@ short.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .cat import is_equivalence
 from .constructions_basic import inclusion_of_object
 from .scat import (SFunctor, SimplicialCategory, compose_sfunctors,
                    coproduct, identity_sfunctor, is_homotopy_equivalence,
-                   pi0_functor, singleton_cat, u_functor)
+                   functor_U, pi0_functor, singleton_cat, u_functor)
 from .search import enumerate_sfunctors
-from .sset import SSetMap, boundary_inclusion, horn_inclusion
+from .sset import SSetMap, _tuple_inclusion, boundary, horn, standard_simplex
 from .ssetcheck import (_first_square, _kan_fibration, _unfilled,
                         is_weak_equivalence_sset, is_weakly_contractible)
 from .verdict import (BUDGET, Budget, BudgetExceeded, InputError, Verdict,
                       _Steps, aggregate)
-from .words import (Attachment, glue_for_c2, pushout_generating,
+from .words import (Attachment, _u_attachment, glue_for_c2, pushout_generating,
                     pushout_mediating)
 
 
@@ -187,6 +187,15 @@ def _first_unliftable_c2(f: SFunctor, gen: GeneratorMap):
         bottom=inclusion_of_object(f.target, d, gen.map.target))
 
 
+def _first_unliftable_gen(f: SFunctor, gen: GeneratorMap, steps: _Steps):
+    """The first square against the A1, C1 or C2 generator ``gen`` with no lift, or None."""
+    if gen.cell is not None:
+        return _first_unliftable_cell(f, gen, steps)
+    if gen.attachment.kind == "c2":
+        return _first_unliftable_c2(f, gen)
+    raise InputError(f"{gen.name} is not A1, C1 or C2")
+
+
 # ---------------------------------------------------------------------------
 # the three classes
 
@@ -238,11 +247,20 @@ def is_acyclic_fibration(f: SFunctor, budget: Budget | None = None) -> Verdict:
 
 
 def is_acyclic_fibration_by_rlp(f: SFunctor, budget: Budget | None = None) -> Verdict:
-    """Route (b): RLP against the generating cofibrations C1 and C2."""
+    """Route (b): RLP against C1[0..n_max], then C2, decided like a round of
+    ``factor_bounded``: all joins share one count of ``budget.max_steps``."""
     budget = budget or Budget()
     n_max = min(budget.max_dim, f.source.dim_bound)
-    gens = generating_cofibrations(n_max, f.source.dim_bound)
-    v = has_rlp_against_set(f, gens, budget)
+    steps = _Steps(budget.max_steps)
+    v = Verdict.yes(witness={"all_squares_lift": True})
+    try:
+        for gen in generating_cofibrations(n_max, f.source.dim_bound):
+            square = _first_unliftable_gen(f, gen, steps)
+            if square is not None:
+                v = Verdict.no(witness={"generator": gen.name, "square": square})
+                break
+    except BudgetExceeded:
+        v = Verdict.unknown(BUDGET)
     return Verdict(v.kind, witness=v.witness, reason=v.reason,
                    qualifier={**v.qualifier, "route": "b", "n_max": n_max})
 
@@ -266,31 +284,33 @@ def c2_generator(dim_bound: int = 4) -> GeneratorMap:
     return GeneratorMap(name="C2", map=att.inc, attachment=att, dim=0)
 
 
-def generating_cofibrations(n_max: int, dim_bound: int = 4) -> list:
-    """C1 instances for 0 <= n <= n_max plus the object-adding map C2."""
+def _cell_generators(n_max: int, dim_bound: int, cells: list):
+    """U(horn (n, k) -> Delta[n]) named A1[n,k], or U(boundary -> Delta[n])
+    named C1[n] when k is None, for the cells (n, k) in order: one Delta[n]
+    and one U(Delta[n]) per n."""
     if n_max > dim_bound:
         raise InputError("n_max exceeds dim_bound")
-    gens = []
-    for n in range(n_max + 1):
-        att = Attachment.from_sset_mono(boundary_inclusion(n, dim_bound), label=f"C1[{n}]")
-        gens.append(GeneratorMap(name=att.label, map=att.inc, attachment=att, dim=n,
-                                 cell=(n, None)))
-    gens.append(c2_generator(dim_bound))
-    return gens
+    for n, group in groupby(cells, key=lambda cell: cell[0]):
+        simplex = standard_simplex(n, dim_bound)
+        u_simplex = functor_U(simplex)
+        for _, k in group:
+            sub = boundary(n, dim_bound) if k is None else horn(n, k, dim_bound)
+            att = _u_attachment(_tuple_inclusion(sub, simplex), u_simplex,
+                                f"C1[{n}]" if k is None else f"A1[{n},{k}]")
+            yield GeneratorMap(name=att.label, map=att.inc, attachment=att, dim=n,
+                               cell=(n, k))
+
+
+def generating_cofibrations(n_max: int, dim_bound: int = 4) -> list:
+    """C1 instances for 0 <= n <= n_max plus the object-adding map C2."""
+    return [*_cell_generators(n_max, dim_bound, [(n, None) for n in range(n_max + 1)]),
+            c2_generator(dim_bound)]
 
 
 def generating_acyclic_a1(n_max: int, dim_bound: int = 4) -> list:
     """A1 instances for 1 <= n <= n_max, 0 <= k <= n."""
-    if n_max > dim_bound:
-        raise InputError("n_max exceeds dim_bound")
-    gens = []
-    for n in range(1, n_max + 1):
-        for k in range(n + 1):
-            att = Attachment.from_sset_mono(horn_inclusion(n, k, dim_bound),
-                                            label=f"A1[{n},{k}]")
-            gens.append(GeneratorMap(name=att.label, map=att.inc, attachment=att, dim=n,
-                                     cell=(n, k)))
-    return gens
+    return list(_cell_generators(n_max, dim_bound, [(n, k) for n in range(1, n_max + 1)
+                                                    for k in range(n + 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +554,7 @@ def factor_bounded(f: SFunctor, gens, budget: Budget | None = None) -> FactorRes
         square = None
         try:
             for gen in gens:
-                if gen.cell is not None:
-                    square = _first_unliftable_cell(right, gen, steps)
-                elif gen.attachment.kind == "c2":
-                    square = _first_unliftable_c2(right, gen)
-                else:
-                    raise InputError(f"factor_bounded: {gen.name} is not A1, C1 or C2")
+                square = _first_unliftable_gen(right, gen, steps)
                 if square is not None:
                     break
             if square is None or len(cells) >= max_cells:

@@ -91,9 +91,9 @@ class Budget:
     join steps or pushout word compositions.  For ``is_kan_fibration`` and
     ``is_acyclic_fibration_sset``, max_steps is one total per top-level
     call over all horns or boundaries, for ``is_fibration`` one total over
-    the horns of every hom map, and for ``factor_bounded`` one total over
-    the hom-wise lifting checks of every round; naming a counterexample
-    square charges nothing.  Each functor search (route (b),
+    the horns of every hom map, and for route (b) and ``factor_bounded``
+    one total over the hom-wise lifting checks of the whole call; naming a
+    counterexample square charges nothing.  Each functor search (as in
     ``solve_lifting``) and each pushout gets max_steps of its own.
     """
     max_dim: int = 4

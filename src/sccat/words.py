@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .constructions_basic import inclusion_of_object
 from .scat import (SFunctor, SimplicialCategory, build_compose,
-                   compose_sfunctors, singleton_cat, functor_U_map, empty_cat,
+                   compose_sfunctors, singleton_cat, functor_U, empty_cat,
                    u_functor)
 from .sset import SimplicialSet, SSetMap, derive_records
 from .verdict import Budget, BudgetExceeded, InputError, _Steps
@@ -57,11 +57,7 @@ class Attachment:
 
     @staticmethod
     def from_sset_mono(i: SSetMap, label: str = "") -> "Attachment":
-        if any(len(set(i.assign[k])) != i.source.size(k) for k in range(i.source.dim_bound + 1)):
-            raise InputError("attachment needs a monomorphism of simplicial sets")
-        inc = functor_U_map(i)
-        return Attachment(kind="usset", A=inc.source, F=inc.target, inc=inc,
-                          label=label or "U(mono)")
+        return _u_attachment(i, functor_U(i.target), label)
 
     @staticmethod
     def a2(h: SimplicialCategory, x_index: int = 0, label: str = "a2") -> "Attachment":
@@ -70,6 +66,15 @@ class Attachment:
         a = singleton_cat(h.dim_bound, label=str(h.objects[x_index]))
         inc = inclusion_of_object(h, x_index, a)
         return Attachment(kind="a2", A=a, F=h, inc=inc, label=label)
+
+
+def _u_attachment(i: SSetMap, u_target: SimplicialCategory, label: str) -> Attachment:
+    """``Attachment.from_sset_mono(i, label)`` into u_target = U(i.target)."""
+    if any(len(set(i.assign[k])) != i.source.size(k) for k in range(i.source.dim_bound + 1)):
+        raise InputError("attachment needs a monomorphism of simplicial sets")
+    inc = u_functor(functor_U(i.source), u_target, 0, 1, i)
+    return Attachment(kind="usset", A=inc.source, F=inc.target, inc=inc,
+                      label=label or "U(mono)")
 
 
 @dataclass

@@ -177,6 +177,14 @@ def test_generators_build_their_map_once(d):
         assert att.A is att.inc.source and att.F is att.inc.target
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_horns_of_one_dimension_share_their_target(d):
+    targets = {}
+    for g in generating_acyclic_a1(d, d):
+        assert g.map.target is targets.setdefault(g.dim, g.map.target)
+    assert sorted(targets) == list(range(1, d + 1))
+
+
 def test_generator_maps_validate():
     for g in generating_cofibrations(2, D) + generating_acyclic_a1(2, D):
         assert validate_sfunctor(g.map) == []
@@ -251,8 +259,8 @@ def test_rlp_a1_detects_non_kan_hom():
 
 
 def test_route_b_and_solve_lifting_read_unknown_past_max_steps():
-    # the functor searches of route (b) and of one lifting square run out
-    # of a one-step budget: unknown, never a raise
+    # the joins of route (b) and the functor search of one lifting square
+    # run out of a one-step budget: unknown, never a raise
     f = identity_sfunctor(codiscrete_groupoid(2, D))
     v = is_acyclic_fibration_by_rlp(f, Budget(max_dim=1, max_steps=1))
     assert v.kind == "unknown" and v.reason == BUDGET
@@ -562,3 +570,65 @@ def test_join_reads_the_endomorphism_homs():
     assert not verdicts[False, "C1[1]"] and verdicts[False, "C1[0]"]
     assert not verdicts[True, "C1[0]"]
     assert all(verdicts[False, f"A1[{n},{k}]"] for n in (1, 2) for k in range(n + 1))
+
+
+# -- route (b) by the joins, against the generic search -------------------------------
+
+def assert_route_b_is_the_search(f, budget=Budget()):
+    """Route (b) equals the generic search against C1[0..n_max] and C2 in
+    kind, reason and witness, and agrees with route (a) when both are
+    definite; returns its verdict."""
+    d = f.source.dim_bound
+    v = is_acyclic_fibration_by_rlp(f, budget)
+    n_max = min(budget.max_dim, d)
+    oracle = has_rlp_against_set(f, generating_cofibrations(n_max, d), budget)
+    assert (v.kind, v.reason, v.witness) == (oracle.kind, oracle.reason, oracle.witness)
+    assert v.qualifier == {**oracle.qualifier, "route": "b", "n_max": n_max}
+    a = is_acyclic_fibration(f, budget)
+    if a.is_definite and v.is_definite:
+        assert a.kind == v.kind
+    return v
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_route_b_equals_the_generic_search(data):
+    if data.draw(st.booleans()):
+        d = data.draw(st.sampled_from([2, 3]))
+        last = len(LIFTING_COMPLEXES[d]) - 1
+        maps = [functor_U_map(g) for g in lifting_maps(d, data.draw(st.integers(0, last)),
+                                                          data.draw(st.integers(0, last)))]
+    else:
+        last = len(MULTI_OBJECT_CATEGORIES) - 1
+        maps = multi_object_functors(data.draw(st.integers(0, last)),
+                                     data.draw(st.integers(0, last)))
+    if maps:
+        assert_route_b_is_the_search(data.draw(st.sampled_from(maps)))
+
+
+@pytest.mark.parametrize("f, generator", [
+    (functor_U_map(lifting_maps(D, 0, 2)[0]), "C1[0]"),   # C1[1] fails too
+    (functor_U_map(boundary_inclusion(1, D)), "C1[1]"),
+    (functor_U_map(boundary_inclusion(2, D)), "C1[2]"),
+    (functor_U_map(boundary_inclusion(3, 3)), "C1[3]"),
+    (inclusion_of_object(codiscrete_groupoid(2, D), 0, singleton_cat(D)), "C2"),
+])
+def test_route_b_names_the_search_square_of_each_generator(f, generator):
+    v = assert_route_b_is_the_search(f)
+    assert v.is_no and v.witness["generator"] == generator
+    assert v.witness["square"].commutes()
+
+
+def test_route_b_max_steps_bounds_all_generators_together():
+    # the joins of C1[0], C1[1] and C1[2] on the identity of codiscrete(2)
+    # share one count; C2 charges nothing
+    f = identity_sfunctor(codiscrete_groupoid(2, D))
+    per_gen = []
+    for g in generating_cofibrations(D, D)[:-1]:
+        steps = _Steps(10**9)
+        assert _first_unliftable_cell(f, g, steps) is None
+        per_gen.append(10**9 - steps.left)
+    assert 0 < max(per_gen) < sum(per_gen)
+    assert is_acyclic_fibration_by_rlp(f, Budget(max_steps=sum(per_gen))).is_yes
+    v = is_acyclic_fibration_by_rlp(f, Budget(max_steps=sum(per_gen) - 1))
+    assert v.kind == "unknown" and v.reason == BUDGET
