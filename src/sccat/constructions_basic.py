@@ -33,6 +33,8 @@ def codiscrete_groupoid(n_objects: int, dim_bound: int = 4) -> SimplicialCategor
 def inclusion_of_object(cat: SimplicialCategory, a: int,
                         singleton) -> SFunctor:
     """The functor from the one-object category onto the object a."""
+    if not 0 <= a < cat.n_objects():
+        raise InputError("unknown object")
     h = cat.hom[(a, a)]
     pt = singleton.hom[(0, 0)]
     assign = []

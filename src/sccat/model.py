@@ -407,7 +407,7 @@ def is_free_map(f: SFunctor, marking: GeneratorMarking,
                 + [("g", pair, idx) for pair in sorted(marking.marked)
                    for kk, idx in sorted(marking.marked[pair]) if kk == k])
 
-    steps = 0
+    steps = _Steps(max_steps)
     for k in range(bound + 1):
         letters = letters_at(k)
         seen = {}   # (pair, value) -> word
@@ -433,8 +433,9 @@ def is_free_map(f: SFunctor, marking: GeneratorMarking,
                     new_value = lidx
                 new_pair = (pair[0], lpair[1])
                 new_word = word + (letter,)
-                steps += 1
-                if steps > max_steps:
+                try:
+                    steps.charge()
+                except BudgetExceeded:
                     return None, {"step_cap": max_steps}
                 key = (new_pair, new_value)
                 if key in seen:

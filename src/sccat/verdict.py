@@ -88,7 +88,7 @@ class Budget:
     max_dim bounds the dimension of generating maps tried, max_words the
     number of adjoined-generator letters in a composite word, max_steps
     the number of steps a :class:`_Steps` counter allows: search nodes,
-    join steps or pushout word compositions.  For ``is_kan_fibration`` and
+    join steps or pushout word extensions.  For ``is_kan_fibration`` and
     ``is_acyclic_fibration_sset``, max_steps is one total per top-level
     call over all horns or boundaries, for ``is_fibration`` one total over
     the horns of every hom map, and for route (b) and ``factor_bounded``

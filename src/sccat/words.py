@@ -17,8 +17,15 @@ compose inside a single factor have been composed there ("unit and
 existing-composition reductions").  Normal forms are unique, so the word
 category is the genuine pushout whenever generation stabilizes; if new
 words keep appearing past ``max_words`` letters of F, or the closure
-composes more than ``max_steps`` pairs of words (one ``_Steps`` count per
-pushout), BudgetExceeded is raised.
+makes more than ``max_steps`` one-letter extensions (one ``_Steps`` count
+per pushout), BudgetExceeded is raised.
+
+The closure appends one letter at a time: normalizing w1 w2 pushes the
+letters of w2 onto w1 one by one, so every product is reached that way.
+The walk is depth-first.  When the words never stabilize, it soon meets a
+word past ``max_words`` letters of F along one branch, while a
+breadth-first walk first builds every shorter word, and there can be
+exponentially many of them.
 
 Faces, degeneracies and composition act letterwise, which keeps the whole
 construction simplicial; stale decomposition data is re-derived from the
@@ -197,53 +204,36 @@ class _WordEngine:
 
     # -- closure ---------------------------------------------------------------
     def generate(self):
-        bound = self.bound
-        words = {(k, a, b): {} for k in range(bound + 1)
-                 for a in range(self.n_objects) for b in range(self.n_objects)}
-
-        def add(k, a, b, w):
-            bucket = words[(k, a, b)]
-            if w in bucket:
-                return False
-            if self.word_f_count(w) > self.budget.max_words:
-                raise BudgetExceeded("free closure did not stabilize within max_words")
-            bucket[w] = len(bucket)
-            return True
-
-        # atoms: identities, base simplices, attached simplices
-        for k in range(bound + 1):
-            for o in range(self.n_objects):
-                add(k, o, o, ())
-            for (a, b) in self.C.object_pairs():
-                for idx in range(self.C.hom[(a, b)].size(k)):
-                    w = self.normalize(k, [("C", a, b, idx)])
-                    sa, sb = self.word_endpoints(w, (a, b))
-                    add(k, sa, sb, w)
-            for (u, v) in self.F.object_pairs():
-                for idx in range(self.F.hom[(u, v)].size(k)):
-                    w = self.normalize(k, [("F", u, v, idx)])
-                    sa, sb = self.word_endpoints(w, (self.f2d[u], self.f2d[v]))
-                    add(k, sa, sb, w)
-
-        # closure under composition, breadth-first by rounds
+        """The normal words of every dimension, keyed by (k, a, b): a
+        depth-first walk from the empty words that pushes every letter
+        starting at a new word's target onto it."""
+        n = self.n_objects
+        words = {(k, a, b): set() for k in range(self.bound + 1)
+                 for a in range(n) for b in range(n)}
         steps = _Steps(self.budget.max_steps)
-        for k in range(bound + 1):
-            changed = True
-            while changed:
-                changed = False
-                snapshot = {(a, b): list(words[(k, a, b)])
-                            for a in range(self.n_objects)
-                            for b in range(self.n_objects)}
-                for a in range(self.n_objects):
-                    for b in range(self.n_objects):
-                        for w1 in snapshot[(a, b)]:
-                            for c in range(self.n_objects):
-                                for w2 in snapshot[(b, c)]:
-                                    steps.charge()
-                                    w = self.normalize(k, list(w1) + list(w2))
-                                    sa, sb = self.word_endpoints(w, (a, c))
-                                    if add(k, sa, sb, w):
-                                        changed = True
+        for k in range(self.bound + 1):
+            letters = [{} for _ in range(n)]    # D-source -> letters, in order
+            for tag, cat in (("C", self.C), ("F", self.F)):
+                for (a, b) in cat.object_pairs():
+                    for idx in range(cat.hom[(a, b)].size(k)):
+                        for letter in self.normalize(k, [(tag, a, b, idx)]):
+                            letters[self.d_endpoints(letter)[0]][letter] = None
+            stack = [((), o, o) for o in range(n)]
+            for o in range(n):
+                words[(k, o, o)].add(())
+            while stack:
+                w, a, b = stack.pop()
+                for letter in letters[b]:
+                    steps.charge()
+                    out = list(w)
+                    self.push(out, letter, k)
+                    new, c = tuple(out), self.d_endpoints(letter)[1]
+                    if new in words[(k, a, c)]:
+                        continue
+                    if self.word_f_count(new) > self.budget.max_words:
+                        raise BudgetExceeded("free closure did not stabilize within max_words")
+                    words[(k, a, c)].add(new)
+                    stack.append((new, a, c))
         return words
 
     # -- assembling the result ---------------------------------------------------
@@ -373,6 +363,8 @@ def glue_for_u(attachment: Attachment, base: SimplicialCategory, gx: int,
     Hom(gx, gy) by the given simplicial map."""
     if attachment.kind != "usset":
         raise InputError("glue_for_u needs a U(mono) attachment")
+    if not (0 <= gx < base.n_objects() and 0 <= gy < base.n_objects()):
+        raise InputError("unknown object")
     if hom_map.source != attachment.A.hom[(0, 1)] or hom_map.target != base.hom[(gx, gy)]:
         raise InputError("hom_map must send Hom(x, y) of the source into "
                          "Hom(gx, gy) of the base")

@@ -378,6 +378,15 @@ def test_free_map_step_cap_answers_unknown():
     assert report == {"step_cap": 3}
 
 
+def test_free_map_decides_at_exactly_its_step_count():
+    # one step per word built: the two marked simplices of Hom(x, y) in
+    # each of the dimensions 0, 1, 2
+    h = functor_U(boundary(1, D))
+    inc, marking = coproduct_inclusion_functor(h), marking_all_nonidentity(h)
+    assert is_free_map(inc, marking, max_steps=6) == (True, {"free": True})
+    assert is_free_map(inc, marking, max_steps=5) == (None, {"step_cap": 5})
+
+
 def test_a2_candidate_step_cap_is_budget_exhausted():
     # codiscrete(2) needs three words to show its relation h . g = id
     h = codiscrete_groupoid(2, D)
