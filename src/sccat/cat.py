@@ -1,9 +1,11 @@
 """Finite ordinary categories and functors.
 
-These are the targets of the component functor pi_0: objects, finite hom
-sets, total composition tables, marked identities.  Morphisms are referred
-to by (source, target, index) triples.  Composition tables are indexed
-``compose[(a, b, c)][g][f]`` for f: a -> b, g: b -> c, giving g after f.
+These are the targets of the component functor pi_0 and the levels of a
+simplicial category (dimension k, whose morphisms are the k-simplices of
+its homs): objects, finite hom sets, total composition tables, marked
+identities.  Morphisms are referred to by (source, target, index)
+triples.  Composition tables are indexed ``compose[(a, b, c)][g][f]`` for
+f: a -> b, g: b -> c, giving g after f.
 """
 from __future__ import annotations
 

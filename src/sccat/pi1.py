@@ -288,12 +288,6 @@ def edge_path_data(x: SimplicialSet, base: int) -> EdgePathData:
             gen_of_edge[idx] = len(names) + 1
             names.append(f"e{idx}")
 
-    def edge_letter(edge_idx: int) -> int | None:
-        rec = x.dims[1][edge_idx]
-        if not rec.nondeg:
-            return None
-        return gen_of_edge.get(edge_idx)
-
     relators = []
     if x.dim_bound >= 2:
         for idx in x.nondeg_indices(2):
@@ -304,7 +298,7 @@ def edge_path_data(x: SimplicialSet, base: int) -> EdgePathData:
             word = []
             for edge_idx, sign in ((rec.faces[2], 1), (rec.faces[0], 1),
                                    (rec.faces[1], -1)):
-                g = edge_letter(edge_idx)
+                g = gen_of_edge.get(edge_idx)
                 if g is not None:
                     word.append(sign * g)
             word = free_reduce(tuple(word))

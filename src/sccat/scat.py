@@ -8,17 +8,22 @@ identity in dimension k is the k-fold degeneracy of that 0-simplex.
 Composition tables are indexed ``compose[(a, b, c)][k][g][f]`` = index of
 g after f in Hom(a, c)_k, for f in Hom(a, b)_k and g in Hom(b, c)_k.
 
-Functors carry an object map plus one simplicial map per hom pair and are
-validated against identity and composition preservation in every
-dimension.  The component category pi_0 and its functoriality live here
-as well, next to the constructions that only shuffle hom data around
-(full subcategories, object doubling, coproducts, pullbacks).
+Functors carry an object map plus one simplicial map per hom pair.
+Validation is dimension by dimension, through ``cat``: dimension k is an
+ordinary category C_k (``validate_category``), every face d_i: C_k ->
+C_{k-1} and degeneracy s_j: C_k -> C_{k+1} is an identity-on-objects
+functor, and a functor is one C_k -> D_k in every dimension
+(``validate_functor``).  The component category pi_0 and its
+functoriality live here as well, next to the constructions that only
+shuffle hom data around (full subcategories, object doubling, coproducts,
+pullbacks).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cat import FiniteCategory, FiniteFunctor, is_isomorphism
+from .cat import (FiniteCategory, FiniteFunctor, is_isomorphism,
+                  validate_category, validate_functor)
 from .sset import (SimplicialSet, SSetMap, compose_maps, empty_sset,
                    identity_map, pi0, pi0_class_of, point, pullback_ssets,
                    validate_sset, validate_sset_map)
@@ -120,11 +125,20 @@ def build_compose(n_objects: int, homs: dict, dim_bound: int, rule) -> dict:
     return compose
 
 
+def _level(cat: SimplicialCategory, k: int) -> FiniteCategory:
+    """Dimension k as an ordinary category: the k-simplices of each hom,
+    composed by the dimension-k tables, with the identity towers."""
+    return FiniteCategory(
+        objects=cat.objects,
+        homs={p: range(h.size(k)) for p, h in cat.hom.items()},
+        compose={t: levels[k] for t, levels in cat.compose.items()},
+        identities=[cat.identity_tower(a, k) for a in range(cat.n_objects())])
+
+
 def validate_scat(cat: SimplicialCategory) -> list:
     """All violated invariants, naming dimension, triple and simplices."""
     bad = []
     n = cat.n_objects()
-    bound = cat.dim_bound
     for (a, b), h in cat.hom.items():
         sub = validate_sset(h)
         bad.extend(f"hom ({a},{b}): {v}" for v in sub)
@@ -138,89 +152,24 @@ def validate_scat(cat: SimplicialCategory) -> list:
     if bad:
         return bad
 
-    for (a, b, c) in cat.object_triples():
-        table = cat.compose.get((a, b, c))
-        hf, hg, ht = cat.hom[(a, b)], cat.hom[(b, c)], cat.hom[(a, c)]
-        if table is None:
-            if any(hf.size(k) and hg.size(k) for k in range(bound + 1)):
-                bad.append(f"missing composition table {(a, b, c)}")
-            continue
-        if len(table) != bound + 1:
-            bad.append(f"composition table {(a, b, c)} must cover every dimension")
-            continue
-        for k in range(bound + 1):
-            nf, ng, nt = hf.size(k), hg.size(k), ht.size(k)
-            lvl = table[k]
-            if nf == 0 or ng == 0:
-                continue
-            if len(lvl) != ng or any(len(row) != nf for row in lvl):
-                bad.append(f"table {(a, b, c)} dim {k}: wrong shape")
-                continue
-            if any(not (0 <= v < nt) for row in lvl for v in row):
-                bad.append(f"table {(a, b, c)} dim {k}: entry out of range")
+    levels = [_level(cat, k) for k in range(cat.dim_bound + 1)]
+    for k, c in enumerate(levels):
+        bad.extend(f"dim {k}: {v}" for v in validate_category(c))
     if bad:
         return bad
-
-    # composition is a simplicial map
-    for (a, b, c) in cat.object_triples():
-        hf, hg, ht = cat.hom[(a, b)], cat.hom[(b, c)], cat.hom[(a, c)]
-        for k in range(bound + 1):
-            for g in range(hg.size(k)):
-                for f in range(hf.size(k)):
-                    gf = cat.comp(k, a, b, c, g, f)
-                    if k >= 1:
-                        for i in range(k + 1):
-                            lhs = ht.face(k, gf, i)
-                            rhs = cat.comp(k - 1, a, b, c, hg.face(k, g, i),
-                                           hf.face(k, f, i))
-                            if lhs != rhs:
-                                bad.append(
-                                    f"composition not simplicial: d_{i} at "
-                                    f"{(a, b, c)} dim {k} pair ({g},{f})")
-                    if k + 1 <= bound:
-                        for j in range(k + 1):
-                            lhs = ht.degeneracy(k, gf, j)
-                            rhs = cat.comp(k + 1, a, b, c,
-                                           hg.degeneracy(k, g, j),
-                                           hf.degeneracy(k, f, j))
-                            if lhs != rhs:
-                                bad.append(
-                                    f"composition not simplicial: s_{j} at "
-                                    f"{(a, b, c)} dim {k} pair ({g},{f})")
-
-    # unit laws
-    for (a, b) in cat.object_pairs():
-        hf = cat.hom[(a, b)]
-        for k in range(bound + 1):
-            ida = cat.identity_tower(a, k)
-            idb = cat.identity_tower(b, k)
-            for f in range(hf.size(k)):
-                if cat.comp(k, a, a, b, f, ida) != f:
-                    bad.append(f"right unit law fails at {(a, b)} dim {k} simplex {f}")
-                if cat.comp(k, a, b, b, idb, f) != f:
-                    bad.append(f"left unit law fails at {(a, b)} dim {k} simplex {f}")
-
-    # associativity
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    hf, hg, hh = cat.hom[(a, b)], cat.hom[(b, c)], cat.hom[(c, d)]
-                    for k in range(bound + 1):
-                        nf, ng, nh = hf.size(k), hg.size(k), hh.size(k)
-                        if nf == 0 or ng == 0 or nh == 0:
-                            continue
-                        for f in range(nf):
-                            for g in range(ng):
-                                gf = cat.comp(k, a, b, c, g, f)
-                                for h in range(nh):
-                                    lhs = cat.comp(k, a, c, d, h, gf)
-                                    rhs = cat.comp(k, a, b, d,
-                                                   cat.comp(k, b, c, d, h, g), f)
-                                    if lhs != rhs:
-                                        bad.append(
-                                            f"associativity fails at {(a, b, c, d)}"
-                                            f" dim {k} triple ({f},{g},{h})")
+    ids = tuple(range(n))
+    for k in range(1, cat.dim_bound + 1):
+        for i in range(k + 1):
+            d_i = FiniteFunctor(levels[k], levels[k - 1], ids, {
+                p: tuple(h.face(k, f, i) for f in range(h.size(k)))
+                for p, h in cat.hom.items()})
+            bad.extend(f"d_{i} at dim {k}: {v}" for v in validate_functor(d_i))
+    for k in range(cat.dim_bound):
+        for j in range(k + 1):
+            s_j = FiniteFunctor(levels[k], levels[k + 1], ids, {
+                p: tuple(h.degeneracy(k, f, j) for f in range(h.size(k)))
+                for p, h in cat.hom.items()})
+            bad.extend(f"s_{j} at dim {k}: {v}" for v in validate_functor(s_j))
     return bad
 
 
@@ -269,21 +218,10 @@ def validate_sfunctor(F: SFunctor) -> list:
         bad.extend(f"hom map {(a, b)}: {v}" for v in validate_sset_map(m))
     if bad:
         return bad
-    for a in range(n):
-        if F.apply(0, a, a, src.identities[a]) != tgt.identities[F.ob(a)]:
-            bad.append(f"identity of object {a} not preserved")
-    for (a, b, c) in src.object_triples():
-        hf, hg = src.hom[(a, b)], src.hom[(b, c)]
-        fa, fb, fc = F.ob(a), F.ob(b), F.ob(c)
-        for k in range(src.dim_bound + 1):
-            for g in range(hg.size(k)):
-                for f in range(hf.size(k)):
-                    lhs = F.apply(k, a, c, src.comp(k, a, b, c, g, f))
-                    rhs = tgt.comp(k, fa, fb, fc, F.apply(k, b, c, g),
-                                   F.apply(k, a, b, f))
-                    if lhs != rhs:
-                        bad.append(f"composition not preserved at {(a, b, c)} "
-                                   f"dim {k} pair ({g},{f})")
+    for k in range(tgt.dim_bound + 1):  # a source with no objects may have another bound
+        F_k = FiniteFunctor(_level(src, k), _level(tgt, k), F.ob_map,
+                            {p: m.assign[k] for p, m in F.hom_maps.items()})
+        bad.extend(f"dim {k}: {v}" for v in validate_functor(F_k))
     return bad
 
 

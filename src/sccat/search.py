@@ -13,8 +13,9 @@ Instances of the unit laws, g . id = g and id . f = f, are not checked:
 identities are pinned in dimension 0 and degenerate images follow their
 decompositions, so an identity tower always goes to an identity tower,
 and such an instance holds by the target's own unit law, which
-``validate_scat`` checks.  A source U(K) has no other composites, so a
-search from it checks no composition at all.
+``validate_scat`` checks in every dimension through ``validate_category``.
+A source U(K) has no other composites, so a search from it checks no
+composition at all.
 """
 from __future__ import annotations
 

@@ -80,29 +80,11 @@ def degeneracy_words(base_dim: int, length: int) -> list:
     """All normal degeneracy words of the given length over a base_dim simplex.
 
     Entry i (0-based, outermost first) must satisfy word[i] <= base_dim +
-    (length - 1 - i); words are strictly decreasing.  Returned in
-    lexicographic order.
+    (length - 1 - i); words are strictly decreasing.  So the words are the
+    strictly decreasing length-tuples over 0..base_dim + length - 1, returned
+    in lexicographic order.
     """
-    if length == 0:
-        return [()]
-    words = []
-
-    def rec(prefix, pos):
-        if pos == length:
-            words.append(tuple(prefix))
-            return
-        hi = base_dim + (length - 1 - pos)
-        if prefix:
-            hi = min(hi, prefix[-1] - 1)
-        lo = (length - 1 - pos)  # must leave room for a strictly decreasing tail
-        for j in range(lo, hi + 1):
-            prefix.append(j)
-            rec(prefix, pos + 1)
-            prefix.pop()
-
-    rec([], 0)
-    words.sort()
-    return words
+    return sorted(c[::-1] for c in itertools.combinations(range(base_dim + length), length))
 
 
 @dataclass(frozen=True)

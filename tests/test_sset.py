@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,10 @@ def test_degeneracy_words_counts():
         assert degeneracy_words(0, r) == [tuple(range(r - 1, -1, -1))]
     assert degeneracy_words(1, 1) == [(0,), (1,)]
     assert set(degeneracy_words(1, 2)) == {(1, 0), (2, 0), (2, 1)}
+    # a normal word is a choice of its r entries among 0..b+r-1
+    for b in range(5):
+        for r in range(5):
+            assert len(degeneracy_words(b, r)) == comb(b + r, r)
 
 
 # -- constructors ------------------------------------------------------------
