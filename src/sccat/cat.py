@@ -15,7 +15,7 @@ from .verdict import InputError
 
 
 class FiniteCategory:
-    __slots__ = ("objects", "homs", "compose", "identities", "_cache")
+    __slots__ = ("objects", "homs", "compose", "identities")
 
     def __init__(self, objects, homs, compose, identities):
         self.objects = tuple(objects)
@@ -26,7 +26,6 @@ class FiniteCategory:
                 self.homs.setdefault((a, b), ())
         self.compose = {k: tuple(tuple(row) for row in v) for k, v in compose.items()}
         self.identities = tuple(identities)
-        self._cache = {}
 
     def n_objects(self) -> int:
         return len(self.objects)

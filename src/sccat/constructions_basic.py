@@ -5,8 +5,8 @@ without import cycles.
 """
 from __future__ import annotations
 
-from .scat import SFunctor, SimplicialCategory, build_compose, functor_U
-from .sset import SSetMap, point
+from .scat import SFunctor, SimplicialCategory, _unit_map, build_compose, functor_U
+from .sset import point
 from .verdict import InputError
 
 
@@ -35,10 +35,5 @@ def inclusion_of_object(cat: SimplicialCategory, a: int,
     """The functor from the one-object category onto the object a."""
     if not 0 <= a < cat.n_objects():
         raise InputError("unknown object")
-    h = cat.hom[(a, a)]
-    pt = singleton.hom[(0, 0)]
-    assign = []
-    for k in range(cat.dim_bound + 1):
-        assign.append([cat.identity_tower(a, k)])
     return SFunctor(source=singleton, target=cat, ob_map=(a,),
-                    hom_maps={(0, 0): SSetMap(pt, h, assign)})
+                    hom_maps={(0, 0): _unit_map(singleton.hom[(0, 0)], cat, a)})

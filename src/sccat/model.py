@@ -262,7 +262,7 @@ def is_acyclic_fibration_by_rlp(f: SFunctor, budget: Budget | None = None) -> Ve
     except BudgetExceeded:
         v = Verdict.unknown(BUDGET)
     return Verdict(v.kind, witness=v.witness, reason=v.reason,
-                   qualifier={**v.qualifier, "route": "b", "n_max": n_max})
+                   qualifier={**v.qualifier, "route": "b", "checked_max_dim": n_max})
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +541,13 @@ def factor_bounded(f: SFunctor, gens, budget: Budget | None = None) -> FactorRes
     face tuple by the images of the horn's or boundary's nondegenerate
     simplices.  C2 fails iff the right map misses an object, first the
     least one.  Other generators raise InputError.  Stops with
-    complete=False when the cell budget runs out or a join or pushout
-    exceeds the budget; the exact equation right . left = f holds on every
-    return.
+    complete=False when a square is left after ``budget.max_words`` cells or
+    a join or pushout exceeds the budget; the exact equation right . left =
+    f holds on every return.
     """
     budget = budget or Budget()
     steps = _Steps(budget.max_steps)
     stage, left, right, cells = f.source, identity_sfunctor(f.source), f, []
-    max_cells = max(1, budget.max_words)
     order = sorted(range(len(gens)), key=lambda i: (-gens[i].dim, i))
     gens = [gens[i] for i in order]
     while True:
@@ -558,7 +557,7 @@ def factor_bounded(f: SFunctor, gens, budget: Budget | None = None) -> FactorRes
                 square = _first_unliftable_gen(right, gen, steps)
                 if square is not None:
                     break
-            if square is None or len(cells) >= max_cells:
+            if square is None or len(cells) >= budget.max_words:
                 return FactorResult(left=left, right=right, cells=cells,
                                     complete=square is None)
             res = pushout_generating(stage, gen.attachment, square.top, budget)

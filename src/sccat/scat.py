@@ -15,8 +15,11 @@ C_{k-1} and degeneracy s_j: C_k -> C_{k+1} is an identity-on-objects
 functor, and a functor is one C_k -> D_k in every dimension
 (``validate_functor``).  The component category pi_0 and its
 functoriality live here as well, next to the constructions that only
-shuffle hom data around (full subcategories, object doubling, coproducts,
-pullbacks).
+shuffle hom data around.  Full subcategories, object doubling and
+coproducts are made from existing categories' objects: they share those
+categories' homs and composition tables through one builder,
+``_on_objects``, and their functors are the identity on every hom.
+Pullbacks build new homs levelwise.
 """
 from __future__ import annotations
 
@@ -225,11 +228,16 @@ def validate_sfunctor(F: SFunctor) -> list:
     return bad
 
 
+def _identity_on_homs(src: SimplicialCategory, tgt: SimplicialCategory,
+                      ob_map) -> SFunctor:
+    """The functor src -> tgt on ob_map that is the identity on every hom;
+    Hom(a, b) of src must be Hom(ob_map[a], ob_map[b]) of tgt."""
+    return SFunctor(source=src, target=tgt, ob_map=tuple(ob_map),
+                    hom_maps={p: identity_map(src.hom[p]) for p in src.object_pairs()})
+
+
 def identity_sfunctor(cat: SimplicialCategory) -> SFunctor:
-    return SFunctor(source=cat, target=cat,
-                    ob_map=tuple(range(cat.n_objects())),
-                    hom_maps={p: identity_map(cat.hom[p])
-                              for p in cat.object_pairs()})
+    return _identity_on_homs(cat, cat, range(cat.n_objects()))
 
 
 def compose_sfunctors(G: SFunctor, F: SFunctor) -> SFunctor:
@@ -281,18 +289,40 @@ def functor_U_map(g: SSetMap) -> SFunctor:
     return u_functor(functor_U(g.source), functor_U(g.target), 0, 1, g)
 
 
+def _unit_map(pt: SimplicialSet, cat: SimplicialCategory, a: int) -> SSetMap:
+    """The map from the point hom pt onto the identity tower of object a."""
+    return SSetMap(pt, cat.hom[(a, a)],
+                   [[cat.identity_tower(a, k)] for k in range(cat.dim_bound + 1)])
+
+
 def u_functor(u_cat: SimplicialCategory, target: SimplicialCategory, gx: int,
               gy: int, hom_map: SSetMap) -> SFunctor:
     """The functor from u_cat = U(X) (or a category of its shape) to the
     target sending x, y to gx, gy and X = Hom(x, y) by hom_map."""
-    obs, bound = (gx, gy), target.dim_bound
-    hom_maps = {(o, o): SSetMap(u_cat.hom[(o, o)], target.hom[(g, g)],
-                                [[target.identity_tower(g, k)] for k in range(bound + 1)])
-                for o, g in enumerate(obs)}
+    obs = (gx, gy)
+    hom_maps = {(o, o): _unit_map(u_cat.hom[(o, o)], target, g) for o, g in enumerate(obs)}
     hom_maps[(0, 1)] = hom_map
     hom_maps[(1, 0)] = SSetMap(u_cat.hom[(1, 0)], target.hom[(gy, gx)],
-                               [[] for _ in range(bound + 1)])
+                               [[] for _ in range(target.dim_bound + 1)])
     return SFunctor(source=u_cat, target=target, ob_map=obs, hom_maps=hom_maps)
+
+
+def _on_objects(parts: list, labels: tuple, dim_bound: int) -> SimplicialCategory:
+    """The category whose object i is object x of category c, for parts[i]
+    = (part, c, x).  Objects of one part share c's homs and composition
+    tables; the hom between two parts is empty.  Parts are told apart by
+    their tag, not by c, so one category may stand in two parts."""
+    empty = empty_sset(dim_bound)
+    empty_levels = tuple(() for _ in range(dim_bound + 1))
+    homs, compose = {}, {}
+    for i, (p, c, x) in enumerate(parts):
+        for j, (q, _, y) in enumerate(parts):
+            homs[(i, j)] = c.hom[(x, y)] if p == q else empty
+            for k, (r, _, z) in enumerate(parts):
+                compose[(i, j, k)] = c.compose[(x, y, z)] if p == q == r else empty_levels
+    return SimplicialCategory(objects=labels, hom=homs, compose=compose,
+                              identities=tuple(c.identities[x] for _, c, x in parts),
+                              dim_bound=dim_bound)
 
 
 def full_subcategory(cat: SimplicialCategory, objs) -> tuple:
@@ -300,19 +330,9 @@ def full_subcategory(cat: SimplicialCategory, objs) -> tuple:
     objs = list(objs)
     if any(not (0 <= o < cat.n_objects()) for o in objs):
         raise InputError("unknown object in subcategory selection")
-    homs = {(i, j): cat.hom[(objs[i], objs[j])]
-            for i in range(len(objs)) for j in range(len(objs))}
-    compose = {(i, j, k): cat.compose[(objs[i], objs[j], objs[k])]
-               for i in range(len(objs)) for j in range(len(objs))
-               for k in range(len(objs))}
-    sub = SimplicialCategory(objects=tuple(cat.objects[o] for o in objs),
-                             hom=homs, compose=compose,
-                             identities=tuple(cat.identities[o] for o in objs),
-                             dim_bound=cat.dim_bound)
-    inc = SFunctor(source=sub, target=cat, ob_map=tuple(objs),
-                   hom_maps={(i, j): identity_map(homs[(i, j)])
-                             for i in range(len(objs)) for j in range(len(objs))})
-    return sub, inc
+    sub = _on_objects([(0, cat, o) for o in objs], tuple(cat.objects[o] for o in objs),
+                      cat.dim_bound)
+    return sub, _identity_on_homs(sub, cat, objs)
 
 
 def double_object(cat: SimplicialCategory, a: int) -> tuple:
@@ -320,79 +340,26 @@ def double_object(cat: SimplicialCategory, a: int) -> tuple:
     Hom(a, a); the collapse sends both to a and is the identity on homs."""
     if not (0 <= a < cat.n_objects()):
         raise InputError("unknown object")
-    h = cat.hom[(a, a)]
     label = cat.objects[a]
-    homs = {(i, j): h for i in range(2) for j in range(2)}
-    table = cat.compose[(a, a, a)]
-    compose = {(i, j, k): table for i in range(2) for j in range(2)
-               for k in range(2)}
-    e = SimplicialCategory(objects=(label, f"{label}'"), hom=homs,
-                           compose=compose,
-                           identities=(cat.identities[a], cat.identities[a]),
-                           dim_bound=cat.dim_bound)
-    collapse = SFunctor(source=e, target=cat, ob_map=(a, a),
-                        hom_maps={(i, j): SSetMap(h, h, [list(range(h.size(k)))
-                                                         for k in range(cat.dim_bound + 1)])
-                                  for i in range(2) for j in range(2)})
-    return e, collapse
+    e = _on_objects([(0, cat, a), (0, cat, a)], (label, f"{label}'"), cat.dim_bound)
+    return e, _identity_on_homs(e, cat, (a, a))
 
 
 def coproduct(cats: list) -> tuple:
     """(coproduct, list of inclusion functors)."""
     if not cats:
-        raise InputError("coproduct needs at least the empty list... of one")
+        raise InputError("coproduct needs at least one category")
     bound = cats[0].dim_bound
     if any(c.dim_bound != bound for c in cats):
         raise InputError("dim_bound mismatch in coproduct")
-    offsets = []
-    total = 0
+    parts = [(ci, c, x) for ci, c in enumerate(cats) for x in range(c.n_objects())]
     labels = []
-    for ci, c in enumerate(cats):
-        offsets.append(total)
-        total += c.n_objects()
-        for lbl in c.objects:
-            labels.append(lbl if lbl not in labels else f"{lbl}#{ci}")
-    owner = []
-    local = []
-    for ci, c in enumerate(cats):
-        owner.extend([ci] * c.n_objects())
-        local.extend(range(c.n_objects()))
-    empty = empty_sset(bound)
-    homs = {}
-    identities = []
-    for i in range(total):
-        for j in range(total):
-            if owner[i] == owner[j]:
-                homs[(i, j)] = cats[owner[i]].hom[(local[i], local[j])]
-            else:
-                homs[(i, j)] = empty
-    for i in range(total):
-        identities.append(cats[owner[i]].identities[local[i]])
-    compose = {}
-    empty_levels = tuple(() for _ in range(bound + 1))
-    for i in range(total):
-        for j in range(total):
-            for k in range(total):
-                if owner[i] == owner[j] == owner[k]:
-                    compose[(i, j, k)] = cats[owner[i]].compose[
-                        (local[i], local[j], local[k])]
-                else:
-                    compose[(i, j, k)] = empty_levels
-    cop = SimplicialCategory(objects=tuple(labels), hom=homs, compose=compose,
-                             identities=tuple(identities), dim_bound=bound)
-    inclusions = []
-    for ci, c in enumerate(cats):
-        off = offsets[ci]
-        hom_maps = {}
-        for (a, b) in c.object_pairs():
-            src = c.hom[(a, b)]
-            hom_maps[(a, b)] = SSetMap(src, cop.hom[(off + a, off + b)],
-                                       [list(range(src.size(k)))
-                                        for k in range(bound + 1)])
-        inclusions.append(SFunctor(source=c, target=cop,
-                                   ob_map=tuple(off + x for x in range(c.n_objects())),
-                                   hom_maps=hom_maps))
-    return cop, inclusions
+    for ci, c, x in parts:
+        lbl = c.objects[x]
+        labels.append(lbl if lbl not in labels else f"{lbl}#{ci}")
+    cop = _on_objects(parts, tuple(labels), bound)
+    return cop, [_identity_on_homs(c, cop, [i for i, (p, _, _) in enumerate(parts) if p == ci])
+                 for ci, c in enumerate(cats)]
 
 
 def pullback_scat(f: SFunctor, h: SFunctor) -> tuple:

@@ -86,9 +86,10 @@ class Budget:
     """Caps on the exhaustive searches.
 
     max_dim bounds the dimension of generating maps tried, max_words the
-    number of adjoined-generator letters in a composite word, max_steps
-    the number of steps a :class:`_Steps` counter allows: search nodes,
-    join steps or pushout word extensions.  For ``is_kan_fibration`` and
+    number of adjoined-generator letters in a composite word and the number
+    of cells ``factor_bounded`` attaches, max_steps the number of steps a
+    :class:`_Steps` counter allows: search nodes, join steps or pushout
+    word extensions.  For ``is_kan_fibration`` and
     ``is_acyclic_fibration_sset``, max_steps is one total per top-level
     call over all horns or boundaries, for ``is_fibration`` one total over
     the horns of every hom map, and for route (b) and ``factor_bounded``

@@ -1,3 +1,7 @@
+import dataclasses
+
+import pytest
+
 from sccat.cat import (
     FiniteCategory, FiniteFunctor, codiscrete_category, compose_functors,
     identity_functor, is_equivalence, is_isomorphism, terminal_category,
@@ -110,3 +114,35 @@ def test_validate_catches_broken_identity():
                          compose={(0, 0, 0): ((1, 1), (1, 1))},
                          identities=(0,))
     assert validate_category(bad) != []
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"identities": (0,)}, "identities must mark one morphism per object"),
+    ({"identities": (0, 1)}, "identity of object 1 out of range"),
+    ({"compose": {t: v for t, v in walking_arrow_category().compose.items()
+                  if t != (0, 0, 1)}}, "missing composition table (0, 0, 1)"),
+    ({"compose": {**walking_arrow_category().compose, (0, 0, 1): ((0, 0),)}},
+     "composition table (0, 0, 1) has wrong shape"),
+    ({"compose": {**walking_arrow_category().compose, (0, 0, 1): ((1,),)}},
+     "composition table (0, 0, 1) out of range"),
+])
+def test_validate_category_names_each_broken_field(fields, message):
+    c = walking_arrow_category()
+    assert validate_category(c) == []
+    broken = FiniteCategory(**{"objects": c.objects, "homs": c.homs,
+                               "compose": c.compose, "identities": c.identities, **fields})
+    assert message in validate_category(broken)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"ob_map": (0,)}, "object map not a total map into the target objects"),
+    ({"ob_map": (0, 2)}, "object map not a total map into the target objects"),
+    ({"mor_maps": {(0, 0): (0,), (1, 1): (0,), (1, 0): ()}},
+     "morphism map at (0, 1) not total"),
+    ({"mor_maps": {(0, 0): (0,), (1, 1): (0,), (0, 1): (1,), (1, 0): ()}},
+     "morphism map at (0, 1) out of range"),
+])
+def test_validate_functor_names_each_broken_field(fields, message):
+    F = identity_functor(walking_arrow_category())
+    assert validate_functor(F) == []
+    assert message in validate_functor(dataclasses.replace(F, **fields))

@@ -22,7 +22,7 @@ from sccat.search import enumerate_sfunctors
 from sccat.sset import (SSetMap, boundary, boundary_inclusion, empty_sset, horn,
                         horn_inclusion, identity_map, point, standard_simplex)
 from sccat.ssetcheck import unique_map_to_point
-from sccat.verdict import BUDGET, Budget, BudgetExceeded, _Steps
+from sccat.verdict import BUDGET, Budget, BudgetExceeded, _Steps, aggregate
 from sccat.words import pushout_generating, pushout_mediating
 from tests.test_ssetcheck import LIFTING_COMPLEXES, _rlp_by_faces, lifting_maps
 
@@ -344,6 +344,30 @@ def test_free_map_fails_on_non_mono():
     assert "monomorphism" in report
 
 
+def test_free_map_fails_on_a_hom_map_that_is_not_injective():
+    f = functor_U_map(unique_map_to_point(standard_simplex(1, D)))
+    assert is_free_map(f, GeneratorMarking(marked={})) == (
+        False, {"monomorphism": "hom map (0, 1) dim 0"})
+
+
+def test_free_map_rejects_a_marking_in_the_image():
+    h = functor_U(standard_simplex(1, D))
+    edge = h.hom[(0, 1)].nondeg_indices(1)[0]
+    marking = GeneratorMarking.close_under_degeneracies(h, {(0, 1): {(1, edge)}})
+    ok, report = is_free_map(identity_sfunctor(h), marking)
+    assert not ok
+    assert report == {"marking_in_image": {"pair": (0, 1),
+                                           "simplices": sorted(marking.marked[(0, 1)])}}
+
+
+def test_free_map_keeps_image_letters_composed():
+    # every morphism of codiscrete(2) is in the image, so g: x -> y and
+    # h: y -> x are image letters; h . g = id is their composite, not a
+    # second word for the identity
+    f = identity_sfunctor(codiscrete_groupoid(2, D))
+    assert is_free_map(f, GeneratorMarking({})) == (True, {"free": True})
+
+
 def test_free_map_rejects_codiscrete_relation():
     # in the codiscrete groupoid, h . g = id gives two decompositions
     h = codiscrete_groupoid(2, D)
@@ -592,7 +616,7 @@ def assert_route_b_is_the_search(f, budget=Budget()):
     n_max = min(budget.max_dim, d)
     oracle = has_rlp_against_set(f, generating_cofibrations(n_max, d), budget)
     assert (v.kind, v.reason, v.witness) == (oracle.kind, oracle.reason, oracle.witness)
-    assert v.qualifier == {**oracle.qualifier, "route": "b", "n_max": n_max}
+    assert v.qualifier == {**oracle.qualifier, "route": "b", "checked_max_dim": n_max}
     a = is_acyclic_fibration(f, budget)
     if a.is_definite and v.is_definite:
         assert a.kind == v.kind
@@ -626,6 +650,14 @@ def test_route_b_names_the_search_square_of_each_generator(f, generator):
     v = assert_route_b_is_the_search(f)
     assert v.is_no and v.witness["generator"] == generator
     assert v.witness["square"].commutes()
+
+
+def test_route_b_yes_keeps_checked_dimension():
+    # max_dim=1 tries C1[0], C1[1] and C2 only, on homs of dimension up to 3
+    f = functor_U_map(identity_map(standard_simplex(1, 3)))
+    v = is_acyclic_fibration_by_rlp(f, Budget(max_dim=1))
+    assert v.is_yes and v.qualifier["checked_max_dim"] == 1
+    assert aggregate([v]).qualifier == {"checked_max_dim": 1}
 
 
 def test_route_b_max_steps_bounds_all_generators_together():

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -55,6 +56,17 @@ def test_broken_composition_is_caught():
     broken = SimplicialCategory(cat.objects, cat.hom, compose, cat.identities,
                                 cat.dim_bound)
     assert validate_scat(broken) != []
+
+
+@pytest.mark.parametrize("identities, message", [
+    ((0,), "identities must mark one 0-simplex per object"),
+    ((0, 1), "identity of object 1 out of range"),
+])
+def test_validate_scat_names_broken_identities(identities, message):
+    cat = functor_U(standard_simplex(1, D))
+    broken = SimplicialCategory(cat.objects, cat.hom, cat.compose, identities,
+                                cat.dim_bound)
+    assert validate_scat(broken) == [message]
 
 
 def max_monoid(d):
@@ -147,6 +159,24 @@ def test_functor_from_the_empty_category_validates_at_any_bound():
         assert validate_sfunctor(SFunctor(empty_cat(bound), singleton_cat(D), (), {})) == []
 
 
+U_BOUNDARY_INCLUSION = functor_U_map(boundary_inclusion(1, D))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"ob_map": (0,)}, "object map not a total map into the target objects"),
+    ({"ob_map": (0, 2)}, "object map not a total map into the target objects"),
+    ({"hom_maps": {p: m for p, m in U_BOUNDARY_INCLUSION.hom_maps.items() if p != (0, 1)}},
+     "missing hom map at (0, 1)"),
+    ({"hom_maps": {**U_BOUNDARY_INCLUSION.hom_maps,
+                   (0, 1): identity_map(standard_simplex(1, D))}},
+     "hom map at (0, 1) has wrong source or target"),
+])
+def test_validate_sfunctor_names_each_broken_field(fields, message):
+    F = U_BOUNDARY_INCLUSION
+    assert validate_sfunctor(F) == []
+    assert message in validate_sfunctor(dataclasses.replace(F, **fields))
+
+
 def test_sfunctor_breaking_composition_is_caught():
     # the identity of the hom complex, from l l = s_0 a to l l = l: a
     # simplicial map that preserves composition in dimension 0 only
@@ -212,6 +242,17 @@ def test_coproduct_of_singletons():
     assert cop.hom[(0, 1)].is_empty() and cop.hom[(1, 0)].is_empty()
     for inc in incs:
         assert validate_sfunctor(inc) == []
+
+
+def test_coproduct_of_a_category_with_itself_keeps_two_copies():
+    cat = walking_arrow(D)
+    cop, (inc0, inc1) = coproduct([cat, cat])
+    assert validate_scat(cop) == []
+    assert cop.objects == ("x", "y", "x#1", "y#1")
+    assert cop.hom[(2, 3)] == cat.hom[(0, 1)]
+    assert cop.hom[(0, 3)].is_empty() and cop.hom[(2, 1)].is_empty()
+    assert (inc0.ob_map, inc1.ob_map) == ((0, 1), (2, 3))
+    assert validate_sfunctor(inc0) == [] and validate_sfunctor(inc1) == []
 
 
 def test_coproduct_with_empty_is_same():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from math import comb
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sccat import sset
 from sccat.sset import (
-    SimplicialSet, Simplex, attach_nondeg, boundary, boundary_inclusion,
+    SimplicialSet, Simplex, SSetMap, attach_nondeg, boundary, boundary_inclusion,
     compose_maps, compose_words, degeneracy_words, disjoint_union,
     empty_sset, enumerate_sset_maps, from_nondegenerate,
     from_simplicial_complex, horn, horn_inclusion, identity_map, is_iso_map,
@@ -102,6 +103,32 @@ def test_validate_catches_broken_identity():
     assert validate_sset(broken) != []
 
 
+# Delta[1] at dim_bound 3.  Dimension 0: vertices 0, 1.  Dimension 1: s_0 of
+# vertex 0, the edge 1 with faces (1, 0), s_0 of vertex 1.  Dimension 2:
+# simplex 3 is s_1 s_0 of vertex 1.  Dimension 3: the top level.
+@pytest.mark.parametrize("k, idx, fields, message", [
+    (0, 0, {"faces": (0,)}, "dim 0 simplex 0: 0-simplex with faces"),
+    (1, 1, {"faces": (1,)}, "dim 1 simplex 1: expected 2 faces"),
+    (1, 1, {"faces": (1, 5)}, "dim 1 simplex 1: face index out of range"),
+    (1, 1, {"degens": (1,)}, "dim 1 simplex 1: expected 2 degeneracies"),
+    (1, 1, {"degens": (1, 9)}, "dim 1 simplex 1: degeneracy index out of range"),
+    (3, 1, {"degens": (0, 0, 0, 0)}, "dim 3 simplex 1: degeneracies stored above dim_bound"),
+    (1, 1, {"degens": (2, 1)}, "dim 1 simplex 1: s_0 s_0 != s_1 s_0"),
+    (0, 0, {"degens": (2,)}, "dim 0 simplex 0: d_0 s_0 identity fails"),
+    (1, 1, {"base": 7}, "dim 1 simplex 1: decomposition out of range"),
+    (2, 3, {"base": 2, "word": (0,)}, "dim 2 simplex 3: decomposition base is degenerate"),
+    (2, 3, {"word": (0, 1)}, "dim 2 simplex 3: degeneracy word not strictly decreasing"),
+    (1, 0, {"base": 1}, "dim 1 simplex 0: decomposition does not reproduce the simplex"),
+    (1, 0, {"word": ()}, "dim 1 simplex 0: flagged nondegenerate but equals s_0 d_0"),
+])
+def test_validate_sset_names_each_broken_record(k, idx, fields, message):
+    x = standard_simplex(1, dim_bound=3)
+    assert validate_sset(x) == []
+    dims = [list(level) for level in x.dims]
+    dims[k][idx] = dataclasses.replace(dims[k][idx], **fields)
+    assert message in validate_sset(SimplicialSet(3, dims))
+
+
 # -- the projective-plane test complex (degenerate face of a nondeg cell) ----
 
 def projective_plane(dim_bound=3):
@@ -171,6 +198,20 @@ def test_identity_and_compose():
     assert validate_sset_map(ident) == []
     assert compose_maps(ident, ident) == ident
     assert is_iso_map(ident) is not None
+
+
+@pytest.mark.parametrize("k, level, message", [
+    (1, (0, 1), "dim 1: assignment not total"),
+    (0, (0, 5), "dim 0 simplex 1: image out of range"),
+    (0, (1, 0), "dim 1 simplex 1: does not commute with d_0"),
+    (1, (0, 1, 0), "dim 0 simplex 1: does not commute with s_0"),
+])
+def test_validate_sset_map_names_each_broken_level(k, level, message):
+    # the identity of Delta[1] with the images in dimension k replaced
+    x = standard_simplex(1, dim_bound=2)
+    assign = list(identity_map(x).assign)
+    assign[k] = level
+    assert message in validate_sset_map(SSetMap(x, x, assign))
 
 
 def test_boundary_and_horn_inclusions_validate():
