@@ -20,7 +20,7 @@ side's cycle basis is read off the same reduction.
 from __future__ import annotations
 
 from . import intmat
-from .sset import SimplicialSet, SSetMap, pi0
+from .sset import SimplicialSet, SSetMap, memo, pi0
 from .verdict import InputError, StructureError
 
 
@@ -28,22 +28,18 @@ class DimensionBoundError(InputError):
     pass
 
 
+@memo
 def _nondeg_pos(x: SimplicialSet, k: int) -> dict:
-    key = ("ndpos", k)
-    if key not in x._cache:
-        x._cache[key] = {idx: n for n, idx in enumerate(x.nondeg_indices(k))}
-    return x._cache[key]
+    return {idx: n for n, idx in enumerate(x.nondeg_indices(k))}
 
 
+@memo
 def boundary_matrix(x: SimplicialSet, k: int):
     """The normalized boundary C_k -> C_{k-1}; rows index nondegenerate
     (k-1)-simplices, columns nondegenerate k-simplices.
 
     k = 0 yields a 0-row matrix and k = dim_bound + 1 a 0-column matrix
     (the complex is skeletal)."""
-    key = ("bdry", k)
-    if key in x._cache:
-        return x._cache[key]
     if k <= 0 or k > x.dim_bound:
         cols = len(x.nondeg_indices(k)) if 0 <= k <= x.dim_bound else 0
         rows = len(x.nondeg_indices(k - 1)) if 0 <= k - 1 <= x.dim_bound else 0
@@ -59,43 +55,37 @@ def boundary_matrix(x: SimplicialSet, k: int):
                 if r is not None:
                     mat[r][c] += sign
                 sign = -sign
-    x._cache[key] = mat
     return mat
 
 
+@memo
 def _boundary_reduction(x: SimplicialSet, k: int) -> intmat.Reduction:
     """The reduction of d_k, computed once per complex: its invariant
     factors and its cycle basis are both read off it."""
-    key = ("reduced", k)
-    if key not in x._cache:
-        x._cache[key] = intmat.Reduction(boundary_matrix(x, k))
-    return x._cache[key]
+    return intmat.Reduction(boundary_matrix(x, k))
 
 
+@memo
 def _cycle_basis(x: SimplicialSet, k: int):
     """A basis of Z_k X as matrix columns, computed once per complex.  The
     0-row d_0 reads as shape (0, 0), so its kernel is not asked for."""
-    key = ("cycles", k)
-    if key not in x._cache:
-        n = len(x.nondeg_indices(k))
-        x._cache[key] = (intmat.from_columns(_boundary_reduction(x, k).kernel_basis(), n)
-                         if k else intmat.identity(n))
-    return x._cache[key]
+    n = len(x.nondeg_indices(k))
+    return (intmat.from_columns(_boundary_reduction(x, k).kernel_basis(), n)
+            if k else intmat.identity(n))
 
 
+@memo
 def assert_chain_complex(x: SimplicialSet) -> None:
     """dd = 0 on the normalized complex; raised eagerly before any reduction.
-    A complex that passes is marked in its cache and not multiplied out
-    again; one that fails raises on every call."""
-    if "chain_complex" in x._cache:
-        return
+    A complex that passes is not multiplied out again; one that fails
+    raises on every call."""
     for k in range(1, x.dim_bound + 1):
         prod = intmat.matmul(boundary_matrix(x, k), boundary_matrix(x, k + 1))
         if any(any(v for v in row) for row in prod):
             raise StructureError(f"boundary squared is nonzero in degree {k + 1}")
-    x._cache["chain_complex"] = True
 
 
+@memo
 def homology(x: SimplicialSet, k: int) -> tuple:
     """(betti, sorted torsion coefficients) of H_k(X; Z).
 
@@ -105,9 +95,6 @@ def homology(x: SimplicialSet, k: int) -> tuple:
     if k < 0 or k > x.dim_bound:
         raise DimensionBoundError(
             f"homology degree {k} outside tracked range 0..{x.dim_bound}")
-    key = ("homology", k)
-    if key in x._cache:
-        return x._cache[key]
     assert_chain_complex(x)
     n_k = len(x.nondeg_indices(k))
     above = _boundary_reduction(x, k + 1).invariant_factors()
@@ -115,9 +102,7 @@ def homology(x: SimplicialSet, k: int) -> tuple:
     torsion = sorted(d for d in above if d != 1)
     if betti < 0:
         raise StructureError("negative betti number: boundary data inconsistent")
-    result = (betti, torsion)
-    x._cache[key] = result
-    return result
+    return betti, torsion
 
 
 def betti(x: SimplicialSet, k: int) -> int:

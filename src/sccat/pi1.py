@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intmat
-from .sset import SimplicialSet, pi0, pi0_class_of
+from .sset import SimplicialSet, _UnionFind, pi0, pi0_class_of
 from .verdict import Budget, BudgetExceeded, InputError, UNDECIDED_GROUP, Verdict
 
 # A word is a tuple of nonzero ints: +g means generator g-1, -g its inverse.
@@ -75,15 +75,16 @@ def abelianization_invariants(p: GroupPresentation) -> tuple:
 class _CosetTable:
     """Coset table over the trivial subgroup with lazy coincidence merging.
 
-    Entries may point at dead cosets; every read resolves through rep().
-    Merging two cosets combines their rows, cascading further merges.
+    Entries may point at dead cosets; every read resolves through the
+    union-find ``cosets``.  Merging two cosets keeps the smaller one and
+    combines their rows, cascading further merges.
     """
 
     def __init__(self, n_gens: int, max_cosets: int):
         self.n_cols = 2 * n_gens
         self.max_cosets = max_cosets
         self.table = [[None] * self.n_cols]
-        self.parent = [0]
+        self.cosets = _UnionFind(1)
         self.merged_flag = False
 
     def col(self, letter: int) -> int:
@@ -93,29 +94,20 @@ class _CosetTable:
     def inv_col(self, c: int) -> int:
         return c ^ 1
 
-    def rep(self, a: int) -> int:
-        p = a
-        while self.parent[p] != p:
-            p = self.parent[p]
-        while self.parent[a] != p:
-            self.parent[a], a = p, self.parent[a]
-        return p
-
     def entry(self, a: int, c: int):
-        v = self.table[self.rep(a)][c]
-        return None if v is None else self.rep(v)
+        v = self.table[self.cosets.find(a)][c]
+        return None if v is None else self.cosets.find(v)
 
     def define(self, a: int, c: int) -> int:
         if len(self.table) >= self.max_cosets:
             raise BudgetExceeded("coset table full")
-        b = len(self.table)
+        b = self.cosets.add()
         self.table.append([None] * self.n_cols)
-        self.parent.append(b)
         self.set_entry(a, c, b)
         return b
 
     def set_entry(self, a: int, c: int, b: int):
-        a, b = self.rep(a), self.rep(b)
+        a, b = self.cosets.find(a), self.cosets.find(b)
         ic = self.inv_col(c)
         cur = self.table[a][c]
         if cur is not None:
@@ -125,20 +117,20 @@ class _CosetTable:
         back = self.table[b][ic]
         if back is None:
             self.table[b][ic] = a
-        elif self.rep(back) != a:
+        elif self.cosets.find(back) != a:
             self.merge(back, a)
 
     def merge(self, a: int, b: int):
         stack = [(a, b)]
         while stack:
             x, y = stack.pop()
-            x, y = self.rep(x), self.rep(y)
+            x, y = self.cosets.find(x), self.cosets.find(y)
             if x == y:
                 continue
             self.merged_flag = True
+            self.cosets.union(x, y)
             if y < x:
                 x, y = y, x
-            self.parent[y] = x
             rx, ry = self.table[x], self.table[y]
             for c in range(self.n_cols):
                 v = ry[c]
@@ -153,7 +145,7 @@ class _CosetTable:
     def scan(self, start: int, word: Word, fill: bool):
         """Trace a relator from a coset; deduce/define when ``fill``."""
         while True:
-            a = self.rep(start)
+            a = self.cosets.find(start)
             f, b = a, a
             i, j = 0, len(word) - 1
             while i <= j:
@@ -163,7 +155,7 @@ class _CosetTable:
                 f = nxt
                 i += 1
             if i > j:
-                if self.rep(f) != self.rep(b):
+                if self.cosets.find(f) != self.cosets.find(b):
                     self.merge(f, b)
                 return
             while j >= i:
@@ -173,7 +165,7 @@ class _CosetTable:
                 b = prv
                 j -= 1
             if j < i:
-                if self.rep(f) != self.rep(b):
+                if self.cosets.find(f) != self.cosets.find(b):
                     self.merge(f, b)
                 return
             if j == i:
@@ -181,10 +173,10 @@ class _CosetTable:
                 return
             if not fill:
                 return
-            self.define(self.rep(f), self.col(word[i]))
+            self.define(self.cosets.find(f), self.col(word[i]))
 
     def live(self) -> list:
-        return [a for a in range(len(self.table)) if self.rep(a) == a]
+        return [a for a in range(len(self.table)) if self.cosets.find(a) == a]
 
 
 def coset_enumeration(p: GroupPresentation, max_cosets: int) -> int | None:
@@ -195,16 +187,16 @@ def coset_enumeration(p: GroupPresentation, max_cosets: int) -> int | None:
         while True:
             a = 0
             while a < len(tbl.table):
-                if tbl.rep(a) != a:
+                if tbl.cosets.find(a) != a:
                     a += 1
                     continue
                 for rel in relators:
-                    if tbl.rep(a) != a:
+                    if tbl.cosets.find(a) != a:
                         break
                     tbl.scan(a, rel, fill=True)
-                if tbl.rep(a) == a:
+                if tbl.cosets.find(a) == a:
                     for c in range(tbl.n_cols):
-                        if tbl.rep(a) != a:
+                        if tbl.cosets.find(a) != a:
                             break
                         if tbl.entry(a, c) is None:
                             tbl.define(a, c)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from .cat import (FiniteCategory, FiniteFunctor, is_isomorphism,
                   validate_category, validate_functor)
 from .sset import (SimplicialSet, SSetMap, compose_maps, empty_sset,
-                   identity_map, pi0, pi0_class_of, point, pullback_ssets,
-                   validate_sset, validate_sset_map)
+                   identity_map, memo, pi0, pi0_class_of, pi0_map, point,
+                   pullback_ssets, validate_sset, validate_sset_map)
 from .verdict import InputError, StructureError
 
 
@@ -48,9 +48,9 @@ class SimplicialCategory:
         if bounds - {dim_bound}:
             raise InputError("all hom complexes must share one dim_bound")
         self.dim_bound = dim_bound
-        for a in range(n):
-            for b in range(n):
-                self.hom.setdefault((a, b), empty_sset(dim_bound))
+        missing = [(a, b) for a in range(n) for b in range(n) if (a, b) not in self.hom]
+        if missing:
+            self.hom.update(dict.fromkeys(missing, empty_sset(dim_bound)))
         # canonicalize: a dimension with no composable pairs stores ()
         self.compose = {}
         for key, levels in compose.items():
@@ -464,19 +464,13 @@ def pullback_mediating(P: SimplicialCategory, pr_B: SFunctor, pr_C: SFunctor,
 # ---------------------------------------------------------------------------
 # pi0
 
+@memo
 def pi0_data(cat: SimplicialCategory):
     """(component category, classes) where classes[(a, b)] is the pi0
     partition of Hom(a, b) and morphism i of the component category is the
     i-th class.  Well-definedness of induced composition is asserted."""
-    key = "pi0_data"
-    if key in cat._cache:
-        return cat._cache[key]
-    classes = {}
-    class_of = {}
-    for (a, b) in cat.object_pairs():
-        h = cat.hom[(a, b)]
-        classes[(a, b)] = pi0(h)
-        class_of[(a, b)] = pi0_class_of(h)
+    classes = {pair: pi0(cat.hom[pair]) for pair in cat.object_pairs()}
+    class_of = {pair: pi0_class_of(cat.hom[pair]) for pair in cat.object_pairs()}
     homs = {(a, b): tuple(f"c{i}" for i in range(len(classes[(a, b)])))
             for (a, b) in cat.object_pairs()}
     compose = {}
@@ -498,8 +492,7 @@ def pi0_data(cat: SimplicialCategory):
                        for a in range(cat.n_objects()))
     fc = FiniteCategory(objects=cat.objects, homs=homs, compose=compose,
                         identities=identities)
-    cat._cache[key] = (fc, classes)
-    return cat._cache[key]
+    return fc, classes
 
 
 def pi0_category(cat: SimplicialCategory) -> FiniteCategory:
@@ -507,15 +500,10 @@ def pi0_category(cat: SimplicialCategory) -> FiniteCategory:
 
 
 def pi0_functor(F: SFunctor) -> FiniteFunctor:
-    src_cat, src_classes = pi0_data(F.source)
-    tgt_cat, tgt_classes = pi0_data(F.target)
-    mor_maps = {}
-    for (a, b) in F.source.object_pairs():
-        tgt_class_of = pi0_class_of(F.target.hom[(F.ob(a), F.ob(b))])
-        mor_maps[(a, b)] = tuple(
-            tgt_class_of[F.apply(0, a, b, cls[0])]
-            for cls in src_classes[(a, b)])
-    return FiniteFunctor(source=src_cat, target=tgt_cat,
+    mor_maps = {pair: tuple(pi0_map(F.hom_maps[pair]))
+                for pair in F.source.object_pairs()}
+    return FiniteFunctor(source=pi0_category(F.source),
+                         target=pi0_category(F.target),
                          ob_map=F.ob_map, mor_maps=mor_maps)
 
 

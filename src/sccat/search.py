@@ -22,17 +22,15 @@ from __future__ import annotations
 import itertools
 
 from .scat import SFunctor, SimplicialCategory
-from .sset import SSetMap, _pins_under, _slot_order, _SlotSearch
+from .sset import SSetMap, _pins_under, _slot_order, _SlotSearch, memo
 from .verdict import InputError
 
 
+@memo
 def _comp_instances(src: SimplicialCategory):
     """The composition instances of the source other than the unit laws,
     grouped by the search slot after which all three participants are
     determined."""
-    key = "comp_instances"
-    if key in src._cache:
-        return src._cache[key]
     n = src.n_objects()
     homs = [src.hom[pair] for pair in src.object_pairs()]
     slot_pos = {slot: pos for pos, slot in enumerate(_slot_order(homs))}
@@ -57,7 +55,6 @@ def _comp_instances(src: SimplicialCategory):
                                 det_slot(k, b * n + c, g),
                                 det_slot(k, a * n + c, gf))
                     grouped[ready].append((k, a, b, c, g, f, gf))
-    src._cache[key] = grouped
     return grouped
 
 

@@ -23,15 +23,35 @@ The operations on finished sets (subcomplexes, disjoint unions,
 pullbacks, cell attachment) build their tables from those of their
 inputs.  Records are derived once, from the tables, by ``derive_records``.
 
-Derived structure (face-key indexes, pi0, vertex sets) is cached on the
-instance; values are treated as immutable after construction.
+Derived data (pi0 here, homology, component categories) is computed
+once per instance through ``memo``, except the class's own accessors
+(nondegenerate indices, face-key indexes, vertex sets), which the slot
+search reads in its inner loop; values are treated as immutable after
+construction.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .verdict import InputError, _Steps
+
+
+def memo(fn):
+    """``fn(x, *args)`` computed once per instance x and kept in
+    ``x._cache`` under ``(fn, *args)``.  A call that raises stores nothing,
+    so it raises again on the next call."""
+    @functools.wraps(fn)
+    def cached(x, *args):
+        key = (fn, *args)
+        try:
+            return x._cache[key]
+        except KeyError:
+            pass
+        out = x._cache[key] = fn(x, *args)
+        return out
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +478,14 @@ def validate_sset(x: SimplicialSet) -> list:
 # pi0
 
 class _UnionFind:
+    """Disjoint classes of 0, 1, ...; a union keeps the smaller representative."""
+
     def __init__(self, n):
         self.parent = list(range(n))
+
+    def add(self) -> int:
+        self.parent.append(len(self.parent))
+        return len(self.parent) - 1
 
     def find(self, a):
         p = a
@@ -477,36 +503,39 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+@memo
 def pi0(x: SimplicialSet) -> list:
     """Partition of the 0-simplices into path components.
 
     Components are sorted lists of vertex indices, ordered by least member.
     """
-    key = "pi0"
-    if key not in x._cache:
-        n = x.size(0)
-        uf = _UnionFind(n)
-        if x.dim_bound >= 1:
-            for idx in x.nondeg_indices(1):
-                s = x.dims[1][idx]
-                uf.union(s.faces[0], s.faces[1])
-        groups = {}
-        for v in range(n):
-            groups.setdefault(uf.find(v), []).append(v)
-        x._cache[key] = [sorted(g) for _, g in sorted(groups.items())]
-    return x._cache[key]
+    n = x.size(0)
+    uf = _UnionFind(n)
+    if x.dim_bound >= 1:
+        for idx in x.nondeg_indices(1):
+            s = x.dims[1][idx]
+            uf.union(s.faces[0], s.faces[1])
+    groups = {}
+    for v in range(n):
+        groups.setdefault(uf.find(v), []).append(v)
+    return [sorted(g) for _, g in sorted(groups.items())]
 
 
+@memo
 def pi0_class_of(x: SimplicialSet) -> list:
     """vertex index -> component index (components as ordered by pi0)."""
-    key = "pi0_class"
-    if key not in x._cache:
-        cls = [0] * x.size(0)
-        for ci, comp in enumerate(pi0(x)):
-            for v in comp:
-                cls[v] = ci
-        x._cache[key] = cls
-    return x._cache[key]
+    cls = [0] * x.size(0)
+    for ci, comp in enumerate(pi0(x)):
+        for v in comp:
+            cls[v] = ci
+    return cls
+
+
+def pi0_map(f: SSetMap) -> list:
+    """The component map of f: component i of the source (as ordered by
+    pi0) goes to component pi0_map(f)[i] of the target."""
+    tgt_class = pi0_class_of(f.target)
+    return [tgt_class[f.assign[0][comp[0]]] for comp in pi0(f.source)]
 
 
 # ---------------------------------------------------------------------------
@@ -852,9 +881,11 @@ class _SlotSearch:
 
 
 def _sset_maps(x: SimplicialSet, y: SimplicialSet, under=None, over=None,
-               max_nodes=None):
+               max_nodes=None, keep=None):
     """The maps of ``enumerate_sset_maps``, in its order, made one at a
-    time as they are asked for."""
+    time as they are asked for.  ``keep(image)``, with image(k, idx) the
+    image of the simplex (k, idx), is asked at the last slot and vetoes a
+    map before it is built."""
     if x.dim_bound != y.dim_bound:
         raise InputError("dim_bound mismatch")
     pins = _pins_under([(0, *under)]) if under is not None else {}
@@ -862,7 +893,15 @@ def _sset_maps(x: SimplicialSet, y: SimplicialSet, under=None, over=None,
         return
     if over is not None:
         over = [(over[0].assign, over[1].assign)]
-    for tables in _SlotSearch([x], max_nodes).run([y], pins, over):
+    search = _SlotSearch([x], max_nodes)
+    check = None
+    if keep is not None:
+        last = len(search.slots) - 1
+
+        def check(pos, image):
+            return pos < last or keep(lambda k, idx: image(k, 0, idx))
+
+    for tables in search.run([y], pins, over, check):
         yield SSetMap(x, y, tables[0])
 
 

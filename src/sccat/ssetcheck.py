@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 from . import homology as hml
 from .pi1 import fundamental_group_trivial
-from .sset import (SimplicialSet, SSetMap, _SlotSearch, _sset_maps,
-                   boundary_inclusion, compose_maps, enumerate_sset_maps,
-                   horn_inclusion, is_iso_map, pi0, pi0_class_of, standard_simplex)
+from .sset import (SimplicialSet, SSetMap, _sset_maps, boundary_inclusion,
+                   compose_maps, enumerate_sset_maps, horn_inclusion, is_iso_map,
+                   pi0, pi0_map, standard_simplex)
 from .verdict import (BUDGET, Budget, BudgetExceeded, UNDECIDED_GROUP, Verdict,
                       _Steps, aggregate)
 
@@ -54,18 +54,8 @@ def is_weakly_contractible(x: SimplicialSet, budget: Budget | None = None) -> Ve
                                 "reduced_homology": "vanishes"})
 
 
-def _pi0_map(f: SSetMap) -> list:
-    """Component index map induced by f."""
-    src_class = pi0_class_of(f.source)
-    tgt_class = pi0_class_of(f.target)
-    out = [None] * len(pi0(f.source))
-    for v in range(f.source.size(0)):
-        out[src_class[v]] = tgt_class[f.assign[0][v]]
-    return out
-
-
 def pi0_bijective(f: SSetMap) -> bool:
-    m = _pi0_map(f)
+    m = pi0_map(f)
     return len(set(m)) == len(m) == len(pi0(f.target))
 
 
@@ -88,7 +78,7 @@ def is_weak_equivalence_sset(f: SSetMap, budget: Budget | None = None) -> Verdic
     if not pi0_bijective(f):
         return Verdict.no(witness={
             "pi0_source": len(pi0(f.source)), "pi0_target": len(pi0(f.target)),
-            "pi0_map": _pi0_map(f)})
+            "pi0_map": pi0_map(f)})
     ok, fail = hml.homology_iso_all_degrees(f)
     if not ok:
         return Verdict.no(witness={"homology_failure_degree": fail,
@@ -226,17 +216,9 @@ def _unfilled(p: SSetMap, n: int, k: int | None, steps: _Steps) -> dict:
 
 def _first_map(x: SimplicialSet, y: SimplicialSet, over, keep) -> SSetMap:
     """The first map x -> y in search order, over ``over`` = (p, bottom)
-    when given, whose images ``image(k, idx)`` pass ``keep(image)``.  keep
-    is asked at the last slot, so a failing candidate builds no map."""
-    search = _SlotSearch([x])
-    last = len(search.slots) - 1
-    over = [(over[0].assign, over[1].assign)] if over else None
-
-    def check(pos, image):
-        return pos < last or keep(lambda k, idx: image(k, 0, idx))
-
-    for tables in search.run([y], {}, over, check):
-        return SSetMap(x, y, tables[0])
+    when given, whose images ``image(k, idx)`` pass ``keep(image)``."""
+    for g in _sset_maps(x, y, over=over, keep=keep):
+        return g
     raise AssertionError("the face-tuple join and the slot search disagree")
 
 

@@ -197,11 +197,6 @@ class _WordEngine:
     def word_f_count(self, word):
         return sum(1 for l in word if l[0] == "F")
 
-    def word_endpoints(self, word, at_pair=None):
-        if word:
-            return self.d_endpoints(word[0])[0], self.d_endpoints(word[-1])[1]
-        return at_pair
-
     # -- closure ---------------------------------------------------------------
     def generate(self):
         """The normal words of every dimension, keyed by (k, a, b): a
@@ -249,17 +244,16 @@ class _WordEngine:
         def word_key(w):
             return (self.word_f_count(w), len(w), tuple(letter_key(l) for l in w))
 
-        # deterministic order: images of old simplices first (in old index
-        # order), then everything else by (generator count, length, letters)
-        words, index, old_word = {}, {}, {}
+        # deterministic order: old simplices first, keeping their indices
+        # (each C letter is its own normal form, an identity tower the empty
+        # word), then everything else by (generator count, length, letters)
+        words, index = {}, {}
         n_old = self.C.n_objects()
         for k in range(bound + 1):
             for a in range(n):
                 for b in range(n):
                     old = self.C.hom[(a, b)].size(k) if max(a, b) < n_old else 0
-                    for idx in range(old):
-                        old_word[(k, a, b, idx)] = self.normalize(k, [("C", a, b, idx)])
-                    lst = list(dict.fromkeys(old_word[(k, a, b, idx)] for idx in range(old)))
+                    lst = [self.normalize(k, [("C", a, b, idx)]) for idx in range(old)]
                     seen = set(lst)
                     lst += sorted((w for w in raw[(k, a, b)] if w not in seen), key=word_key)
                     words[(k, (a, b))] = lst
@@ -306,25 +300,21 @@ class _WordEngine:
         inc_base = SFunctor(
             source=self.C, target=D,
             ob_map=tuple(range(self.C.n_objects())),
-            hom_maps={(a, b): SSetMap(
-                self.C.hom[(a, b)], homs[(a, b)],
-                [[index[(k, (a, b))][old_word[(k, a, b, idx)]]
-                  for idx in range(self.C.hom[(a, b)].size(k))]
-                 for k in range(bound + 1)])
-                for (a, b) in self.C.object_pairs()})
+            hom_maps={pair: SSetMap(self.C.hom[pair], homs[pair],
+                                    [list(range(self.C.hom[pair].size(k)))
+                                     for k in range(bound + 1)])
+                      for pair in self.C.object_pairs()})
 
         f_ob = tuple(self.f2d[u] for u in range(self.F.n_objects()))
 
-        def f_image(k, u, v, idx):
-            w = self.normalize(k, [("F", u, v, idx)])
-            return index[(k, self.word_endpoints(w, (self.f2d[u], self.f2d[v])))][w]
-
+        # an F letter (u, v) normalizes to a word from f2d[u] to f2d[v], also
+        # when the glue rewrites it into C
         f_maps = {}
         for (u, v) in self.F.object_pairs():
-            h = self.F.hom[(u, v)]
-            f_maps[(u, v)] = SSetMap(h, homs[(self.f2d[u], self.f2d[v])],
-                                     [[f_image(k, u, v, idx) for idx in range(h.size(k))]
-                                      for k in range(bound + 1)])
+            h, pair = self.F.hom[(u, v)], (self.f2d[u], self.f2d[v])
+            f_maps[(u, v)] = SSetMap(h, homs[pair], [
+                [index[(k, pair)][self.normalize(k, [("F", u, v, idx)])]
+                 for idx in range(h.size(k))] for k in range(bound + 1)])
         inc_attached = SFunctor(source=self.F, target=D, ob_map=f_ob,
                                 hom_maps=f_maps)
 
@@ -386,16 +376,8 @@ def pushout_mediating(result: PushoutResult, to_base: SFunctor,
         raise InputError("cocone does not commute with the attachment span")
     T = to_base.target
     D = result.category
-    eng_new = result.new_objects
-    n_base = result.inc_base.source.n_objects()
-    f2d = {u: d for u, d in enumerate(result.inc_attached.ob_map)}
-    ob_map = []
-    for o in range(D.n_objects()):
-        if o < n_base:
-            ob_map.append(to_base.ob(o))
-        else:
-            u = eng_new[o - n_base]
-            ob_map.append(to_attached.ob(u))
+    # the objects of D are those of the base, then the new ones of F
+    ob_map = list(to_base.ob_map) + [to_attached.ob(u) for u in result.new_objects]
 
     def letter_image(k, letter):
         tag, a, b, idx = letter
@@ -413,11 +395,10 @@ def pushout_mediating(result: PushoutResult, to_base: SFunctor,
                 if not w:
                     level.append(T.identity_tower(ob_map[a], k))
                     continue
-                ta, tb, cur = letter_image(k, w[0])
+                ta, _, cur = letter_image(k, w[0])
                 for letter in w[1:]:
                     la, lb, nxt = letter_image(k, letter)
                     cur = T.comp(k, ta, la, lb, nxt, cur)
-                    tb = lb
                 level.append(cur)
             assign.append(level)
         hom_maps[(a, b)] = SSetMap(D.hom[(a, b)], T.hom[(ob_map[a], ob_map[b])],

@@ -411,6 +411,12 @@ def test_free_map_decides_at_exactly_its_step_count():
     assert is_free_map(inc, marking, max_steps=5) == (None, {"step_cap": 5})
 
 
+def test_a2_candidate_needs_two_objects():
+    inc = inclusion_of_object(codiscrete_groupoid(3, D), 0, singleton_cat(D))
+    v = is_a2_candidate(inc)
+    assert v.is_no and v.witness == {"shape": "needs {x} -> H with two objects"}
+
+
 def test_a2_candidate_step_cap_is_budget_exhausted():
     # codiscrete(2) needs three words to show its relation h . g = id
     h = codiscrete_groupoid(2, D)

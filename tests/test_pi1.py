@@ -49,6 +49,9 @@ def test_is_trivial_group_examples():
     assert is_trivial_group(P(["a"], [(1,)])).is_yes
     v = is_trivial_group(P(["a"], [(1, 1, 1)]))
     assert v.witness["abelianization"] == (0, [3])
+    # A5 is perfect: the abelianization is trivial, the enumeration says no
+    v = is_trivial_group(P(["a", "b"], [(1, 1), (2, 2, 2), (1, 2) * 5]))
+    assert v.is_no and v.witness == {"order": 60}
 
 
 def test_is_trivial_group_unknown_on_tiny_budget():

@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sccat import scat
 from sccat.cat import is_equivalence, is_isomorphism, validate_functor
 from sccat.constructions_basic import (codiscrete_groupoid,
                                        inclusion_of_object, walking_arrow)
@@ -15,10 +16,10 @@ from sccat.scat import (
     validate_scat, validate_sfunctor,
 )
 from sccat.sset import (SSetMap, boundary, boundary_inclusion, compose_maps,
-                        from_nondegenerate, horn_inclusion, identity_map,
-                        point, standard_simplex, validate_sset,
-                        validate_sset_map)
-from sccat.verdict import Budget
+                        from_nondegenerate, from_simplicial_complex,
+                        horn_inclusion, identity_map, point, standard_simplex,
+                        validate_sset, validate_sset_map)
+from sccat.verdict import Budget, StructureError
 from sccat.words import Attachment, glue_for_u, pushout_generating
 from tests.test_model import z2_category
 
@@ -255,6 +256,23 @@ def test_coproduct_of_a_category_with_itself_keeps_two_copies():
     assert validate_sfunctor(inc0) == [] and validate_sfunctor(inc1) == []
 
 
+def test_missing_homs_share_one_empty_set(monkeypatch):
+    calls = []
+    empty_sset = scat.empty_sset
+    monkeypatch.setattr(scat, "empty_sset",
+                        lambda d: calls.append(d) or empty_sset(d))
+    codiscrete_groupoid(3, D)           # every hom given
+    assert calls == []
+    cod = codiscrete_groupoid(3, D)
+    coproduct([cod, cod])               # one empty set, made by the builder
+    assert calls == [D]
+    pt = point(D)
+    cat = SimplicialCategory(objects=("x", "y"), hom={(0, 0): pt, (1, 1): pt},
+                             compose={}, identities=(0, 0), dim_bound=D)
+    assert calls == [D, D]
+    assert cat.hom[(0, 1)] is cat.hom[(1, 0)] and cat.hom[(0, 1)].is_empty()
+
+
 def test_coproduct_with_empty_is_same():
     cat = functor_U(standard_simplex(1, D))
     cop, _ = coproduct([cat, empty_cat(D)])
@@ -320,6 +338,18 @@ def test_pi0_of_walking_arrow():
 def test_pi0_of_U_two_points():
     fc = pi0_category(functor_U(boundary(1, D)))
     assert len(fc.hom(0, 1)) == 2  # two parallel morphisms
+
+
+def test_pi0_data_raises_on_every_call():
+    # Hom(x, x) has components {0, 1} and {2}, and 1 . 1 = 2 while 0 . 0 = 0
+    h = from_simplicial_complex([(0, 1), (2,)], 1)
+    table = [[g if f == 0 else f if g == 0 else 2 for f in range(3)]
+             for g in range(3)]
+    cat = SimplicialCategory(objects=("x",), hom={(0, 0): h},
+                             compose={(0, 0, 0): (table, ())}, identities=(0,))
+    for _ in range(2):
+        with pytest.raises(StructureError, match="not well defined"):
+            pi0_data(cat)
 
 
 def test_pi0_of_codiscrete_is_codiscrete():

@@ -5,7 +5,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sccat import sset
+from sccat import homology as hml, scat, search, sset
+from sccat.constructions_basic import codiscrete_groupoid
 from sccat.sset import (
     SimplicialSet, Simplex, SSetMap, attach_nondeg, boundary, boundary_inclusion,
     compose_maps, compose_words, degeneracy_words, disjoint_union,
@@ -495,3 +496,26 @@ def test_simplex_boundary_horn_and_inclusions_match_the_reference(n, d):
         assert records_of(inc.source) == want
         assert inc.assign == tuple(tuple(big[k].index(t) for t in small[k])
                                    for k in range(d + 1))
+
+
+# -- memoized derived data -----------------------------------------------------
+
+MEMOIZED = [
+    (sset.pi0, boundary(1, 2), ()),
+    (sset.pi0_class_of, boundary(1, 2), ()),
+    (hml._nondeg_pos, boundary(2, 2), (1,)),
+    (hml.boundary_matrix, boundary(2, 2), (1,)),
+    (hml._boundary_reduction, boundary(2, 2), (1,)),
+    (hml._cycle_basis, boundary(2, 2), (1,)),
+    (hml.homology, boundary(2, 2), (1,)),
+    (scat.pi0_data, codiscrete_groupoid(2, 2), ()),
+    (search._comp_instances, codiscrete_groupoid(2, 2), ()),
+]
+
+
+@pytest.mark.parametrize("fn, x, args", MEMOIZED,
+                         ids=[fn.__name__ for fn, _, _ in MEMOIZED])
+def test_memoized_results_are_shared(fn, x, args):
+    # assert_chain_complex returns None: the matmul count in test_homology
+    # shows that it is stored
+    assert fn(x, *args) is fn(x, *args)

@@ -10,11 +10,12 @@ from sccat.ssetcheck import (
     unique_map_to_point,
 )
 from sccat.sset import (
-    boundary, boundary_inclusion, compose_maps, disjoint_union,
-    enumerate_sset_maps, from_simplicial_complex, horn, horn_inclusion,
-    identity_map, point, standard_simplex,
+    _tuple_inclusion, boundary, boundary_inclusion, compose_maps,
+    disjoint_union, enumerate_sset_maps, from_simplicial_complex, horn,
+    horn_inclusion, identity_map, point, standard_simplex,
 )
-from sccat.verdict import BUDGET, Budget, Verdict, _Steps, aggregate
+from sccat.verdict import (BUDGET, UNDECIDED_GROUP, Budget, Verdict, _Steps,
+                           aggregate)
 from tests.test_homology import cycle
 from tests.test_sset import projective_plane
 
@@ -89,6 +90,31 @@ def test_weq_unknown_on_non_simply_connected():
     # the collapse onto the vertex: pi0 bijective, homology NOT iso -> no
     seen_kinds = {is_weak_equivalence_sset(f).kind for f in candidates}
     assert "yes" not in seen_kinds
+
+
+def with_whisker(facets, d):
+    """The inclusion of the complex into itself plus a new edge (0, v)."""
+    v = 1 + max(max(f) for f in facets)
+    return _tuple_inclusion(from_simplicial_complex(facets, d),
+                            from_simplicial_complex(facets + [(0, v)], d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_weq_decided_on_simply_connected_sides(d):
+    # the boundary of Delta[3] is simply connected but not contractible
+    f = with_whisker([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], d)
+    v = is_weak_equivalence_sset(f)
+    assert v.is_yes and v.qualifier == {"route": "simply-connected"}
+    assert v.witness == {"pi0": "bijective", "pi1": "trivial",
+                         "homology": "isomorphism"}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_weq_undecided_when_pi1_is_nontrivial(d):
+    # a 3-cycle: pi0 and homology match, pi1 = Z on both sides
+    v = is_weak_equivalence_sset(with_whisker([(0, 1), (1, 2), (0, 2)], d))
+    assert v.kind == "unknown" and v.reason == UNDECIDED_GROUP
+    assert v.witness == {"pi1_source": "no", "pi1_target": "no"}
 
 
 def test_weq_reflexive_and_composition_closed():

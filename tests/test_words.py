@@ -177,6 +177,11 @@ def all_pairs_generate(eng):
     rounds that compose every pair of words again until a round adds
     nothing; one step per composed pair."""
     bound = eng.bound
+
+    def word_endpoints(word, at_pair):
+        if word:
+            return eng.d_endpoints(word[0])[0], eng.d_endpoints(word[-1])[1]
+        return at_pair
     words = {(k, a, b): {} for k in range(bound + 1)
              for a in range(eng.n_objects) for b in range(eng.n_objects)}
 
@@ -195,12 +200,12 @@ def all_pairs_generate(eng):
         for (a, b) in eng.C.object_pairs():
             for idx in range(eng.C.hom[(a, b)].size(k)):
                 w = eng.normalize(k, [("C", a, b, idx)])
-                sa, sb = eng.word_endpoints(w, (a, b))
+                sa, sb = word_endpoints(w, (a, b))
                 add(k, sa, sb, w)
         for (u, v) in eng.F.object_pairs():
             for idx in range(eng.F.hom[(u, v)].size(k)):
                 w = eng.normalize(k, [("F", u, v, idx)])
-                sa, sb = eng.word_endpoints(w, (eng.f2d[u], eng.f2d[v]))
+                sa, sb = word_endpoints(w, (eng.f2d[u], eng.f2d[v]))
                 add(k, sa, sb, w)
 
     steps = _Steps(eng.budget.max_steps)
@@ -218,7 +223,7 @@ def all_pairs_generate(eng):
                             for w2 in snapshot[(b, c)]:
                                 steps.charge()
                                 w = eng.normalize(k, list(w1) + list(w2))
-                                sa, sb = eng.word_endpoints(w, (a, c))
+                                sa, sb = word_endpoints(w, (a, c))
                                 if add(k, sa, sb, w):
                                     changed = True
     return {key: set(bucket) for key, bucket in words.items()}
