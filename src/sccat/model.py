@@ -474,6 +474,13 @@ def is_a2_candidate(inc: SFunctor, budget: Budget | None = None, *,
     passing the literal free-map check within ``budget.max_steps`` words
     (unknown(budget-exhausted) past them).  Countability holds trivially
     at finite scale and is recorded.
+
+    For finite H the answer is never yes.  Weakly contractible homs are
+    nonempty, and the image of {x} + {y} is identity towers only, so every
+    word is made of marked letters.  With u: x -> y and v: y -> x in
+    dimension 0, the words (v u)^n are distinct and all land in the finite
+    Hom(x, x)_0, so ``is_free_map`` finds a relation or reaches its step
+    cap.  The yes return stays so that the verdict follows its witness.
     """
     budget = budget or Budget()
     h = inc.target
@@ -540,16 +547,18 @@ def factor_bounded(f: SFunctor, gens, budget: Budget | None = None) -> FactorRes
     nondegenerate simplices, top objects (a, a') over (c, c'), then the
     face tuple by the images of the horn's or boundary's nondegenerate
     simplices.  C2 fails iff the right map misses an object, first the
-    least one.  Other generators raise InputError.  Stops with
+    least one.  Other generators, and generators of another ``dim_bound``
+    than f, raise InputError.  Stops with
     complete=False when a square is left after ``budget.max_words`` cells or
     a join or pushout exceeds the budget; the exact equation right . left =
     f holds on every return.
     """
     budget = budget or Budget()
+    if any(gen.map.target.dim_bound != f.target.dim_bound for gen in gens):
+        raise InputError("dim_bound mismatch")
     steps = _Steps(budget.max_steps)
     stage, left, right, cells = f.source, identity_sfunctor(f.source), f, []
-    order = sorted(range(len(gens)), key=lambda i: (-gens[i].dim, i))
-    gens = [gens[i] for i in order]
+    gens = sorted(gens, key=lambda g: -g.dim)
     while True:
         square = None
         try:

@@ -8,10 +8,10 @@ the identity.
 
 Triviality is decided with cheap sound obstructions first (the invariant
 factors of the abelianized relator matrix give a definite "no"), then a bounded
-Todd-Coxeter coset enumeration over the trivial subgroup: if it completes,
-the group order is the number of surviving cosets, which settles the
-question either way; if the coset table overflows its budget the verdict
-is unknown.
+Todd-Coxeter coset enumeration over the trivial subgroup, one HLT pass with
+deferred coincidences: if it completes, the group order is the number of
+surviving cosets, which settles the question either way; if the coset table
+overflows its budget the verdict is unknown.
 """
 from __future__ import annotations
 
@@ -78,6 +78,12 @@ class _CosetTable:
     Entries may point at dead cosets; every read resolves through the
     union-find ``cosets``.  Merging two cosets keeps the smaller one and
     combines their rows, cascading further merges.
+
+    Only relator scans merge.  ``set_entry`` fills only undefined entries
+    of class representatives (a fresh coset's, or the two that end a
+    deduction), so it never meets a coincidence.  A merge only
+    identifies cosets, so it keeps complete rows complete and closed
+    relator cycles closed.
     """
 
     def __init__(self, n_gens: int, max_cosets: int):
@@ -85,7 +91,6 @@ class _CosetTable:
         self.max_cosets = max_cosets
         self.table = [[None] * self.n_cols]
         self.cosets = _UnionFind(1)
-        self.merged_flag = False
 
     def col(self, letter: int) -> int:
         g = abs(letter) - 1
@@ -98,27 +103,15 @@ class _CosetTable:
         v = self.table[self.cosets.find(a)][c]
         return None if v is None else self.cosets.find(v)
 
-    def define(self, a: int, c: int) -> int:
+    def define(self, a: int, c: int):
         if len(self.table) >= self.max_cosets:
             raise BudgetExceeded("coset table full")
-        b = self.cosets.add()
         self.table.append([None] * self.n_cols)
-        self.set_entry(a, c, b)
-        return b
+        self.set_entry(a, c, self.cosets.add())
 
     def set_entry(self, a: int, c: int, b: int):
-        a, b = self.cosets.find(a), self.cosets.find(b)
-        ic = self.inv_col(c)
-        cur = self.table[a][c]
-        if cur is not None:
-            self.merge(cur, b)
-            return
         self.table[a][c] = b
-        back = self.table[b][ic]
-        if back is None:
-            self.table[b][ic] = a
-        elif self.cosets.find(back) != a:
-            self.merge(back, a)
+        self.table[b][self.inv_col(c)] = a
 
     def merge(self, a: int, b: int):
         stack = [(a, b)]
@@ -127,7 +120,6 @@ class _CosetTable:
             x, y = self.cosets.find(x), self.cosets.find(y)
             if x == y:
                 continue
-            self.merged_flag = True
             self.cosets.union(x, y)
             if y < x:
                 x, y = y, x
@@ -142,11 +134,10 @@ class _CosetTable:
                     stack.append((rx[c], v))
                 ry[c] = None
 
-    def scan(self, start: int, word: Word, fill: bool):
-        """Trace a relator from a coset; deduce/define when ``fill``."""
+    def scan(self, start: int, word: Word):
+        """Trace a relator from a live coset, deducing or defining until it closes."""
         while True:
-            a = self.cosets.find(start)
-            f, b = a, a
+            f = b = start
             i, j = 0, len(word) - 1
             while i <= j:
                 nxt = self.entry(f, self.col(word[i]))
@@ -154,10 +145,6 @@ class _CosetTable:
                     break
                 f = nxt
                 i += 1
-            if i > j:
-                if self.cosets.find(f) != self.cosets.find(b):
-                    self.merge(f, b)
-                return
             while j >= i:
                 prv = self.entry(b, self.inv_col(self.col(word[j])))
                 if prv is None:
@@ -165,53 +152,39 @@ class _CosetTable:
                 b = prv
                 j -= 1
             if j < i:
-                if self.cosets.find(f) != self.cosets.find(b):
-                    self.merge(f, b)
+                self.merge(f, b)
                 return
             if j == i:
                 self.set_entry(f, self.col(word[i]), b)
                 return
-            if not fill:
-                return
-            self.define(self.cosets.find(f), self.col(word[i]))
-
-    def live(self) -> list:
-        return [a for a in range(len(self.table)) if self.cosets.find(a) == a]
+            self.define(f, self.col(word[i]))
 
 
 def coset_enumeration(p: GroupPresentation, max_cosets: int) -> int | None:
-    """Order of the presented group if enumeration completes, else None."""
+    """Order of the presented group if enumeration completes, else None.
+
+    One pass over the cosets in order: scan every relator at a live coset,
+    then define its missing entries.  A coset live at the end was processed
+    whole, and merges keep its row complete and its cycles closed, so the
+    finished table needs no second look.
+    """
     relators = [r for r in (free_reduce(r) for r in p.relators) if r]
     tbl = _CosetTable(p.n_generators, max_cosets)
     try:
-        while True:
-            a = 0
-            while a < len(tbl.table):
+        a = 0
+        while a < len(tbl.table):
+            for rel in relators:
                 if tbl.cosets.find(a) != a:
-                    a += 1
-                    continue
-                for rel in relators:
-                    if tbl.cosets.find(a) != a:
-                        break
-                    tbl.scan(a, rel, fill=True)
-                if tbl.cosets.find(a) == a:
-                    for c in range(tbl.n_cols):
-                        if tbl.cosets.find(a) != a:
-                            break
-                        if tbl.entry(a, c) is None:
-                            tbl.define(a, c)
-                a += 1
-            # verification pass: with a complete table, every trace must
-            # close without new coincidences, else run the main loop again
-            tbl.merged_flag = False
-            for a in tbl.live():
-                for rel in relators:
-                    tbl.scan(a, rel, fill=False)
-            if not tbl.merged_flag:
-                break
+                    break
+                tbl.scan(a, rel)
+            if tbl.cosets.find(a) == a:
+                for c in range(tbl.n_cols):
+                    if tbl.entry(a, c) is None:
+                        tbl.define(a, c)
+            a += 1
     except BudgetExceeded:
         return None
-    return len(tbl.live())
+    return sum(tbl.cosets.find(a) == a for a in range(len(tbl.table)))
 
 
 def is_trivial_group(p: GroupPresentation, budget: Budget | None = None) -> Verdict:
@@ -284,9 +257,6 @@ def edge_path_data(x: SimplicialSet, base: int) -> EdgePathData:
     if x.dim_bound >= 2:
         for idx in x.nondeg_indices(2):
             rec = x.dims[2][idx]
-            verts = x.vertices_of(2, idx)
-            if not verts & in_comp:
-                continue
             word = []
             for edge_idx, sign in ((rec.faces[2], 1), (rec.faces[0], 1),
                                    (rec.faces[1], -1)):

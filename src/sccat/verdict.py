@@ -85,9 +85,12 @@ def aggregate(verdicts: Iterable[Verdict], witness_on_yes: Any = None, **qualifi
 class Budget:
     """Caps on the exhaustive searches.
 
-    max_dim bounds the dimension of generating maps tried, max_words the
-    number of adjoined-generator letters in a composite word and the number
-    of cells ``factor_bounded`` attaches, max_steps the number of steps a
+    max_dim bounds the dimension of generating maps tried: the Kan,
+    acyclic-fibration and fibration checks and route (b) read it, while
+    ``factor_bounded`` (whose generators fix their own dimensions) and the
+    DK-equivalence check do not.  max_words bounds the number of
+    adjoined-generator letters in a composite word and the number of cells
+    ``factor_bounded`` attaches, max_steps the number of steps a
     :class:`_Steps` counter allows: search nodes, join steps or pushout
     word extensions.  For ``is_kan_fibration`` and
     ``is_acyclic_fibration_sset``, max_steps is one total per top-level

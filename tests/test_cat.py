@@ -3,10 +3,44 @@ import dataclasses
 import pytest
 
 from sccat.cat import (
-    FiniteCategory, FiniteFunctor, codiscrete_category, compose_functors,
-    identity_functor, is_equivalence, is_isomorphism, terminal_category,
-    validate_category, validate_functor, walking_arrow_category,
+    FiniteCategory, FiniteFunctor, compose_functors, is_equivalence,
+    is_isomorphism, validate_category, validate_functor,
 )
+
+
+# -- handy constructions for tests -------------------------------------------
+
+def terminal_category() -> FiniteCategory:
+    return FiniteCategory(objects=("*",), homs={(0, 0): ("id",)},
+                          compose={(0, 0, 0): ((0,),)}, identities=(0,))
+
+
+def codiscrete_category(n: int) -> FiniteCategory:
+    homs = {(a, b): ("m",) for a in range(n) for b in range(n)}
+    compose = {(a, b, c): ((0,),) for a in range(n) for b in range(n)
+               for c in range(n)}
+    return FiniteCategory(objects=tuple(f"x{i}" for i in range(n)),
+                          homs=homs, compose=compose,
+                          identities=tuple(0 for _ in range(n)))
+
+
+def walking_arrow_category() -> FiniteCategory:
+    homs = {(0, 0): ("id",), (1, 1): ("id",), (0, 1): ("g",), (1, 0): ()}
+    compose = {
+        (0, 0, 0): ((0,),), (1, 1, 1): ((0,),),
+        (0, 0, 1): ((0,),), (0, 1, 1): ((0,),),
+        (1, 1, 0): (), (1, 0, 0): (), (0, 1, 0): (), (1, 0, 1): (),
+    }
+    return FiniteCategory(objects=("x", "y"), homs=homs, compose=compose,
+                          identities=(0, 0))
+
+
+def identity_functor(c: FiniteCategory) -> FiniteFunctor:
+    return FiniteFunctor(source=c, target=c,
+                         ob_map=tuple(range(c.n_objects())),
+                         mor_maps={(a, b): tuple(range(len(c.hom(a, b))))
+                                   for a in range(c.n_objects())
+                                   for b in range(c.n_objects())})
 
 
 def test_builtin_categories_validate():

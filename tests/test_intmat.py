@@ -71,6 +71,7 @@ def test_solve_consistent_and_inconsistent():
     assert intmat.solve(a, [4, 9]) == [2, 3]
     assert intmat.solve(a, [1, 0]) is None  # 2 does not divide 1
     assert intmat.solve([[1, 1]], [5]) is not None
+    assert intmat.solve([[0]], [1]) is None  # a zero divisor reaches only 0
 
 
 def test_determinant_matches_expansion():

@@ -12,7 +12,8 @@ from sccat.model import (
     enumerate_problem_squares, factor_bounded, generating_acyclic_a1,
     generating_cofibrations, has_rlp_against_set, is_a2_candidate,
     is_acyclic_fibration, is_acyclic_fibration_by_rlp, is_dk_equivalence,
-    is_fibration, is_free_map, solve_lifting, verify_lift, verify_retract,
+    is_fibration, is_free_map, solve_lifting, validate_marking, verify_lift,
+    verify_retract,
 )
 from sccat.scat import (SFunctor, SimplicialCategory, build_compose,
                         compose_sfunctors, coproduct, double_object, empty_cat,
@@ -22,7 +23,8 @@ from sccat.search import enumerate_sfunctors
 from sccat.sset import (SSetMap, boundary, boundary_inclusion, empty_sset, horn,
                         horn_inclusion, identity_map, point, standard_simplex)
 from sccat.ssetcheck import unique_map_to_point
-from sccat.verdict import BUDGET, Budget, BudgetExceeded, _Steps, aggregate
+from sccat.verdict import (BUDGET, Budget, BudgetExceeded, InputError, _Steps,
+                           aggregate)
 from sccat.words import pushout_generating, pushout_mediating
 from tests.test_ssetcheck import LIFTING_COMPLEXES, _rlp_by_faces, lifting_maps
 
@@ -271,6 +273,16 @@ def test_route_b_and_solve_lifting_read_unknown_past_max_steps():
     assert v.kind == "unknown" and v.reason == BUDGET
 
 
+def test_rlp_against_a_set_is_unknown_when_its_search_runs_out():
+    # U(bd[1] -> point) does not lift C1[1]; at one step the enumeration
+    # of its squares runs out first: unknown, never a raise
+    f = functor_U_map(unique_map_to_point(boundary(1, D)))
+    v = has_rlp_against_set(f, generating_cofibrations(1, D), Budget(max_dim=2, max_steps=1))
+    assert v.kind == "unknown" and v.reason == BUDGET
+    v = has_rlp_against_set(f, generating_cofibrations(1, D), Budget(max_dim=2, max_steps=30))
+    assert v.is_no and v.witness["generator"] == "C1[1]"
+
+
 # -- retracts ------------------------------------------------------------------------
 
 def test_retract_of_itself():
@@ -298,6 +310,14 @@ def test_retract_with_broken_round_trip():
                               for (a, b) in cat.object_pairs()})
     w2 = RetractWitness(section=swap, retraction=identity_sfunctor(cat))
     assert not verify_retract(inc, inc, w2)
+
+
+def test_retract_needs_a_common_source():
+    cat = codiscrete_groupoid(2, D)
+    inc = inclusion_of_object(cat, 0, singleton_cat(D))
+    w = RetractWitness(section=identity_sfunctor(cat),
+                       retraction=identity_sfunctor(cat))
+    assert not verify_retract(inc, identity_sfunctor(cat), w)
 
 
 # -- free maps and A2 ------------------------------------------------------------------
@@ -384,6 +404,12 @@ def test_a2_candidate_codiscrete_rejected_on_freeness():
     v = is_a2_candidate(inc, B, marking=marking_all_nonidentity(h))
     assert v.is_no
     assert "free_map_report" in v.witness or "cofibration_witness_missing" in v.witness
+    # u: x -> y and v: y -> x are marked letters, so the words (v u)^n are
+    # distinct and land in the finite Hom(x, x)_0: the first, v u, already
+    # equals the empty word
+    assert v.witness["free_map_report"] == {"relation": {
+        "value": ((0, 0), 0), "words": [(), (("g", (0, 1), 0), ("g", (1, 0), 0))]},
+        "dimension": 0}
 
 
 def test_a2_candidate_u_point_rejected_on_contractibility():
@@ -400,6 +426,21 @@ def test_free_map_step_cap_answers_unknown():
                              marking_all_nonidentity(h), max_steps=3)
     assert ok is None
     assert report == {"step_cap": 3}
+
+
+def test_free_map_names_an_ungenerated_simplex():
+    # nothing marked: the edge x -> y of U(bd[1]) is no word
+    h = functor_U(boundary(1, D))
+    assert is_free_map(coproduct_inclusion_functor(h), GeneratorMarking({})) == (
+        False, {"not_generated": {"pair": (0, 1), "dimension": 0, "simplex": 0}})
+
+
+@pytest.mark.parametrize("marked,message", [
+    ({(5, 5): frozenset()}, "marking references unknown hom (5, 5)"),
+    ({(0, 1): frozenset({(0, 99)})}, "marking (0, 1) references unknown simplex (0,99)"),
+])
+def test_validate_marking_names_unknown_homs_and_simplices(marked, message):
+    assert validate_marking(functor_U(boundary(1, D)), GeneratorMarking(marked)) == [message]
 
 
 def test_free_map_decides_at_exactly_its_step_count():
@@ -476,6 +517,19 @@ def test_factor_bounded_pushout_budget_returns_incomplete():
     res = factor_bounded(f, generating_cofibrations(1, D), B)
     assert not res.complete
     assert compose_sfunctors(res.right, res.left) == f
+
+
+@pytest.mark.parametrize("f,gens,budget", [
+    (lambda: functor_U_map(horn_inclusion(2, 1, 2)), lambda: generating_acyclic_a1(3, 3),
+     Budget(max_dim=3)),
+    (lambda: identity_sfunctor(codiscrete_groupoid(2, 3)), lambda: generating_acyclic_a1(2, 2),
+     Budget()),
+], ids=["A1(3) at D3 on a D2 map", "A1(2) at D2 on a D3 map"])
+def test_factor_bounded_rejects_generators_of_another_dim_bound(f, gens, budget):
+    with pytest.raises(InputError, match="dim_bound mismatch"):
+        factor_bounded(f(), gens(), budget)
+    with pytest.raises(InputError, match="dim_bound mismatch"):
+        has_rlp_against_set(f(), gens(), budget)
 
 
 # -- factorization decided hom by hom, against the generic search ---------------

@@ -5,7 +5,8 @@ from sccat.pi1 import (
     edge_path_data, edge_path_presentation, free_reduce,
     fundamental_group_trivial, is_trivial_group,
 )
-from sccat.sset import boundary, horn, point, standard_simplex
+from sccat.sset import (boundary, disjoint_union, horn, point,
+                        standard_simplex)
 from sccat.verdict import Budget
 from tests.test_sset import projective_plane
 
@@ -110,3 +111,14 @@ def test_horns_simply_connected(n, k):
 
 def test_sphere_2_simply_connected():
     assert fundamental_group_trivial(boundary(3, dim_bound=3), 0).is_yes
+
+
+def test_edge_path_skips_two_simplices_of_other_components():
+    # a hollow and a filled triangle: the filled one's 2-simplex gives a
+    # relator only at a base in its own component
+    x = disjoint_union(boundary(2, 2), standard_simplex(2, 2))[0]
+    hollow, filled = edge_path_data(x, 0), edge_path_data(x, 3)
+    assert hollow.presentation == P(["e4"], [])
+    assert hollow.component == (0, 1, 2)
+    assert filled.presentation == P(["e10"], [(1,)])
+    assert filled.component == (3, 4, 5)
