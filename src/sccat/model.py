@@ -14,8 +14,10 @@ has the right lifting property against U(i) iff every hom map f_{c,c'}
 has it against i.  Route (b) and each round of factorization decide the
 generators U(boundary) of C1 and U(horn) of A1 this way, hom by hom on
 the Yoneda data of ``ssetcheck``, which also names the first square with
-no lift, and C2 on objects.  The generic functor search of
-``has_rlp_against_set`` stays as the independent check of both routes.
+no lift, and C2 on objects.  They decide on the generator's cell alone and
+build the functor of only the generator that names a square.  The generic
+functor search of ``has_rlp_against_set`` stays as the independent check
+of both routes.
 
 Cofibration checking is witness-based: a degeneracy-closed generator
 marking that passes the free-map check, or a strong-retract witness.  The
@@ -26,7 +28,6 @@ short.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 from .cat import is_equivalence
 from .constructions_basic import inclusion_of_object
@@ -191,7 +192,7 @@ def _first_unliftable_gen(f: SFunctor, gen: GeneratorMap, steps: _Steps):
     """The first square against the A1, C1 or C2 generator ``gen`` with no lift, or None."""
     if gen.cell is not None:
         return _first_unliftable_cell(f, gen, steps)
-    if gen.attachment.kind == "c2":
+    if gen.name == "C2":
         return _first_unliftable_c2(f, gen)
     raise InputError(f"{gen.name} is not A1, C1 or C2")
 
@@ -248,7 +249,9 @@ def is_acyclic_fibration(f: SFunctor, budget: Budget | None = None) -> Verdict:
 
 def is_acyclic_fibration_by_rlp(f: SFunctor, budget: Budget | None = None) -> Verdict:
     """Route (b): RLP against C1[0..n_max], then C2, decided like a round of
-    ``factor_bounded``: all joins share one count of ``budget.max_steps``."""
+    ``factor_bounded``: all joins share one count of ``budget.max_steps``.
+    Generators are decided on their cells; only the one that names the
+    square of a no is built."""
     budget = budget or Budget()
     n_max = min(budget.max_dim, f.source.dim_bound)
     steps = _Steps(budget.max_steps)
@@ -268,37 +271,62 @@ def is_acyclic_fibration_by_rlp(f: SFunctor, budget: Budget | None = None) -> Ve
 # ---------------------------------------------------------------------------
 # generating sets
 
-@dataclass(frozen=True)
 class GeneratorMap:
-    """``cell`` is (n, k) when map is U(horn (n, k) -> Delta[n]) and
-    (n, None) when it is U(boundary -> Delta[n]); None otherwise."""
-    name: str
-    map: SFunctor
-    attachment: Attachment
-    dim: int = 0
-    cell: tuple | None = None
+    """A generator of C1, A1 or C2 at ``dim_bound`` as a cell tag: ``cell`` is
+    (n, k) for U(horn (n, k) -> Delta[n]), (n, None) for U(boundary ->
+    Delta[n]) and None for C2.  ``attachment``, and so ``map`` =
+    ``attachment.inc``, is made by ``build(self)`` on the first read of
+    either, and kept.  The cell generators of one ``generating_*`` call
+    share one Delta[n] and one U(Delta[n]) per n, made by the first built."""
+    __slots__ = ("name", "dim", "cell", "dim_bound", "_build", "_attachment")
+
+    def __init__(self, name: str, dim: int, cell: tuple | None, dim_bound: int, build):
+        self.name, self.dim, self.cell, self.dim_bound = name, dim, cell, dim_bound
+        self._build, self._attachment = build, None
+
+    @property
+    def attachment(self) -> Attachment:
+        if self._attachment is None:
+            self._attachment = self._build(self)
+        return self._attachment
+
+    @property
+    def map(self) -> SFunctor:
+        return self.attachment.inc
+
+    def __eq__(self, other):
+        return isinstance(other, GeneratorMap) and (
+            (self.name, self.dim, self.cell, self.map, self.attachment)
+            == (other.name, other.dim, other.cell, other.map, other.attachment))
+
+    def __repr__(self):
+        return f"GeneratorMap({self.name!r}, dim={self.dim}, cell={self.cell})"
 
 
 def c2_generator(dim_bound: int = 4) -> GeneratorMap:
-    att = Attachment.c2(dim_bound)
-    return GeneratorMap(name="C2", map=att.inc, attachment=att, dim=0)
+    return GeneratorMap("C2", 0, None, dim_bound, lambda gen: Attachment.c2(gen.dim_bound))
 
 
-def _cell_generators(n_max: int, dim_bound: int, cells: list):
+def _cell_generators(n_max: int, dim_bound: int, cells: list) -> list:
     """U(horn (n, k) -> Delta[n]) named A1[n,k], or U(boundary -> Delta[n])
-    named C1[n] when k is None, for the cells (n, k) in order: one Delta[n]
-    and one U(Delta[n]) per n."""
+    named C1[n] when k is None, for the cells (n, k) in order, unbuilt."""
+    if n_max < 0:
+        raise InputError("n_max is negative")
     if n_max > dim_bound:
         raise InputError("n_max exceeds dim_bound")
-    for n, group in groupby(cells, key=lambda cell: cell[0]):
-        simplex = standard_simplex(n, dim_bound)
-        u_simplex = functor_U(simplex)
-        for _, k in group:
-            sub = boundary(n, dim_bound) if k is None else horn(n, k, dim_bound)
-            att = _u_attachment(_tuple_inclusion(sub, simplex), u_simplex,
-                                f"C1[{n}]" if k is None else f"A1[{n},{k}]")
-            yield GeneratorMap(name=att.label, map=att.inc, attachment=att, dim=n,
-                               cell=(n, k))
+    targets = {}    # n -> (Delta[n], U(Delta[n])), made on first use
+
+    def build(gen):
+        n, k = gen.cell
+        if n not in targets:
+            simplex = standard_simplex(n, dim_bound)
+            targets[n] = simplex, functor_U(simplex)
+        simplex, u_simplex = targets[n]
+        sub = boundary(n, dim_bound) if k is None else horn(n, k, dim_bound)
+        return _u_attachment(_tuple_inclusion(sub, simplex), u_simplex, gen.name)
+
+    return [GeneratorMap(f"C1[{n}]" if k is None else f"A1[{n},{k}]", n, (n, k),
+                         dim_bound, build) for n, k in cells]
 
 
 def generating_cofibrations(n_max: int, dim_bound: int = 4) -> list:
@@ -309,8 +337,8 @@ def generating_cofibrations(n_max: int, dim_bound: int = 4) -> list:
 
 def generating_acyclic_a1(n_max: int, dim_bound: int = 4) -> list:
     """A1 instances for 1 <= n <= n_max, 0 <= k <= n."""
-    return list(_cell_generators(n_max, dim_bound, [(n, k) for n in range(1, n_max + 1)
-                                                    for k in range(n + 1)]))
+    return _cell_generators(n_max, dim_bound, [(n, k) for n in range(1, n_max + 1)
+                                               for k in range(n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +575,14 @@ def factor_bounded(f: SFunctor, gens, budget: Budget | None = None) -> FactorRes
     nondegenerate simplices, top objects (a, a') over (c, c'), then the
     face tuple by the images of the horn's or boundary's nondegenerate
     simplices.  C2 fails iff the right map misses an object, first the
-    least one.  Other generators, and generators of another ``dim_bound``
-    than f, raise InputError.  Stops with
-    complete=False when a square is left after ``budget.max_words`` cells or
-    a join or pushout exceeds the budget; the exact equation right . left =
-    f holds on every return.
+    least one.  Only a failing generator is built.  Other generators, and
+    generators of another ``dim_bound`` than f, raise InputError before
+    any is built.  Stops with complete=False when a square is left after
+    ``budget.max_words`` cells or a join or pushout exceeds the budget; the
+    exact equation right . left = f holds on every return.
     """
     budget = budget or Budget()
-    if any(gen.map.target.dim_bound != f.target.dim_bound for gen in gens):
+    if any(gen.dim_bound != f.target.dim_bound for gen in gens):
         raise InputError("dim_bound mismatch")
     steps = _Steps(budget.max_steps)
     stage, left, right, cells = f.source, identity_sfunctor(f.source), f, []

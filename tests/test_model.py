@@ -3,6 +3,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sccat import model
 from sccat.constructions_basic import (codiscrete_groupoid,
                                        inclusion_of_object, walking_arrow)
 from sccat.model import (
@@ -25,7 +26,7 @@ from sccat.sset import (SSetMap, boundary, boundary_inclusion, empty_sset, horn,
 from sccat.ssetcheck import unique_map_to_point
 from sccat.verdict import (BUDGET, Budget, BudgetExceeded, InputError, _Steps,
                            aggregate)
-from sccat.words import pushout_generating, pushout_mediating
+from sccat.words import Attachment, pushout_generating, pushout_mediating
 from tests.test_ssetcheck import LIFTING_COMPLEXES, _rlp_by_faces, lifting_maps
 
 D = 2
@@ -185,6 +186,84 @@ def test_horns_of_one_dimension_share_their_target(d):
     for g in generating_acyclic_a1(d, d):
         assert g.map.target is targets.setdefault(g.dim, g.map.target)
     assert sorted(targets) == list(range(1, d + 1))
+
+
+@pytest.mark.parametrize("make", [generating_cofibrations, generating_acyclic_a1])
+def test_generating_sets_check_n_max_when_called(make):
+    with pytest.raises(InputError, match="n_max is negative"):
+        make(-1, D)
+    with pytest.raises(InputError, match="n_max exceeds dim_bound"):
+        make(D + 1, D)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_generators_equal_an_independent_build(d):
+    gens = generating_acyclic_a1(d, d) + generating_cofibrations(d, d)
+    assert [g.cell for g in gens] == ([(n, k) for n in range(1, d + 1) for k in range(n + 1)]
+                                      + [(n, None) for n in range(d + 1)] + [None])
+    for g in gens:
+        if g.cell is None:
+            name, dim, ref = "C2", 0, Attachment.c2(d)
+        else:
+            n, k = g.cell
+            name = f"C1[{n}]" if k is None else f"A1[{n},{k}]"
+            inc = boundary_inclusion(n, d) if k is None else horn_inclusion(n, k, d)
+            dim, ref = n, Attachment.from_sset_mono(inc, name)
+        assert (g.name, g.dim, g.dim_bound, g.map) == (name, dim, d, ref.inc)
+        att = g.attachment
+        assert ((att.kind, att.A, att.F, att.inc, att.label)
+                == (ref.kind, ref.A, ref.F, ref.inc, ref.label))
+
+
+def count_builds(monkeypatch):
+    """The names of the generators built from here on, in build order."""
+    built = []
+    u_attachment, c2 = model._u_attachment, Attachment.c2
+
+    def build_cell(i, u_target, label):
+        built.append(label)
+        return u_attachment(i, u_target, label)
+
+    def build_c2(dim_bound):
+        built.append("C2")
+        return c2(dim_bound)
+
+    monkeypatch.setattr(model, "_u_attachment", build_cell)
+    monkeypatch.setattr(Attachment, "c2", staticmethod(build_c2))
+    return built
+
+
+def test_route_b_builds_only_the_generator_of_its_square(monkeypatch):
+    built = count_builds(monkeypatch)
+    assert is_acyclic_fibration_by_rlp(identity_sfunctor(codiscrete_groupoid(3, D)), B).is_yes
+    assert built == []
+    v = is_acyclic_fibration_by_rlp(inclusion_of_object(codiscrete_groupoid(2, D), 0,
+                                                        singleton_cat(D)), B)
+    assert v.is_no and built == ["C2"]
+
+
+def test_factor_bounded_builds_only_the_generators_of_its_cells(monkeypatch):
+    built = count_builds(monkeypatch)
+    res = factor_bounded(functor_U_map(horn_inclusion(3, 1, 3)), generating_acyclic_a1(3, 3),
+                         Budget(max_dim=3, max_words=16, max_steps=500_000))
+    assert res.complete and res.cells
+    assert built == list(dict.fromkeys(c.generator for c in res.cells))
+
+
+def test_dim_bound_mismatch_builds_nothing(monkeypatch):
+    built = count_builds(monkeypatch)
+    with pytest.raises(InputError, match="dim_bound mismatch"):
+        factor_bounded(functor_U_map(horn_inclusion(2, 1, 2)),
+                       generating_acyclic_a1(3, 3) + [c2_generator(3)], Budget(max_dim=3))
+    assert built == []
+
+
+def test_generating_sets_are_made_anew_on_each_call():
+    first, second = generating_acyclic_a1(3, 3), generating_acyclic_a1(3, 3)
+    assert first == second
+    for a, b in zip(first, second):
+        assert a is not b and a.attachment is not b.attachment
+        assert a.map.source is not b.map.source and a.map.target is not b.map.target
 
 
 def test_generator_maps_validate():
