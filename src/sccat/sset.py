@@ -9,19 +9,17 @@ Nothing above ``dim_bound`` is stored; everything up there is degenerate
 by construction, so the objects are honest ``dim_bound``-skeletal
 simplicial sets.
 
-Face and degeneracy index tables are built in two ways:
-
-* vertex-tuple complexes (standard simplices, boundaries, horns,
-  simplicial complexes), where simplices are nondecreasing vertex tuples,
-  built from the complex's simplices: each level is those of its own
-  dimension plus the degeneracies t[:j+1] + t[j:] of the level below;
-* explicit nondegenerate skeleta (``from_nondegenerate``), where each
-  nondegenerate simplex lists its faces as (base, degeneracy word) pairs,
-  and the full tables are materialized from the simplicial identities.
-
-The operations on finished sets (subcomplexes, disjoint unions,
-pullbacks, cell attachment) build their tables from those of their
-inputs.  Records are derived once, from the tables, by ``derive_records``.
+Every constructor names its simplices by hashable keys and hands one
+builder, ``_from_keys``, the keys of each level in index order together
+with the keys of every simplex's faces and degeneracies; the builder
+numbers the keys, turns the key lists into index tables and derives the
+records from those by ``derive_records``.  The keys are nondecreasing
+vertex tuples for simplicial complexes (standard simplices, boundaries,
+horns), (base dimension, base, degeneracy word) for explicit
+nondegenerate skeleta, kept indices for subcomplexes, (part, index) for
+disjoint unions, (i, j) pairs for pullbacks, and an old index or the
+degeneracy word of the new cell for cell attachment.  Pushouts of
+simplicial categories (``words``) key their homs by normal words.
 
 Derived data (pi0 here, homology, component categories) is computed
 once per instance through ``memo``, except the class's own accessors
@@ -207,13 +205,14 @@ class SimplicialSet:
 def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> list:
     """Simplex records from face and degeneracy index tables.
 
-    ``faces_tables[k][idx]`` lists the faces of the k-simplex idx and
-    ``degens_tables[k][idx]`` its degeneracies (read only for k <
-    dim_bound).  A simplex x is degenerate exactly when s_j d_j x = x for
-    some j; then its base is that of d_j x, read off the record already
-    built one level down, and its word is s_j after the word of d_j x.
-    The EZ decomposition is unique, so every constructor builds only its
-    tables and derives its records here.
+    ``faces_tables[k][idx]`` is the tuple of faces of the k-simplex idx and
+    ``degens_tables[k][idx]`` that of its degeneracies (read only for k <
+    dim_bound); the records keep these tuples.  A simplex x is degenerate
+    exactly when s_j d_j x = x for some j; then its base is that of d_j x,
+    read off the record already built one level down, and its word is s_j
+    after the word of d_j x.  The EZ decomposition is unique, so no
+    constructor makes records: each one hands its keyed tables to
+    ``_from_keys``, which calls this.
     """
     dims = []
     for k in range(dim_bound + 1):
@@ -221,8 +220,7 @@ def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> l
         below = dims[k - 1] if k else ()
         degens_below = degens_tables[k - 1] if k else ()
         for idx, faces in enumerate(faces_tables[k]):
-            faces = tuple(faces)
-            degens = tuple(degens_tables[k][idx]) if k < dim_bound else ()
+            degens = degens_tables[k][idx] if k < dim_bound else ()
             for j in range(k):
                 if degens_below[faces[j]][j] == idx:
                     rec = below[faces[j]]
@@ -233,6 +231,25 @@ def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> l
                 level.append(Simplex(faces, degens, idx, ()))
         dims.append(level)
     return dims
+
+
+def _from_keys(dim_bound: int, levels: list, faces: list, degens: list) -> tuple:
+    """(the simplicial set whose k-simplices are the keys ``levels[k]``, in
+    that order, index) with index[k] = {key: position}.
+
+    ``faces[k]`` lists, for each key of levels[k] in order, the keys of its
+    faces d_0, ..., d_k (k >= 1) and ``degens[k]`` those of its degeneracies
+    s_0, ..., s_k (k < dim_bound).  A key no level holds raises KeyError.
+    """
+    index = [{key: n for n, key in enumerate(level)} for level in levels]
+    # (*map(...),) sizes each tuple exactly: tuple(map(...)) allocates a
+    # guessed size and shrinks it, and those allocations trigger collections.
+    face_tables = [[()] * len(levels[0])] + [
+        [(*map(index[k - 1].__getitem__, row),) for row in faces[k]]
+        for k in range(1, dim_bound + 1)]
+    degen_tables = [[(*map(index[k + 1].__getitem__, row),) for row in degens[k]]
+                    for k in range(dim_bound)]
+    return SimplicialSet(dim_bound, derive_records(dim_bound, face_tables, degen_tables)), index
 
 
 def _require_face_identities(face, k: int, faces) -> None:
@@ -259,42 +276,36 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
     """
     if any(face_data[dim_bound + 1:]):
         raise InputError("from_nondegenerate: nondegenerate simplices above dim_bound")
-    if len(face_data) < dim_bound + 1:
-        face_data = list(face_data) + [[] for _ in range(dim_bound + 1 - len(face_data))]
-    order = []  # per dim: list of (base_dim, base_idx, word)
-    index = []  # per dim: map pair -> idx
-    for k in range(dim_bound + 1):
-        level = [(k, i, ()) for i in range(len(face_data[k]))]
-        for bd in range(k):
-            for bi in range(len(face_data[bd])):
-                for w in degeneracy_words(bd, k - bd):
-                    level.append((bd, bi, w))
-        order.append(level)
-        index.append({p: i for i, p in enumerate(level)})
+    face_data = list(face_data) + [[] for _ in range(dim_bound + 1 - len(face_data))]
+    if any(len(cell) != (k + 1 if k else 0)
+           for k in range(dim_bound + 1) for cell in face_data[k]):
+        raise InputError("from_nondegenerate: a k-simplex needs k + 1 faces (a vertex none)")
+    # keys (base_dim, base_idx, word): the nondegenerate simplices, then
+    # the degeneracies of each lower base
+    levels = [[(k, i, ()) for i in range(len(face_data[k]))]
+              + [(bd, bi, w) for bd in range(k) for bi in range(len(face_data[bd]))
+                 for w in degeneracy_words(bd, k - bd)] for k in range(dim_bound + 1)]
 
-    def face_pair(bd: int, bi: int, word: tuple, i: int) -> tuple:
-        """d_i applied to s_word(base) as a (base_dim, base_idx, word) pair."""
+    def face_key(bd: int, bi: int, word: tuple, i: int) -> tuple:
+        """d_i applied to s_word(base) as a (base_dim, base_idx, word) key."""
         w2, i2 = _face_of_degeneracy(word, i)
         if i2 is None:
             return (bd, bi, w2)
         fb, fw = face_data[bd][bi][i2]
         return (bd - 1 - len(fw), fb, compose_words(w2, fw))
 
-    faces, degens = [], []
-    for k in range(dim_bound + 1):
-        for cell in face_data[k]:
-            if len(cell) != (k + 1 if k else 0) or any(
-                    (k - 1 - len(w), b, tuple(w)) not in index[k - 1] for b, w in cell):
-                raise InputError(f"from_nondegenerate: a {k}-simplex needs {k + 1 if k else 0}"
-                                 " faces, each a base with a normal word over it")
-        faces.append([tuple(index[k - 1][face_pair(bd, bi, w, i)] for i in range(k + 1))
-                      if k else () for (bd, bi, w) in order[k]])
-        for cell in faces[k][:len(face_data[k])]:
-            _require_face_identities(lambda c, i: faces[k - 1][c][i], k, cell)
-        if k < dim_bound:
-            degens.append([tuple(index[k + 1][(bd, bi, word_after_degeneracy(w, j))]
-                                 for j in range(k + 1)) for (bd, bi, w) in order[k]])
-    return SimplicialSet(dim_bound, derive_records(dim_bound, faces, degens))
+    faces = [[]] + [[[face_key(*key, i) for i in range(k + 1)] for key in levels[k]]
+                    for k in range(1, dim_bound + 1)]
+    degens = [[[(bd, bi, word_after_degeneracy(w, j)) for j in range(k + 1)]
+               for (bd, bi, w) in levels[k]] for k in range(dim_bound)]
+    try:
+        x, _ = _from_keys(dim_bound, levels, faces, degens)
+    except KeyError:
+        raise InputError("from_nondegenerate: a face names no base with a normal word") from None
+    for k in range(2, dim_bound + 1):
+        for n in range(len(face_data[k])):
+            _require_face_identities(lambda c, i: x.face(k - 1, c, i), k, x.dims[k][n].faces)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +314,34 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
 def from_simplex_tuples(dim_bound: int, simplices) -> SimplicialSet:
     """Simplicial set of a simplicial complex whose ``simplices`` are
     nonempty sorted vertex tuples, closed under subsets, of at most
-    dim_bound + 1 entries.
+    dim_bound + 1 entries; a longer or empty tuple, or one whose subsets
+    are missing, raises InputError.
 
     Its k-simplices are the nondecreasing (k+1)-tuples whose vertex set is
-    a simplex, in lexicographic order.  By Eilenberg-Zilber each
-    degenerate one is s_j t = t[:j+1] + t[j:] of a tuple t one level
-    down, so level k is built from level k-1 and the complex's own
-    (k+1)-tuples, and the degeneracies of level k-1 are read off the same
-    tuples.  The sorted tuple levels are kept in the cache, for inclusions.
+    a simplex, in lexicographic order, keyed by themselves.  By
+    Eilenberg-Zilber each degenerate one is s_j t = t[:j+1] + t[j:] of a
+    tuple t one level down, so level k is the complex's own (k+1)-tuples
+    and the degeneracies of level k-1.  The builder's tuple index is kept
+    in the cache, for inclusions.
     """
     own = [[] for _ in range(dim_bound + 1)]
     for t in simplices:
+        if not 1 <= len(t) <= dim_bound + 1:
+            raise InputError(f"from_simplex_tuples: {t} needs 1 to {dim_bound + 1} vertices")
         own[len(t) - 1].append(t)
-    levels, faces, degens, index = [], [], [], {}
-    for k in range(dim_bound + 1):
-        up = [[t[:j + 1] + t[j:] for j in range(k)] for t in levels[-1]] if k else []
-        level = sorted({*own[k], *itertools.chain.from_iterable(up)})
-        below, index = index, {t: i for i, t in enumerate(level)}
-        # combinations(t, k) drops the entries of t from the last one down
-        faces.append([tuple(map(below.__getitem__, itertools.combinations(t, k)))[::-1]
-                      if k else () for t in level])
-        if k:
-            degens.append([tuple(map(index.__getitem__, row)) for row in up])
-        levels.append(level)
-    x = SimplicialSet(dim_bound, derive_records(dim_bound, faces, degens))
-    x._cache["tuples"] = levels
+    # Key rows are exact-size tuples: kept lists trigger garbage collections.
+    # combinations(t, k) drops the entries of t from the last one down.
+    levels, degens = [sorted(set(own[0]))], []
+    for k in range(1, dim_bound + 1):
+        degens.append([tuple([t[:j + 1] + t[j:] for j in range(k)]) for t in levels[-1]])
+        levels.append(sorted({*own[k], *itertools.chain.from_iterable(degens[-1])}))
+    faces = [()] + [[(*itertools.combinations(t, k),)[::-1] for t in levels[k]]
+                    for k in range(1, dim_bound + 1)]
+    try:
+        x, index = _from_keys(dim_bound, levels, faces, degens)
+    except KeyError:
+        raise InputError("from_simplex_tuples: simplices not closed under subsets") from None
+    x._cache["tuples"] = index
     return x
 
 
@@ -618,50 +632,44 @@ def is_iso_map(f: SSetMap) -> SSetMap | None:
 
 
 def sub_complex(x: SimplicialSet, keep: list) -> tuple:
-    """Subcomplex on the kept simplices; returns (sub, inclusion, idx_maps).
+    """Subcomplex on the kept simplices; returns (sub, inclusion, idx_maps)
+    with idx_maps[k] = {old index: new index}.
 
     ``keep[k]`` is an iterable of indices into dimension k, which must be
-    closed under faces and degeneracies (checked).
+    closed under faces and degeneracies (checked); the kept indices, in
+    order, are the subcomplex's keys.  A nonempty level above dim_bound
+    raises InputError.
     """
+    if any(keep[x.dim_bound + 1:]):
+        raise InputError("subcomplex levels above dim_bound")
     keep = [sorted(set(keep[k])) if k < len(keep) else [] for k in range(x.dim_bound + 1)]
     for k, level in enumerate(keep):
         if level and not (0 <= level[0] and level[-1] < x.size(k)):
             raise InputError(f"subcomplex index out of range at dim {k}")
-    pos = [{idx: i for i, idx in enumerate(level)} for level in keep]
-    faces, degens = [], []
-    for k in range(x.dim_bound + 1):
-        faces.append([])
-        degens.append([])
-        for idx in keep[k]:
-            s = x.dims[k][idx]
-            if k >= 1 and any(f not in pos[k - 1] for f in s.faces):
-                raise InputError(f"subcomplex not closed under faces at dim {k}")
-            if k + 1 <= x.dim_bound and any(d not in pos[k + 1] for d in s.degens):
-                raise InputError(f"subcomplex not closed under degeneracies at dim {k}")
-            faces[k].append(tuple(pos[k - 1][f] for f in s.faces))
-            degens[k].append(tuple(pos[k + 1][d] for d in s.degens))
-    sub = SimplicialSet(x.dim_bound, derive_records(x.dim_bound, faces, degens))
-    incl = SSetMap(sub, x, [list(level) for level in keep])
-    return sub, incl, pos
+    recs = [[x.dims[k][i] for i in level] for k, level in enumerate(keep)]
+    try:
+        sub, index = _from_keys(x.dim_bound, keep, [[s.faces for s in level] for level in recs],
+                                [[s.degens for s in level] for level in recs])
+    except KeyError:
+        raise InputError("subcomplex not closed under faces and degeneracies") from None
+    return sub, SSetMap(sub, x, keep), index
 
 
 def disjoint_union(x: SimplicialSet, y: SimplicialSet) -> tuple:
-    """(x ⊔ y, inclusion of x, inclusion of y)."""
+    """(x ⊔ y, inclusion of x, inclusion of y), keyed by (part, index)."""
     if x.dim_bound != y.dim_bound:
         raise InputError("dim_bound mismatch")
-    bound = x.dim_bound
-    faces, degens = [], []
-    for k in range(bound + 1):
-        off_below = x.size(k - 1) if k > 0 else 0
-        off_above = x.size(k + 1) if k + 1 <= bound else 0
-        faces.append([s.faces for s in x.dims[k]]
-                     + [tuple(f + off_below for f in s.faces) for s in y.dims[k]])
-        degens.append([s.degens for s in x.dims[k]]
-                      + [tuple(d + off_above for d in s.degens) for s in y.dims[k]])
-    z = SimplicialSet(bound, derive_records(bound, faces, degens))
-    inc_x = SSetMap(x, z, [list(range(x.size(k))) for k in range(bound + 1)])
-    inc_y = SSetMap(y, z, [[i + x.size(k) for i in range(y.size(k))]
-                           for k in range(bound + 1)])
+    bound, parts = x.dim_bound, (x, y)
+    recs = [[(p, s) for p, part in enumerate(parts) for s in part.dims[k]]
+            for k in range(bound + 1)]
+    z, index = _from_keys(
+        bound, [[(p, i) for p, part in enumerate(parts) for i in range(part.size(k))]
+                for k in range(bound + 1)],
+        [[[(p, f) for f in s.faces] for p, s in level] for level in recs],
+        [[[(p, d) for d in s.degens] for p, s in level] for level in recs])
+    inc_x, inc_y = (SSetMap(part, z, [[index[k][(p, i)] for i in range(part.size(k))]
+                                      for k in range(bound + 1)])
+                    for p, part in enumerate(parts))
     return z, inc_x, inc_y
 
 
@@ -671,33 +679,20 @@ def disjoint_union(x: SimplicialSet, y: SimplicialSet) -> tuple:
 def pullback_ssets(f: SSetMap, g: SSetMap) -> tuple:
     """Levelwise pullback X x_Z Y of f: X -> Z, g: Y -> Z.
 
-    Returns (P, pr_x, pr_y, index) where index[k] maps (i, j) pairs to P's
-    simplex indices.
+    Returns (P, pr_x, pr_y, index) where P's simplices are the (i, j)
+    pairs with f(i) = g(j), in lexicographic order, and index[k] maps them
+    to P's simplex indices.
     """
     if f.target != g.target:
         raise InputError("pullback needs a common target")
     x, y = f.source, g.source
     bound = x.dim_bound
-    pairs = []
-    index = []
-    for k in range(bound + 1):
-        level = [(i, j) for i in range(x.size(k)) for j in range(y.size(k))
-                 if f.assign[k][i] == g.assign[k][j]]
-        pairs.append(level)
-        index.append({p: n for n, p in enumerate(level)})
-    faces_tables = []
-    degens_tables = []
-    for k in range(bound + 1):
-        faces_tables.append([
-            [index[k - 1][(x.face(k, i, a), y.face(k, j, a))] for a in range(k + 1)]
-            if k >= 1 else [] for (i, j) in pairs[k]])
-        if k + 1 <= bound:
-            degens_tables.append([
-                [index[k + 1][(x.degeneracy(k, i, a), y.degeneracy(k, j, a))]
-                 for a in range(k + 1)] for (i, j) in pairs[k]])
-        else:
-            degens_tables.append([[] for _ in pairs[k]])
-    p = SimplicialSet(bound, derive_records(bound, faces_tables, degens_tables))
+    pairs = [[(i, j) for i in range(x.size(k)) for j in range(y.size(k))
+              if f.assign[k][i] == g.assign[k][j]] for k in range(bound + 1)]
+    recs = [[(x.dims[k][i], y.dims[k][j]) for i, j in level] for k, level in enumerate(pairs)]
+    p, index = _from_keys(bound, pairs,
+                          [[list(zip(s.faces, t.faces)) for s, t in level] for level in recs],
+                          [[list(zip(s.degens, t.degens)) for s, t in level] for level in recs])
     pr_x = SSetMap(p, x, [[i for (i, j) in pairs[k]] for k in range(bound + 1)])
     pr_y = SSetMap(p, y, [[j for (i, j) in pairs[k]] for k in range(bound + 1)])
     return p, pr_x, pr_y, index
@@ -722,39 +717,33 @@ def attach_nondeg(x: SimplicialSet, k: int, faces: list) -> tuple:
         raise InputError("face index out of range")
     _require_face_identities(lambda c, i: x.face(k - 1, c, i), k, faces)
     bound = x.dim_bound
-    new_index = {}  # (dim, word) -> index of s_word(new cell)
-    for d in range(k, bound + 1):
-        for n, w in enumerate(degeneracy_words(k, d - k)):
-            new_index[(d, w)] = x.size(d) + n
+    # keys: the old simplices by index, then s_w(new cell) by its word w
+    new = [degeneracy_words(k, d - k) if d >= k else [] for d in range(bound + 1)]
 
-    def face_of_new(d, word, i):
-        """d_i of s_word(new cell) as an index in dimension d-1 (old or new)."""
+    def face_of_new(word, i):
+        """d_i of s_word(new cell) as a key: its word, or an old index."""
         w2, i2 = _face_of_degeneracy(word, i)
-        if i2 is None:
-            return new_index[(d - 1, w2)]
-        return x.apply_word(k - 1, faces[i2], w2)  # s_w2 of an old face
+        return w2 if i2 is None else x.apply_word(k - 1, faces[i2], w2)
 
-    face_tables = [[s.faces for s in level] for level in x.dims]
-    degen_tables = [[s.degens for s in level] for level in x.dims]
-    for (d, w) in new_index:
-        face_tables[d].append(tuple(face_of_new(d, w, i) for i in range(d + 1)) if d else ())
-        degen_tables[d].append(tuple(new_index[(d + 1, word_after_degeneracy(w, j))]
-                                     for j in range(d + 1)) if d < bound else ())
-    return (SimplicialSet(bound, derive_records(bound, face_tables, degen_tables)),
-            new_index[(k, ())])
+    z, index = _from_keys(
+        bound, [[*range(x.size(d)), *new[d]] for d in range(bound + 1)],
+        [[]] + [[s.faces for s in x.dims[d]]
+                + [[face_of_new(w, i) for i in range(d + 1)] for w in new[d]]
+                for d in range(1, bound + 1)],
+        [[s.degens for s in x.dims[d]]
+         + [[word_after_degeneracy(w, j) for j in range(d + 1)] for w in new[d]]
+         for d in range(bound)])
+    return z, index[k][()]
 
 
 # ---------------------------------------------------------------------------
 # boundary and horn inclusions
 
 def _tuple_inclusion(small: SimplicialSet, big: SimplicialSet) -> SSetMap:
-    """The inclusion of one vertex-tuple set in another: each sorted level
-    of ``small`` is a sublist of that of ``big``, matched in one walk."""
-    assign = []
-    for lows, highs in zip(small._cache["tuples"], big._cache["tuples"]):
-        walk = iter(enumerate(highs))
-        assign.append([next(i for i, t in walk if t == s) for s in lows])
-    return SSetMap(small, big, assign)
+    """The inclusion of one vertex-tuple set in another: each tuple of
+    ``small`` looked up in the tuple index of ``big``."""
+    return SSetMap(small, big, [[highs[t] for t in lows] for lows, highs
+                                in zip(small._cache["tuples"], big._cache["tuples"])])
 
 
 def boundary_inclusion(n: int, dim_bound: int = 4) -> SSetMap:

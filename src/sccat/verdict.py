@@ -105,8 +105,8 @@ class Budget:
     max_steps: int = 10**6
 
     def __post_init__(self):
-        if self.max_dim <= 0 or self.max_words <= 0 or self.max_steps <= 0:
-            raise ValueError("budget fields must be positive")
+        if any(type(v) is not int or v <= 0 for v in vars(self).values()):
+            raise ValueError("budget fields must be positive ints")
 
 
 class BudgetExceeded(Exception):

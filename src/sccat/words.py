@@ -28,8 +28,9 @@ breadth-first walk first builds every shorter word, and there can be
 exponentially many of them.
 
 Faces, degeneracies and composition act letterwise, which keeps the whole
-construction simplicial; stale decomposition data is re-derived from the
-finished tables.
+construction simplicial.  Each hom is handed to ``sset._from_keys`` keyed
+by its normal words: the words of every dimension in their final order,
+and the normal forms of each word's letterwise faces and degeneracies.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .constructions_basic import inclusion_of_object
 from .scat import (SFunctor, SimplicialCategory, build_compose,
                    compose_sfunctors, singleton_cat, functor_U, empty_cat,
                    u_functor)
-from .sset import SimplicialSet, SSetMap, derive_records
+from .sset import SSetMap, _from_keys
 from .verdict import Budget, BudgetExceeded, InputError, _Steps
 
 # letters: ("C", a, b, idx) with C-object endpoints, or ("F", u, v, idx)
@@ -247,7 +248,7 @@ class _WordEngine:
         # deterministic order: old simplices first, keeping their indices
         # (each C letter is its own normal form, an identity tower the empty
         # word), then everything else by (generator count, length, letters)
-        words, index = {}, {}
+        words = {}
         n_old = self.C.n_objects()
         for k in range(bound + 1):
             for a in range(n):
@@ -257,7 +258,6 @@ class _WordEngine:
                     seen = set(lst)
                     lst += sorted((w for w in raw[(k, a, b)] if w not in seen), key=word_key)
                     words[(k, (a, b))] = lst
-                    index[(k, (a, b))] = {w: i for i, w in enumerate(lst)}
 
         def letter_op(k, letter, op, i):
             """d_i (op "face") or s_i (op "degeneracy") of one letter."""
@@ -265,26 +265,24 @@ class _WordEngine:
             hom = self.C.hom[(a, b)] if tag == "C" else self.F.hom[(a, b)]
             return (tag, a, b, getattr(hom, op)(k, idx, i))
 
-        def op_table(k, pair, op, dk):
-            """Per word of Hom_pair in dimension k, the indices of its k + 1
-            faces (dk = -1) or degeneracies (dk = +1)."""
-            return [[index[(k + dk, pair)][self.normalize(
-                k + dk, [letter_op(k, l, op, i) for l in w])] for i in range(k + 1)]
-                for w in words[(k, pair)]]
+        def op_keys(k, pair, op, dk):
+            """Per word of Hom_pair in dimension k, the normal words of its
+            k + 1 faces (dk = -1) or degeneracies (dk = +1), made as the
+            builder reads them."""
+            return ([self.normalize(k + dk, [letter_op(k, l, op, i) for l in w])
+                     for i in range(k + 1)] for w in words[(k, pair)])
 
-        homs = {}
+        homs, index = {}, {}
         for pair in ((a, b) for a in range(n) for b in range(n)):
-            faces_tables = [op_table(k, pair, "face", -1) if k else
-                            [[] for _ in words[(k, pair)]] for k in range(bound + 1)]
-            degens_tables = [op_table(k, pair, "degeneracy", 1) if k < bound else
-                             [[] for _ in words[(k, pair)]] for k in range(bound + 1)]
-            homs[pair] = SimplicialSet(bound, derive_records(bound, faces_tables,
-                                                             degens_tables))
+            homs[pair], index[pair] = _from_keys(
+                bound, [words[(k, pair)] for k in range(bound + 1)],
+                [[]] + [op_keys(k, pair, "face", -1) for k in range(1, bound + 1)],
+                [op_keys(k, pair, "degeneracy", 1) for k in range(bound)])
 
         def rule(k, a, b, c, g, f):
             """g after f is the normal form of the word f g."""
             w = self.normalize(k, words[(k, (a, b))][f] + words[(k, (b, c))][g])
-            return index[(k, (a, c))][w]
+            return index[(a, c)][k][w]
 
         compose = build_compose(n, homs, bound, rule)
 
@@ -292,7 +290,7 @@ class _WordEngine:
         for u in self.new_objects:
             lbl = str(self.F.objects[u])
             labels.append(lbl if lbl not in labels else f"{lbl}+")
-        identities = tuple(index[(0, (o, o))][()] for o in range(n))
+        identities = tuple(index[(o, o)][0][()] for o in range(n))
         D = SimplicialCategory(objects=tuple(labels), hom=homs,
                                compose=compose, identities=identities,
                                dim_bound=bound)
@@ -313,7 +311,7 @@ class _WordEngine:
         for (u, v) in self.F.object_pairs():
             h, pair = self.F.hom[(u, v)], (self.f2d[u], self.f2d[v])
             f_maps[(u, v)] = SSetMap(h, homs[pair], [
-                [index[(k, pair)][self.normalize(k, [("F", u, v, idx)])]
+                [index[pair][k][self.normalize(k, [("F", u, v, idx)])]
                  for idx in range(h.size(k))] for k in range(bound + 1)])
         inc_attached = SFunctor(source=self.F, target=D, ob_map=f_ob,
                                 hom_maps=f_maps)

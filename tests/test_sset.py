@@ -300,6 +300,29 @@ def test_sub_complex_rejects_indices_out_of_range():
         sub_complex(x, [[0, 1], [0, 2, -1]])
     with pytest.raises(InputError):
         sub_complex(x, [[0, 1, 2], [0]])
+    # a level above dim_bound is out of range unless it is empty
+    with pytest.raises(InputError):
+        sub_complex(x, [[0, 1], [0, 1, 2], [0]])
+    assert sub_complex(x, [[0, 1], [0, 1, 2], []])[0] == x
+
+
+def test_sub_complex_rejects_keep_sets_that_are_not_closed():
+    x = standard_simplex(1, dim_bound=1)
+    # the edge (0, 1) without its vertex 1; both vertices without their
+    # degenerate edges
+    for keep in ([[0], [1]], [[0, 1], [1]]):
+        with pytest.raises(InputError):
+            sub_complex(x, keep)
+
+
+@pytest.mark.parametrize("dim_bound, simplices", [
+    (1, [(0, 1)]),                                                # no vertices
+    (1, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]),   # a triangle at D1
+    (1, [(0,), ()]),                                              # an empty tuple
+])
+def test_from_simplex_tuples_rejects_tuples_it_cannot_place(dim_bound, simplices):
+    with pytest.raises(InputError):
+        sset.from_simplex_tuples(dim_bound, simplices)
 
 
 def test_from_nondegenerate_rejects_cells_above_dim_bound():
@@ -417,19 +440,46 @@ def draw_simplex(data, x):
 def test_derived_records_validate(data):
     d = data.draw(st.sampled_from([2, 3]))
     x, y = data.draw(complexes(d)), data.draw(complexes(d))
+    levels = range(d + 1)
     picks = [draw_simplex(data, x) for _ in range(data.draw(st.integers(0, 3)))]
-    sub, incl, _ = sub_complex(x, closed_keep(x, picks))
+    keep = closed_keep(x, picks)
+    sub, incl, idx_maps = sub_complex(x, keep)
     assert validate_sset(sub) == [] and validate_sset_map(incl) == []
+    # the kept simplices in order, and idx_maps the inverse of the inclusion
+    assert incl.assign == tuple(tuple(sorted(level)) for level in keep)
+    assert idx_maps == [{old: n for n, old in enumerate(level)} for level in incl.assign]
     z, inc_x, inc_y = disjoint_union(x, y)
     assert validate_sset(z) == []
     assert validate_sset_map(inc_x) == [] and validate_sset_map(inc_y) == []
+    # x first, then y past it
+    assert inc_x.assign == tuple(tuple(range(x.size(k))) for k in levels)
+    assert inc_y.assign == tuple(tuple(range(x.size(k), z.size(k))) for k in levels)
+    # the pullback of the inclusion against another one, or the product of
+    # the two subcomplexes over a point
+    picks = [draw_simplex(data, x) for _ in range(data.draw(st.integers(0, 2)))]
+    sub2, incl2, _ = sub_complex(x, closed_keep(x, picks))
+    f, g = incl, incl2
+    if data.draw(st.booleans()):
+        f, g = (SSetMap(s, point(d), [[0] * s.size(k) for k in levels]) for s in (sub, sub2))
+    p, pr_x, pr_y, index = pullback_ssets(f, g)
+    assert validate_sset(p) == []
+    assert validate_sset_map(pr_x) == [] and validate_sset_map(pr_y) == []
+    assert compose_maps(f, pr_x) == compose_maps(g, pr_y)
+    for k in levels:
+        pairs = list(zip(pr_x.assign[k], pr_y.assign[k]))
+        assert pairs == [(i, j) for i in range(sub.size(k)) for j in range(sub2.size(k))
+                         if f.assign[k][i] == g.assign[k][j]]
+        assert index[k] == {pair: n for n, pair in enumerate(pairs)}
     # attach cells one after another, each along the faces of a simplex that
-    # is there (old or new, degenerate or not)
+    # is there (old or new, degenerate or not); the old records stay, the
+    # new cell and its degeneracies come after them
     for _ in range(data.draw(st.integers(1, 3))):
         k, idx = draw_simplex(data, z)
-        z, new = attach_nondeg(z, k, list(z.dims[k][idx].faces))
-        assert validate_sset(z) == []
-        assert z.dims[k][new].nondeg
+        z2, new = attach_nondeg(z, k, list(z.dims[k][idx].faces))
+        assert validate_sset(z2) == []
+        assert z2.dims[k][new].nondeg and new == z.size(k)
+        assert all(z2.dims[e][:z.size(e)] == z.dims[e] for e in levels)
+        z = z2
 
 
 # -- vertex-tuple sets against the slow reference ------------------------------

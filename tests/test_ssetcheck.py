@@ -307,6 +307,15 @@ def test_kan_budget_exhausted_keeps_checked_dimension():
     assert v.qualifier["checked_max_dim"] == 3
 
 
+@pytest.mark.parametrize("fields", [
+    {"max_dim": 1.5}, {"max_words": 2.0}, {"max_steps": True}, {"max_dim": "3"},
+    {"max_steps": 0}, {"max_words": -1},
+])
+def test_budget_fields_must_be_positive_ints(fields):
+    with pytest.raises(ValueError):
+        Budget(**fields)
+
+
 def _steps_used(p, n, k):
     steps = _Steps(10**9)
     assert _rlp_by_faces(p, n, k, steps)
