@@ -21,13 +21,13 @@ def codiscrete_groupoid(n_objects: int, dim_bound: int = 4) -> SimplicialCategor
         raise InputError("codiscrete groupoid needs a nonempty object set")
     pt = point(dim_bound)
     homs = {(a, b): pt for a in range(n_objects) for b in range(n_objects)}
+    identities = (0,) * n_objects
     compose = build_compose(n_objects, homs, dim_bound,
-                            lambda k, a, b, c, g, f: 0)
+                            lambda k, a, b, c, g, f: 0, identities)
     return SimplicialCategory(
         objects=tuple(("x", "y", "z")[i] if n_objects <= 3 else f"x{i}"
                       for i in range(n_objects)),
-        hom=homs, compose=compose,
-        identities=tuple(0 for _ in range(n_objects)))
+        hom=homs, compose=compose, identities=identities)
 
 
 def inclusion_of_object(cat: SimplicialCategory, a: int,

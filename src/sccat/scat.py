@@ -7,6 +7,9 @@ identity in dimension k is the k-fold degeneracy of that 0-simplex.
 
 Composition tables are indexed ``compose[(a, b, c)][k][g][f]`` = index of
 g after f in Hom(a, c)_k, for f in Hom(a, b)_k and g in Hom(b, c)_k.
+``build_compose`` fills every entry with an identity-tower factor by the
+unit law and asks a construction's rule only for the others; in U(X)
+every composite is such a unit composite.
 
 Functors carry an object map plus one simplicial map per hom pair.
 Validation is dimension by dimension, through ``cat``: dimension k is an
@@ -59,7 +62,7 @@ class SimplicialCategory:
             for k in range(dim_bound + 1):
                 lvl = levels[k] if k < len(levels) else ()
                 if self.hom[(a, b)].size(k) and self.hom[(b, c)].size(k):
-                    out.append(tuple(tuple(row) for row in lvl))
+                    out.append(tuple(map(tuple, lvl)))
                 else:
                     out.append(())
             self.compose[key] = tuple(out)
@@ -111,19 +114,36 @@ class SimplicialCategory:
                 f"dim_bound={self.dim_bound})")
 
 
-def build_compose(n_objects: int, homs: dict, dim_bound: int, rule) -> dict:
-    """Composition tables from a rule(k, a, b, c, g, f) -> index."""
+def build_compose(n_objects: int, homs: dict, dim_bound: int, rule, identities) -> dict:
+    """Composition tables from the marked identity 0-simplices and a
+    rule(k, a, b, c, g, f) -> index.
+
+    The unit law fills every entry with an identity-tower factor: g after
+    the identity of a is g, the identity of c after f is f.  ``rule`` is
+    asked only for the other entries, and may be None when there are none
+    (as in U(X))."""
+    ids = [identities]
+    for k in range(dim_bound):
+        ids.append([homs[(a, a)].degeneracy(k, ids[k][a], 0) for a in range(n_objects)])
     compose = {}
     for a in range(n_objects):
         for b in range(n_objects):
             for c in range(n_objects):
                 levels = []
                 for k in range(dim_bound + 1):
-                    nf = homs[(a, b)].size(k)
-                    ng = homs[(b, c)].size(k)
-                    levels.append(tuple(tuple(rule(k, a, b, c, g, f)
-                                              for f in range(nf))
-                                        for g in range(ng)))
+                    nf, ng = homs[(a, b)].size(k), homs[(b, c)].size(k)
+                    if a == b and nf == 1:      # f is the identity tower
+                        levels.append(tuple(zip(range(ng))))
+                    elif not nf:
+                        levels.append(((),) * ng)
+                    else:
+                        id_f = ids[k][a] if a == b else -1
+                        id_g = ids[k][b] if b == c else -1
+                        levels.append(tuple(
+                            tuple(range(nf)) if g == id_g else
+                            tuple(g if f == id_f else rule(k, a, b, c, g, f)
+                                  for f in range(nf))
+                            for g in range(ng)))
                 compose[(a, b, c)] = tuple(levels)
     return compose
 
@@ -273,14 +293,9 @@ def functor_U(x: SimplicialSet) -> SimplicialCategory:
     bound = x.dim_bound
     pt = point(bound)
     homs = {(0, 0): pt, (1, 1): pt, (0, 1): x, (1, 0): empty_sset(bound)}
-
-    def rule(k, a, b, c, g, f):
-        if a == b:          # f is an identity tower
-            return g
-        return f            # then b == c and g is an identity tower
-
-    compose = build_compose(2, homs, bound, rule)
-    return SimplicialCategory(objects=("x", "y"), hom=homs, compose=compose,
+    # every composite has an identity factor: the unit law fills all tables
+    return SimplicialCategory(objects=("x", "y"), hom=homs,
+                              compose=build_compose(2, homs, bound, None, (0, 0)),
                               identities=(0, 0))
 
 
@@ -401,14 +416,12 @@ def pullback_scat(f: SFunctor, h: SFunctor) -> tuple:
                        C.comp(k, c1, c2, c3, cg, cf))
         return pair_idx[(i, l)][k][target_pair]
 
-    compose = build_compose(len(obj_pairs), homs, bound, rule)
-    identities = []
-    for i, (b, c) in enumerate(obj_pairs):
-        identities.append(pair_idx[(i, i)][0][(B.identities[b], C.identities[c])])
+    identities = tuple(pair_idx[(i, i)][0][(B.identities[b], C.identities[c])]
+                       for i, (b, c) in enumerate(obj_pairs))
+    compose = build_compose(len(obj_pairs), homs, bound, rule, identities)
     P = SimplicialCategory(
         objects=tuple(f"({B.objects[b]},{C.objects[c]})" for (b, c) in obj_pairs),
-        hom=homs, compose=compose, identities=tuple(identities),
-        dim_bound=bound)
+        hom=homs, compose=compose, identities=identities, dim_bound=bound)
     pr_B = SFunctor(source=P, target=B,
                     ob_map=tuple(b for (b, c) in obj_pairs),
                     hom_maps={(i, j): proj_b[(i, j)]

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .verdict import InputError, _Steps
@@ -313,9 +314,9 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
 
 def from_simplex_tuples(dim_bound: int, simplices) -> SimplicialSet:
     """Simplicial set of a simplicial complex whose ``simplices`` are
-    nonempty sorted vertex tuples, closed under subsets, of at most
-    dim_bound + 1 entries; a longer or empty tuple, or one whose subsets
-    are missing, raises InputError.
+    nonempty strictly increasing vertex tuples, closed under subsets, of at
+    most dim_bound + 1 entries; a longer, empty or unsorted tuple, or one
+    whose subsets are missing, raises InputError.
 
     Its k-simplices are the nondecreasing (k+1)-tuples whose vertex set is
     a simplex, in lexicographic order, keyed by themselves.  By
@@ -328,6 +329,8 @@ def from_simplex_tuples(dim_bound: int, simplices) -> SimplicialSet:
     for t in simplices:
         if not 1 <= len(t) <= dim_bound + 1:
             raise InputError(f"from_simplex_tuples: {t} needs 1 to {dim_bound + 1} vertices")
+        if not all(map(operator.lt, t, t[1:])):
+            raise InputError(f"from_simplex_tuples: {t} is not strictly increasing")
         own[len(t) - 1].append(t)
     # Key rows are exact-size tuples: kept lists trigger garbage collections.
     # combinations(t, k) drops the entries of t from the last one down.
@@ -638,11 +641,14 @@ def sub_complex(x: SimplicialSet, keep: list) -> tuple:
     ``keep[k]`` is an iterable of indices into dimension k, which must be
     closed under faces and degeneracies (checked); the kept indices, in
     order, are the subcomplex's keys.  A nonempty level above dim_bound
-    raises InputError.
+    and an index that is not an int (a bool included) raise InputError.
     """
     if any(keep[x.dim_bound + 1:]):
         raise InputError("subcomplex levels above dim_bound")
-    keep = [sorted(set(keep[k])) if k < len(keep) else [] for k in range(x.dim_bound + 1)]
+    keep = [list(keep[k]) if k < len(keep) else [] for k in range(x.dim_bound + 1)]
+    if any(type(i) is not int for level in keep for i in level):
+        raise InputError("subcomplex indices must be ints")
+    keep = [sorted(set(level)) for level in keep]
     for k, level in enumerate(keep):
         if level and not (0 <= level[0] and level[-1] < x.size(k)):
             raise InputError(f"subcomplex index out of range at dim {k}")

@@ -31,6 +31,10 @@ Faces, degeneracies and composition act letterwise, which keeps the whole
 construction simplicial.  Each hom is handed to ``sset._from_keys`` keyed
 by its normal words: the words of every dimension in their final order,
 and the normal forms of each word's letterwise faces and degeneracies.
+The base's simplices come first, at their old indices, and keep their
+records: their face and degeneracy keys are read off the base, and only
+new words are normalized letter by letter.  Composites with an identity
+factor are filled by the unit law; only the others normalize a product.
 """
 from __future__ import annotations
 
@@ -268,9 +272,15 @@ class _WordEngine:
         def op_keys(k, pair, op, dk):
             """Per word of Hom_pair in dimension k, the normal words of its
             k + 1 faces (dk = -1) or degeneracies (dk = +1), made as the
-            builder reads them."""
-            return ([self.normalize(k + dk, [letter_op(k, l, op, i) for l in w])
-                     for i in range(k + 1)] for w in words[(k, pair)])
+            builder reads them.  The first words are C's simplices at their
+            old indices, so their rows are read off C's records."""
+            below = words[(k + dk, pair)]
+            old = self.C.hom[pair].dims[k] if max(pair) < n_old else ()
+            for s in old:
+                yield [below[j] for j in (s.faces if dk < 0 else s.degens)]
+            for w in words[(k, pair)][len(old):]:
+                yield [self.normalize(k + dk, [letter_op(k, l, op, i) for l in w])
+                       for i in range(k + 1)]
 
         homs, index = {}, {}
         for pair in ((a, b) for a in range(n) for b in range(n)):
@@ -284,13 +294,13 @@ class _WordEngine:
             w = self.normalize(k, words[(k, (a, b))][f] + words[(k, (b, c))][g])
             return index[(a, c)][k][w]
 
-        compose = build_compose(n, homs, bound, rule)
+        identities = tuple(index[(o, o)][0][()] for o in range(n))
+        compose = build_compose(n, homs, bound, rule, identities)
 
         labels = list(self.C.objects)
         for u in self.new_objects:
             lbl = str(self.F.objects[u])
             labels.append(lbl if lbl not in labels else f"{lbl}+")
-        identities = tuple(index[(o, o)][0][()] for o in range(n))
         D = SimplicialCategory(objects=tuple(labels), hom=homs,
                                compose=compose, identities=identities,
                                dim_bound=bound)

@@ -674,7 +674,7 @@ def z2_category(d):
     two = boundary(1, d)    # simplex j is vertex j in every dimension
     return SimplicialCategory(objects=("x",), hom={(0, 0): two},
                               compose=build_compose(1, {(0, 0): two}, d,
-                                                    lambda k, a, b, c, g, f: g ^ f),
+                                                    lambda k, a, b, c, g, f: g ^ f, (0,)),
                               identities=(0,), dim_bound=d)
 
 
@@ -723,7 +723,7 @@ def test_join_reads_the_endomorphism_homs():
     two = boundary(1, D)    # simplex j is vertex j in every dimension
     z2 = SimplicialCategory(objects=("x",), hom={(0, 0): two},
                             compose=build_compose(1, {(0, 0): two}, D,
-                                                  lambda k, a, b, c, g, f: g ^ f),
+                                                  lambda k, a, b, c, g, f: g ^ f, (0,)),
                             identities=(0,), dim_bound=D)
     assert validate_scat(z2) == []
     pt = singleton_cat(D)

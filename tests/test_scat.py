@@ -1,10 +1,11 @@
 import dataclasses
+import sys
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sccat import scat
+from sccat import constructions_basic, scat
 from sccat.cat import is_equivalence, is_isomorphism, validate_functor
 from sccat.constructions_basic import (codiscrete_groupoid,
                                        inclusion_of_object, walking_arrow)
@@ -21,6 +22,7 @@ from sccat.sset import (SSetMap, boundary, boundary_inclusion, compose_maps,
                         validate_sset, validate_sset_map)
 from sccat.verdict import Budget, StructureError
 from sccat.words import Attachment, glue_for_u, pushout_generating
+from tests import test_model
 from tests.test_model import z2_category
 
 D = 2  # dim bound for most tests
@@ -77,7 +79,7 @@ def max_monoid(d):
     x = standard_simplex(1, d)
     return SimplicialCategory(("x",), {(0, 0): x},
                               build_compose(1, {(0, 0): x}, d,
-                                            lambda k, a, b, c, g, f: max(g, f)),
+                                            lambda k, a, b, c, g, f: max(g, f), (0,)),
                               identities=(0,))
 
 
@@ -98,7 +100,64 @@ def loop_monoid(l_squared=L):
         return order[k][max(order[k].index(g), order[k].index(f))]
 
     return SimplicialCategory(("x",), {(0, 0): x},
-                              build_compose(1, {(0, 0): x}, 1, rule), identities=(0,))
+                              build_compose(1, {(0, 0): x}, 1, rule, (0,)),
+                              identities=(0,))
+
+
+def rule_on_every_entry(n_objects, homs, dim_bound, rule):
+    """Composition tables with the rule asked for every entry, the unit
+    entries included."""
+    return {(a, b, c): tuple(
+        tuple(tuple(rule(k, a, b, c, g, f) for f in range(homs[(a, b)].size(k)))
+              for g in range(homs[(b, c)].size(k)))
+        for k in range(dim_bound + 1))
+        for a in range(n_objects) for b in range(n_objects) for c in range(n_objects)}
+
+
+def u_rule(k, a, b, c, g, f):
+    """Composition in U(X): f is an identity tower when a == b, and g one
+    otherwise."""
+    return g if a == b else f
+
+
+def z2_pullback():
+    ident = identity_sfunctor(z2_category(D))
+    return pullback_scat(ident, ident)
+
+
+def codiscrete_pullback():
+    g = codiscrete_groupoid(2, D)
+    s = singleton_cat(D)
+    return pullback_scat(inclusion_of_object(g, 0, s), inclusion_of_object(g, 1, s))
+
+
+def u_pullback():
+    return pullback_scat(functor_U_map(horn_inclusion(2, 1, D)),
+                         functor_U_map(boundary_inclusion(2, D)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: max_monoid(D), loop_monoid, lambda: z2_category(D),
+    lambda: codiscrete_groupoid(1, D), lambda: codiscrete_groupoid(2, D),
+    lambda: codiscrete_groupoid(3, D), z2_pullback, codiscrete_pullback, u_pullback,
+], ids=["max", "loop", "z2", "codiscrete1", "codiscrete2", "codiscrete3",
+        "z2-pullback", "codiscrete-pullback", "u-pullback"])
+def test_unit_law_tables_equal_the_rule_on_every_entry(make, monkeypatch):
+    # every build_compose call the construction makes, U(X) by the rule of
+    # U; the unit law's entries are what each rule gives there
+    calls, real = [], scat.build_compose
+
+    def recording(n_objects, homs, dim_bound, rule, identities):
+        out = real(n_objects, homs, dim_bound, rule, identities)
+        calls.append((n_objects, homs, dim_bound, rule or u_rule, out))
+        return out
+
+    for module in (scat, constructions_basic, test_model, sys.modules[__name__]):
+        monkeypatch.setattr(module, "build_compose", recording)
+    make()
+    assert any(rule is not u_rule for *_, rule, _ in calls)
+    for n_objects, homs, dim_bound, rule, out in calls:
+        assert out == rule_on_every_entry(n_objects, homs, dim_bound, rule)
 
 
 def with_entries(cat, entries, identities=None):

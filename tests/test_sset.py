@@ -325,6 +325,24 @@ def test_from_simplex_tuples_rejects_tuples_it_cannot_place(dim_bound, simplices
         sset.from_simplex_tuples(dim_bound, simplices)
 
 
+@pytest.mark.parametrize("simplices", [
+    [(0,), (1,), (0, 1), (1, 0)],   # the edge 0 1 a second time, backwards
+    [(0,), (0, 0)],                 # a degenerate edge given as a simplex
+])
+def test_from_simplex_tuples_rejects_tuples_that_do_not_strictly_increase(simplices):
+    with pytest.raises(InputError):
+        sset.from_simplex_tuples(2, simplices)
+
+
+@pytest.mark.parametrize("keep", [
+    [[0, 1.0], [1]],                # a float index
+    [[0, True], [0, 1, 2]],         # True would stand for vertex 1
+])
+def test_sub_complex_rejects_indices_that_are_not_ints(keep):
+    with pytest.raises(InputError):
+        sub_complex(standard_simplex(1, dim_bound=1), keep)
+
+
 def test_from_nondegenerate_rejects_cells_above_dim_bound():
     with pytest.raises(InputError):
         from_nondegenerate(1, [[[]], [[(0, ()), (0, ())]],

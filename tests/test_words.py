@@ -237,9 +237,9 @@ U_MONOS = [horn_inclusion(1, 0, D), horn_inclusion(2, 1, D),
            boundary_inclusion(2, D)]
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.data())
-def test_one_letter_closure_equals_all_pairs_closure(data):
+def draw_engine(data):
+    """A word engine for a drawn base, attachment and glue, or None when
+    the drawn objects admit no glue."""
     base = data.draw(st.sampled_from(CLOSURE_BASES))
     obj = st.integers(0, base.n_objects() - 1)
     kind = data.draw(st.sampled_from(["u", "point", "c2", "a2"]))
@@ -255,16 +255,82 @@ def test_one_letter_closure_equals_all_pairs_closure(data):
         gx, gy = data.draw(obj), data.draw(obj)
         maps = enumerate_sset_maps(att.A.hom[(0, 1)], base.hom[(gx, gy)])
         if not maps:
-            return
+            return None
         glue = glue_for_u(att, base, gx, gy, data.draw(st.sampled_from(maps)))
-    eng = _WordEngine(base, att, glue, Budget(max_words=data.draw(st.integers(3, 6)),
-                                              max_steps=10**5))
+    return _WordEngine(base, att, glue, Budget(max_words=data.draw(st.integers(3, 6)),
+                                               max_steps=10**5))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_one_letter_closure_equals_all_pairs_closure(data):
+    eng = draw_engine(data)
+    if eng is None:
+        return
     try:
         expected = all_pairs_generate(eng)
     except BudgetExceeded:
         return
     # the reference stabilized, so the one-letter closure must too
     assert {key: set(ws) for key, ws in eng.generate().items()} == expected
+
+
+def assert_tables_follow_the_words(eng, res):
+    """Every composite, face and degeneracy of the pushout is the normal
+    form of the letterwise one, computed from ``res.words``; the base's
+    simplices keep their records at their old indices."""
+    D_, C = res.category, eng.C
+    index = {key: {w: i for i, w in enumerate(ws)} for key, ws in res.words.items()}
+
+    def letterwise(k, w, op, i, dk):
+        """The normal word of d_i w (op "face", dk = -1) or s_i w (op
+        "degeneracy", dk = +1), w a k-dimensional word."""
+        return eng.normalize(k + dk, [
+            (t, a, b, getattr((C if t == "C" else eng.F).hom[(a, b)], op)(k, idx, i))
+            for t, a, b, idx in w])
+
+    for p in D_.object_pairs():
+        h = D_.hom[p]
+        for k in range(h.dim_bound + 1):
+            if max(p) < C.n_objects():
+                assert h.dims[k][:C.hom[p].size(k)] == C.hom[p].dims[k]
+            for n, w in enumerate(res.words[(k, p)]):
+                for i in range(k + 1):
+                    if k:
+                        assert h.face(k, n, i) == index[(k - 1, p)][
+                            letterwise(k, w, "face", i, -1)]
+                    if k < h.dim_bound:
+                        assert h.degeneracy(k, n, i) == index[(k + 1, p)][
+                            letterwise(k, w, "degeneracy", i, 1)]
+    for (a, b, c) in D_.object_triples():
+        for k in range(D_.dim_bound + 1):
+            for g, wg in enumerate(res.words[(k, (b, c))]):
+                for f, wf in enumerate(res.words[(k, (a, b))]):
+                    assert D_.comp(k, a, b, c, g, f) == index[(k, (a, c))][
+                        eng.normalize(k, wf + wg)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_pushout_tables_follow_the_words(data):
+    eng = draw_engine(data)
+    if eng is None:
+        return
+    try:
+        res = eng.build()
+    except BudgetExceeded:
+        return
+    assert_tables_follow_the_words(eng, res)
+
+
+@pytest.mark.parametrize("inc", [
+    *(horn_inclusion(n, k, max(n, D)) for n in (1, 2, 3) for k in range(n + 1)),
+    *(boundary_inclusion(n, max(n, D)) for n in (1, 2, 3))])
+def test_u_pushout_tables_follow_the_words(inc):
+    base = functor_U(inc.target)
+    att = Attachment.from_sset_mono(inc)
+    eng = _WordEngine(base, att, glue_for_u(att, base, 0, 1, inc), B)
+    assert_tables_follow_the_words(eng, eng.build())
 
 
 def test_pushout_charges_one_step_per_extension():
