@@ -426,8 +426,7 @@ def is_free_map(f: SFunctor, marking: GeneratorMarking,
     # (pair, value) collision is a genuine relation.
     bound = tgt.dim_bound
     n = tgt.n_objects()
-    id_towers = [[tgt.identity_tower(o, k) for o in range(n)]
-                 for k in range(bound + 1)]
+    id_towers = tgt.identity_towers()
 
     def letters_at(k):
         return ([("i", pair, idx) for pair in sorted(image) for kk, idx in sorted(image[pair])

@@ -3,7 +3,10 @@
 A simplicial category stores a finite object list, one simplicial set per
 ordered pair of objects (all sharing a dim_bound), dimensionwise total
 composition tables, and a marked identity 0-simplex per object.  The
-identity in dimension k is the k-fold degeneracy of that 0-simplex.
+identity in dimension k is the k-fold degeneracy of that 0-simplex; each
+category makes these identity towers once, as one table
+(``identity_towers``), which ``build_compose`` computes the same way
+before the category exists.
 
 Composition tables are indexed ``compose[(a, b, c)][k][g][f]`` = index of
 g after f in Hom(a, c)_k, for f in Hom(a, b)_k and g in Hom(b, c)_k.
@@ -85,13 +88,14 @@ class SimplicialCategory:
     def comp(self, k: int, a: int, b: int, c: int, g: int, f: int) -> int:
         return self.compose[(a, b, c)][k][g][f]
 
+    @memo
+    def identity_towers(self) -> list:
+        """[k][a]: the identity k-simplex of object a."""
+        return _identity_towers(self.hom, self.identities, self.dim_bound)
+
     def identity_tower(self, a: int, k: int) -> int:
-        """The identity k-simplex of object a (iterated degeneracy)."""
-        h = self.hom[(a, a)]
-        cur = self.identities[a]
-        for d in range(k):
-            cur = h.degeneracy(d, cur, 0)
-        return cur
+        """The identity k-simplex of object a."""
+        return self.identity_towers()[k][a]
 
     def object_pairs(self):
         n = self.n_objects()
@@ -114,6 +118,14 @@ class SimplicialCategory:
                 f"dim_bound={self.dim_bound})")
 
 
+def _identity_towers(homs: dict, identities, dim_bound: int) -> list:
+    """[k][a]: s_0 applied k times to the marked 0-simplex identities[a]."""
+    towers = [tuple(identities)]
+    for k in range(dim_bound):
+        towers.append(tuple(homs[(a, a)].degeneracy(k, i, 0) for a, i in enumerate(towers[k])))
+    return towers
+
+
 def build_compose(n_objects: int, homs: dict, dim_bound: int, rule, identities) -> dict:
     """Composition tables from the marked identity 0-simplices and a
     rule(k, a, b, c, g, f) -> index.
@@ -122,9 +134,7 @@ def build_compose(n_objects: int, homs: dict, dim_bound: int, rule, identities) 
     the identity of a is g, the identity of c after f is f.  ``rule`` is
     asked only for the other entries, and may be None when there are none
     (as in U(X))."""
-    ids = [identities]
-    for k in range(dim_bound):
-        ids.append([homs[(a, a)].degeneracy(k, ids[k][a], 0) for a in range(n_objects)])
+    ids = _identity_towers(homs, identities, dim_bound)
     compose = {}
     for a in range(n_objects):
         for b in range(n_objects):
@@ -524,6 +534,8 @@ def is_homotopy_equivalence(cat: SimplicialCategory, a: int, b: int,
                             e: int) -> bool:
     """Whether the 0-simplex e of Hom(a, b) becomes an isomorphism in the
     component category."""
+    if not (0 <= a < cat.n_objects() and 0 <= b < cat.n_objects()):
+        raise InputError("unknown object")
     if not (0 <= e < cat.hom[(a, b)].size(0)):
         raise InputError("not a 0-simplex of the stated hom")
     fc, classes = pi0_data(cat)

@@ -21,11 +21,9 @@ disjoint unions, (i, j) pairs for pullbacks, and an old index or the
 degeneracy word of the new cell for cell attachment.  Pushouts of
 simplicial categories (``words``) key their homs by normal words.
 
-Derived data (pi0 here, homology, component categories) is computed
-once per instance through ``memo``, except the class's own accessors
-(nondegenerate indices, face-key indexes, vertex sets), which the slot
-search reads in its inner loop; values are treated as immutable after
-construction.
+Derived data (the accessors below, pi0 here, homology, component
+categories) is computed once per instance through ``memo``; values are
+treated as immutable after construction.
 """
 from __future__ import annotations
 
@@ -160,11 +158,9 @@ class SimplicialSet:
     def degeneracy(self, k: int, idx: int, j: int) -> int:
         return self.dims[k][idx].degens[j]
 
+    @memo
     def nondeg_indices(self, k: int) -> tuple:
-        key = ("nondeg", k)
-        if key not in self._cache:
-            self._cache[key] = tuple(i for i, s in enumerate(self.dims[k]) if s.nondeg)
-        return self._cache[key]
+        return tuple(i for i, s in enumerate(self.dims[k]) if s.nondeg)
 
     def apply_word(self, dim: int, idx: int, word: tuple) -> int:
         """Index of s_word applied to the simplex (dim, idx)."""
@@ -174,27 +170,20 @@ class SimplicialSet:
             cur_dim += 1
         return cur
 
+    @memo
     def face_key_index(self, k: int) -> dict:
         """tuple(faces) -> list of simplex indices, for dimension k >= 1."""
-        key = ("facekey", k)
-        if key not in self._cache:
-            table = {}
-            for i, s in enumerate(self.dims[k]):
-                table.setdefault(s.faces, []).append(i)
-            self._cache[key] = table
-        return self._cache[key]
+        table = {}
+        for i, s in enumerate(self.dims[k]):
+            table.setdefault(s.faces, []).append(i)
+        return table
 
+    @memo
     def vertices_of(self, k: int, idx: int) -> frozenset:
         """All iterated 0-dimensional faces of the simplex."""
-        key = ("verts", k, idx)
-        if key not in self._cache:
-            if k == 0:
-                out = frozenset((idx,))
-            else:
-                out = frozenset().union(
-                    *(self.vertices_of(k - 1, f) for f in self.dims[k][idx].faces))
-            self._cache[key] = out
-        return self._cache[key]
+        if k == 0:
+            return frozenset((idx,))
+        return frozenset().union(*(self.vertices_of(k - 1, f) for f in self.dims[k][idx].faces))
 
     def is_empty(self) -> bool:
         return all(len(level) == 0 for level in self.dims)
@@ -253,12 +242,14 @@ def _from_keys(dim_bound: int, levels: list, faces: list, degens: list) -> tuple
     return SimplicialSet(dim_bound, derive_records(dim_bound, face_tables, degen_tables)), index
 
 
-def _require_face_identities(face, k: int, faces) -> None:
-    """InputError unless the faces of a new k-simplex satisfy d_i d_j =
-    d_{j-1} d_i for i < j; ``face(c, i)`` is d_i of the (k-1)-simplex c."""
-    if any(face(faces[j], i) != face(faces[i], j - 1)
-           for j in range(1, k + 1 if k >= 2 else 0) for i in range(j)):
-        raise InputError(f"the faces of a new {k}-simplex break d_i d_j = d_(j-1) d_i")
+def _broken_face_identities(x: SimplicialSet, k: int, faces) -> list:
+    """The pairs (i, j), i < j, at which the faces of a k-simplex, indices
+    into level k - 1 of x, break d_i d_j = d_{j-1} d_i."""
+    if k < 2:
+        return []
+    below = x.dims[k - 1]
+    return [(i, j) for j in range(1, k + 1) for i in range(j)
+            if below[faces[j]].faces[i] != below[faces[i]].faces[j - 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +263,18 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
     ``base_index`` into the nondegenerate list of dimension
     ``k - 1 - len(word)`` and ``word`` a normal degeneracy word over it.
     Dimension 0 entries are ``[]``.  Nondegenerate simplices above
-    ``dim_bound``, a face count other than k + 1 and a face that names no
-    such base and word raise InputError.
+    ``dim_bound``, a face count other than k + 1, a base or word entry that
+    is not an int (a bool included) and a face that names no such base and
+    word raise InputError.
     """
     if any(face_data[dim_bound + 1:]):
         raise InputError("from_nondegenerate: nondegenerate simplices above dim_bound")
     face_data = list(face_data) + [[] for _ in range(dim_bound + 1 - len(face_data))]
     if any(len(cell) != (k + 1 if k else 0)
+           or any(type(b) is not int or any(type(j) is not int for j in w) for b, w in cell)
            for k in range(dim_bound + 1) for cell in face_data[k]):
-        raise InputError("from_nondegenerate: a k-simplex needs k + 1 faces (a vertex none)")
+        raise InputError("from_nondegenerate: a k-simplex needs k + 1 faces (a vertex none),"
+                         " each an int base and a word of ints")
     # keys (base_dim, base_idx, word): the nondegenerate simplices, then
     # the degeneracies of each lower base
     levels = [[(k, i, ()) for i in range(len(face_data[k]))]
@@ -305,7 +299,8 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
         raise InputError("from_nondegenerate: a face names no base with a normal word") from None
     for k in range(2, dim_bound + 1):
         for n in range(len(face_data[k])):
-            _require_face_identities(lambda c, i: x.face(k - 1, c, i), k, x.dims[k][n].faces)
+            if _broken_face_identities(x, k, x.dims[k][n].faces):
+                raise InputError(f"the faces of a new {k}-simplex break d_i d_j = d_(j-1) d_i")
     return x
 
 
@@ -355,22 +350,22 @@ def _simplex_faces(n: int, missing=()) -> list:
 
 
 def standard_simplex(n: int, dim_bound: int = 4) -> SimplicialSet:
-    if n < 0 or n > dim_bound:
-        raise InputError(f"standard_simplex: need 0 <= n <= dim_bound, got n={n}")
+    if type(n) is not int or not 0 <= n <= dim_bound:
+        raise InputError(f"standard_simplex: need an int 0 <= n <= dim_bound, got n={n!r}")
     return from_simplex_tuples(dim_bound, _simplex_faces(n))
 
 
 def boundary(n: int, dim_bound: int = 4) -> SimplicialSet:
-    if n < 0 or n > dim_bound:
-        raise InputError(f"boundary: need 0 <= n <= dim_bound, got n={n}")
+    if type(n) is not int or not 0 <= n <= dim_bound:
+        raise InputError(f"boundary: need an int 0 <= n <= dim_bound, got n={n!r}")
     return from_simplex_tuples(dim_bound, _simplex_faces(n, {tuple(range(n + 1))}))
 
 
 def horn(n: int, k: int, dim_bound: int = 4) -> SimplicialSet:
-    if n < 1 or n > dim_bound:
-        raise InputError(f"horn: need 1 <= n <= dim_bound, got n={n}")
-    if k < 0 or k > n:
-        raise InputError(f"horn: need 0 <= k <= n, got k={k}")
+    if type(n) is not int or not 1 <= n <= dim_bound:
+        raise InputError(f"horn: need an int 1 <= n <= dim_bound, got n={n!r}")
+    if type(k) is not int or not 0 <= k <= n:
+        raise InputError(f"horn: need an int 0 <= k <= n, got k={k!r}")
     full = tuple(range(n + 1))
     return from_simplex_tuples(dim_bound, _simplex_faces(n, {full, full[:k] + full[k + 1:]}))
 
@@ -439,14 +434,9 @@ def validate_sset(x: SimplicialSet) -> list:
     for k in range(bound + 1):
         for idx, s in enumerate(x.dims[k]):
             tag = f"dim {k} simplex {idx}"
-            # d_i d_j = d_{j-1} d_i for i < j
             if k >= 2:
-                for j in range(1, k + 1):
-                    for i in range(j):
-                        lhs = x.face(k - 1, s.faces[j], i)
-                        rhs = x.face(k - 1, s.faces[i], j - 1)
-                        if lhs != rhs:
-                            bad.append(f"{tag}: d_{i} d_{j} != d_{j-1} d_{i}")
+                bad.extend(f"{tag}: d_{i} d_{j} != d_{j-1} d_{i}"
+                           for i, j in _broken_face_identities(x, k, s.faces))
             # s_i s_j = s_{j+1} s_i for i <= j
             if k + 2 <= bound:
                 for j in range(k + 1):
@@ -711,17 +701,20 @@ def attach_nondeg(x: SimplicialSet, k: int, faces: list) -> tuple:
     """Attach one nondegenerate k-simplex with the given faces.
 
     Existing indices are stable; the new simplex and its degeneracies are
-    appended.  Returns (x', new_index_at_k).
+    appended.  Returns (x', new_index_at_k).  A dimension or face index
+    that is not an int in range (a bool included), and faces that break
+    the face identities, raise InputError.
     """
-    if k < 0 or k > x.dim_bound:
-        raise InputError("attachment dimension out of range")
+    if type(k) is not int or not 0 <= k <= x.dim_bound:
+        raise InputError("attachment dimension not an int in range")
     if k >= 1 and len(faces) != k + 1:
         raise InputError("need k+1 faces")
     if k == 0 and faces:
         raise InputError("0-simplices have no faces")
-    if any(not 0 <= c < x.size(k - 1) for c in faces):
-        raise InputError("face index out of range")
-    _require_face_identities(lambda c, i: x.face(k - 1, c, i), k, faces)
+    if any(type(c) is not int or not 0 <= c < x.size(k - 1) for c in faces):
+        raise InputError("face index not an int in range")
+    if _broken_face_identities(x, k, faces):
+        raise InputError(f"the faces of a new {k}-simplex break d_i d_j = d_(j-1) d_i")
     bound = x.dim_bound
     # keys: the old simplices by index, then s_w(new cell) by its word w
     new = [degeneracy_words(k, d - k) if d >= k else [] for d in range(bound + 1)]

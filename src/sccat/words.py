@@ -20,12 +20,15 @@ words keep appearing past ``max_words`` letters of F, or the closure
 makes more than ``max_steps`` one-letter extensions (one ``_Steps`` count
 per pushout), BudgetExceeded is raised.
 
-The closure appends one letter at a time: normalizing w1 w2 pushes the
-letters of w2 onto w1 one by one, so every product is reached that way.
-The walk is depth-first.  When the words never stabilize, it soon meets a
-word past ``max_words`` letters of F along one branch, while a
-breadth-first walk first builds every shorter word, and there can be
-exponentially many of them.
+Every prefix of a normal word is normal, so the normal words form a tree
+under the empty words, and the closure lists them directly: it extends a
+normal word only by an alphabet letter (a normal one-letter word) that
+does not compose with its last letter inside one factor, and the result is
+again normal and new.  Every letter tried at a word is one step.  The walk
+is depth-first.  When the words never stabilize, it soon meets a word past
+``max_words`` letters of F along one branch, while a breadth-first walk
+first builds every shorter word, and there can be exponentially many of
+them.
 
 Faces, degeneracies and composition act letterwise, which keeps the whole
 construction simplicial.  Each hom is handed to ``sset._from_keys`` keyed
@@ -144,10 +147,8 @@ class _WordEngine:
                         raise InputError("attachment inclusion is not injective")
                     self.image_rewrite[key] = val
 
-        self.c_id = [[base.identity_tower(a, k) for a in range(base.n_objects())]
-                     for k in range(self.bound + 1)]
-        self.f_id = [[self.F.identity_tower(u, k) for u in range(self.F.n_objects())]
-                     for k in range(self.bound + 1)]
+        self.c_id = base.identity_towers()
+        self.f_id = self.F.identity_towers()
 
     # -- letters -------------------------------------------------------------
     def d_endpoints(self, letter):
@@ -159,44 +160,28 @@ class _WordEngine:
     def rewrite(self, k, letter):
         """Normalize one letter: None for identities, C-letters for the
         image of the attachment source."""
-        while True:
-            tag, a, b, idx = letter
-            if tag == "C":
-                if a == b and self.c_id[k][a] == idx:
-                    return None
-                return letter
+        tag, a, b, idx = letter
+        if tag == "F":
             if a == b and self.f_id[k][a] == idx:
                 return None
-            img = self.image_rewrite.get((k, a, b, idx))
-            if img is None:
-                return letter
-            letter = img
-
-    def push(self, out, letter, k):
-        letter = self.rewrite(k, letter)
-        if letter is None:
-            return
-        out.append(letter)
-        while len(out) >= 2:
-            l1, l2 = out[-2], out[-1]
-            t1, a1, b1, i1 = l1
-            t2, a2, b2, i2 = l2
-            if t1 != t2 or b1 != a2:
-                break
-            out.pop()
-            out.pop()
-            if t1 == "C":
-                merged = ("C", a1, b2, self.C.comp(k, a1, b1, b2, i2, i1))
-            else:
-                merged = ("F", a1, b2, self.F.comp(k, a1, b1, b2, i2, i1))
-            merged = self.rewrite(k, merged)
-            if merged is not None:
-                out.append(merged)
+            letter = self.image_rewrite.get((k, a, b, idx), letter)
+            tag, a, b, idx = letter
+        return None if tag == "C" and a == b and self.c_id[k][a] == idx else letter
 
     def normalize(self, k, letters):
+        """The normal word of a product of letters: each letter, rewritten,
+        is composed with the last letter of the normal word before it for
+        as long as the two compose inside one factor."""
         out = []
         for letter in letters:
-            self.push(out, letter, k)
+            letter = self.rewrite(k, letter)
+            while letter and out and out[-1][0] == letter[0] and out[-1][2] == letter[1]:
+                tag, a, b, idx = out.pop()
+                cat = self.C if tag == "C" else self.F
+                letter = self.rewrite(k, (tag, a, letter[2],
+                                          cat.comp(k, a, b, letter[2], letter[3], idx)))
+            if letter:
+                out.append(letter)
         return tuple(out)
 
     def word_f_count(self, word):
@@ -205,10 +190,11 @@ class _WordEngine:
     # -- closure ---------------------------------------------------------------
     def generate(self):
         """The normal words of every dimension, keyed by (k, a, b): a
-        depth-first walk from the empty words that pushes every letter
-        starting at a new word's target onto it."""
+        depth-first walk of the tree of normal words from the empty ones,
+        which tries every letter starting at a word's target and keeps the
+        ones that do not compose with its last letter inside one factor."""
         n = self.n_objects
-        words = {(k, a, b): set() for k in range(self.bound + 1)
+        words = {(k, a, b): [] for k in range(self.bound + 1)
                  for a in range(n) for b in range(n)}
         steps = _Steps(self.budget.max_steps)
         for k in range(self.bound + 1):
@@ -220,19 +206,18 @@ class _WordEngine:
                             letters[self.d_endpoints(letter)[0]][letter] = None
             stack = [((), o, o) for o in range(n)]
             for o in range(n):
-                words[(k, o, o)].add(())
+                words[(k, o, o)].append(())
             while stack:
                 w, a, b = stack.pop()
+                last = w[-1] if w else (None, None, None)
                 for letter in letters[b]:
                     steps.charge()
-                    out = list(w)
-                    self.push(out, letter, k)
-                    new, c = tuple(out), self.d_endpoints(letter)[1]
-                    if new in words[(k, a, c)]:
+                    if letter[0] == last[0] and letter[1] == last[2]:
                         continue
+                    new, c = w + (letter,), self.d_endpoints(letter)[1]
                     if self.word_f_count(new) > self.budget.max_words:
                         raise BudgetExceeded("free closure did not stabilize within max_words")
-                    words[(k, a, c)].add(new)
+                    words[(k, a, c)].append(new)
                     stack.append((new, a, c))
         return words
 
@@ -242,12 +227,8 @@ class _WordEngine:
         bound = self.bound
         n = self.n_objects
 
-        def letter_key(letter):
-            tag, a, b, idx = letter
-            return (0 if tag == "C" else 1, a, b, idx)
-
         def word_key(w):
-            return (self.word_f_count(w), len(w), tuple(letter_key(l) for l in w))
+            return (self.word_f_count(w), len(w), w)
 
         # deterministic order: old simplices first, keeping their indices
         # (each C letter is its own normal form, an identity tower the empty

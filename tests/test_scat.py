@@ -20,7 +20,7 @@ from sccat.sset import (SSetMap, boundary, boundary_inclusion, compose_maps,
                         from_nondegenerate, from_simplicial_complex,
                         horn_inclusion, identity_map, point, standard_simplex,
                         validate_sset, validate_sset_map)
-from sccat.verdict import Budget, StructureError
+from sccat.verdict import Budget, InputError, StructureError
 from sccat.words import Attachment, glue_for_u, pushout_generating
 from tests import test_model
 from tests.test_model import z2_category
@@ -457,6 +457,12 @@ def test_codiscrete_morphisms_all_homotopy_equivalences():
             assert is_homotopy_equivalence(cat, a, b, 0)
 
 
+@pytest.mark.parametrize("a, b", [(5, 0), (0, -1)])
+def test_is_homotopy_equivalence_rejects_an_unknown_object(a, b):
+    with pytest.raises(InputError, match="unknown object"):
+        is_homotopy_equivalence(singleton_cat(2), a, b, 0)
+
+
 # -- the validators against the law-by-law reference -------------------------
 
 def reference_validate_scat(cat: SimplicialCategory) -> list:
@@ -661,3 +667,29 @@ def test_validators_agree_with_the_reference(data):
     else:
         cat = corrupt_scat(data, data.draw(st.sampled_from(categories)))
         assert (validate_scat(cat) == []) == (reference_validate_scat(cat) == [])
+
+
+# -- identity towers -------------------------------------------------------------
+
+TOWER_FIXTURES = {
+    "oracle-fixtures": lambda: oracle_fixtures()[0],
+    "multi-object": lambda: test_model.MULTI_OBJECT_CATEGORIES,
+    "pullbacks": lambda: [z2_pullback()[0], codiscrete_pullback()[0], u_pullback()[0]],
+    "codiscrete": lambda: [codiscrete_groupoid(n, d) for n in (1, 2, 3) for d in (1, 2, 3)],
+    "monoids": lambda: [max_monoid(d) for d in (1, 2, 3)] + [loop_monoid()],
+    "pushouts-at-D3": lambda: [pushout_into_simplex(horn_inclusion(2, 1, 3)),
+                               pushout_into_simplex(boundary_inclusion(2, 3))],
+}
+
+
+@pytest.mark.parametrize("name", TOWER_FIXTURES)
+def test_identity_towers_are_s0_applied_k_times(name):
+    for cat in TOWER_FIXTURES[name]():
+        towers = cat.identity_towers()
+        assert len(towers) == cat.dim_bound + 1
+        for a in range(cat.n_objects()):
+            cur = cat.identities[a]
+            for k in range(cat.dim_bound + 1):
+                assert towers[k][a] == cat.identity_tower(a, k) == cur
+                if k < cat.dim_bound:
+                    cur = cat.hom[(a, a)].dims[k][cur].degens[0]

@@ -396,6 +396,40 @@ def test_from_nondegenerate_rejects_faces_that_name_no_simplex(cells):
         from_nondegenerate(2, cells)
 
 
+@pytest.mark.parametrize("k, faces", [
+    (1, [1.0, 0]),                  # a float face
+    (1, [True, 0]),                 # True would stand for vertex 1
+    (1.0, [1, 0]),                  # a float dimension
+    (True, [1, 0]),                 # True would stand for dimension 1
+], ids=["float-face", "bool-face", "float-dimension", "bool-dimension"])
+def test_attach_nondeg_rejects_dimensions_and_faces_that_are_not_ints(k, faces):
+    with pytest.raises(InputError):
+        attach_nondeg(standard_simplex(1, 2), k, faces)
+
+
+@pytest.mark.parametrize("dim_bound, cells", [
+    (1, [[[], []], [[(0, ()), (1.0, ())]]]),    # a float base: an edge 1 -> 0
+    (1, [[[], []], [[(0, ()), (True, ())]]]),   # True would stand for vertex 1
+    (2, [[[]], [[(0, ()), (0, ())]], [[(0, ()), (0, (0.0,)), (0, ())]]]),   # a float in a word
+    (2, [[[]], [[(0, ()), (0, ())]], [[(0, ()), (0, (False,)), (0, ())]]]),  # a bool in a word
+], ids=["float-base", "bool-base", "float-in-word", "bool-in-word"])
+def test_from_nondegenerate_rejects_bases_and_words_that_are_not_ints(dim_bound, cells):
+    with pytest.raises(InputError):
+        from_nondegenerate(dim_bound, cells)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: standard_simplex(1.0, 2), lambda: standard_simplex(True, 2),
+    lambda: boundary(2.0, 2), lambda: boundary(True, 2),
+    lambda: horn(2, 1.0, 2), lambda: horn(2.0, 1, 2), lambda: horn(True, 0, 2),
+    lambda: horn(2, True, 2),
+], ids=["simplex-float", "simplex-bool", "boundary-float", "boundary-bool", "horn-float-k",
+        "horn-float-n", "horn-bool-n", "horn-bool-k"])
+def test_simplex_constructors_reject_dimensions_that_are_not_ints(build):
+    with pytest.raises(InputError):
+        build()
+
+
 def test_from_simplicial_complex_rejects_facets_above_dim_bound():
     with pytest.raises(InputError):
         from_simplicial_complex([(0, 1, 2)], dim_bound=1)
@@ -578,6 +612,10 @@ MEMOIZED = [
     (hml.homology, boundary(2, 2), (1,)),
     (scat.pi0_data, codiscrete_groupoid(2, 2), ()),
     (search._comp_instances, codiscrete_groupoid(2, 2), ()),
+    (SimplicialSet.nondeg_indices, boundary(2, 2), (1,)),
+    (SimplicialSet.face_key_index, boundary(2, 2), (1,)),
+    (SimplicialSet.vertices_of, boundary(2, 2), (2, 3)),
+    (scat.SimplicialCategory.identity_towers, codiscrete_groupoid(2, 2), ()),
 ]
 
 

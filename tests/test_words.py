@@ -1,6 +1,12 @@
+import hashlib
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sccat
 from sccat.constructions_basic import codiscrete_groupoid, walking_arrow
 from sccat.model import generating_cofibrations
 from sccat.scat import (compose_sfunctors, coproduct, functor_U,
@@ -368,3 +374,91 @@ def test_glue_at_object_rejects_an_unknown_object():
     att = Attachment.a2(codiscrete_groupoid(2, D), 0)
     with pytest.raises(InputError):
         glue_at_object(att, walking_arrow(D), -1)
+
+
+# -- the closure's step budget ------------------------------------------------------
+
+def u_pushout_parts(inc):
+    base = functor_U(inc.target)
+    att = Attachment.from_sset_mono(inc)
+    return base, att, glue_for_u(att, base, 0, 1, inc)
+
+
+def c2_pushout_parts(d):
+    base = codiscrete_groupoid(2, d)
+    att = Attachment.c2(d)
+    return base, att, glue_for_c2(att, base)
+
+
+@pytest.mark.parametrize("d, parts, steps", [
+    (2, lambda d: u_pushout_parts(horn_inclusion(2, 1, d)), 23),
+    (2, lambda d: u_pushout_parts(boundary_inclusion(2, d)), 20),
+    (2, lambda d: u_pushout_parts(horn_inclusion(1, 0, d)), 15),
+    (2, c2_pushout_parts, 12),
+    (3, lambda d: u_pushout_parts(horn_inclusion(2, 1, d)), 44),
+    (3, lambda d: u_pushout_parts(boundary_inclusion(2, d)), 38),
+    (3, lambda d: u_pushout_parts(horn_inclusion(1, 0, d)), 24),
+    (3, c2_pushout_parts, 16),
+], ids=["horn21-D2", "bd2-D2", "horn10-D2", "c2-D2", "horn21-D3", "bd2-D3", "horn10-D3",
+        "c2-D3"])
+def test_closure_charges_one_step_per_letter_tried_at_each_word(d, parts, steps):
+    # N = the sum over the normal words of the letters that start at the
+    # word's target; the letters from b in dimension k are the one-letter
+    # words from b
+    base, att, glue = parts(d)
+    res = pushout_generating(base, att, glue, Budget())
+    n = res.category.n_objects()
+    starting_at = {(k, b): sum(len(w) == 1 for c in range(n) for w in res.words[(k, (b, c))])
+                   for k in range(d + 1) for b in range(n)}
+    N = sum(len(ws) * starting_at[(k, b)] for (k, (_, b)), ws in res.words.items())
+    assert N == steps
+    assert pushout_generating(base, att, glue, Budget(max_steps=N)).words == res.words
+    with pytest.raises(BudgetExceeded, match="step budget"):
+        pushout_generating(base, att, glue, Budget(max_steps=N - 1))
+
+
+# -- results do not depend on the string hash seed ------------------------------
+
+SEED_SCRIPT = """
+from sccat import model, scat, sset, words
+from sccat.constructions_basic import codiscrete_groupoid, inclusion_of_object
+from sccat.verdict import Budget
+
+def cat(c):
+    return (c.objects, sorted((p, h.dims) for p, h in c.hom.items()),
+            sorted(c.compose.items()), c.identities)
+
+def functor(F):
+    return (cat(F.source), cat(F.target), F.ob_map,
+            sorted((p, m.assign) for p, m in F.hom_maps.items()))
+
+out = []
+for inc in (sset.horn_inclusion(2, 1, 3), sset.boundary_inclusion(2, 2)):
+    base, att = scat.functor_U(inc.target), words.Attachment.from_sset_mono(inc)
+    res = words.pushout_generating(base, att, words.glue_for_u(att, base, 0, 1, inc))
+    out.append((cat(res.category), sorted(res.words.items()), functor(res.inc_attached)))
+base, att = codiscrete_groupoid(2, 2), words.Attachment.a2(codiscrete_groupoid(2, 2), 0)
+res = words.pushout_generating(base, att, words.glue_at_object(att, base, 1), Budget(max_words=6))
+out.append((cat(res.category), sorted(res.words.items())))
+fr = model.factor_bounded(scat.functor_U_map(sset.horn_inclusion(2, 1, 2)),
+                          model.generating_acyclic_a1(2, 2), Budget(max_dim=2, max_words=16))
+out.append((functor(fr.left), functor(fr.right), [c.generator for c in fr.cells], fr.complete))
+v = model.is_acyclic_fibration_by_rlp(
+    inclusion_of_object(codiscrete_groupoid(2, 2), 0, scat.singleton_cat(2)), Budget(max_dim=2))
+square = v.witness["square"]
+out.append((v.kind, v.witness["generator"], sorted(v.qualifier.items()),
+            [functor(getattr(square, side)) for side in ("left", "right", "top", "bottom")]))
+print(repr(out))
+"""
+
+
+def test_results_do_not_depend_on_the_string_hash_seed():
+    # pushout words are tuples holding strings, kept in sets and dicts
+    src = os.path.dirname(os.path.dirname(sccat.__file__))
+    runs = [subprocess.Popen([sys.executable, "-c", SEED_SCRIPT], stdout=subprocess.PIPE,
+                             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
+            for seed in ("0", "1")]
+    outs = [run.communicate(timeout=60)[0] for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert hashlib.sha256(outs[0]).hexdigest() == hashlib.sha256(outs[1]).hexdigest()
+    assert len(outs[0]) > 10_000
