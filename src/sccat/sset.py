@@ -127,8 +127,8 @@ class SimplicialSet:
     __slots__ = ("dim_bound", "dims", "_cache")
 
     def __init__(self, dim_bound: int, dims: list):
-        if dim_bound < 0:
-            raise InputError("dim_bound must be non-negative")
+        if type(dim_bound) is not int or dim_bound < 0:
+            raise InputError(f"dim_bound must be a non-negative int, got {dim_bound!r}")
         if len(dims) != dim_bound + 1:
             raise InputError("dims must have dim_bound + 1 levels")
         self.dim_bound = dim_bound
@@ -259,22 +259,23 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
     """Build the full tables from nondegenerate simplices only.
 
     ``face_data[k]`` lists the nondegenerate k-simplices; each entry is a
-    list of k+1 faces, a face being ``(base_index, word)`` with
+    list of k+1 faces, a face being a tuple ``(base_index, word)`` with
     ``base_index`` into the nondegenerate list of dimension
     ``k - 1 - len(word)`` and ``word`` a normal degeneracy word over it.
     Dimension 0 entries are ``[]``.  Nondegenerate simplices above
-    ``dim_bound``, a face count other than k + 1, a base or word entry that
-    is not an int (a bool included) and a face that names no such base and
-    word raise InputError.
+    ``dim_bound``, a face count other than k + 1, a face that is not a pair
+    of an int and a tuple of ints (a bool counting as no int), and a face
+    that names no such base and word raise InputError.
     """
     if any(face_data[dim_bound + 1:]):
         raise InputError("from_nondegenerate: nondegenerate simplices above dim_bound")
     face_data = list(face_data) + [[] for _ in range(dim_bound + 1 - len(face_data))]
     if any(len(cell) != (k + 1 if k else 0)
-           or any(type(b) is not int or any(type(j) is not int for j in w) for b, w in cell)
+           or any(type(f) is not tuple or len(f) != 2 or type(f[1]) is not tuple
+                  or any(type(j) is not int for j in (f[0], *f[1])) for f in cell)
            for k in range(dim_bound + 1) for cell in face_data[k]):
         raise InputError("from_nondegenerate: a k-simplex needs k + 1 faces (a vertex none),"
-                         " each an int base and a word of ints")
+                         " each a pair of an int base and a tuple word of ints")
     # keys (base_dim, base_idx, word): the nondegenerate simplices, then
     # the degeneracies of each lower base
     levels = [[(k, i, ()) for i in range(len(face_data[k]))]
@@ -310,8 +311,8 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
 def from_simplex_tuples(dim_bound: int, simplices) -> SimplicialSet:
     """Simplicial set of a simplicial complex whose ``simplices`` are
     nonempty strictly increasing vertex tuples, closed under subsets, of at
-    most dim_bound + 1 entries; a longer, empty or unsorted tuple, or one
-    whose subsets are missing, raises InputError.
+    most dim_bound + 1 entries; a dim_bound that is not an int >= 0, or a
+    longer, empty or unsorted tuple, or one missing a subset raises InputError.
 
     Its k-simplices are the nondecreasing (k+1)-tuples whose vertex set is
     a simplex, in lexicographic order, keyed by themselves.  By
@@ -320,6 +321,8 @@ def from_simplex_tuples(dim_bound: int, simplices) -> SimplicialSet:
     and the degeneracies of level k-1.  The builder's tuple index is kept
     in the cache, for inclusions.
     """
+    if type(dim_bound) is not int or dim_bound < 0:
+        raise InputError(f"from_simplex_tuples: need an int dim_bound >= 0, got {dim_bound!r}")
     own = [[] for _ in range(dim_bound + 1)]
     for t in simplices:
         if not 1 <= len(t) <= dim_bound + 1:

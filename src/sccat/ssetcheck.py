@@ -177,40 +177,36 @@ def _unfilled(p: SSetMap, n: int, k: int | None, steps: _Steps) -> dict:
     over y}.  A map from the horn (boundary) to X is a tuple (x_i), i != k,
     of (n-1)-simplices with d_i x_j = d_{j-1} x_i for i < j; a map Delta[n]
     -> Y is an n-simplex y; the square commutes iff d_i y = p(x_i) for i !=
-    k, and a lift is an x in X_n with d_i x = x_i and p(x) = y.  One step
-    per tuple extension and per bottom y."""
-    x, y, pa = p.source, p.target, p.assign
+    k, and a lift is an x in X_n with d_i x = x_i and p(x) = y.  Tuples
+    grow a position at a time, in depth-first order.  One step per tuple
+    extension and per bottom y; each level is charged before it is built,
+    so a call that would pass its cap raises before its list outgrows it."""
+    x, y, image, out = p.source, p.target, p.assign[n - 1], {}
     pos = [i for i in range(n + 1) if i != k] if n else []
-    # candidates for x_{pos[m]}, keyed by the faces the earlier x_i fix
-    joins = []
-    for m in range(len(pos)):
-        known, table = pos[:m] if n >= 2 else [], {}
-        for c, rec in enumerate(x.dims[n - 1]):
-            table.setdefault(tuple(rec.faces[i] for i in known), []).append(c)
-        joins.append(table)
+    faces, level = [rec.faces for rec in x.dims[n - 1]], [()]
+    for m, i in enumerate(pos):
+        known = pos[:m] if n >= 2 else []
+        if not known:
+            cands = [range(len(faces))] * len(level)
+        else:
+            # candidates for x_i, keyed by d_j x_i = d_{i-1} x_j for the earlier j
+            table, col = {}, [f[i - 1] for f in faces]
+            for c, f in enumerate(faces):
+                table.setdefault(tuple(map(f.__getitem__, known)), []).append(c)
+            cands = [table.get(tuple(map(col.__getitem__, t)), ()) for t in level]
+        steps.charge(sum(map(len, cands)))
+        level = [t + (c,) for t, cs in zip(level, cands) for c in cs]
     bottoms = {}
     for b, rec in enumerate(y.dims[n]):
-        bottoms.setdefault(tuple(rec.faces[i] for i in pos), []).append(b)
-    fillers = {(tuple(rec.faces[i] for i in pos), pa[n][c])
-               for c, rec in enumerate(x.dims[n])}
-    out, xs = {}, []
-
-    def extend(m):
-        if m == len(pos):
-            t = tuple(xs)
-            for b in bottoms.get(tuple(pa[n - 1][c] for c in xs), ()):
-                steps.charge()
-                if (t, b) not in fillers:
-                    out.setdefault(b, []).append(t)
-            return
-        key = tuple(x.face(n - 1, c, pos[m] - 1) for c in xs) if n >= 2 else ()
-        for c in joins[m].get(key, ()):
-            steps.charge()
-            xs.append(c)
-            extend(m + 1)
-            xs.pop()
-
-    extend(0)
+        bottoms.setdefault(tuple(map(rec.faces.__getitem__, pos)), []).append(b)
+    fillers = {(tuple(map(rec.faces.__getitem__, pos)), img)
+               for rec, img in zip(x.dims[n], p.assign[n])}
+    overs = [bottoms.get(tuple(map(image.__getitem__, t)), ()) for t in level]
+    steps.charge(sum(map(len, overs)))
+    for t, over in zip(level, overs):
+        for b in over:
+            if (t, b) not in fillers:
+                out.setdefault(b, []).append(t)
     return out
 
 

@@ -115,15 +115,15 @@ class BudgetExceeded(Exception):
 
 
 class _Steps:
-    """The one step counter of every engine: ``charge`` raises
-    BudgetExceeded past ``cap`` steps, never when ``cap`` is None.  One
-    counter may be shared by the sub-checks of a whole call."""
+    """The one step counter of every engine: ``charge(n)`` counts n steps and
+    raises BudgetExceeded once the count passes ``cap``, never when ``cap``
+    is None.  One counter may be shared by the sub-checks of a whole call."""
 
     def __init__(self, cap: int | None):
         self.left = float("inf") if cap is None else cap
 
-    def charge(self) -> None:
-        self.left -= 1
+    def charge(self, n: int = 1) -> None:
+        self.left -= n
         if self.left < 0:
             raise BudgetExceeded("step budget exhausted")
 

@@ -412,7 +412,14 @@ def test_attach_nondeg_rejects_dimensions_and_faces_that_are_not_ints(k, faces):
     (1, [[[], []], [[(0, ()), (True, ())]]]),   # True would stand for vertex 1
     (2, [[[]], [[(0, ()), (0, ())]], [[(0, ()), (0, (0.0,)), (0, ())]]]),   # a float in a word
     (2, [[[]], [[(0, ()), (0, ())]], [[(0, ()), (0, (False,)), (0, ())]]]),  # a bool in a word
-], ids=["float-base", "bool-base", "float-in-word", "bool-in-word"])
+    (1, [[[]], [[5, (0, ())]]]),                # a face that is no pair
+    (1, [[[]], [[(0, ()), (0,)]]]),             # a face with no word
+    (1, [[[]], [[(0, (), ()), (0, ())]]]),      # a face with three entries
+    (1, [[[]], [[[0, ()], (0, ())]]]),          # a face that is a list
+    (1, [[[]], [[(0, ()), (0, 5)]]]),           # a word that is an int
+    (2, [[[]], [[(0, ()), (0, ())]], [[(0, ()), (0, [0]), (0, ())]]]),    # a word that is a list
+], ids=["float-base", "bool-base", "float-in-word", "bool-in-word", "int-face", "one-entry-face",
+        "three-entry-face", "list-face", "int-word", "list-word"])
 def test_from_nondegenerate_rejects_bases_and_words_that_are_not_ints(dim_bound, cells):
     with pytest.raises(InputError):
         from_nondegenerate(dim_bound, cells)
@@ -423,8 +430,14 @@ def test_from_nondegenerate_rejects_bases_and_words_that_are_not_ints(dim_bound,
     lambda: boundary(2.0, 2), lambda: boundary(True, 2),
     lambda: horn(2, 1.0, 2), lambda: horn(2.0, 1, 2), lambda: horn(True, 0, 2),
     lambda: horn(2, True, 2),
+    # dim_bound
+    lambda: standard_simplex(1, 2.0), lambda: point(True), lambda: boundary(1, 2.0),
+    lambda: horn(2, 1, 3.0), lambda: from_simplicial_complex([(0, 1)], 2.0),
+    lambda: SimplicialSet(1.0, [[], []]), lambda: SimplicialSet(True, [[], []]),
 ], ids=["simplex-float", "simplex-bool", "boundary-float", "boundary-bool", "horn-float-k",
-        "horn-float-n", "horn-bool-n", "horn-bool-k"])
+        "horn-float-n", "horn-bool-n", "horn-bool-k", "simplex-float-bound", "point-bool-bound",
+        "boundary-float-bound", "horn-float-bound", "complex-float-bound", "init-float-bound",
+        "init-bool-bound"])
 def test_simplex_constructors_reject_dimensions_that_are_not_ints(build):
     with pytest.raises(InputError):
         build()

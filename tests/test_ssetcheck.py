@@ -14,9 +14,9 @@ from sccat.sset import (
     disjoint_union, enumerate_sset_maps, from_simplicial_complex, horn,
     horn_inclusion, identity_map, point, standard_simplex,
 )
-from sccat.verdict import (BUDGET, UNDECIDED_GROUP, Budget, Verdict, _Steps,
-                           aggregate)
-from tests.test_homology import cycle
+from sccat.verdict import (BUDGET, UNDECIDED_GROUP, Budget, BudgetExceeded, Verdict,
+                           _Steps, aggregate)
+from tests.test_homology import cycle, torus_facets
 from tests.test_sset import projective_plane
 
 B = Budget(max_dim=3)
@@ -371,3 +371,157 @@ def test_no_names_its_square_from_the_join():
     assert v == kan_by_search(p, Budget())
     assert v.is_no and v.witness["horn"] == (1, 0)
     assert not naive_diagonal_exists(v.witness["square"])
+
+
+# -- the level-at-a-time join against the depth-first one --------------------
+
+def _unfilled_by_recursion(p, n, k, steps):
+    """The squares of p: X -> Y against the horn (n, k), or the boundary of
+    Delta[n] when k is None, that have no filler: {bottom y: face tuples
+    over y}.  A map from the horn (boundary) to X is a tuple (x_i), i != k,
+    of (n-1)-simplices with d_i x_j = d_{j-1} x_i for i < j; a map Delta[n]
+    -> Y is an n-simplex y; the square commutes iff d_i y = p(x_i) for i !=
+    k, and a lift is an x in X_n with d_i x = x_i and p(x) = y.  One step
+    per tuple extension and per bottom y."""
+    x, y, pa = p.source, p.target, p.assign
+    pos = [i for i in range(n + 1) if i != k] if n else []
+    # candidates for x_{pos[m]}, keyed by the faces the earlier x_i fix
+    joins = []
+    for m in range(len(pos)):
+        known, table = pos[:m] if n >= 2 else [], {}
+        for c, rec in enumerate(x.dims[n - 1]):
+            table.setdefault(tuple(rec.faces[i] for i in known), []).append(c)
+        joins.append(table)
+    bottoms = {}
+    for b, rec in enumerate(y.dims[n]):
+        bottoms.setdefault(tuple(rec.faces[i] for i in pos), []).append(b)
+    fillers = {(tuple(rec.faces[i] for i in pos), pa[n][c])
+               for c, rec in enumerate(x.dims[n])}
+    out, xs = {}, []
+
+    def extend(m):
+        if m == len(pos):
+            t = tuple(xs)
+            for b in bottoms.get(tuple(pa[n - 1][c] for c in xs), ()):
+                steps.charge()
+                if (t, b) not in fillers:
+                    out.setdefault(b, []).append(t)
+            return
+        key = tuple(x.face(n - 1, c, pos[m] - 1) for c in xs) if n >= 2 else ()
+        for c in joins[m].get(key, ()):
+            steps.charge()
+            xs.append(c)
+            extend(m + 1)
+            xs.pop()
+
+    extend(0)
+    return out
+
+
+def annulus_facets():
+    """A 6-cycle (vertices 0..5) times an interval (inner cycle 6..11)."""
+    out = []
+    for i in range(6):
+        o0, o1, n0, n1 = i, (i + 1) % 6, 6 + i, 6 + (i + 1) % 6
+        out += [(o0, o1, n0), (o1, n0, n1)]
+    return out
+
+
+def _surface_maps(dim_bound):
+    out = []
+    for facets in (torus_facets(), annulus_facets()):
+        x = from_simplicial_complex(facets, dim_bound)
+        out += [identity_map(x), unique_map_to_point(x)]
+    return out
+
+
+SURFACE_MAPS = {d: _surface_maps(d) for d in (2, 3)}
+
+
+def _join_result(join, p, n, k, cap):
+    """(items of the join's dict in order, steps used), or None if it raised."""
+    steps = _Steps(cap)
+    try:
+        out = join(p, n, k, steps)
+    except BudgetExceeded:
+        return None
+    return list(out.items()), cap - steps.left
+
+
+def assert_join_matches_recursion(p):
+    """On every horn and boundary through p's dim_bound: the same dict, in
+    key and list order, the same step total, and the same raise-or-not at
+    caps 0, 1, total // 3, total - 1 and total."""
+    d = p.source.dim_bound
+    for n, k in [(n, k) for n in range(d + 1) for k in ([*range(n + 1), None] if n else [None])]:
+        slow = _join_result(_unfilled_by_recursion, p, n, k, 10**9)
+        assert _join_result(_unfilled, p, n, k, 10**9) == slow
+        total = slow[1]
+        for cap in {0, 1, total // 3, max(total - 1, 0), total}:
+            assert ((_join_result(_unfilled, p, n, k, cap) is None)
+                    == (_join_result(_unfilled_by_recursion, p, n, k, cap) is None)
+                    == (cap < total))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.data())
+def test_join_equals_the_depth_first_join(data):
+    dim_bound = data.draw(st.sampled_from([2, 3]))
+    if data.draw(st.booleans()):
+        p = data.draw(st.sampled_from(SURFACE_MAPS[dim_bound]))
+    else:
+        last = len(LIFTING_COMPLEXES[dim_bound]) - 1
+        maps = lifting_maps(dim_bound, data.draw(st.integers(0, last)),
+                            data.draw(st.integers(0, last)))
+        if not maps:
+            return
+        p = data.draw(st.sampled_from(maps))
+    assert_join_matches_recursion(p)
+
+
+@pytest.mark.parametrize("d, q", [(d, q) for d in (2, 3) for q in range(4)])
+def test_join_equals_the_depth_first_join_on_surfaces(d, q):
+    assert_join_matches_recursion(SURFACE_MAPS[d][q])
+
+
+# -- the step counter --------------------------------------------------------
+
+def test_charge_of_nothing_never_raises():
+    for cap in (0, 3, None):
+        steps = _Steps(cap)
+        steps.charge(0)
+        if cap:
+            steps.charge(cap)
+        steps.charge(0)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 5, 12])
+def test_a_count_raises_exactly_when_the_total_passes_the_cap(cap):
+    for counts in ([cap + 1], [1] * (cap + 1), [cap // 2, cap - cap // 2, 1], [0, cap, 0, 2]):
+        steps, total = _Steps(cap), 0
+        for c in counts:
+            total += c
+            if total > cap:
+                with pytest.raises(BudgetExceeded):
+                    steps.charge(c)
+                break
+            steps.charge(c)
+        else:
+            raise AssertionError("no count passed the cap")
+
+
+def test_one_counter_across_cells_stops_at_one_total():
+    # the horns of the torus's map to a point share one count: a cap of the
+    # total lets every join finish, one step less stops at the last horn
+    p = SURFACE_MAPS[2][1]
+    cells = [(n, k) for n in (1, 2) for k in range(n + 1)]
+    total = sum(_join_result(_unfilled, p, n, k, 10**9)[1] for n, k in cells)
+    for cap, raised_at in [(total, None), (total - 1, cells[-1])]:
+        steps, stopped = _Steps(cap), None
+        for n, k in cells:
+            try:
+                _unfilled(p, n, k, steps)
+            except BudgetExceeded:
+                stopped = (n, k)
+                break
+        assert stopped == raised_at
