@@ -6,16 +6,22 @@ object is skeletal (nothing nondegenerate above dim_bound), the normalized
 complex vanishes above the bound and homology is exact in every tracked
 degree, including the top one, where the incoming boundary is zero.
 
+Chain complexes stay sparse from the simplices to the reduction: d_k is
+built once per complex as columns ``{row: coefficient}`` with at most
+k + 1 entries, and dd = 0, the chain maps and the reductions all work on
+such columns.  `boundary_matrix` and `chain_map_matrix` are dense views,
+kept for tests and tracing; no decision reads them.
+
 Besides Betti numbers and torsion this module computes whether a
 simplicial map induces isomorphisms on homology, which is what the
 weak-equivalence checkers consume.  Finitely generated abelian groups are
 Hopfian, so between groups with equal invariants the induced map is an
 isomorphism iff it is onto.  That is one lattice test: the image cycles
 together with the target boundaries must span the target cycle lattice,
-which its invariant factors decide without coordinates.  Each boundary
-matrix is reduced once per complex (`intmat.Reduction`) and cached; its
-invariant factors give ranks, Betti numbers and torsion, and the source
-side's cycle basis is read off the same reduction.
+which its invariant factors decide without coordinates.  Each boundary is
+reduced once per complex (`intmat.Reduction`) and cached; its invariant
+factors give ranks, Betti numbers and torsion, and the source side's
+cycle basis is read off the same reduction.
 """
 from __future__ import annotations
 
@@ -33,45 +39,45 @@ def _nondeg_pos(x: SimplicialSet, k: int) -> dict:
     return {idx: n for n, idx in enumerate(x.nondeg_indices(k))}
 
 
-@memo
-def boundary_matrix(x: SimplicialSet, k: int):
-    """The normalized boundary C_k -> C_{k-1}; rows index nondegenerate
-    (k-1)-simplices, columns nondegenerate k-simplices.
+def _chain_rank(x: SimplicialSet, k: int) -> int:
+    """The rank of C_k X, zero outside 0..dim_bound."""
+    return len(x.nondeg_indices(k)) if 0 <= k <= x.dim_bound else 0
 
-    k = 0 yields a 0-row matrix and k = dim_bound + 1 a 0-column matrix
+
+@memo
+def _boundary_columns(x: SimplicialSet, k: int) -> list:
+    """The normalized boundary C_k -> C_{k-1} as sparse columns, one per
+    nondegenerate k-simplex; rows index nondegenerate (k-1)-simplices.
+
+    d_0 has a column per vertex and no entries, d_{dim_bound+1} no column
     (the complex is skeletal)."""
-    if k <= 0 or k > x.dim_bound:
-        cols = len(x.nondeg_indices(k)) if 0 <= k <= x.dim_bound else 0
-        rows = len(x.nondeg_indices(k - 1)) if 0 <= k - 1 <= x.dim_bound else 0
-        mat = intmat.zeros(rows, cols)
-    else:
-        rows_pos = _nondeg_pos(x, k - 1)
-        cols = x.nondeg_indices(k)
-        mat = intmat.zeros(len(rows_pos), len(cols))
-        for c, idx in enumerate(cols):
-            sign = 1
-            for i, f in enumerate(x.dims[k][idx].faces):
-                r = rows_pos.get(f)
-                if r is not None:
-                    mat[r][c] += sign
-                sign = -sign
-    return mat
+    if not 0 <= k <= x.dim_bound:
+        return []
+    rows_pos = _nondeg_pos(x, k - 1) if k else {}
+    cols = []
+    for idx in x.nondeg_indices(k):
+        col, sign = {}, 1
+        for f in x.dims[k][idx].faces:
+            r = rows_pos.get(f)
+            if r is not None:
+                v = col.pop(r, 0) + sign
+                if v:
+                    col[r] = v
+            sign = -sign
+        cols.append(col)
+    return cols
+
+
+def boundary_matrix(x: SimplicialSet, k: int):
+    """Dense view of d_k, for tests and tracing."""
+    return intmat.from_columns(_boundary_columns(x, k), _chain_rank(x, k - 1))
 
 
 @memo
 def _boundary_reduction(x: SimplicialSet, k: int) -> intmat.Reduction:
     """The reduction of d_k, computed once per complex: its invariant
     factors and its cycle basis are both read off it."""
-    return intmat.Reduction(boundary_matrix(x, k))
-
-
-@memo
-def _cycle_basis(x: SimplicialSet, k: int):
-    """A basis of Z_k X as matrix columns, computed once per complex.  The
-    0-row d_0 reads as shape (0, 0), so its kernel is not asked for."""
-    n = len(x.nondeg_indices(k))
-    return (intmat.from_columns(_boundary_reduction(x, k).kernel_basis(), n)
-            if k else intmat.identity(n))
+    return intmat.Reduction(_boundary_columns(x, k), _chain_rank(x, k - 1))
 
 
 @memo
@@ -80,8 +86,7 @@ def assert_chain_complex(x: SimplicialSet) -> None:
     A complex that passes is not multiplied out again; one that fails
     raises on every call."""
     for k in range(1, x.dim_bound + 1):
-        prod = intmat.matmul(boundary_matrix(x, k), boundary_matrix(x, k + 1))
-        if any(any(v for v in row) for row in prod):
+        if any(intmat.mul_columns(_boundary_columns(x, k), _boundary_columns(x, k + 1))):
             raise StructureError(f"boundary squared is nonzero in degree {k + 1}")
 
 
@@ -127,18 +132,17 @@ def reduced_homology_vanishes(x: SimplicialSet) -> tuple:
 # ---------------------------------------------------------------------------
 # induced maps on homology
 
+def _chain_map_columns(f: SSetMap, k: int) -> list:
+    """The normalized chain map in degree k as sparse columns: a
+    nondegenerate image is one entry 1, a degenerate one maps to zero."""
+    rows_pos, image = _nondeg_pos(f.target, k), f.assign[k]
+    rows = [rows_pos.get(image[idx]) for idx in f.source.nondeg_indices(k)]
+    return [{} if r is None else {r: 1} for r in rows]
+
+
 def chain_map_matrix(f: SSetMap, k: int):
-    """Normalized chain map in degree k: degenerate images map to zero."""
-    x, y = f.source, f.target
-    rows_pos = _nondeg_pos(y, k)
-    cols = x.nondeg_indices(k)
-    mat = intmat.zeros(len(rows_pos), len(cols))
-    for c, idx in enumerate(cols):
-        img = f.assign[k][idx]
-        r = rows_pos.get(img)
-        if r is not None:
-            mat[r][c] = 1
-    return mat
+    """Dense view of the chain map in degree k, for tests and tracing."""
+    return intmat.from_columns(_chain_map_columns(f, k), _chain_rank(f.target, k))
 
 
 def homology_map_is_iso(f: SSetMap, k: int) -> bool:
@@ -149,18 +153,18 @@ def homology_map_is_iso(f: SSetMap, k: int) -> bool:
     kernel, hence saturated, so the glued generators span it iff their rank
     is dim Z_k Y and every invariant factor is 1.  The target's cached
     invariant factors give dim Z_k Y; the cycle basis is read on the
-    source side only.
+    source side only, off the source's cached reduction.
     """
     x, y = f.source, f.target
     if homology(x, k) != homology(y, k):
         return False
-    images = intmat.matmul(chain_map_matrix(f, k), _cycle_basis(x, k))
-    d_y = boundary_matrix(y, k)
-    if any(any(row) for row in intmat.matmul(d_y, images)):
+    images = intmat.mul_columns(_chain_map_columns(f, k),
+                                _boundary_reduction(x, k).kernel_basis())
+    if any(intmat.mul_columns(_boundary_columns(y, k), images)):
         raise StructureError("cycle maps to a non-cycle")
-    glued = [a + b for a, b in zip(images, boundary_matrix(y, k + 1))]
-    cycle_rank = len(y.nondeg_indices(k)) - len(_boundary_reduction(y, k).invariant_factors())
-    factors = intmat.invariant_factors(glued)
+    cycle_rank = _chain_rank(y, k) - len(_boundary_reduction(y, k).invariant_factors())
+    factors = intmat.Reduction(images + _boundary_columns(y, k + 1),
+                               _chain_rank(y, k)).invariant_factors()
     return len(factors) == cycle_rank and all(d == 1 for d in factors)
 
 

@@ -1,17 +1,21 @@
 """Exact integer matrix arithmetic: Smith normal form, kernels, solving.
 
-Matrices are rectangular lists of lists of Python ints, row major; all
-arithmetic is exact.  Invariant factors, ranks and kernels are reduced
-sparsely first: boundary and relator matrices have a +-1 pivot almost
-everywhere, and each splits off a summand 1 by unimodular column
+Invariant factors and kernels are computed on sparse columns, each a
+``{row: value}`` dict, so a caller that builds them (homology) never
+makes a dense matrix.  Boundary and relator matrices have a +-1 pivot
+almost everywhere, and each splits off a summand 1 by unimodular column
 operations (Kaczynski, Mrozek and Slusarek 1998; Dumas, Heckenbach,
 Saunders and Welker 2003).  Only the block left without a unit is put
 through the one dense Smith normal form.  A `Reduction` holds both
 stages, so a caller that caches it reads invariant factors and kernel
-off one pass.  The dense form keeps both transforms, for the residual
-kernel, for `solve`, and so tests can re-check it by multiplication as
-the reduction's oracle; its pivot rule (smallest absolute value, then
-lowest row, then lowest column) is deterministic.
+off one pass.
+
+Dense matrices are lists of rows of Python ints; `invariant_factors`,
+`rank` and `kernel_basis` convert one once with `sparse_columns`.  The dense
+Smith normal form keeps both transforms, for the residual kernel, for
+`solve`, and so tests can re-check it by multiplication as the
+reduction's oracle; its pivot rule (smallest absolute value, then lowest
+row, then lowest column) is deterministic.
 """
 from __future__ import annotations
 
@@ -263,25 +267,27 @@ def _sub_multiple(dst: dict, q: int, src: dict) -> None:
             dst.pop(i, None)
 
 
-def _column_reduce(a: Matrix) -> tuple:
-    """Eliminate the +-1 pivots of `a` by sparse unimodular column operations.
+def _column_reduce(columns: list, m: int) -> tuple:
+    """Eliminate the +-1 pivots of the m-row matrix with sparse `columns` by
+    sparse unimodular column operations.
 
-    Passes visit the live columns (`{row: value}` dicts) in index order;
-    each takes its unit in the row with the fewest live entries, then the
-    lowest, and clears that row from every other live column.  So `a` is
-    equivalent to 1^units + L, L the live block.  Returns (units, [(live
-    column, transform column t), ...]), where `a` t is the live column.
+    Passes visit the live columns in index order; each takes its unit in
+    the row with the fewest live entries, then the lowest, and clears that
+    row from every other live column.  So the matrix is equivalent to
+    1^units + L, L the live block.  Returns (units, [(live column,
+    transform column t), ...]), where the matrix times t is the live column.
     """
-    m, n = shape(a)
-    cols = [{i: a[i][j] for i in range(m) if a[i][j]} for j in range(n)]
-    trans = [{j: 1} for j in range(n)]
-    where = [{j for j in range(n) if a[i][j]} for i in range(m)]  # row -> live columns
-    live = [True] * n
+    cols = [dict(col) for col in columns]
+    trans = [{j: 1} for j in range(len(cols))]
+    where = [set() for _ in range(m)]  # row -> live columns
+    for j, col in enumerate(cols):
+        for i in col:
+            where[i].add(j)
+    live = [True] * len(cols)
     units, progress = 0, True
     while progress:
         progress = False
-        for j in range(n):
-            col = cols[j]
+        for j, col in enumerate(cols):
             rows = [i for i, v in col.items() if v in (1, -1)] if live[j] else []
             if not rows:
                 continue
@@ -298,50 +304,59 @@ def _column_reduce(a: Matrix) -> tuple:
                         where[i].add(c)
                     else:
                         where[i].discard(c)
-    return units, [(cols[j], trans[j]) for j in range(n) if live[j]]
-
-
-def _dense_block(live: list) -> Matrix:
-    """The nonzero live columns as a dense matrix on the rows they touch."""
-    rows = sorted({i for col, _ in live for i in col})
-    return [[col.get(i, 0) for col, _ in live] for i in rows]
+    return units, [(col, t) for col, t, keep in zip(cols, trans, live) if keep]
 
 
 class Reduction:
-    """A matrix reduced once: its +-1 pivots split off sparsely, then the
-    live block put through the dense Smith normal form.  Invariant factors
-    and kernel basis are both read off it.  `live` holds the (live column,
-    transform column) pairs; `snf` is None when no live column is nonzero.
+    """The m-row matrix with sparse `columns`, reduced once: its +-1 pivots
+    split off sparsely, then the live block put through the dense Smith
+    normal form.  Invariant factors and kernel basis are both read off it.
+    `live` holds the (live column, transform column) pairs; `snf` is None
+    when no live column is nonzero.
     """
-    __slots__ = ("units", "live", "snf", "n")
+    __slots__ = ("units", "live", "snf")
 
-    def __init__(self, a: Matrix):
-        self.units, self.live = _column_reduce(a)
-        nonzero = [ct for ct in self.live if ct[0]]
-        self.snf = smith_normal_form(_dense_block(nonzero)) if nonzero else None
-        self.n = shape(a)[1]
+    def __init__(self, columns: list, m: int):
+        self.units, self.live = _column_reduce(columns, m)
+        nonzero = [col for col, _ in self.live if col]
+        rows = sorted({i for col in nonzero for i in col})
+        self.snf = (smith_normal_form([[col.get(i, 0) for col in nonzero] for i in rows])
+                    if nonzero else None)
 
     def invariant_factors(self) -> list:
         return [1] * self.units + (self.snf.invariant_factors() if self.snf else [])
 
     def kernel_basis(self) -> list:
-        """The transform T is unimodular, so ker a = T (0 + ker L): the
-        transforms of the zero live columns, then the dense kernel of the
-        others through T."""
+        """Sparse vectors over the input columns.  The transform T is
+        unimodular, so ker a = T (0 + ker L): the transforms of the zero
+        live columns, then the dense kernel of the others through T."""
         basis = [t for col, t in self.live if not col]
         if self.snf:
-            nonzero = [ct for ct in self.live if ct[0]]
-            for v in self.snf.kernel_basis():
-                vec = {}
-                for vk, (_, t) in zip(v, nonzero):
-                    _sub_multiple(vec, -vk, t)
-                basis.append(vec)
-        return [[vec.get(i, 0) for i in range(self.n)] for vec in basis]
+            residual = [{i: v for i, v in enumerate(vec) if v} for vec in self.snf.kernel_basis()]
+            basis += mul_columns([t for col, t in self.live if col], residual)
+        return basis
+
+
+def sparse_columns(a: Matrix) -> list:
+    """The columns of a dense matrix as sparse {row: value} dicts."""
+    m, n = shape(a)
+    return [{i: a[i][j] for i in range(m) if a[i][j]} for j in range(n)]
+
+
+def mul_columns(a: list, b: list) -> list:
+    """The product a b of two matrices given by sparse columns, as sparse columns."""
+    out = []
+    for col in b:
+        vec = {}
+        for j, v in col.items():
+            _sub_multiple(vec, -v, a[j])
+        out.append(vec)
+    return out
 
 
 def invariant_factors(a: Matrix) -> list:
     """The nonzero diagonal of the Smith normal form of `a`, in order."""
-    return Reduction(a).invariant_factors()
+    return Reduction(sparse_columns(a), len(a)).invariant_factors()
 
 
 def rank(a: Matrix) -> int:
@@ -350,7 +365,8 @@ def rank(a: Matrix) -> int:
 
 def kernel_basis(a: Matrix) -> list:
     """Saturated basis of the integer kernel, as column vectors (lists of ints)."""
-    return Reduction(a).kernel_basis()
+    basis = Reduction(sparse_columns(a), len(a)).kernel_basis()
+    return [[vec.get(j, 0) for j in range(shape(a)[1])] for vec in basis]
 
 
 def solve(a: Matrix, b: list) -> list | None:
@@ -374,4 +390,6 @@ def solve(a: Matrix, b: list) -> list | None:
 
 
 def from_columns(cols: list, nrows: int) -> Matrix:
-    return [[col[i] for col in cols] for i in range(nrows)]
+    """The dense matrix with these columns, each a list or a sparse {row: value} dict."""
+    cols = [col if isinstance(col, dict) else dict(enumerate(col)) for col in cols]
+    return [[col.get(i, 0) for col in cols] for i in range(nrows)]

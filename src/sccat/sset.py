@@ -51,6 +51,12 @@ def memo(fn):
     return cached
 
 
+def _check_natural(name: str, v, low: int = 0, high: float = float("inf")) -> None:
+    """InputError naming the argument unless v is an int (a bool is not) in low..high."""
+    if type(v) is not int or not low <= v <= high:
+        raise InputError(f"{name} must be an int in {low}..{high}, got {v!r}")
+
+
 # ---------------------------------------------------------------------------
 # degeneracy-word algebra
 #
@@ -127,8 +133,7 @@ class SimplicialSet:
     __slots__ = ("dim_bound", "dims", "_cache")
 
     def __init__(self, dim_bound: int, dims: list):
-        if type(dim_bound) is not int or dim_bound < 0:
-            raise InputError(f"dim_bound must be a non-negative int, got {dim_bound!r}")
+        _check_natural("dim_bound", dim_bound)
         if len(dims) != dim_bound + 1:
             raise InputError("dims must have dim_bound + 1 levels")
         self.dim_bound = dim_bound
@@ -267,6 +272,7 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
     of an int and a tuple of ints (a bool counting as no int), and a face
     that names no such base and word raise InputError.
     """
+    _check_natural("dim_bound", dim_bound)
     if any(face_data[dim_bound + 1:]):
         raise InputError("from_nondegenerate: nondegenerate simplices above dim_bound")
     face_data = list(face_data) + [[] for _ in range(dim_bound + 1 - len(face_data))]
@@ -321,8 +327,7 @@ def from_simplex_tuples(dim_bound: int, simplices) -> SimplicialSet:
     and the degeneracies of level k-1.  The builder's tuple index is kept
     in the cache, for inclusions.
     """
-    if type(dim_bound) is not int or dim_bound < 0:
-        raise InputError(f"from_simplex_tuples: need an int dim_bound >= 0, got {dim_bound!r}")
+    _check_natural("dim_bound", dim_bound)
     own = [[] for _ in range(dim_bound + 1)]
     for t in simplices:
         if not 1 <= len(t) <= dim_bound + 1:
@@ -353,22 +358,21 @@ def _simplex_faces(n: int, missing=()) -> list:
 
 
 def standard_simplex(n: int, dim_bound: int = 4) -> SimplicialSet:
-    if type(n) is not int or not 0 <= n <= dim_bound:
-        raise InputError(f"standard_simplex: need an int 0 <= n <= dim_bound, got n={n!r}")
+    _check_natural("dim_bound", dim_bound)
+    _check_natural("n", n, 0, dim_bound)
     return from_simplex_tuples(dim_bound, _simplex_faces(n))
 
 
 def boundary(n: int, dim_bound: int = 4) -> SimplicialSet:
-    if type(n) is not int or not 0 <= n <= dim_bound:
-        raise InputError(f"boundary: need an int 0 <= n <= dim_bound, got n={n!r}")
+    _check_natural("dim_bound", dim_bound)
+    _check_natural("n", n, 0, dim_bound)
     return from_simplex_tuples(dim_bound, _simplex_faces(n, {tuple(range(n + 1))}))
 
 
 def horn(n: int, k: int, dim_bound: int = 4) -> SimplicialSet:
-    if type(n) is not int or not 1 <= n <= dim_bound:
-        raise InputError(f"horn: need an int 1 <= n <= dim_bound, got n={n!r}")
-    if type(k) is not int or not 0 <= k <= n:
-        raise InputError(f"horn: need an int 0 <= k <= n, got k={k!r}")
+    _check_natural("dim_bound", dim_bound)
+    _check_natural("n", n, 1, dim_bound)
+    _check_natural("k", k, 0, n)
     full = tuple(range(n + 1))
     return from_simplex_tuples(dim_bound, _simplex_faces(n, {full, full[:k] + full[k + 1:]}))
 
@@ -378,6 +382,7 @@ def point(dim_bound: int = 4) -> SimplicialSet:
 
 
 def empty_sset(dim_bound: int = 4) -> SimplicialSet:
+    _check_natural("dim_bound", dim_bound)
     return SimplicialSet(dim_bound, [[] for _ in range(dim_bound + 1)])
 
 
@@ -386,6 +391,7 @@ def from_simplicial_complex(facets: list, dim_bound: int = 4) -> SimplicialSet:
     (iterables of hashable, comparable vertex labels).  A facet of
     dimension above ``dim_bound`` and labels that do not sort raise
     InputError."""
+    _check_natural("dim_bound", dim_bound)
     facets = [set(f) for f in facets]
     try:
         rank = {v: i for i, v in enumerate(sorted(set().union(*facets)))}
@@ -708,8 +714,7 @@ def attach_nondeg(x: SimplicialSet, k: int, faces: list) -> tuple:
     that is not an int in range (a bool included), and faces that break
     the face identities, raise InputError.
     """
-    if type(k) is not int or not 0 <= k <= x.dim_bound:
-        raise InputError("attachment dimension not an int in range")
+    _check_natural("k", k, 0, x.dim_bound)
     if k >= 1 and len(faces) != k + 1:
         raise InputError("need k+1 faces")
     if k == 0 and faces:

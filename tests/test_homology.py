@@ -1,9 +1,10 @@
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sccat import intmat
+from sccat import homology as hml, intmat
 from sccat.homology import (
     DimensionBoundError, betti, boundary_matrix, chain_map_matrix, homology,
     homology_iso_all_degrees, homology_map_is_iso, reduced_homology_vanishes,
@@ -60,9 +61,9 @@ def test_homology_degree_out_of_range():
 def test_chain_complex_checked_once_per_complex(monkeypatch):
     # d_k d_{k+1} for k = 1, 2, 3, multiplied out once for all degrees
     products = []
-    matmul = intmat.matmul
-    monkeypatch.setattr(intmat, "matmul",
-                        lambda a, b: products.append(1) or matmul(a, b))
+    mul_columns = intmat.mul_columns
+    monkeypatch.setattr(intmat, "mul_columns",
+                        lambda a, b: products.append(1) or mul_columns(a, b))
     x = standard_simplex(3, dim_bound=3)
     for k in range(4):
         homology(x, k)
@@ -239,6 +240,87 @@ def test_homology_iso_iff_mapping_cone_acyclic(data):
     if not ok:
         # H_degree(f) fails to be onto (cone degree) or one-to-one (degree + 1)
         assert bad[0] in (degree, degree + 1)
+
+
+# ---------------------------------------------------------------------------
+# oracle: homology from the dense Smith normal form of the dense boundaries
+
+def loops_and_triangles(dim_bound, triangles):
+    """One vertex, three loops a, b, c and triangles given by the loop
+    indices of their faces d_0, d_1, d_2."""
+    return from_nondegenerate(dim_bound, [
+        [[]], [[(0, ()), (0, ())]] * 3,
+        [[(i, ()) for i in t] for t in triangles]])
+
+
+IDENTIFIED_FACES = {
+    "dunce hat": lambda d: from_nondegenerate(d, [
+        [[]], [[(0, ()), (0, ())]], [[(0, ()), (0, ()), (0, ())]]]),
+    "sphere": lambda d: from_nondegenerate(d, [[[]], [], [[(0, (0,))] * 3]]),
+    "torus": lambda d: loops_and_triangles(d, [(0, 2, 1), (1, 2, 0)]),
+    "klein bottle": lambda d: loops_and_triangles(d, [(0, 2, 1), (0, 1, 2)]),
+    "projective plane": projective_plane,
+}
+
+
+@st.composite
+def homology_oracle_inputs(draw):
+    """A vertex-tuple complex on up to 6 vertices, or a set whose faces are
+    identified, at D2-D4.  The complex keeps each vertex set of at most
+    dim_bound + 1 vertices by one coin flip, which draws cycles and
+    spheres far more often than a short list of facets does."""
+    dim_bound = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        return IDENTIFIED_FACES[draw(st.sampled_from(sorted(IDENTIFIED_FACES)))](dim_bound)
+    n = draw(st.integers(1, 6))
+    sets = [s for size in range(1, dim_bound + 2) for s in combinations(range(n), size)]
+    keep = draw(st.lists(st.booleans(), min_size=len(sets), max_size=len(sets)))
+    return from_simplicial_complex([s for s, k in zip(sets, keep) if k] or [(0,)], dim_bound)
+
+
+def dense_homology(x, k):
+    """(betti, torsion) of H_k from the Smith normal forms of the dense d_k
+    and d_{k+1}, each rank cross-checked by rational elimination."""
+    ranks, above = [], []
+    for j in (k, k + 1):
+        mat = boundary_matrix(x, j)
+        snf = intmat.smith_normal_form(mat)
+        assert snf.rank() == intmat.rank_rational(mat)
+        ranks.append(snf.rank())
+        above = snf.invariant_factors()
+    return len(x.nondeg_indices(k)) - sum(ranks), sorted(d for d in above if d != 1)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(homology_oracle_inputs())
+def test_homology_matches_the_dense_smith_normal_form(x):
+    for k in range(x.dim_bound + 1):
+        assert homology(x, k) == dense_homology(x, k)
+
+
+@pytest.mark.parametrize("name", sorted(IDENTIFIED_FACES))
+def test_identified_faces_have_their_known_homology(name):
+    # the oracle's fixed inputs, so each is sure to run
+    x = IDENTIFIED_FACES[name](3)
+    expected = {"dunce hat": [(1, []), (0, []), (0, [])], "sphere": [(1, []), (0, []), (1, [])],
+                "torus": [(1, []), (2, []), (1, [])], "klein bottle": [(1, []), (1, [2]), (0, [])],
+                "projective plane": [(1, []), (0, [2]), (0, [])]}[name]
+    assert [homology(x, k) for k in range(3)] == expected
+    assert [dense_homology(x, k) for k in range(3)] == expected
+
+
+def test_decisions_build_no_dense_matrix(monkeypatch):
+    # fresh complexes, so no memoized result hides a dense call
+    calls = []
+    for mod, name in [(intmat, "matmul"), (hml, "boundary_matrix"), (hml, "chain_map_matrix")]:
+        monkeypatch.setattr(mod, name, lambda *args, name=name: calls.append(name))
+    spaces = _oracle_complexes(3)
+    for x in spaces:
+        assert homology_iso_all_degrees(identity_map(x)) == (True, None)
+        for y in spaces[:3]:
+            for f in enumerate_sset_maps(x, y)[:4]:
+                homology_iso_all_degrees(f)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -418,8 +418,10 @@ def test_attach_nondeg_rejects_dimensions_and_faces_that_are_not_ints(k, faces):
     (1, [[[]], [[[0, ()], (0, ())]]]),          # a face that is a list
     (1, [[[]], [[(0, ()), (0, 5)]]]),           # a word that is an int
     (2, [[[]], [[(0, ()), (0, ())]], [[(0, ()), (0, [0]), (0, ())]]]),    # a word that is a list
+    (2.0, [[[]]]),                              # a float dim_bound
+    (None, [[[]]]),                             # no dim_bound
 ], ids=["float-base", "bool-base", "float-in-word", "bool-in-word", "int-face", "one-entry-face",
-        "three-entry-face", "list-face", "int-word", "list-word"])
+        "three-entry-face", "list-face", "int-word", "list-word", "float-bound", "none-bound"])
 def test_from_nondegenerate_rejects_bases_and_words_that_are_not_ints(dim_bound, cells):
     with pytest.raises(InputError):
         from_nondegenerate(dim_bound, cells)
@@ -434,10 +436,13 @@ def test_from_nondegenerate_rejects_bases_and_words_that_are_not_ints(dim_bound,
     lambda: standard_simplex(1, 2.0), lambda: point(True), lambda: boundary(1, 2.0),
     lambda: horn(2, 1, 3.0), lambda: from_simplicial_complex([(0, 1)], 2.0),
     lambda: SimplicialSet(1.0, [[], []]), lambda: SimplicialSet(True, [[], []]),
+    lambda: empty_sset(2.0), lambda: boundary(1, None), lambda: horn(2, 1, "a"),
+    lambda: point(None), lambda: from_simplicial_complex([(0, 1)], None),
 ], ids=["simplex-float", "simplex-bool", "boundary-float", "boundary-bool", "horn-float-k",
         "horn-float-n", "horn-bool-n", "horn-bool-k", "simplex-float-bound", "point-bool-bound",
         "boundary-float-bound", "horn-float-bound", "complex-float-bound", "init-float-bound",
-        "init-bool-bound"])
+        "init-bool-bound", "empty-float-bound", "boundary-none-bound", "horn-str-bound",
+        "point-none-bound", "complex-none-bound"])
 def test_simplex_constructors_reject_dimensions_that_are_not_ints(build):
     with pytest.raises(InputError):
         build()
@@ -619,9 +624,8 @@ MEMOIZED = [
     (sset.pi0, boundary(1, 2), ()),
     (sset.pi0_class_of, boundary(1, 2), ()),
     (hml._nondeg_pos, boundary(2, 2), (1,)),
-    (hml.boundary_matrix, boundary(2, 2), (1,)),
+    (hml._boundary_columns, boundary(2, 2), (1,)),
     (hml._boundary_reduction, boundary(2, 2), (1,)),
-    (hml._cycle_basis, boundary(2, 2), (1,)),
     (hml.homology, boundary(2, 2), (1,)),
     (scat.pi0_data, codiscrete_groupoid(2, 2), ()),
     (search._comp_instances, codiscrete_groupoid(2, 2), ()),
@@ -635,6 +639,6 @@ MEMOIZED = [
 @pytest.mark.parametrize("fn, x, args", MEMOIZED,
                          ids=[fn.__name__ for fn, _, _ in MEMOIZED])
 def test_memoized_results_are_shared(fn, x, args):
-    # assert_chain_complex returns None: the matmul count in test_homology
+    # assert_chain_complex returns None: the product count in test_homology
     # shows that it is stored
     assert fn(x, *args) is fn(x, *args)
