@@ -6,7 +6,7 @@ without import cycles.
 from __future__ import annotations
 
 from .scat import SFunctor, SimplicialCategory, _unit_map, build_compose, functor_U
-from .sset import point
+from .sset import _check_natural, point
 from .verdict import InputError
 
 
@@ -17,8 +17,7 @@ def walking_arrow(dim_bound: int = 4) -> SimplicialCategory:
 
 def codiscrete_groupoid(n_objects: int, dim_bound: int = 4) -> SimplicialCategory:
     """Exactly one morphism between any ordered pair, in every dimension."""
-    if n_objects <= 0:
-        raise InputError("codiscrete groupoid needs a nonempty object set")
+    _check_natural("n_objects", n_objects, 1)
     pt = point(dim_bound)
     homs = {(a, b): pt for a in range(n_objects) for b in range(n_objects)}
     identities = (0,) * n_objects

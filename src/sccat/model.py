@@ -35,7 +35,7 @@ from .scat import (SFunctor, SimplicialCategory, compose_sfunctors,
                    coproduct, identity_sfunctor, is_homotopy_equivalence,
                    functor_U, pi0_functor, singleton_cat, u_functor)
 from .search import enumerate_sfunctors
-from .sset import SSetMap, _tuple_inclusion, boundary, horn, standard_simplex
+from .sset import SSetMap, _check_natural, _tuple_inclusion, boundary, horn, standard_simplex
 from .ssetcheck import (_first_square, _kan_fibration, _unfilled,
                         is_weak_equivalence_sset, is_weakly_contractible)
 from .verdict import (BUDGET, Budget, BudgetExceeded, InputError, Verdict,
@@ -304,16 +304,21 @@ class GeneratorMap:
 
 
 def c2_generator(dim_bound: int = 4) -> GeneratorMap:
+    _check_natural("dim_bound", dim_bound)
     return GeneratorMap("C2", 0, None, dim_bound, lambda gen: Attachment.c2(gen.dim_bound))
 
 
-def _cell_generators(n_max: int, dim_bound: int, cells: list) -> list:
-    """U(horn (n, k) -> Delta[n]) named A1[n,k], or U(boundary -> Delta[n])
-    named C1[n] when k is None, for the cells (n, k) in order, unbuilt."""
+def _cell_generators(n_max: int, dim_bound: int, horns: bool) -> list:
+    """Unbuilt, in order: U(horn (n, k) -> Delta[n]) named A1[n,k], 1 <= n <= n_max,
+    if ``horns``, else U(boundary -> Delta[n]) named C1[n], n <= n_max."""
+    _check_natural("dim_bound", dim_bound)
+    _check_natural("n_max", n_max, float("-inf"))
     if n_max < 0:
         raise InputError("n_max is negative")
     if n_max > dim_bound:
         raise InputError("n_max exceeds dim_bound")
+    cells = ([(n, k) for n in range(1, n_max + 1) for k in range(n + 1)] if horns
+             else [(n, None) for n in range(n_max + 1)])
     targets = {}    # n -> (Delta[n], U(Delta[n])), made on first use
 
     def build(gen):
@@ -331,14 +336,12 @@ def _cell_generators(n_max: int, dim_bound: int, cells: list) -> list:
 
 def generating_cofibrations(n_max: int, dim_bound: int = 4) -> list:
     """C1 instances for 0 <= n <= n_max plus the object-adding map C2."""
-    return [*_cell_generators(n_max, dim_bound, [(n, None) for n in range(n_max + 1)]),
-            c2_generator(dim_bound)]
+    return [*_cell_generators(n_max, dim_bound, False), c2_generator(dim_bound)]
 
 
 def generating_acyclic_a1(n_max: int, dim_bound: int = 4) -> list:
     """A1 instances for 1 <= n <= n_max, 0 <= k <= n."""
-    return _cell_generators(n_max, dim_bound, [(n, k) for n in range(1, n_max + 1)
-                                               for k in range(n + 1)])
+    return _cell_generators(n_max, dim_bound, True)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .cat import (FiniteCategory, FiniteFunctor, is_isomorphism,
                   validate_category, validate_functor)
-from .sset import (SimplicialSet, SSetMap, compose_maps, empty_sset,
+from .sset import (SimplicialSet, SSetMap, _check_natural, compose_maps, empty_sset,
                    identity_map, memo, pi0, pi0_class_of, pi0_map, point,
                    pullback_ssets, validate_sset, validate_sset_map)
 from .verdict import InputError, StructureError
@@ -51,6 +51,7 @@ class SimplicialCategory:
             if not bounds:
                 raise InputError("dim_bound required for a category with no homs")
             dim_bound = max(bounds)
+        _check_natural("dim_bound", dim_bound)
         if bounds - {dim_bound}:
             raise InputError("all hom complexes must share one dim_bound")
         self.dim_bound = dim_bound

@@ -12,14 +12,15 @@ simplicial sets.
 Every constructor names its simplices by hashable keys and hands one
 builder, ``_from_keys``, the keys of each level in index order together
 with the keys of every simplex's faces and degeneracies; the builder
-numbers the keys, turns the key lists into index tables and derives the
-records from those by ``derive_records``.  The keys are nondecreasing
-vertex tuples for simplicial complexes (standard simplices, boundaries,
-horns), (base dimension, base, degeneracy word) for explicit
-nondegenerate skeleta, kept indices for subcomplexes, (part, index) for
-disjoint unions, (i, j) pairs for pullbacks, and an old index or the
-degeneracy word of the new cell for cell attachment.  Pushouts of
-simplicial categories (``words``) key their homs by normal words.
+numbers the keys, maps each level's key rows to index rows in one run,
+and derives the records, ``Simplex`` named tuples, a level at a time by
+``derive_records``.  The keys are nondecreasing vertex tuples for
+simplicial complexes (standard simplices, boundaries, horns), (base
+dimension, base, degeneracy word) for explicit nondegenerate skeleta,
+kept indices for subcomplexes, (part, index) for disjoint unions, (i, j)
+pairs for pullbacks, and an old index or the degeneracy word of the new
+cell for cell attachment.  Pushouts of simplicial categories (``words``)
+key their homs by normal words.
 
 Derived data (the accessors below, pi0 here, homology, component
 categories) is computed once per instance through ``memo``; values are
@@ -30,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .verdict import InputError, _Steps
 
@@ -110,14 +111,15 @@ def degeneracy_words(base_dim: int, length: int) -> list:
     return sorted(c[::-1] for c in itertools.combinations(range(base_dim + length), length))
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(NamedTuple):
     """One simplex record.
 
     ``faces[i]`` indexes dimension k-1, ``degens[j]`` dimension k+1 (only
     stored while k+1 <= dim_bound).  ``base``/``word`` give the EZ
     decomposition; a nondegenerate simplex has word () and base equal to
-    its own index.
+    its own index.  A record is a tuple: it equals, and hashes like, the
+    plain tuple (faces, degens, base, word), so no code may compare a
+    record with a bare tuple.
     """
     faces: tuple
     degens: tuple
@@ -137,7 +139,7 @@ class SimplicialSet:
         if len(dims) != dim_bound + 1:
             raise InputError("dims must have dim_bound + 1 levels")
         self.dim_bound = dim_bound
-        self.dims = tuple(tuple(level) for level in dims)
+        self.dims = tuple(map(tuple, dims))
         self._cache = {}
 
     # -- identity / hashing ------------------------------------------------
@@ -202,29 +204,35 @@ def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> l
 
     ``faces_tables[k][idx]`` is the tuple of faces of the k-simplex idx and
     ``degens_tables[k][idx]`` that of its degeneracies (read only for k <
-    dim_bound); the records keep these tuples.  A simplex x is degenerate
-    exactly when s_j d_j x = x for some j; then its base is that of d_j x,
-    read off the record already built one level down, and its word is s_j
-    after the word of d_j x.  The EZ decomposition is unique, so no
-    constructor makes records: each one hands its keyed tables to
+    dim_bound); the records keep these tuples.  A k-simplex x is degenerate
+    exactly when x = s_j y for some j; then y = d_j x, as d_j s_j = id, so
+    x has the base of y and the word s_j after that of y, read from a
+    (word, j) table kept for one call.  The scan takes the least such j;
+    one pass over level k - 1 per j, k - 1 down to 0, would find the same
+    j but costs more on the one-simplex levels most builds have.  Each
+    level's records come from one map.  The EZ decomposition is unique, so
+    no constructor makes records: each one hands its keyed tables to
     ``_from_keys``, which calls this.
     """
-    dims = []
-    for k in range(dim_bound + 1):
-        level = []
-        below = dims[k - 1] if k else ()
-        degens_below = degens_tables[k - 1] if k else ()
-        for idx, faces in enumerate(faces_tables[k]):
-            degens = degens_tables[k][idx] if k < dim_bound else ()
+    dims, after = [], {}
+    bases = words = ()
+    record = functools.partial(tuple.__new__, Simplex)   # Simplex._make, in C
+    for k, faces in enumerate(faces_tables):
+        below_bases, below_words = bases, words
+        bases, words = [*range(len(faces))], [()] * len(faces)
+        below = degens_tables[k - 1] if k else ()
+        for x, row in enumerate(faces):
             for j in range(k):
-                if degens_below[faces[j]][j] == idx:
-                    rec = below[faces[j]]
-                    level.append(Simplex(faces, degens, rec.base,
-                                         word_after_degeneracy(rec.word, j)))
+                y = row[j]
+                if below[y][j] == x:
+                    bases[x] = below_bases[y]
+                    key = below_words[y], j
+                    w = words[x] = after.get(key)
+                    if w is None:
+                        words[x] = after[key] = word_after_degeneracy(*key)
                     break
-            else:
-                level.append(Simplex(faces, degens, idx, ()))
-        dims.append(level)
+        degens = degens_tables[k] if k < dim_bound else itertools.repeat(())
+        dims.append([*map(record, zip(faces, degens, bases, words))])
     return dims
 
 
@@ -234,16 +242,18 @@ def _from_keys(dim_bound: int, levels: list, faces: list, degens: list) -> tuple
 
     ``faces[k]`` lists, for each key of levels[k] in order, the keys of its
     faces d_0, ..., d_k (k >= 1) and ``degens[k]`` those of its degeneracies
-    s_0, ..., s_k (k < dim_bound).  A key no level holds raises KeyError.
+    s_0, ..., s_k (k < dim_bound), so every row of level k holds k + 1 keys.
+    A key no level holds raises KeyError.
     """
-    index = [{key: n for n, key in enumerate(level)} for level in levels]
-    # (*map(...),) sizes each tuple exactly: tuple(map(...)) allocates a
-    # guessed size and shrinks it, and those allocations trigger collections.
-    face_tables = [[()] * len(levels[0])] + [
-        [(*map(index[k - 1].__getitem__, row),) for row in faces[k]]
-        for k in range(1, dim_bound + 1)]
-    degen_tables = [[(*map(index[k + 1].__getitem__, row),) for row in degens[k]]
-                    for k in range(dim_bound)]
+    index = [dict(zip(level, range(len(level)))) for level in levels]
+    # a level's rows are mapped through the index as one flat run and cut
+    # back into rows by zip
+    face_tables, degen_tables = [[()] * len(levels[0])], []
+    for k in range(1, dim_bound + 1):
+        face_tables.append([*zip(*[map(index[k - 1].__getitem__,
+                                       itertools.chain.from_iterable(faces[k]))] * (k + 1))])
+        degen_tables.append([*zip(*[map(index[k].__getitem__,
+                                        itertools.chain.from_iterable(degens[k - 1]))] * k)])
     return SimplicialSet(dim_bound, derive_records(dim_bound, face_tables, degen_tables)), index
 
 
@@ -328,21 +338,28 @@ def from_simplex_tuples(dim_bound: int, simplices) -> SimplicialSet:
     in the cache, for inclusions.
     """
     _check_natural("dim_bound", dim_bound)
-    own = [[] for _ in range(dim_bound + 1)]
+    simplices, own = list(simplices), {}
     for t in simplices:
-        if not 1 <= len(t) <= dim_bound + 1:
-            raise InputError(f"from_simplex_tuples: {t} needs 1 to {dim_bound + 1} vertices")
-        if not all(map(operator.lt, t, t[1:])):
-            raise InputError(f"from_simplex_tuples: {t} is not strictly increasing")
-        own[len(t) - 1].append(t)
-    # Key rows are exact-size tuples: kept lists trigger garbage collections.
-    # combinations(t, k) drops the entries of t from the last one down.
-    levels, degens = [sorted(set(own[0]))], []
+        own.setdefault(len(t), []).append(t)
+    # checked a column at a time; a failure names the first bad tuple in input order
+    if not own.keys() <= set(range(1, dim_bound + 2)) or not all(
+            all(map(operator.lt, a, b)) for level in own.values()
+            for a, b in itertools.pairwise(zip(*level))):
+        for t in simplices:
+            if not 1 <= len(t) <= dim_bound + 1:
+                raise InputError(f"from_simplex_tuples: {t} needs 1 to {dim_bound + 1} vertices")
+            if not all(map(operator.lt, t, t[1:])):
+                raise InputError(f"from_simplex_tuples: {t} is not strictly increasing")
+    # zip cuts flat key lists into rows; combinations(t, k) lists d_k t, ...,
+    # d_0 t, so a level's faces read backwards are its rows from the last up
+    levels, degens = [sorted(set(own.get(1, ())))], []
     for k in range(1, dim_bound + 1):
-        degens.append([tuple([t[:j + 1] + t[j:] for j in range(k)]) for t in levels[-1]])
-        levels.append(sorted({*own[k], *itertools.chain.from_iterable(degens[-1])}))
-    faces = [()] + [[(*itertools.combinations(t, k),)[::-1] for t in levels[k]]
-                    for k in range(1, dim_bound + 1)]
+        flat = [t[:j + 1] + t[j:] for t in levels[-1] for j in range(k)]
+        degens.append([*zip(*[iter(flat)] * k)])
+        levels.append(sorted({*own.get(k + 1, ()), *flat}))
+    faces = [()] + [[*zip(*[reversed([*itertools.chain.from_iterable(
+        map(itertools.combinations, levels[k], itertools.repeat(k)))])] * (k + 1))][::-1]
+        for k in range(1, dim_bound + 1)]
     try:
         x, index = _from_keys(dim_bound, levels, faces, degens)
     except KeyError:
@@ -413,79 +430,78 @@ def from_simplicial_complex(facets: list, dim_bound: int = 4) -> SimplicialSet:
 def validate_sset(x: SimplicialSet) -> list:
     """All violated structural invariants, as readable strings."""
     bad = []
-    bound = x.dim_bound
+    bound, dims = x.dim_bound, x.dims
+
+    def fail(k, idx, what):
+        bad.append(f"dim {k} simplex {idx}: {what}")
+
     for k in range(bound + 1):
-        n_here = x.size(k)
-        n_below = x.size(k - 1) if k > 0 else 0
-        n_above = x.size(k + 1) if k + 1 <= bound else 0
-        for idx, s in enumerate(x.dims[k]):
-            tag = f"dim {k} simplex {idx}"
+        n_below = len(dims[k - 1]) if k > 0 else 0
+        n_above = len(dims[k + 1]) if k + 1 <= bound else 0
+        for idx, (faces, degens, _, _) in enumerate(dims[k]):
             if k == 0:
-                if s.faces:
-                    bad.append(f"{tag}: 0-simplex with faces")
-            elif len(s.faces) != k + 1:
-                bad.append(f"{tag}: expected {k + 1} faces")
-            if any(not (0 <= f < n_below) for f in s.faces):
-                bad.append(f"{tag}: face index out of range")
+                if faces:
+                    fail(k, idx, "0-simplex with faces")
+            elif len(faces) != k + 1:
+                fail(k, idx, f"expected {k + 1} faces")
+            if any(not (0 <= f < n_below) for f in faces):
+                fail(k, idx, "face index out of range")
                 continue
             if k + 1 <= bound:
-                if len(s.degens) != k + 1:
-                    bad.append(f"{tag}: expected {k + 1} degeneracies")
+                if len(degens) != k + 1:
+                    fail(k, idx, f"expected {k + 1} degeneracies")
                     continue
-                if any(not (0 <= d < n_above) for d in s.degens):
-                    bad.append(f"{tag}: degeneracy index out of range")
+                if any(not (0 <= d < n_above) for d in degens):
+                    fail(k, idx, "degeneracy index out of range")
                     continue
-            elif s.degens:
-                bad.append(f"{tag}: degeneracies stored above dim_bound")
+            elif degens:
+                fail(k, idx, "degeneracies stored above dim_bound")
     if bad:
         return bad  # no point checking identities on broken tables
 
     for k in range(bound + 1):
-        for idx, s in enumerate(x.dims[k]):
-            tag = f"dim {k} simplex {idx}"
+        below = dims[k - 1] if k else ()
+        up = dims[k + 1] if k < bound else ()
+        for idx, (faces, degens, base, word) in enumerate(dims[k]):
             if k >= 2:
-                bad.extend(f"{tag}: d_{i} d_{j} != d_{j-1} d_{i}"
-                           for i, j in _broken_face_identities(x, k, s.faces))
+                bad.extend(f"dim {k} simplex {idx}: d_{i} d_{j} != d_{j-1} d_{i}"
+                           for i, j in _broken_face_identities(x, k, faces))
             # s_i s_j = s_{j+1} s_i for i <= j
             if k + 2 <= bound:
                 for j in range(k + 1):
                     for i in range(j + 1):
-                        lhs = x.degeneracy(k + 1, s.degens[j], i)
-                        rhs = x.degeneracy(k + 1, s.degens[i], j + 1)
-                        if lhs != rhs:
-                            bad.append(f"{tag}: s_{i} s_{j} != s_{j+1} s_{i}")
-            # d_i s_j relations
+                        if up[degens[j]].degens[i] != up[degens[i]].degens[j + 1]:
+                            fail(k, idx, f"s_{i} s_{j} != s_{j+1} s_{i}")
+            # d_i s_j relations (at k = 0 only d_0 s_0 and d_1 s_0, both = id)
             if k + 1 <= bound:
-                for j in range(k + 1):
-                    sj = s.degens[j]
+                for j, sj in enumerate(degens):
+                    got = up[sj].faces
                     for i in range(k + 2):
-                        got = x.face(k + 1, sj, i)
                         if i == j or i == j + 1:
                             want = idx
                         elif i < j:
-                            want = x.degeneracy(k - 1, s.faces[i], j - 1) if k >= 1 else None
+                            want = below[faces[i]].degens[j - 1]
                         else:
-                            want = x.degeneracy(k - 1, s.faces[i - 1], j) if k >= 1 else None
-                        if want is not None and got != want:
-                            bad.append(f"{tag}: d_{i} s_{j} identity fails")
+                            want = below[faces[i - 1]].degens[j]
+                        if got[i] != want:
+                            fail(k, idx, f"d_{i} s_{j} identity fails")
             # EZ decomposition consistency
-            bdim = k - len(s.word)
-            if bdim < 0 or not (0 <= s.base < x.size(bdim)):
-                bad.append(f"{tag}: decomposition out of range")
+            bdim = k - len(word)
+            if bdim < 0 or not (0 <= base < len(dims[bdim])):
+                fail(k, idx, "decomposition out of range")
                 continue
-            base_rec = x.dims[bdim][s.base]
-            if base_rec.word:
-                bad.append(f"{tag}: decomposition base is degenerate")
+            if dims[bdim][base].word:
+                fail(k, idx, "decomposition base is degenerate")
                 continue
-            if list(s.word) != sorted(s.word, reverse=True) or len(set(s.word)) != len(s.word):
-                bad.append(f"{tag}: degeneracy word not strictly decreasing")
+            if not all(map(operator.gt, word, word[1:])):
+                fail(k, idx, "degeneracy word not strictly decreasing")
                 continue
-            if x.apply_word(bdim, s.base, s.word) != idx:
-                bad.append(f"{tag}: decomposition does not reproduce the simplex")
-            if not s.word and k >= 1:
+            if x.apply_word(bdim, base, word) != idx:
+                fail(k, idx, "decomposition does not reproduce the simplex")
+            if not word and k >= 1:
                 for j in range(k):
-                    if x.degeneracy(k - 1, s.faces[j], j) == idx:
-                        bad.append(f"{tag}: flagged nondegenerate but equals s_{j} d_{j}")
+                    if below[faces[j]].degens[j] == idx:
+                        fail(k, idx, f"flagged nondegenerate but equals s_{j} d_{j}")
                         break
     return bad
 
@@ -565,7 +581,7 @@ class SSetMap:
             raise InputError("source and target must share one dim_bound")
         self.source = source
         self.target = target
-        self.assign = tuple(tuple(level) for level in assign)
+        self.assign = tuple(map(tuple, assign))
         if len(self.assign) != source.dim_bound + 1:
             raise InputError("assignment must cover every tracked dimension")
 

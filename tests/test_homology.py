@@ -16,7 +16,7 @@ from sccat.sset import (
 )
 from sccat.ssetcheck import is_weakly_contractible
 from sccat.verdict import StructureError
-from tests.test_sset import projective_plane
+from tests.test_sset import IDENTIFIED_FACES, projective_plane
 
 
 def test_boundary_matrix_of_triangle_hand_checked():
@@ -244,24 +244,6 @@ def test_homology_iso_iff_mapping_cone_acyclic(data):
 
 # ---------------------------------------------------------------------------
 # oracle: homology from the dense Smith normal form of the dense boundaries
-
-def loops_and_triangles(dim_bound, triangles):
-    """One vertex, three loops a, b, c and triangles given by the loop
-    indices of their faces d_0, d_1, d_2."""
-    return from_nondegenerate(dim_bound, [
-        [[]], [[(0, ()), (0, ())]] * 3,
-        [[(i, ()) for i in t] for t in triangles]])
-
-
-IDENTIFIED_FACES = {
-    "dunce hat": lambda d: from_nondegenerate(d, [
-        [[]], [[(0, ()), (0, ())]], [[(0, ()), (0, ()), (0, ())]]]),
-    "sphere": lambda d: from_nondegenerate(d, [[[]], [], [[(0, (0,))] * 3]]),
-    "torus": lambda d: loops_and_triangles(d, [(0, 2, 1), (1, 2, 0)]),
-    "klein bottle": lambda d: loops_and_triangles(d, [(0, 2, 1), (0, 1, 2)]),
-    "projective plane": projective_plane,
-}
-
 
 @st.composite
 def homology_oracle_inputs(draw):

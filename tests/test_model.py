@@ -196,6 +196,28 @@ def test_generating_sets_check_n_max_when_called(make):
         make(D + 1, D)
 
 
+# each int slot of the category layer's constructors, with the value put in it
+INT_SLOTS = {
+    "SimplicialCategory-dim_bound": lambda v: SimplicialCategory((), {}, {}, (), dim_bound=v),
+    "empty_cat-dim_bound": lambda v: empty_cat(v),
+    "singleton_cat-dim_bound": lambda v: singleton_cat(v),
+    "codiscrete-n_objects": lambda v: codiscrete_groupoid(v, D),
+    "codiscrete-dim_bound": lambda v: codiscrete_groupoid(2, v),
+    "c2-dim_bound": lambda v: c2_generator(v),
+    "cofibrations-n_max": lambda v: generating_cofibrations(v, D),
+    "cofibrations-dim_bound": lambda v: generating_cofibrations(1, v),
+    "acyclic_a1-n_max": lambda v: generating_acyclic_a1(v, D),
+    "acyclic_a1-dim_bound": lambda v: generating_acyclic_a1(1, v),
+}
+
+
+@pytest.mark.parametrize("slot", INT_SLOTS)
+@pytest.mark.parametrize("value", [2.0, True, -1, None, "a"], ids=repr)
+def test_category_constructors_reject_ints_out_of_range_and_non_ints(slot, value):
+    with pytest.raises(InputError):
+        INT_SLOTS[slot](value)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_generators_equal_an_independent_build(d):
     gens = generating_acyclic_a1(d, d) + generating_cofibrations(d, d)

@@ -1,15 +1,14 @@
-import dataclasses
 import itertools
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sccat import homology as hml, scat, search, sset
+from sccat import homology as hml, scat, search, sset, words
 from sccat.constructions_basic import codiscrete_groupoid
 from sccat.sset import (
-    SimplicialSet, Simplex, SSetMap, attach_nondeg, boundary, boundary_inclusion,
-    compose_maps, compose_words, degeneracy_words, disjoint_union,
+    SimplicialSet, Simplex, SSetMap, _broken_face_identities, attach_nondeg, boundary,
+    boundary_inclusion, compose_maps, compose_words, degeneracy_words, disjoint_union,
     empty_sset, enumerate_sset_maps, from_nondegenerate,
     from_simplicial_complex, horn, horn_inclusion, identity_map, is_iso_map,
     pi0, point, pullback_ssets, standard_simplex, sub_complex, validate_sset,
@@ -126,7 +125,7 @@ def test_validate_sset_names_each_broken_record(k, idx, fields, message):
     x = standard_simplex(1, dim_bound=3)
     assert validate_sset(x) == []
     dims = [list(level) for level in x.dims]
-    dims[k][idx] = dataclasses.replace(dims[k][idx], **fields)
+    dims[k][idx] = dims[k][idx]._replace(**fields)
     assert message in validate_sset(SimplicialSet(3, dims))
 
 
@@ -142,6 +141,24 @@ def projective_plane(dim_bound=3):
         [[(0, ()), (0, ())]],                # e: both faces v
         [[(0, ()), (0, (0,)), (0, ())]],     # faces: d0=e, d1=s_0 v, d2=e
     ])
+
+
+def loops_and_triangles(dim_bound, triangles):
+    """One vertex, three loops a, b, c and triangles given by the loop
+    indices of their faces d_0, d_1, d_2."""
+    return from_nondegenerate(dim_bound, [
+        [[]], [[(0, ()), (0, ())]] * 3,
+        [[(i, ()) for i in t] for t in triangles]])
+
+
+IDENTIFIED_FACES = {
+    "dunce hat": lambda d: from_nondegenerate(d, [
+        [[]], [[(0, ()), (0, ())]], [[(0, ()), (0, ()), (0, ())]]]),
+    "sphere": lambda d: from_nondegenerate(d, [[[]], [], [[(0, (0,))] * 3]]),
+    "torus": lambda d: loops_and_triangles(d, [(0, 2, 1), (1, 2, 0)]),
+    "klein bottle": lambda d: loops_and_triangles(d, [(0, 2, 1), (0, 1, 2)]),
+    "projective plane": projective_plane,
+}
 
 
 def test_projective_plane_validates():
@@ -334,6 +351,20 @@ def test_from_simplex_tuples_rejects_tuples_that_do_not_strictly_increase(simpli
         sset.from_simplex_tuples(2, simplices)
 
 
+@pytest.mark.parametrize("simplices, bad, message", [
+    ([(0,), (1, 0), (0, 1, 2)], "(1, 0)", "is not strictly increasing"),
+    ([(0,), (0, 1, 2), (1, 0)], "(0, 1, 2)", "needs 1 to 2 vertices"),
+    ([(0,), (), (1, 0)], "()", "needs 1 to 2 vertices"),
+    ([(1,), (0,), (0, 1), (1, 1)], "(1, 1)", "is not strictly increasing"),
+])
+def test_from_simplex_tuples_names_the_first_bad_tuple_in_input_order(simplices, bad, message):
+    # the tuples are checked a column at a time; the message still names the
+    # first tuple, in input order, that fails either check
+    with pytest.raises(InputError) as err:
+        sset.from_simplex_tuples(1, simplices)
+    assert str(err.value) == f"from_simplex_tuples: {bad} {message}"
+
+
 @pytest.mark.parametrize("keep", [
     [[0, 1.0], [1]],                # a float index
     [[0, True], [0, 1, 2]],         # True would stand for vertex 1
@@ -515,11 +546,13 @@ def test_derived_records_validate(data):
     keep = closed_keep(x, picks)
     sub, incl, idx_maps = sub_complex(x, keep)
     assert validate_sset(sub) == [] and validate_sset_map(incl) == []
+    assert_records_match_the_scan(sub)
     # the kept simplices in order, and idx_maps the inverse of the inclusion
     assert incl.assign == tuple(tuple(sorted(level)) for level in keep)
     assert idx_maps == [{old: n for n, old in enumerate(level)} for level in incl.assign]
     z, inc_x, inc_y = disjoint_union(x, y)
     assert validate_sset(z) == []
+    assert_records_match_the_scan(z)
     assert validate_sset_map(inc_x) == [] and validate_sset_map(inc_y) == []
     # x first, then y past it
     assert inc_x.assign == tuple(tuple(range(x.size(k))) for k in levels)
@@ -533,6 +566,7 @@ def test_derived_records_validate(data):
         f, g = (SSetMap(s, point(d), [[0] * s.size(k) for k in levels]) for s in (sub, sub2))
     p, pr_x, pr_y, index = pullback_ssets(f, g)
     assert validate_sset(p) == []
+    assert_records_match_the_scan(p)
     assert validate_sset_map(pr_x) == [] and validate_sset_map(pr_y) == []
     assert compose_maps(f, pr_x) == compose_maps(g, pr_y)
     for k in levels:
@@ -547,6 +581,7 @@ def test_derived_records_validate(data):
         k, idx = draw_simplex(data, z)
         z2, new = attach_nondeg(z, k, list(z.dims[k][idx].faces))
         assert validate_sset(z2) == []
+        assert_records_match_the_scan(z2)
         assert z2.dims[k][new].nondeg and new == z.size(k)
         assert all(z2.dims[e][:z.size(e)] == z.dims[e] for e in levels)
         z = z2
@@ -616,6 +651,219 @@ def test_simplex_boundary_horn_and_inclusions_match_the_reference(n, d):
         assert records_of(inc.source) == want
         assert inc.assign == tuple(tuple(big[k].index(t) for t in small[k])
                                    for k in range(d + 1))
+
+
+# -- the record builder and the validator against their old forms --------------
+#
+# derive_records and validate_sset as they were when a record was a frozen
+# dataclass, kept unchanged as oracles: one constructor call per record and
+# one word computed per degenerate simplex, and a message prefix built for
+# every record.
+
+def derive_records_by_scan(dim_bound: int, faces_tables: list, degens_tables: list) -> list:
+    """Simplex records from face and degeneracy index tables.
+
+    ``faces_tables[k][idx]`` is the tuple of faces of the k-simplex idx and
+    ``degens_tables[k][idx]`` that of its degeneracies (read only for k <
+    dim_bound); the records keep these tuples.  A simplex x is degenerate
+    exactly when s_j d_j x = x for some j; then its base is that of d_j x,
+    read off the record already built one level down, and its word is s_j
+    after the word of d_j x.  The EZ decomposition is unique, so no
+    constructor makes records: each one hands its keyed tables to
+    ``_from_keys``, which calls this.
+    """
+    dims = []
+    for k in range(dim_bound + 1):
+        level = []
+        below = dims[k - 1] if k else ()
+        degens_below = degens_tables[k - 1] if k else ()
+        for idx, faces in enumerate(faces_tables[k]):
+            degens = degens_tables[k][idx] if k < dim_bound else ()
+            for j in range(k):
+                if degens_below[faces[j]][j] == idx:
+                    rec = below[faces[j]]
+                    level.append(Simplex(faces, degens, rec.base,
+                                         word_after_degeneracy(rec.word, j)))
+                    break
+            else:
+                level.append(Simplex(faces, degens, idx, ()))
+        dims.append(level)
+    return dims
+
+
+def validate_sset_by_record(x: SimplicialSet) -> list:
+    """All violated structural invariants, as readable strings."""
+    bad = []
+    bound = x.dim_bound
+    for k in range(bound + 1):
+        n_here = x.size(k)
+        n_below = x.size(k - 1) if k > 0 else 0
+        n_above = x.size(k + 1) if k + 1 <= bound else 0
+        for idx, s in enumerate(x.dims[k]):
+            tag = f"dim {k} simplex {idx}"
+            if k == 0:
+                if s.faces:
+                    bad.append(f"{tag}: 0-simplex with faces")
+            elif len(s.faces) != k + 1:
+                bad.append(f"{tag}: expected {k + 1} faces")
+            if any(not (0 <= f < n_below) for f in s.faces):
+                bad.append(f"{tag}: face index out of range")
+                continue
+            if k + 1 <= bound:
+                if len(s.degens) != k + 1:
+                    bad.append(f"{tag}: expected {k + 1} degeneracies")
+                    continue
+                if any(not (0 <= d < n_above) for d in s.degens):
+                    bad.append(f"{tag}: degeneracy index out of range")
+                    continue
+            elif s.degens:
+                bad.append(f"{tag}: degeneracies stored above dim_bound")
+    if bad:
+        return bad  # no point checking identities on broken tables
+
+    for k in range(bound + 1):
+        for idx, s in enumerate(x.dims[k]):
+            tag = f"dim {k} simplex {idx}"
+            if k >= 2:
+                bad.extend(f"{tag}: d_{i} d_{j} != d_{j-1} d_{i}"
+                           for i, j in _broken_face_identities(x, k, s.faces))
+            # s_i s_j = s_{j+1} s_i for i <= j
+            if k + 2 <= bound:
+                for j in range(k + 1):
+                    for i in range(j + 1):
+                        lhs = x.degeneracy(k + 1, s.degens[j], i)
+                        rhs = x.degeneracy(k + 1, s.degens[i], j + 1)
+                        if lhs != rhs:
+                            bad.append(f"{tag}: s_{i} s_{j} != s_{j+1} s_{i}")
+            # d_i s_j relations
+            if k + 1 <= bound:
+                for j in range(k + 1):
+                    sj = s.degens[j]
+                    for i in range(k + 2):
+                        got = x.face(k + 1, sj, i)
+                        if i == j or i == j + 1:
+                            want = idx
+                        elif i < j:
+                            want = x.degeneracy(k - 1, s.faces[i], j - 1) if k >= 1 else None
+                        else:
+                            want = x.degeneracy(k - 1, s.faces[i - 1], j) if k >= 1 else None
+                        if want is not None and got != want:
+                            bad.append(f"{tag}: d_{i} s_{j} identity fails")
+            # EZ decomposition consistency
+            bdim = k - len(s.word)
+            if bdim < 0 or not (0 <= s.base < x.size(bdim)):
+                bad.append(f"{tag}: decomposition out of range")
+                continue
+            base_rec = x.dims[bdim][s.base]
+            if base_rec.word:
+                bad.append(f"{tag}: decomposition base is degenerate")
+                continue
+            if list(s.word) != sorted(s.word, reverse=True) or len(set(s.word)) != len(s.word):
+                bad.append(f"{tag}: degeneracy word not strictly decreasing")
+                continue
+            if x.apply_word(bdim, s.base, s.word) != idx:
+                bad.append(f"{tag}: decomposition does not reproduce the simplex")
+            if not s.word and k >= 1:
+                for j in range(k):
+                    if x.degeneracy(k - 1, s.faces[j], j) == idx:
+                        bad.append(f"{tag}: flagged nondegenerate but equals s_{j} d_{j}")
+                        break
+    return bad
+
+
+def assert_records_match_the_scan(x):
+    """x's records, and derive_records on x's tables, equal the scan's, and
+    each record hashes like the plain tuple of its fields."""
+    faces = [[s.faces for s in level] for level in x.dims]
+    degens = [[s.degens for s in level] for level in x.dims]
+    want = [records_of_level(level) for level in
+            derive_records_by_scan(x.dim_bound, faces, degens)]
+    assert [records_of_level(level) for level in x.dims] == want
+    assert [records_of_level(level)
+            for level in sset.derive_records(x.dim_bound, faces, degens)] == want
+    for level in x.dims:
+        for rec in level:
+            assert type(rec) is Simplex
+            assert hash(rec) == hash((rec.faces, rec.degens, rec.base, rec.word))
+
+
+def records_of_level(level):
+    return [(s.faces, s.degens, s.base, s.word) for s in level]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_tuple_complex_records_match_the_scan(data):
+    # each vertex set of at most dim_bound + 1 of n vertices is kept by a
+    # coin flip; its faces are added, so the tuples are closed under subsets
+    d = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(1, 6))
+    sets = [s for size in range(1, d + 2) for s in itertools.combinations(range(n), size)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(sets), max_size=len(sets)))
+    x = sset.from_simplex_tuples(d, closure([s for s, k in zip(sets, keep) if k] or [(0,)]))
+    assert_records_match_the_scan(x)
+
+
+@pytest.mark.parametrize("name", sorted(IDENTIFIED_FACES))
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_identified_face_records_match_the_scan(name, d):
+    assert_records_match_the_scan(IDENTIFIED_FACES[name](d))
+
+
+@pytest.mark.parametrize("inc", [
+    *(horn_inclusion(n, k, 3) for n in (1, 2, 3) for k in range(n + 1)),
+    *(boundary_inclusion(n, 3) for n in (1, 2, 3))])
+def test_u_pushout_hom_records_match_the_scan(inc):
+    base = scat.functor_U(inc.target)
+    att = words.Attachment.from_sset_mono(inc)
+    res = words.pushout_generating(base, att, words.glue_for_u(att, base, 0, 1, inc))
+    for hom in res.category.hom.values():
+        assert_records_match_the_scan(hom)
+
+
+CORRUPTED = [standard_simplex(n, 4) for n in (2, 3, 4)] + [
+    horn(2, 1, 3), horn(3, 0, 3), horn(4, 2, 4), boundary(2, 3), boundary(3, 4)]
+
+
+def outcome(validate, x):
+    """validate(x), or the type of what it raised."""
+    try:
+        return validate(x)
+    except Exception as err:     # a word too long for its base indexes past a table
+        return type(err)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_sset_lists_the_old_messages_on_corrupted_records(data):
+    x = data.draw(st.sampled_from(CORRUPTED))
+    k, idx = draw_simplex(data, x)
+    rec = x.dims[k][idx]
+    field = data.draw(st.sampled_from(["faces", "degens", "base", "word"]))
+    if field in ("faces", "degens"):
+        row = list(getattr(rec, field))
+        size = x.size(k - 1 if field == "faces" else min(k + 1, x.dim_bound))
+        how = data.draw(st.sampled_from(["set", "drop", "add"] if row else ["add"]))
+        if how == "set":
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.integers(-1, size))
+        elif how == "drop":
+            del row[data.draw(st.integers(0, len(row) - 1))]
+        else:
+            row.append(data.draw(st.integers(0, size)))
+        value = tuple(row)
+    elif field == "base":
+        value = data.draw(st.integers(-1, x.size(k)))
+    else:
+        value = tuple(data.draw(st.lists(st.integers(0, k), max_size=k + 1)))
+    dims = [list(level) for level in x.dims]
+    dims[k][idx] = rec._replace(**{field: value})
+    bad = SimplicialSet(x.dim_bound, dims)
+    assert outcome(validate_sset, bad) == outcome(validate_sset_by_record, bad)
+
+
+@pytest.mark.parametrize("x", CORRUPTED)
+def test_validate_sset_accepts_what_the_old_validator_accepts(x):
+    assert validate_sset(x) == validate_sset_by_record(x) == []
 
 
 # -- memoized derived data -----------------------------------------------------
