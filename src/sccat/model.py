@@ -33,15 +33,14 @@ from .cat import is_equivalence
 from .constructions_basic import inclusion_of_object
 from .scat import (SFunctor, SimplicialCategory, compose_sfunctors,
                    coproduct, identity_sfunctor, is_homotopy_equivalence,
-                   functor_U, pi0_functor, singleton_cat, u_functor)
+                   pi0_functor, singleton_cat, u_functor)
 from .search import enumerate_sfunctors
 from .sset import SSetMap, _check_natural, _tuple_inclusion, boundary, horn, standard_simplex
 from .ssetcheck import (_first_square, _kan_fibration, _unfilled,
                         is_weak_equivalence_sset, is_weakly_contractible)
 from .verdict import (BUDGET, Budget, BudgetExceeded, InputError, Verdict,
                       _Steps, aggregate)
-from .words import (Attachment, _u_attachment, glue_for_c2, pushout_generating,
-                    pushout_mediating)
+from .words import Attachment, glue_for_c2, pushout_generating, pushout_mediating
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +318,14 @@ def _cell_generators(n_max: int, dim_bound: int, horns: bool) -> list:
         raise InputError("n_max exceeds dim_bound")
     cells = ([(n, k) for n in range(1, n_max + 1) for k in range(n + 1)] if horns
              else [(n, None) for n in range(n_max + 1)])
-    targets = {}    # n -> (Delta[n], U(Delta[n])), made on first use
+    simplices = {}    # n -> Delta[n], made on first use; U(Delta[n]) is kept on it
 
     def build(gen):
         n, k = gen.cell
-        if n not in targets:
-            simplex = standard_simplex(n, dim_bound)
-            targets[n] = simplex, functor_U(simplex)
-        simplex, u_simplex = targets[n]
+        if n not in simplices:
+            simplices[n] = standard_simplex(n, dim_bound)
         sub = boundary(n, dim_bound) if k is None else horn(n, k, dim_bound)
-        return _u_attachment(_tuple_inclusion(sub, simplex), u_simplex, gen.name)
+        return Attachment.from_sset_mono(_tuple_inclusion(sub, simplices[n]), gen.name)
 
     return [GeneratorMap(f"C1[{n}]" if k is None else f"A1[{n},{k}]", n, (n, k),
                          dim_bound, build) for n, k in cells]

@@ -299,10 +299,9 @@ def singleton_cat(dim_bound: int = 4, label: str = "x") -> SimplicialCategory:
         identities=(0,))
 
 
-def functor_U(x: SimplicialSet) -> SimplicialCategory:
-    """Two objects, Hom(x, y) = X, no other nonidentity morphisms."""
+def _u_on(x: SimplicialSet, pt: SimplicialSet) -> SimplicialCategory:
+    """U(X) with the point pt as the hom of each object to itself."""
     bound = x.dim_bound
-    pt = point(bound)
     homs = {(0, 0): pt, (1, 1): pt, (0, 1): x, (1, 0): empty_sset(bound)}
     # every composite has an identity factor: the unit law fills all tables
     return SimplicialCategory(objects=("x", "y"), hom=homs,
@@ -310,9 +309,18 @@ def functor_U(x: SimplicialSet) -> SimplicialCategory:
                               identities=(0, 0))
 
 
+@memo
+def functor_U(x: SimplicialSet) -> SimplicialCategory:
+    """Two objects, Hom(x, y) = X, no other nonidentity morphisms.  Made
+    once per X, as derived data of X."""
+    return _u_on(x, point(x.dim_bound))
+
+
 def functor_U_map(g: SSetMap) -> SFunctor:
-    """U applied to a simplicial-set map."""
-    return u_functor(functor_U(g.source), functor_U(g.target), 0, 1, g)
+    """U applied to a simplicial-set map: into U(g.target), from U(g.source)
+    made on the point of U(g.target)."""
+    u_target = functor_U(g.target)
+    return u_functor(_u_on(g.source, u_target.hom[(0, 0)]), u_target, 0, 1, g)
 
 
 def _unit_map(pt: SimplicialSet, cat: SimplicialCategory, a: int) -> SSetMap:

@@ -23,8 +23,9 @@ cell for cell attachment.  Pushouts of simplicial categories (``words``)
 key their homs by normal words.
 
 Derived data (the accessors below, pi0 here, homology, component
-categories) is computed once per instance through ``memo``; values are
-treated as immutable after construction.
+categories, the simplicial category U(X) of ``scat.functor_U``) is
+computed once per instance through ``memo``; values are treated as
+immutable after construction.
 """
 from __future__ import annotations
 
@@ -496,6 +497,10 @@ def validate_sset(x: SimplicialSet) -> list:
             if not all(map(operator.gt, word, word[1:])):
                 fail(k, idx, "degeneracy word not strictly decreasing")
                 continue
+            # s_j applies to an m-simplex only for 0 <= j <= m
+            if word and not 0 <= word[-1] <= word[0] < k:
+                fail(k, idx, "degeneracy word entry out of range")
+                continue
             if x.apply_word(bdim, base, word) != idx:
                 fail(k, idx, "decomposition does not reproduce the simplex")
             if not word and k >= 1:
@@ -895,9 +900,10 @@ class _SlotSearch:
 def _sset_maps(x: SimplicialSet, y: SimplicialSet, under=None, over=None,
                max_nodes=None, keep=None):
     """The maps of ``enumerate_sset_maps``, in its order, made one at a
-    time as they are asked for.  ``keep(image)``, with image(k, idx) the
-    image of the simplex (k, idx), is asked at the last slot and vetoes a
-    map before it is built."""
+    time as they are asked for.  ``keep(pos, image)`` is asked at every
+    slot, pos its place in ``_slot_order([x])`` and image(k, 0, idx) the
+    image of the simplex (k, idx) so far, and vetoes the partial map: no
+    map that extends it is made."""
     if x.dim_bound != y.dim_bound:
         raise InputError("dim_bound mismatch")
     pins = _pins_under([(0, *under)]) if under is not None else {}
@@ -905,15 +911,7 @@ def _sset_maps(x: SimplicialSet, y: SimplicialSet, under=None, over=None,
         return
     if over is not None:
         over = [(over[0].assign, over[1].assign)]
-    search = _SlotSearch([x], max_nodes)
-    check = None
-    if keep is not None:
-        last = len(search.slots) - 1
-
-        def check(pos, image):
-            return pos < last or keep(lambda k, idx: image(k, 0, idx))
-
-    for tables in search.run([y], pins, over, check):
+    for tables in _SlotSearch([x], max_nodes).run([y], pins, over, keep):
         yield SSetMap(x, y, tables[0])
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import homology as hml
 from .pi1 import fundamental_group_trivial
-from .sset import (SimplicialSet, SSetMap, _sset_maps, boundary_inclusion,
+from .sset import (SimplicialSet, SSetMap, _slot_order, _sset_maps, boundary_inclusion,
                    compose_maps, enumerate_sset_maps, horn_inclusion, is_iso_map,
                    pi0, pi0_map, standard_simplex)
 from .verdict import (BUDGET, Budget, BudgetExceeded, UNDECIDED_GROUP, Verdict,
@@ -180,7 +180,8 @@ def _unfilled(p: SSetMap, n: int, k: int | None, steps: _Steps) -> dict:
     k, and a lift is an x in X_n with d_i x = x_i and p(x) = y.  Tuples
     grow a position at a time, in depth-first order.  One step per tuple
     extension and per bottom y; each level is charged before it is built,
-    so a call that would pass its cap raises before its list outgrows it."""
+    so a call that would pass its cap raises before its list outgrows it.
+    A level with no tuple ends the call: every later count is 0."""
     x, y, image, out = p.source, p.target, p.assign[n - 1], {}
     pos = [i for i in range(n + 1) if i != k] if n else []
     faces, level = [rec.faces for rec in x.dims[n - 1]], [()]
@@ -196,6 +197,8 @@ def _unfilled(p: SSetMap, n: int, k: int | None, steps: _Steps) -> dict:
             cands = [table.get(tuple(map(col.__getitem__, t)), ()) for t in level]
         steps.charge(sum(map(len, cands)))
         level = [t + (c,) for t, cs in zip(level, cands) for c in cs]
+        if not level:
+            return out
     bottoms = {}
     for b, rec in enumerate(y.dims[n]):
         bottoms.setdefault(tuple(map(rec.faces.__getitem__, pos)), []).append(b)
@@ -212,7 +215,8 @@ def _unfilled(p: SSetMap, n: int, k: int | None, steps: _Steps) -> dict:
 
 def _first_map(x: SimplicialSet, y: SimplicialSet, over, keep) -> SSetMap:
     """The first map x -> y in search order, over ``over`` = (p, bottom)
-    when given, whose images ``image(k, idx)`` pass ``keep(image)``."""
+    when given, whose partial maps all pass ``keep(pos, image)`` (see
+    ``_sset_maps``)."""
     for g in _sset_maps(x, y, over=over, keep=keep):
         return g
     raise AssertionError("the face-tuple join and the slot search disagree")
@@ -225,18 +229,37 @@ def _first_square(ps: list, unfilled: list, i: SSetMap, n: int, k: int | None) -
     ps, top, bottom), in the order of the slot search, which is the one
     definition of it: the first bottom Delta[n] -> Y that some ps[q]
     misses, the least such q, then the first top over it whose face tuple
-    ps[q] misses.  The walks have no cap and charge nothing."""
-    delta = i.target
-    top = delta.nondeg_indices(n)[0]
+    ps[q] misses.  The walks have no cap and charge nothing.
+
+    A map Delta[n] -> Y is its image b of the top simplex, and sends each
+    simplex to the matching iterated face of b.  So the bottom walk vetoes
+    a partial map as soon as a simplex gets an image that is no failing
+    bottom's matching face: no map that extends it sends the top simplex to
+    a failing bottom, and the first one that does is met as before.  The
+    top walk asks only at its last slot, which costs a comparison a slot."""
+    delta, y = i.target, ps[0].target
+    slots = _slot_order([delta])
+    top = slots[-1][2]
     bad = {b for miss in unfilled for b in miss}
-    bottom = _first_map(delta, ps[0].target, None, lambda image: image(n, top) in bad)
+    # the matching faces of the failing bottoms, per simplex of Delta[n]
+    allowed = {(n, top): bad}
+    for m in range(n, 0, -1):
+        for s in delta.nondeg_indices(m):
+            for j, f in enumerate(delta.dims[m][s].faces):
+                if (m - 1, f) not in allowed:
+                    allowed[m - 1, f] = {y.face(m, b, j) for b in allowed[m, s]}
+    allowed = [allowed[m, s] for m, _, s in slots]
+    bottom = _first_map(delta, y, None,
+                        lambda pos, image: image(*slots[pos]) in allowed[pos])
     b = bottom.assign[n][top]
     q = next(q for q, miss in enumerate(unfilled) if b in miss)
     faces = [i.assign[n - 1].index(delta.face(n, top, j))
              for j in range(n + 1) if j != k] if n else []
     tuples = set(unfilled[q][b])
+    last = sum(len(i.source.nondeg_indices(m)) for m in range(delta.dim_bound + 1)) - 1
     up = _first_map(i.source, ps[q].source, (ps[q], compose_maps(bottom, i)),
-                    lambda image: tuple(image(n - 1, c) for c in faces) in tuples)
+                    lambda pos, image: pos < last
+                    or tuple(image(n - 1, 0, c) for c in faces) in tuples)
     return q, up, bottom
 
 

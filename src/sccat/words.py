@@ -36,17 +36,18 @@ by its normal words: the words of every dimension in their final order,
 and the normal forms of each word's letterwise faces and degeneracies.
 The base's simplices come first, at their old indices, and keep their
 records: their face and degeneracy keys are read off the base, and only
-new words are normalized letter by letter.  Composites with an identity
-factor are filled by the unit law; only the others normalize a product.
+new words are normalized letter by letter.  A hom that gains no word is
+the base's own object, not rebuilt.  Each letter is normalized once, when
+the closure makes its alphabet.  Composites with an identity factor are
+filled by the unit law; only the others normalize a product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .constructions_basic import inclusion_of_object
-from .scat import (SFunctor, SimplicialCategory, build_compose,
-                   compose_sfunctors, singleton_cat, functor_U, empty_cat,
-                   u_functor)
+from .scat import (SFunctor, SimplicialCategory, build_compose, compose_sfunctors,
+                   empty_cat, functor_U_map, singleton_cat, u_functor)
 from .sset import SSetMap, _from_keys
 from .verdict import Budget, BudgetExceeded, InputError, _Steps
 
@@ -72,7 +73,11 @@ class Attachment:
 
     @staticmethod
     def from_sset_mono(i: SSetMap, label: str = "") -> "Attachment":
-        return _u_attachment(i, functor_U(i.target), label)
+        if any(len(set(i.assign[k])) != i.source.size(k) for k in range(i.source.dim_bound + 1)):
+            raise InputError("attachment needs a monomorphism of simplicial sets")
+        inc = functor_U_map(i)
+        return Attachment(kind="usset", A=inc.source, F=inc.target, inc=inc,
+                          label=label or "U(mono)")
 
     @staticmethod
     def a2(h: SimplicialCategory, x_index: int = 0, label: str = "a2") -> "Attachment":
@@ -81,15 +86,6 @@ class Attachment:
         a = singleton_cat(h.dim_bound, label=str(h.objects[x_index]))
         inc = inclusion_of_object(h, x_index, a)
         return Attachment(kind="a2", A=a, F=h, inc=inc, label=label)
-
-
-def _u_attachment(i: SSetMap, u_target: SimplicialCategory, label: str) -> Attachment:
-    """``Attachment.from_sset_mono(i, label)`` into u_target = U(i.target)."""
-    if any(len(set(i.assign[k])) != i.source.size(k) for k in range(i.source.dim_bound + 1)):
-        raise InputError("attachment needs a monomorphism of simplicial sets")
-    inc = u_functor(functor_U(i.source), u_target, 0, 1, i)
-    return Attachment(kind="usset", A=inc.source, F=inc.target, inc=inc,
-                      label=label or "U(mono)")
 
 
 @dataclass
@@ -197,12 +193,14 @@ class _WordEngine:
         words = {(k, a, b): [] for k in range(self.bound + 1)
                  for a in range(n) for b in range(n)}
         steps = _Steps(self.budget.max_steps)
-        for k in range(self.bound + 1):
+        self.one = [{} for _ in range(self.bound + 1)]    # [k]: letter -> its normal word
+        for k, one in enumerate(self.one):
             letters = [{} for _ in range(n)]    # D-source -> letters, in order
             for tag, cat in (("C", self.C), ("F", self.F)):
                 for (a, b) in cat.object_pairs():
                     for idx in range(cat.hom[(a, b)].size(k)):
-                        for letter in self.normalize(k, [(tag, a, b, idx)]):
+                        w = one[tag, a, b, idx] = self.normalize(k, [(tag, a, b, idx)])
+                        for letter in w:
                             letters[self.d_endpoints(letter)[0]][letter] = None
             stack = [((), o, o) for o in range(n)]
             for o in range(n):
@@ -239,7 +237,7 @@ class _WordEngine:
             for a in range(n):
                 for b in range(n):
                     old = self.C.hom[(a, b)].size(k) if max(a, b) < n_old else 0
-                    lst = [self.normalize(k, [("C", a, b, idx)]) for idx in range(old)]
+                    lst = [self.one[k]["C", a, b, idx] for idx in range(old)]
                     seen = set(lst)
                     lst += sorted((w for w in raw[(k, a, b)] if w not in seen), key=word_key)
                     words[(k, (a, b))] = lst
@@ -265,8 +263,15 @@ class _WordEngine:
 
         homs, index = {}, {}
         for pair in ((a, b) for a in range(n) for b in range(n)):
+            levels = [words[(k, pair)] for k in range(bound + 1)]
+            if max(pair) < n_old and all(
+                    len(level) == self.C.hom[pair].size(k) for k, level in enumerate(levels)):
+                # no new word: the hom is the base's own
+                homs[pair] = self.C.hom[pair]
+                index[pair] = [dict(zip(level, range(len(level)))) for level in levels]
+                continue
             homs[pair], index[pair] = _from_keys(
-                bound, [words[(k, pair)] for k in range(bound + 1)],
+                bound, levels,
                 [[]] + [op_keys(k, pair, "face", -1) for k in range(1, bound + 1)],
                 [op_keys(k, pair, "degeneracy", 1) for k in range(bound)])
 
@@ -302,7 +307,7 @@ class _WordEngine:
         for (u, v) in self.F.object_pairs():
             h, pair = self.F.hom[(u, v)], (self.f2d[u], self.f2d[v])
             f_maps[(u, v)] = SSetMap(h, homs[pair], [
-                [index[pair][k][self.normalize(k, [("F", u, v, idx)])]
+                [index[pair][k][self.one[k]["F", u, v, idx]]
                  for idx in range(h.size(k))] for k in range(bound + 1)])
         inc_attached = SFunctor(source=self.F, target=D, ob_map=f_ob,
                                 hom_maps=f_maps)

@@ -23,11 +23,12 @@ from sccat.scat import (SFunctor, SimplicialCategory, build_compose,
 from sccat.search import enumerate_sfunctors
 from sccat.sset import (SSetMap, boundary, boundary_inclusion, empty_sset, horn,
                         horn_inclusion, identity_map, point, standard_simplex)
-from sccat.ssetcheck import unique_map_to_point
+from sccat.ssetcheck import _first_square, unique_map_to_point
 from sccat.verdict import (BUDGET, Budget, BudgetExceeded, InputError, _Steps,
                            aggregate)
 from sccat.words import Attachment, pushout_generating, pushout_mediating
-from tests.test_ssetcheck import LIFTING_COMPLEXES, _rlp_by_faces, lifting_maps
+from tests.test_ssetcheck import (LIFTING_COMPLEXES, _rlp_by_faces, first_square_at_last_slot,
+                                  lifting_maps)
 
 D = 2
 B = Budget(max_dim=2, max_words=16, max_steps=500_000)
@@ -240,17 +241,17 @@ def test_generators_equal_an_independent_build(d):
 def count_builds(monkeypatch):
     """The names of the generators built from here on, in build order."""
     built = []
-    u_attachment, c2 = model._u_attachment, Attachment.c2
+    from_sset_mono, c2 = Attachment.from_sset_mono, Attachment.c2
 
-    def build_cell(i, u_target, label):
+    def build_cell(i, label=""):
         built.append(label)
-        return u_attachment(i, u_target, label)
+        return from_sset_mono(i, label)
 
     def build_c2(dim_bound):
         built.append("C2")
         return c2(dim_bound)
 
-    monkeypatch.setattr(model, "_u_attachment", build_cell)
+    monkeypatch.setattr(Attachment, "from_sset_mono", staticmethod(build_cell))
     monkeypatch.setattr(Attachment, "c2", staticmethod(build_c2))
     return built
 
@@ -352,7 +353,7 @@ def test_has_rlp_identity_against_everything():
 def test_rlp_a1_detects_non_kan_hom():
     # U(dDelta[2] -> point): hom map is not a Kan fibration, so RLP(A1)
     # fails, reproducing the characterization of F1
-    from sccat.ssetcheck import unique_map_to_point
+    from sccat.ssetcheck import _first_square, unique_map_to_point
     p = unique_map_to_point(boundary(2, D))
     f = functor_U_map(p)
     v = has_rlp_against_set(f, generating_acyclic_a1(2, D), B)
@@ -834,3 +835,44 @@ def test_route_b_max_steps_bounds_all_generators_together():
     assert is_acyclic_fibration_by_rlp(f, Budget(max_steps=sum(per_gen))).is_yes
     v = is_acyclic_fibration_by_rlp(f, Budget(max_steps=sum(per_gen) - 1))
     assert v.kind == "unknown" and v.reason == BUDGET
+
+
+# -- naming squares with the pruned bottom walk ------------------------------------
+
+def two_copies_onto_one(x):
+    """U(x) + U(x) -> U(pt), each copy by U of x -> pt: every hom pair of
+    U(pt) lies under several hom pairs of the source."""
+    g = functor_U_map(unique_map_to_point(x))
+    src, _ = coproduct([g.source, g.source])
+    ob_map = (0, 1, 0, 1)
+    hom_maps = {(a, b): g.hom_maps[(a % 2, b % 2)] if a // 2 == b // 2 else
+                SSetMap(src.hom[(a, b)], g.target.hom[(ob_map[a], ob_map[b])],
+                        [[] for _ in range(x.dim_bound + 1)])
+                for a, b in src.object_pairs()}
+    return SFunctor(source=src, target=g.target, ob_map=ob_map, hom_maps=hom_maps)
+
+
+@pytest.mark.parametrize("f, gens, budget", [
+    (lambda: functor_U_map(horn_inclusion(3, 1, 3)), lambda: generating_acyclic_a1(3, 3),
+     Budget(max_dim=3, max_words=16, max_steps=500_000)),
+    (lambda: functor_U_map(horn_inclusion(2, 1, 2)), lambda: generating_acyclic_a1(2, 2), B),
+    (lambda: empty_to(walking_arrow(D)), lambda: generating_cofibrations(1, D), B),
+    (lambda: two_copies_onto_one(boundary(1, D)), lambda: generating_cofibrations(1, D), B),
+    (lambda: two_copies_onto_one(horn(2, 0, D)), lambda: generating_acyclic_a1(2, D), B),
+], ids=["horn31-A1-D3", "horn21-A1-D2", "walking-arrow-C1C2", "two-bd1-C1C2", "two-horn20-A1"])
+def test_factor_bounded_names_the_old_squares(monkeypatch, request, f, gens, budget):
+    # every square factor_bounded names, from the list of hom maps over one
+    # pair of bottom objects, is the one the walk asking at the last slot names
+    calls = []
+
+    def first_square(ps, unfilled, i, n, k):
+        got = _first_square(ps, unfilled, i, n, k)
+        assert got == first_square_at_last_slot(ps, unfilled, i, n, k)
+        calls.append(len(ps))
+        return got
+
+    monkeypatch.setattr(model, "_first_square", first_square)
+    res = factor_bounded(f(), gens(), budget)
+    # one square per cell but C2's, and one more for a square left unattached
+    assert len(calls) == sum(c.generator != "C2" for c in res.cells) + (not res.complete)
+    assert max(calls) == (4 if "two" in request.node.callspec.id else 1)

@@ -1,18 +1,19 @@
+import itertools
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sccat.ssetcheck import (
-    SSetSquare, _unfilled, check_square_lift, enumerate_squares,
+    SSetSquare, _first_square, _unfilled, check_square_lift, enumerate_squares,
     has_rlp_sset, is_acyclic_fibration_sset, is_kan_fibration,
     is_weak_equivalence_sset, is_weakly_contractible, naive_diagonal_exists,
     unique_map_to_point,
 )
 from sccat.sset import (
-    _tuple_inclusion, boundary, boundary_inclusion, compose_maps,
-    disjoint_union, enumerate_sset_maps, from_simplicial_complex, horn,
-    horn_inclusion, identity_map, point, standard_simplex,
+    SSetMap, _SlotSearch, _sset_maps, _tuple_inclusion, boundary, boundary_inclusion,
+    compose_maps, disjoint_union, empty_sset, enumerate_sset_maps, from_simplicial_complex,
+    horn, horn_inclusion, identity_map, point, standard_simplex,
 )
 from sccat.verdict import (BUDGET, UNDECIDED_GROUP, Budget, BudgetExceeded, Verdict,
                            _Steps, aggregate)
@@ -525,3 +526,91 @@ def test_one_counter_across_cells_stops_at_one_total():
                 stopped = (n, k)
                 break
         assert stopped == raised_at
+
+
+# -- the pruned bottom walk against the walk that asks only at the last slot -----
+
+def _first_map_at_last_slot(x, y, over, keep):
+    """The first map x -> y in search order, over ``over`` when given, whose
+    images pass ``keep(image)``, asked only when every slot is assigned."""
+    search = _SlotSearch([x])
+    last = len(search.slots) - 1
+    tables = None if over is None else [(over[0].assign, over[1].assign)]
+
+    def check(pos, image):
+        return pos < last or keep(lambda k, idx: image(k, 0, idx))
+
+    for found in search.run([y], {}, tables, check):
+        return SSetMap(x, y, found[0])
+    raise AssertionError("the face-tuple join and the slot search disagree")
+
+
+def first_square_at_last_slot(ps, unfilled, i, n, k):
+    """``_first_square`` as it was before its bottom walk was pruned: both
+    walks ask ``keep`` at the last slot only."""
+    delta = i.target
+    top = delta.nondeg_indices(n)[0]
+    bad = {b for miss in unfilled for b in miss}
+    bottom = _first_map_at_last_slot(delta, ps[0].target, None,
+                                     lambda image: image(n, top) in bad)
+    b = bottom.assign[n][top]
+    q = next(q for q, miss in enumerate(unfilled) if b in miss)
+    faces = [i.assign[n - 1].index(delta.face(n, top, j))
+             for j in range(n + 1) if j != k] if n else []
+    tuples = set(unfilled[q][b])
+    up = _first_map_at_last_slot(i.source, ps[q].source, (ps[q], compose_maps(bottom, i)),
+                                 lambda image: tuple(image(n - 1, c) for c in faces) in tuples)
+    return q, up, bottom
+
+
+def cells_through(d):
+    """Every horn (n, k) and boundary (n, None) through dimension d."""
+    return [(n, k) for n in range(d + 1) for k in ([*range(n + 1), None] if n else [None])]
+
+
+def assert_first_squares_match(p):
+    """On every cell p misses: the same (q, top, bottom) as the old walk."""
+    d = p.source.dim_bound
+    for n, k in cells_through(d):
+        unfilled = _unfilled(p, n, k, _Steps(None))
+        if unfilled:
+            i = boundary_inclusion(n, d) if k is None else horn_inclusion(n, k, d)
+            assert (_first_square([p], [unfilled], i, n, k)
+                    == first_square_at_last_slot([p], [unfilled], i, n, k))
+
+
+@pytest.mark.parametrize("d, per_pair", [(2, None), (3, 6)])
+def test_pruned_walk_names_the_old_squares_on_the_fixture_maps(d, per_pair):
+    # every map at D2 (352), the first six of each pair of spaces at D3
+    last = len(LIFTING_COMPLEXES[d]) - 1
+    maps = [p for i in range(last + 1) for j in range(last + 1)
+            for p in lifting_maps(d, i, j)[:per_pair]] + SURFACE_MAPS[d]
+    for p in maps:
+        assert_first_squares_match(p)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_pruned_walk_names_the_old_squares_on_vertex_tuple_complexes(data):
+    # two complexes on at most five vertices, and one of the first maps
+    # between them
+    d = data.draw(st.sampled_from([2, 3]))
+    spaces = []
+    for _ in range(2):
+        n = data.draw(st.integers(1, 5))
+        facets = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=d + 1,
+                                             unique=True), min_size=1, max_size=4))
+        spaces.append(from_simplicial_complex(facets, d))
+    maps = list(itertools.islice(_sset_maps(*spaces), 12))
+    if maps:
+        assert_first_squares_match(data.draw(st.sampled_from(maps)))
+
+
+# -- a join whose tuples run out ends at once ----------------------------------
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_join_of_an_empty_source_equals_the_depth_first_join(d):
+    # the hom Hom(y, x) of U(X) is empty: its joins are the ones whose
+    # tuples run out, and they end at the first level
+    for y in LIFTING_COMPLEXES[d]:
+        assert_join_matches_recursion(SSetMap(empty_sset(d), y, [[] for _ in range(d + 1)]))

@@ -12,7 +12,7 @@ from sccat.model import generating_cofibrations
 from sccat.scat import (compose_sfunctors, coproduct, functor_U,
                         functor_U_map, identity_sfunctor, singleton_cat,
                         validate_scat, validate_sfunctor)
-from sccat.sset import (SSetMap, boundary, boundary_inclusion, empty_sset,
+from sccat.sset import (SSetMap, _from_keys, boundary, boundary_inclusion, empty_sset,
                         enumerate_sset_maps, horn_inclusion, identity_map,
                         point, standard_simplex)
 from sccat.verdict import Budget, BudgetExceeded, InputError, _Steps
@@ -462,3 +462,53 @@ def test_results_do_not_depend_on_the_string_hash_seed():
     assert all(run.returncode == 0 for run in runs)
     assert hashlib.sha256(outs[0]).hexdigest() == hashlib.sha256(outs[1]).hexdigest()
     assert len(outs[0]) > 10_000
+
+
+# -- homs that gain no word are the base's own ------------------------------------
+
+def full_build(eng, res, pair):
+    """Hom ``pair`` of the pushout built from its words alone: every face and
+    degeneracy normalized letter by letter, none read off the base."""
+    bound, C = res.category.dim_bound, eng.C
+    levels = [res.words[(k, pair)] for k in range(bound + 1)]
+
+    def rows(k, op, dk):
+        return [[eng.normalize(k + dk, [
+            (t, a, b, getattr((C if t == "C" else eng.F).hom[(a, b)], op)(k, idx, i))
+            for t, a, b, idx in w]) for i in range(k + 1)] for w in levels[k]]
+
+    return _from_keys(bound, levels, [[]] + [rows(k, "face", -1) for k in range(1, bound + 1)],
+                      [rows(k, "degeneracy", 1) for k in range(bound)])[0]
+
+
+def assert_unchanged_homs_are_kept(base, att, glue):
+    eng = _WordEngine(base, att, glue, Budget())
+    res = eng.build()
+    kept = 0
+    for p in res.category.object_pairs():
+        assert res.category.hom[p] == full_build(eng, res, p)
+        new = max(p) >= base.n_objects() or any(
+            len(res.words[(k, p)]) > base.hom[p].size(k) for k in range(base.dim_bound + 1))
+        assert (res.category.hom[p] is base.hom.get(p)) == (not new)
+        kept += not new
+    return kept
+
+
+@pytest.mark.parametrize("m, k, d", [(m, k, d) for d in range(1, 5) for m in range(1, d + 1)
+                                     for k in [*range(m + 1), None]])
+def test_u_pushouts_keep_the_homs_that_gain_no_word(m, k, d):
+    # U(bd Delta[m]) or U(horn (m, k)) pushed into U(Delta[m]): only Hom(x, y)
+    # gains words
+    inc = boundary_inclusion(m, d) if k is None else horn_inclusion(m, k, d)
+    assert assert_unchanged_homs_are_kept(*u_pushout_parts(inc)) == 3
+
+
+def test_c2_pushout_keeps_every_hom_of_the_base():
+    assert assert_unchanged_homs_are_kept(*c2_pushout_parts(3)) == 4
+
+
+def test_u_of_a_map_shares_one_point():
+    m = functor_U_map(horn_inclusion(2, 1, D))
+    assert m.target is functor_U(m.hom_maps[(0, 1)].target)
+    pt = m.target.hom[(0, 0)]
+    assert all(cat.hom[(o, o)] is pt for cat in (m.source, m.target) for o in (0, 1))
