@@ -5,14 +5,15 @@ without import cycles.
 """
 from __future__ import annotations
 
-from .scat import SFunctor, SimplicialCategory, _unit_map, build_compose, functor_U
+from .scat import SFunctor, SimplicialCategory, _u_on, _unit_map, build_compose
 from .sset import _check_natural, point
 from .verdict import InputError
 
 
 def walking_arrow(dim_bound: int = 4) -> SimplicialCategory:
-    """Two objects and a single nonidentity morphism g: x -> y."""
-    return functor_U(point(dim_bound))
+    """Two objects and a single nonidentity morphism g: x -> y: U(point) on one point."""
+    pt = point(dim_bound)
+    return _u_on(pt, pt)
 
 
 def codiscrete_groupoid(n_objects: int, dim_bound: int = 4) -> SimplicialCategory:

@@ -11,13 +11,13 @@ the acceptance suite cross-checks them.
 A functor U(K) -> C is a pair of objects (c, c'), possibly equal, with a
 map K -> Hom_C(c, c'), since U(K) has no composites but identities.  So f
 has the right lifting property against U(i) iff every hom map f_{c,c'}
-has it against i.  Route (b) and each round of factorization decide the
-generators U(boundary) of C1 and U(horn) of A1 this way, hom by hom on
-the Yoneda data of ``ssetcheck``, which also names the first square with
-no lift, and C2 on objects.  They decide on the generator's cell alone and
-build the functor of only the generator that names a square.  The generic
-functor search of ``has_rlp_against_set`` stays as the independent check
-of both routes.
+has it against i.  Route (b) and each round of factorization share one
+walk to the first generator with an unliftable square, which decides
+U(boundary) of C1 and U(horn) of A1 this way, by the one cell join of
+``ssetcheck`` (which also names the square), and C2 on objects.  It
+decides on the generator's cell alone and builds only the generator that
+names a square.  The generic functor search of ``has_rlp_against_set``
+stays as the independent check of both routes.
 
 Cofibration checking is witness-based: a degeneracy-closed generator
 marking that passes the free-map check, or a strong-retract witness.  The
@@ -36,8 +36,8 @@ from .scat import (SFunctor, SimplicialCategory, compose_sfunctors,
                    pi0_functor, singleton_cat, u_functor)
 from .search import enumerate_sfunctors
 from .sset import SSetMap, _check_natural, _tuple_inclusion, boundary, horn, standard_simplex
-from .ssetcheck import (_first_square, _kan_fibration, _unfilled,
-                        is_weak_equivalence_sset, is_weakly_contractible)
+from .ssetcheck import (_cells, _first_miss, _rlp_against_cells, is_weak_equivalence_sset,
+                        is_weakly_contractible)
 from .verdict import (BUDGET, Budget, BudgetExceeded, InputError, Verdict,
                       _Steps, aggregate)
 from .words import Attachment, glue_for_c2, pushout_generating, pushout_mediating
@@ -129,18 +129,6 @@ def enumerate_problem_squares(gen: SFunctor, f: SFunctor, budget: Budget):
     return list(_problem_squares(gen, f, budget))
 
 
-def _first_unliftable(gen: SFunctor, f: SFunctor, budget: Budget):
-    """(the first square against gen that has no lift, or None; whether
-    some square before it came back unknown)."""
-    saw_unknown = False
-    for problem in _problem_squares(gen, f, budget):
-        v = solve_lifting(problem, budget)
-        if v.is_no:
-            return problem, saw_unknown
-        saw_unknown = saw_unknown or not v.is_definite
-    return None, saw_unknown
-
-
 def has_rlp_against_set(f: SFunctor, gens, budget: Budget | None = None) -> Verdict:
     """RLP of f against every GeneratorMap in gens, by the generic functor
     search; a definite counterexample square dominates, then unknowns, then
@@ -149,10 +137,11 @@ def has_rlp_against_set(f: SFunctor, gens, budget: Budget | None = None) -> Verd
     saw_unknown = False
     try:
         for gen in gens:
-            problem, unknown = _first_unliftable(gen.map, f, budget)
-            if problem is not None:
-                return Verdict.no(witness={"generator": gen.name, "square": problem})
-            saw_unknown = saw_unknown or unknown
+            for problem in _problem_squares(gen.map, f, budget):
+                v = solve_lifting(problem, budget)
+                if v.is_no:
+                    return Verdict.no(witness={"generator": gen.name, "square": problem})
+                saw_unknown = saw_unknown or not v.is_definite
     except BudgetExceeded:
         return Verdict.unknown(BUDGET)
     if saw_unknown:
@@ -160,40 +149,34 @@ def has_rlp_against_set(f: SFunctor, gens, budget: Budget | None = None) -> Verd
     return Verdict.yes(witness={"all_squares_lift": True})
 
 
-def _first_unliftable_cell(f: SFunctor, gen: GeneratorMap, steps: _Steps):
-    """The first square against the A1 or C1 generator ``gen`` with no lift,
-    in ``enumerate_problem_squares`` order, or None: bottom objects (c, c')
-    in order, then ``_first_square`` among the hom maps over them."""
-    n, k = gen.cell
+def _first_failure(f: SFunctor, gens, steps: _Steps):
+    """(the first of ``gens`` with a square against f that has no lift, its
+    first such square in ``enumerate_problem_squares`` order), or None.  A
+    cell is joined on the hom maps over each pair of bottom objects in turn;
+    C2 (no cell) fails iff f misses an object, first the least one."""
     src, tgt = f.source, f.target
-    for c, c2 in tgt.object_pairs():
-        over = [(a, b) for a, b in src.object_pairs() if (f.ob(a), f.ob(b)) == (c, c2)]
-        unfilled = [_unfilled(f.hom_maps[pair], n, k, steps) for pair in over]
-        if any(unfilled):
-            q, top, bottom = _first_square([f.hom_maps[pair] for pair in over], unfilled,
-                                           gen.map.hom_maps[(0, 1)], n, k)
-            return LiftingProblem(left=gen.map, right=f,
-                                  top=u_functor(gen.map.source, src, *over[q], top),
-                                  bottom=u_functor(gen.map.target, tgt, c, c2, bottom))
+    over = {}    # bottom objects (c, c') -> the top objects over them, in order
+    for a, b in src.object_pairs():
+        over.setdefault((f.ob(a), f.ob(b)), []).append((a, b))
+    for gen in gens:
+        if gen.cell is None:
+            d = min(set(range(tgt.n_objects())) - set(f.ob_map), default=None)
+            if d is not None:
+                return gen, LiftingProblem(left=gen.map, right=f,
+                                           top=glue_for_c2(gen.attachment, src),
+                                           bottom=inclusion_of_object(tgt, d, gen.map.target))
+            continue
+        n, k = gen.cell
+        for (c, c2), tops in sorted(over.items()):
+            miss = _first_miss([f.hom_maps[pair] for pair in tops], n, k,
+                               lambda: gen.map.hom_maps[(0, 1)], steps)
+            if miss is not None:
+                q, square = miss
+                return gen, LiftingProblem(
+                    left=gen.map, right=f,
+                    top=u_functor(gen.map.source, src, *tops[q], square.top),
+                    bottom=u_functor(gen.map.target, tgt, c, c2, square.bottom))
     return None
-
-
-def _first_unliftable_c2(f: SFunctor, gen: GeneratorMap):
-    """The first square against C2 with no lift, or None: f lifts iff it is
-    surjective on objects, and the first bottom is the least object missed."""
-    d = min(set(range(f.target.n_objects())) - set(f.ob_map), default=None)
-    return None if d is None else LiftingProblem(
-        left=gen.map, right=f, top=glue_for_c2(gen.attachment, f.source),
-        bottom=inclusion_of_object(f.target, d, gen.map.target))
-
-
-def _first_unliftable_gen(f: SFunctor, gen: GeneratorMap, steps: _Steps):
-    """The first square against the A1, C1 or C2 generator ``gen`` with no lift, or None."""
-    if gen.cell is not None:
-        return _first_unliftable_cell(f, gen, steps)
-    if gen.name == "C2":
-        return _first_unliftable_c2(f, gen)
-    raise InputError(f"{gen.name} is not A1, C1 or C2")
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +204,7 @@ def is_fibration(f: SFunctor, budget: Budget | None = None) -> Verdict:
     steps = _Steps(budget.max_steps)
     sub = []
     for (a, b) in f.source.object_pairs():
-        v = _kan_fibration(f.hom_maps[(a, b)], budget, steps)
+        v = _rlp_against_cells(f.hom_maps[(a, b)], True, budget, steps)
         if v.is_no:
             return Verdict.no(witness={"f1_failure": (a, b), **(v.witness or {})})
         sub.append(v)
@@ -254,13 +237,10 @@ def is_acyclic_fibration_by_rlp(f: SFunctor, budget: Budget | None = None) -> Ve
     budget = budget or Budget()
     n_max = min(budget.max_dim, f.source.dim_bound)
     steps = _Steps(budget.max_steps)
-    v = Verdict.yes(witness={"all_squares_lift": True})
     try:
-        for gen in generating_cofibrations(n_max, f.source.dim_bound):
-            square = _first_unliftable_gen(f, gen, steps)
-            if square is not None:
-                v = Verdict.no(witness={"generator": gen.name, "square": square})
-                break
+        found = _first_failure(f, generating_cofibrations(n_max, f.source.dim_bound), steps)
+        v = (Verdict.yes(witness={"all_squares_lift": True}) if found is None
+             else Verdict.no(witness={"generator": found[0].name, "square": found[1]}))
     except BudgetExceeded:
         v = Verdict.unknown(BUDGET)
     return Verdict(v.kind, witness=v.witness, reason=v.reason,
@@ -316,8 +296,6 @@ def _cell_generators(n_max: int, dim_bound: int, horns: bool) -> list:
         raise InputError("n_max is negative")
     if n_max > dim_bound:
         raise InputError("n_max exceeds dim_bound")
-    cells = ([(n, k) for n in range(1, n_max + 1) for k in range(n + 1)] if horns
-             else [(n, None) for n in range(n_max + 1)])
     simplices = {}    # n -> Delta[n], made on first use; U(Delta[n]) is kept on it
 
     def build(gen):
@@ -328,7 +306,7 @@ def _cell_generators(n_max: int, dim_bound: int, horns: bool) -> list:
         return Attachment.from_sset_mono(_tuple_inclusion(sub, simplices[n]), gen.name)
 
     return [GeneratorMap(f"C1[{n}]" if k is None else f"A1[{n},{k}]", n, (n, k),
-                         dim_bound, build) for n, k in cells]
+                         dim_bound, build) for n, k in _cells(n_max, horns)]
 
 
 def generating_cofibrations(n_max: int, dim_bound: int = 4) -> list:
@@ -565,37 +543,40 @@ def factor_bounded(f: SFunctor, gens, budget: Budget | None = None) -> FactorRes
     low-dimensional cells first provably diverges even on one-horn inputs,
     so the top-down order is the one that terminates at desk scale.
 
-    Each round walks the generators in that order.  A generator with a
-    ``cell`` (A1, C1) is decided hom by hom on Yoneda data and skipped when
-    every hom map lifts; these joins share one count of ``budget.max_steps``
-    steps for the whole call.  The first one that fails names its first
-    square with no lift, in ``enumerate_problem_squares`` order: bottom
-    objects (c, c'), the bottom's n-simplex y by the images of Delta[n]'s
-    nondegenerate simplices, top objects (a, a') over (c, c'), then the
-    face tuple by the images of the horn's or boundary's nondegenerate
-    simplices.  C2 fails iff the right map misses an object, first the
-    least one.  Only a failing generator is built.  Other generators, and
-    generators of another ``dim_bound`` than f, raise InputError before
-    any is built.  Stops with complete=False when a square is left after
-    ``budget.max_words`` cells or a join or pushout exceeds the budget; the
-    exact equation right . left = f holds on every return.
+    Each round walks the generators in that order, as route (b) does.  A
+    generator with a ``cell`` (A1, C1) is decided hom by hom on Yoneda data
+    and skipped when every hom map lifts; these joins share one count of
+    ``budget.max_steps`` steps for the whole call.  The first one that
+    fails names its first square with no lift, in
+    ``enumerate_problem_squares`` order: bottom objects (c, c'), the
+    bottom's n-simplex y by the images of Delta[n]'s nondegenerate
+    simplices, top objects (a, a') over (c, c'), then the face tuple by the
+    images of the horn's or boundary's nondegenerate simplices.  C2 fails
+    iff the right map misses an object, first the least one.  Only a
+    failing generator is built.  An entry that is no GeneratorMap, has no
+    cell and is not C2, or has another ``dim_bound`` than f raises
+    InputError before any join.  Stops with complete=False when a square is
+    left after ``budget.max_words`` cells or a join or pushout exceeds the
+    budget; the exact equation right . left = f holds on every return.
     """
     budget = budget or Budget()
-    if any(gen.dim_bound != f.target.dim_bound for gen in gens):
-        raise InputError("dim_bound mismatch")
+    for gen in gens:
+        if not isinstance(gen, GeneratorMap):
+            raise InputError(f"{type(gen).__name__} is not a GeneratorMap")
+        if gen.cell is None and gen.name != "C2":
+            raise InputError(f"{gen.name} is not A1, C1 or C2")
+        if gen.dim_bound != f.target.dim_bound:
+            raise InputError("dim_bound mismatch")
     steps = _Steps(budget.max_steps)
     stage, left, right, cells = f.source, identity_sfunctor(f.source), f, []
     gens = sorted(gens, key=lambda g: -g.dim)
     while True:
-        square = None
         try:
-            for gen in gens:
-                square = _first_unliftable_gen(right, gen, steps)
-                if square is not None:
-                    break
-            if square is None or len(cells) >= budget.max_words:
+            found = _first_failure(right, gens, steps)
+            if found is None or len(cells) >= budget.max_words:
                 return FactorResult(left=left, right=right, cells=cells,
-                                    complete=square is None)
+                                    complete=found is None)
+            gen, square = found
             res = pushout_generating(stage, gen.attachment, square.top, budget)
         except BudgetExceeded:
             return FactorResult(left=left, right=right, cells=cells, complete=False)

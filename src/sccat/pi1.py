@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intmat
-from .sset import SimplicialSet, _UnionFind, pi0, pi0_class_of
+from .sset import SimplicialSet, _UnionFind
 from .verdict import Budget, BudgetExceeded, InputError, UNDECIDED_GROUP, Verdict
 
 # A word is a tuple of nonzero ints: +g means generator g-1, -g its inverse.
@@ -52,18 +52,17 @@ def free_reduce(word: Word) -> Word:
     return tuple(out)
 
 
-def abelianized_matrix(p: GroupPresentation):
-    """Exponent-sum matrix, generators as rows, relators as columns."""
-    mat = intmat.zeros(p.n_generators, len(p.relators))
-    for j, rel in enumerate(p.relators):
-        for letter in rel:
-            mat[abs(letter) - 1][j] += 1 if letter > 0 else -1
-    return mat
-
-
 def abelianization_invariants(p: GroupPresentation) -> tuple:
-    """(betti, torsion list) of the abelianized group."""
-    facs = intmat.invariant_factors(abelianized_matrix(p))
+    """(betti, torsion list) of the abelianized group, read off the
+    reduction of one sparse exponent-sum column per relator."""
+    columns = []
+    for rel in p.relators:
+        col = {}
+        for letter in rel:
+            g = abs(letter) - 1
+            col[g] = col.get(g, 0) + (1 if letter > 0 else -1)
+        columns.append({g: col[g] for g in sorted(col) if col[g]})
+    facs = intmat.Reduction(columns, p.n_generators).invariant_factors()
     betti = p.n_generators - len(facs)
     torsion = sorted(d for d in facs if d != 1)
     return (betti, torsion)
@@ -219,10 +218,6 @@ class EdgePathData:
 def edge_path_data(x: SimplicialSet, base: int) -> EdgePathData:
     if not (0 <= base < x.size(0)):
         raise InputError("base vertex out of range")
-    comp_id = pi0_class_of(x)[base]
-    component = tuple(pi0(x)[comp_id])
-    in_comp = set(component)
-
     edges = []
     if x.dim_bound >= 1:
         edges = [(idx, x.dims[1][idx].faces[1], x.dims[1][idx].faces[0])
@@ -232,7 +227,8 @@ def edge_path_data(x: SimplicialSet, base: int) -> EdgePathData:
         adj.setdefault(tail, []).append((idx, head))
         adj.setdefault(head, []).append((idx, tail))
 
-    # breadth-first spanning tree from the base, edges in index order
+    # breadth-first spanning tree from the base, edges in index order; the
+    # vertices it reaches are the base's path component
     tree = set()
     seen = {base}
     frontier = [base]
@@ -249,7 +245,7 @@ def edge_path_data(x: SimplicialSet, base: int) -> EdgePathData:
     gen_of_edge = {}
     names = []
     for idx, tail, head in edges:
-        if tail in in_comp and idx not in tree:
+        if tail in seen and idx not in tree:
             gen_of_edge[idx] = len(names) + 1
             names.append(f"e{idx}")
 
@@ -267,7 +263,7 @@ def edge_path_data(x: SimplicialSet, base: int) -> EdgePathData:
             if word:
                 relators.append(word)
     pres = GroupPresentation(generators=tuple(names), relators=tuple(relators))
-    return EdgePathData(presentation=pres, component=component,
+    return EdgePathData(presentation=pres, component=tuple(sorted(seen)),
                         tree_edges=tuple(sorted(tree)),
                         generator_of_edge=gen_of_edge)
 

@@ -24,6 +24,8 @@ join says which bottoms and face tuples have no filler, and the slot
 search of ``sset``, the one definition of the search order, walks the
 maps until the first of them.  So the square is the one the exhaustive
 search ``has_rlp_sset`` finds, which stays the join's independent oracle.
+Every lifting check here and in ``model`` joins and names squares through
+one function, ``_first_miss``.
 """
 from __future__ import annotations
 
@@ -263,48 +265,52 @@ def _first_square(ps: list, unfilled: list, i: SSetMap, n: int, k: int | None) -
     return q, up, bottom
 
 
-def _rlp_against_cells(p: SSetMap, cells: list, bound: int, tag: str,
-                       yes_witness: dict, steps: _Steps) -> Verdict:
-    """RLP of p against the horn (n, k) of each cell in order, or the
-    boundary of Delta[n] when k is None, charging every walk to ``steps``;
-    the first cell that fails names its square by ``_first_square``."""
+def _first_miss(ps: list, n: int, k: int | None, inclusion, steps: _Steps):
+    """Join the maps ps into one Y against the horn (n, k), or the boundary
+    of Delta[n] when k is None: None if every square has a filler, else (q,
+    ``_first_square``'s square of ps[q]), its inclusion made by
+    ``inclusion()`` on a miss only."""
+    unfilled = [_unfilled(p, n, k, steps) for p in ps]
+    if not any(unfilled):
+        return None
+    i = inclusion()
+    q, top, bottom = _first_square(ps, unfilled, i, n, k)
+    return q, SSetSquare(i=i, p=ps[q], top=top, bottom=bottom)
+
+
+def _cells(n_max: int, horns: bool) -> list:
+    """The horns (n, k), 1 <= n <= n_max, if ``horns``, else (n, None), n <= n_max."""
+    return ([(n, k) for n in range(1, n_max + 1) for k in range(n + 1)] if horns
+            else [(n, None) for n in range(n_max + 1)])
+
+
+def _rlp_against_cells(p: SSetMap, horns: bool, budget: Budget, steps: _Steps) -> Verdict:
+    """RLP of p against the ``_cells`` up to min(budget.max_dim, dim_bound),
+    in order, every join charged to ``steps``, which a caller may share
+    between maps; the first cell that fails names its square."""
     d = p.source.dim_bound
+    bound = min(budget.max_dim, d)
     try:
-        for n, k in cells:
-            unfilled = _unfilled(p, n, k, steps)
-            if not unfilled:
-                continue
-            i = boundary_inclusion(n, d) if k is None else horn_inclusion(n, k, d)
-            _, top, bottom = _first_square([p], [unfilled], i, n, k)
-            return Verdict.no(witness={tag: n if k is None else (n, k),
-                                       "square": SSetSquare(i=i, p=p, top=top,
-                                                            bottom=bottom)},
-                              checked_max_dim=bound)
+        for n, k in _cells(bound, horns):
+            miss = _first_miss([p], n, k, lambda: boundary_inclusion(n, d) if k is None
+                               else horn_inclusion(n, k, d), steps)
+            if miss is not None:
+                tag, cell = ("horn", (n, k)) if horns else ("boundary", n)
+                return Verdict.no(witness={tag: cell, "square": miss[1]}, checked_max_dim=bound)
     except BudgetExceeded:
         return Verdict.unknown(BUDGET, checked_max_dim=bound)
-    return Verdict.yes(witness=yes_witness, checked_max_dim=bound)
-
-
-def _kan_fibration(p: SSetMap, budget: Budget, steps: _Steps) -> Verdict:
-    """``is_kan_fibration`` with its joins charged to ``steps``, which a
-    caller may share between several maps."""
-    bound = min(budget.max_dim, p.source.dim_bound)
-    horns = [(n, k) for n in range(1, bound + 1) for k in range(n + 1)]
-    return _rlp_against_cells(p, horns, bound, "horn", {"all_horns_filled": True},
-                              steps)
+    return Verdict.yes(witness={"all_horns_filled": True} if horns
+                       else {"all_boundaries_lift": True}, checked_max_dim=bound)
 
 
 def is_kan_fibration(p: SSetMap, budget: Budget | None = None) -> Verdict:
     budget = budget or Budget()
-    return _kan_fibration(p, budget, _Steps(budget.max_steps))
+    return _rlp_against_cells(p, True, budget, _Steps(budget.max_steps))
 
 
 def is_acyclic_fibration_sset(p: SSetMap, budget: Budget | None = None) -> Verdict:
     budget = budget or Budget()
-    bound = min(budget.max_dim, p.source.dim_bound)
-    return _rlp_against_cells(p, [(n, None) for n in range(bound + 1)], bound,
-                              "boundary", {"all_boundaries_lift": True},
-                              _Steps(budget.max_steps))
+    return _rlp_against_cells(p, False, budget, _Steps(budget.max_steps))
 
 
 def unique_map_to_point(x: SimplicialSet) -> SSetMap:

@@ -37,43 +37,40 @@ def _dump(enc) -> str:
     return json.dumps(enc, separators=(",", ":"))
 
 
-def encode(obj):
+def encode(obj, known: dict):
     """A JSON-able canonical form of obj: containers by their items (sets
     and dicts sorted by the encoding of an item or key), dataclasses by
     their fields and ``__slots__`` objects by their public slots, each
-    tagged with its type name; an exception by its type and message."""
+    tagged with its type name; an exception by its type and message.
+    Simplicial sets and maps equal exactly when their public slots do, so
+    equal ones stand for one digest of their encoding, kept in ``known``."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, BaseException):
         return ["raised", type(obj).__name__, str(obj)]
     if isinstance(obj, (list, tuple)):
-        return ["list" if isinstance(obj, list) else "tuple", [encode(v) for v in obj]]
+        return ["list" if isinstance(obj, list) else "tuple", [encode(v, known) for v in obj]]
     if isinstance(obj, (set, frozenset)):
-        return ["set", sorted((encode(v) for v in obj), key=_dump)]
+        return ["set", sorted((encode(v, known) for v in obj), key=_dump)]
     if isinstance(obj, dict):
-        items = sorted(((_dump(encode(k)), encode(v)) for k, v in obj.items()),
+        items = sorted(((_dump(encode(k, known)), encode(v, known)) for k, v in obj.items()),
                        key=lambda item: item[0])
         return ["dict", [list(item) for item in items]]
     if isinstance(obj, (SimplicialSet, SSetMap)):
-        # these equal exactly when their public slots do: equal ones stand
-        # for the one digest of their encoding, made once
-        if obj not in _DIGESTS:
-            _DIGESTS[obj] = [type(obj).__name__, _hash(_encode_fields(obj))]
-        return _DIGESTS[obj]
-    return _encode_fields(obj)
+        if obj not in known:
+            known[obj] = [type(obj).__name__, _hash(_encode_fields(obj, known))]
+        return known[obj]
+    return _encode_fields(obj, known)
 
 
-_DIGESTS = {}
-
-
-def _encode_fields(obj):
+def _encode_fields(obj, known: dict):
     if dataclasses.is_dataclass(obj):
         names = [f.name for f in dataclasses.fields(obj)]
     else:
         names = [s for cls in type(obj).__mro__ for s in getattr(cls, "__slots__", ())]
         if not names:
             raise TypeError(f"no canonical form for {type(obj).__name__}")
-    return [type(obj).__name__, [[name, encode(getattr(obj, name))]
+    return [type(obj).__name__, [[name, encode(getattr(obj, name), known)]
                                  for name in names if not name.startswith("_")]]
 
 
@@ -81,12 +78,16 @@ def _hash(enc) -> str:
     return hashlib.sha256(_dump(enc).encode()).hexdigest()[:16]
 
 
-def digest(call) -> str:
-    try:
-        result = call()
-    except Exception as e:  # an input error is a result too
-        result = e
-    return _hash(encode(result))
+def digests() -> dict:
+    """Entry name -> the digest of the call's result, or of what it raised."""
+    out, known = {}, {}
+    for name, call in corpus().items():
+        try:
+            result = call()
+        except Exception as e:  # an input error is a result too
+            result = e
+        out[name] = _hash(encode(result, known))
+    return out
 
 
 def _sset_maps():
@@ -162,7 +163,8 @@ def corpus() -> dict:
             out[f"kan {name} {b}"] = lambda p=p, budget=budget: is_kan_fibration(p, budget)
             out[f"acyclic-sset {name} {b}"] = (
                 lambda p=p, budget=budget: is_acyclic_fibration_sset(p, budget))
-    for name, f in _functors().items():
+    functors = _functors()
+    for name, f in functors.items():
         for b, budget in BUDGETS.items():
             for check in (model.is_fibration, model.is_acyclic_fibration,
                           model.is_acyclic_fibration_by_rlp):
@@ -170,7 +172,7 @@ def corpus() -> dict:
                     lambda check=check, f=f, budget=budget: check(f, budget))
     for name in ("multi 2->3", "multi 1->3", "multi 4->6", "U D2 0->2", "U bd1 D2",
                  "x into codiscrete2"):
-        f = _functors()[name]
+        f = functors[name]
         for b, budget in BUDGETS.items():
             for gens in ("cofibrations", "acyclic_a1"):
                 make = getattr(model, f"generating_{gens}")
@@ -185,22 +187,21 @@ def corpus() -> dict:
 
 
 def test_encoding_is_canonical():
-    assert encode({3: {2, 1}, 1: (frozenset(), [None])}) == encode({1: (set(), [None]), 3: {1, 2}})
-    assert encode({1, 2}) == encode({2, 1}) and encode({"a": 1, "b": 2}) == encode({"b": 2, "a": 1})
-    assert encode((1, 2)) != encode([1, 2])
-    assert encode(ValueError("x")) == ["raised", "ValueError", "x"]
+    assert (encode({3: {2, 1}, 1: (frozenset(), [None])}, {})
+            == encode({1: (set(), [None]), 3: {1, 2}}, {}))
+    assert encode({"a": 1, "b": 2}, {}) == encode({"b": 2, "a": 1}, {})
+    assert encode((1, 2), {}) != encode([1, 2], {})
+    assert encode(ValueError("x"), {}) == ["raised", "ValueError", "x"]
     g = model.generating_cofibrations(0, 2)[0]
-    assert [name for name, _ in encode(g)[1]] == ["name", "dim", "cell", "dim_bound"]
+    assert [name for name, _ in encode(g, {})[1]] == ["name", "dim", "cell", "dim_bound"]
 
 
 def test_results_match_the_golden_digests():
-    want = json.loads(DATA.read_text())
-    got = {name: digest(call) for name, call in corpus().items()}
+    want, got = json.loads(DATA.read_text()), digests()
     assert sorted(got) == sorted(want)
     moved = [name for name in want if got[name] != want[name]]
     assert moved == []
 
 
 if __name__ == "__main__":
-    DATA.write_text(json.dumps({name: digest(call) for name, call in corpus().items()},
-                               indent=0, sort_keys=True) + "\n")
+    DATA.write_text(json.dumps(digests(), indent=0, sort_keys=True) + "\n")

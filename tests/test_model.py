@@ -3,12 +3,12 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sccat import model
+from sccat import model, ssetcheck
 from sccat.constructions_basic import (codiscrete_groupoid,
                                        inclusion_of_object, walking_arrow)
 from sccat.model import (
-    CellRecord, FactorResult, GeneratorMarking, LiftingProblem, LiftWitness,
-    RetractWitness, _first_unliftable_c2, _first_unliftable_cell,
+    CellRecord, FactorResult, GeneratorMap, GeneratorMarking, LiftingProblem, LiftWitness,
+    RetractWitness, _first_failure,
     c2_generator, coproduct_inclusion_functor,
     enumerate_problem_squares, factor_bounded, generating_acyclic_a1,
     generating_cofibrations, has_rlp_against_set, is_a2_candidate,
@@ -278,6 +278,23 @@ def test_dim_bound_mismatch_builds_nothing(monkeypatch):
     with pytest.raises(InputError, match="dim_bound mismatch"):
         factor_bounded(functor_U_map(horn_inclusion(2, 1, 2)),
                        generating_acyclic_a1(3, 3) + [c2_generator(3)], Budget(max_dim=3))
+    assert built == []
+
+
+@pytest.mark.parametrize("gens, message", [
+    (lambda: [Attachment.c2(D)], "Attachment is not a GeneratorMap"),
+    # a cell-less generator that is not C2, after a set that names a square
+    (lambda: generating_acyclic_a1(2, D) + [GeneratorMap("C3", 0, None, D,
+                                                         lambda g: Attachment.c2(D))],
+     "C3 is not A1, C1 or C2"),
+], ids=["attachment", "cell-less-not-c2"])
+def test_factor_bounded_checks_every_generator_before_any_is_built(monkeypatch, gens,
+                                                                   message):
+    gens = gens()
+    built = count_builds(monkeypatch)
+    with pytest.raises(InputError) as err:
+        factor_bounded(functor_U_map(horn_inclusion(2, 1, D)), gens, B)
+    assert type(err.value) is InputError and str(err.value) == message
     assert built == []
 
 
@@ -735,9 +752,9 @@ def test_factorization_of_multi_object_functors_equals_the_generic_search(data):
     # with a = a' only show here, as their pushouts overrun max_words
     for g in gens:
         v = has_rlp_against_set(f, [g])
-        named = (_first_unliftable_c2(f, g) if g.cell is None
-                 else _first_unliftable_cell(f, g, _Steps(10**9)))
-        assert named == (v.witness["square"] if v.is_no else None)
+        found = _first_failure(f, [g], _Steps(10**9))
+        assert (None if found is None else found[1]) == (v.witness["square"] if v.is_no
+                                                         else None)
 
 
 def test_join_reads_the_endomorphism_homs():
@@ -829,7 +846,7 @@ def test_route_b_max_steps_bounds_all_generators_together():
     per_gen = []
     for g in generating_cofibrations(D, D)[:-1]:
         steps = _Steps(10**9)
-        assert _first_unliftable_cell(f, g, steps) is None
+        assert _first_failure(f, [g], steps) is None
         per_gen.append(10**9 - steps.left)
     assert 0 < max(per_gen) < sum(per_gen)
     assert is_acyclic_fibration_by_rlp(f, Budget(max_steps=sum(per_gen))).is_yes
@@ -871,7 +888,7 @@ def test_factor_bounded_names_the_old_squares(monkeypatch, request, f, gens, bud
         calls.append(len(ps))
         return got
 
-    monkeypatch.setattr(model, "_first_square", first_square)
+    monkeypatch.setattr(ssetcheck, "_first_square", first_square)
     res = factor_bounded(f(), gens(), budget)
     # one square per cell but C2's, and one more for a square left unattached
     assert len(calls) == sum(c.generator != "C2" for c in res.cells) + (not res.complete)

@@ -1,13 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sccat import intmat
 from sccat.pi1 import (
     GroupPresentation, abelianization_invariants, coset_enumeration,
     edge_path_data, edge_path_presentation, free_reduce,
     fundamental_group_trivial, is_trivial_group,
 )
-from sccat.sset import (boundary, disjoint_union, horn, point,
-                        standard_simplex)
+from sccat.sset import (boundary, disjoint_union, from_simplicial_complex, horn, pi0,
+                        pi0_class_of, point, standard_simplex)
 from sccat.verdict import Budget
+from tests.test_homology import cycle, torus_facets
 from tests.test_sset import projective_plane
 
 
@@ -122,3 +125,42 @@ def test_edge_path_skips_two_simplices_of_other_components():
     assert hollow.component == (0, 1, 2)
     assert filled.presentation == P(["e10"], [(1,)])
     assert filled.component == (3, 4, 5)
+
+
+def dense_abelianization_invariants(p):
+    """The abelianization by the dense Smith normal form of the exponent-sum
+    matrix, generators as rows and relators as columns."""
+    mat = [[0] * len(p.relators) for _ in range(p.n_generators)]
+    for j, rel in enumerate(p.relators):
+        for letter in rel:
+            mat[abs(letter) - 1][j] += 1 if letter > 0 else -1
+    facs = intmat.smith_normal_form(mat).invariant_factors() if p.relators and mat else []
+    return p.n_generators - len(facs), sorted(d for d in facs if d != 1)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_abelianization_equals_the_dense_smith_normal_form(data):
+    n = data.draw(st.integers(0, 4))
+    letters = st.integers(1, n).flatmap(lambda g: st.sampled_from([g, -g])) if n else st.nothing()
+    rels = data.draw(st.lists(st.lists(letters, max_size=8).map(tuple), max_size=5 if n else 0))
+    pres = P([f"g{i}" for i in range(n)], rels)
+    assert abelianization_invariants(pres) == dense_abelianization_invariants(pres)
+
+
+def test_abelianization_of_relators_with_zero_exponent_sums():
+    # commutators vanish in the abelianization: Z^2, then Z + Z/2
+    assert abelianization_invariants(P(["a", "b"], [(1, 2, -1, -2)])) == (2, [])
+    assert abelianization_invariants(P(["a", "b"], [(1, 2, -1, -2), (2, 2)])) == (1, [2])
+
+
+PI1_SPACES = [boundary(2, 2), standard_simplex(2, 2), projective_plane(2), horn(3, 1, 3),
+              point(2), cycle(5, 2), from_simplicial_complex(torus_facets(), 2),
+              disjoint_union(boundary(2, 2), standard_simplex(2, 2))[0],
+              disjoint_union(point(2), cycle(4, 2))[0]]
+
+
+@pytest.mark.parametrize("x", PI1_SPACES, ids=range(len(PI1_SPACES)))
+def test_edge_path_component_is_the_pi0_component_of_the_base(x):
+    for base in range(x.size(0)):
+        assert edge_path_data(x, base).component == tuple(pi0(x)[pi0_class_of(x)[base]])

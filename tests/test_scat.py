@@ -267,6 +267,14 @@ def test_full_subcategory_all_objects_is_identity():
     assert validate_sfunctor(inc) == []
 
 
+@pytest.mark.parametrize("d", [0, 2, 3])
+def test_walking_arrow_is_u_of_the_point_on_one_point(d):
+    arrow = walking_arrow(d)
+    assert arrow == functor_U(point(d))
+    assert arrow.hom[(0, 0)] is arrow.hom[(1, 1)] is arrow.hom[(0, 1)]
+    assert arrow.hom[(1, 0)].size(0) == 0
+
+
 def test_full_subcategory_of_walking_arrow():
     sub, inc = full_subcategory(walking_arrow(D), [0])
     assert sub == singleton_cat(D, label="x")
@@ -693,3 +701,65 @@ def test_identity_towers_are_s0_applied_k_times(name):
                 assert towers[k][a] == cat.identity_tower(a, k) == cur
                 if k < cat.dim_bound:
                     cur = cat.hom[(a, a)].dims[k][cur].degens[0]
+
+
+# -- input errors ------------------------------------------------------------------
+
+def _pullback_of_identities(cat):
+    ident = identity_sfunctor(cat)
+    return pullback_scat(ident, ident)
+
+
+def _constant_on_z2():
+    """The functor Z/2 -> Z/2 sending every morphism to the unit: a cone
+    with the identity that does not commute over Z/2."""
+    z2 = z2_category(D)
+    const = SSetMap(z2.hom[(0, 0)], z2.hom[(0, 0)], [[0, 0]] * (D + 1))
+    return SFunctor(source=z2, target=z2, ob_map=(0,), hom_maps={(0, 0): const})
+
+
+SCAT_INPUT_ERRORS = {
+    "hom-dim_bound": (
+        lambda: SimplicialCategory(("x", "y"), {(0, 0): point(2), (1, 1): point(3)}, {}, (0, 0)),
+        InputError, "all hom complexes must share one dim_bound"),
+    "compose": (lambda: compose_sfunctors(identity_sfunctor(walking_arrow(D)),
+                                          identity_sfunctor(singleton_cat(D))),
+                InputError, "functors not composable"),
+    "full-subcategory": (lambda: full_subcategory(walking_arrow(D), [0, 2]),
+                         InputError, "unknown object in subcategory selection"),
+    "double-object": (lambda: double_object(walking_arrow(D), 2), InputError, "unknown object"),
+    "coproduct-empty": (lambda: coproduct([]), InputError,
+                        "coproduct needs at least one category"),
+    "coproduct-dim_bound": (lambda: coproduct([singleton_cat(2), singleton_cat(3)]),
+                            InputError, "dim_bound mismatch in coproduct"),
+    "pullback-target": (lambda: pullback_scat(identity_sfunctor(walking_arrow(D)),
+                                              identity_sfunctor(singleton_cat(D))),
+                        InputError, "pullback needs a common target"),
+    "pullback-dim_bound": (
+        lambda: pullback_scat(identity_sfunctor(singleton_cat(2)),
+                              SFunctor(source=singleton_cat(3), target=singleton_cat(2),
+                                       ob_map=(0,), hom_maps={})),
+        InputError, "dim_bound mismatch"),
+    "cone-source": (lambda: pullback_mediating(
+        *_pullback_of_identities(singleton_cat(D)), identity_sfunctor(singleton_cat(D)),
+        identity_sfunctor(walking_arrow(D))), InputError, "cone legs must share their source"),
+    # objects 0 and 1 of the walking arrow have no common preimage
+    "cone-objects": (lambda: pullback_mediating(
+        *pullback_scat(inclusion_of_object(walking_arrow(D), 0, singleton_cat(D)),
+                       inclusion_of_object(walking_arrow(D), 1, singleton_cat(D))),
+        identity_sfunctor(singleton_cat(D)), identity_sfunctor(singleton_cat(D))),
+        StructureError, "cone does not factor on objects"),
+    "cone-homs": (lambda: pullback_mediating(
+        *_pullback_of_identities(z2_category(D)), identity_sfunctor(z2_category(D)),
+        _constant_on_z2()), StructureError, "cone does not factor on homs"),
+    "homotopy-equivalence": (lambda: is_homotopy_equivalence(walking_arrow(D), 0, 1, 1),
+                             InputError, "not a 0-simplex of the stated hom"),
+}
+
+
+@pytest.mark.parametrize("case", SCAT_INPUT_ERRORS)
+def test_malformed_inputs_raise_with_their_message(case):
+    call, exc, message = SCAT_INPUT_ERRORS[case]
+    with pytest.raises(exc) as err:
+        call()
+    assert type(err.value) is exc and str(err.value) == message

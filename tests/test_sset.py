@@ -896,3 +896,31 @@ def test_memoized_results_are_shared(fn, x, args):
     # assert_chain_complex returns None: the product count in test_homology
     # shows that it is stored
     assert fn(x, *args) is fn(x, *args)
+
+
+# -- input errors ------------------------------------------------------------------
+
+INPUT_ERRORS = {
+    "levels": (lambda: SimplicialSet(2, [[]]), "dims must have dim_bound + 1 levels"),
+    "map-dim_bound": (lambda: SSetMap(point(2), point(3), [[0]] * 3),
+                      "source and target must share one dim_bound"),
+    "map-levels": (lambda: SSetMap(point(2), point(2), [[0]]),
+                   "assignment must cover every tracked dimension"),
+    "compose": (lambda: compose_maps(identity_map(point(2)), identity_map(boundary(1, 2))),
+                "maps not composable"),
+    "union": (lambda: disjoint_union(point(2), point(3)), "dim_bound mismatch"),
+    "pullback": (lambda: pullback_ssets(identity_map(point(2)),
+                                        identity_map(boundary(1, 2))),
+                 "pullback needs a common target"),
+    "attach-faces": (lambda: attach_nondeg(point(2), 1, [0]), "need k+1 faces"),
+    "attach-vertex": (lambda: attach_nondeg(point(2), 0, [0]), "0-simplices have no faces"),
+    "maps-dim_bound": (lambda: enumerate_sset_maps(point(2), point(3)), "dim_bound mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_malformed_inputs_raise_input_error_with_their_message(case):
+    call, message = INPUT_ERRORS[case]
+    with pytest.raises(InputError) as err:
+        call()
+    assert type(err.value) is InputError and str(err.value) == message

@@ -10,7 +10,7 @@ import sccat
 from sccat.constructions_basic import codiscrete_groupoid, walking_arrow
 from sccat.model import generating_cofibrations
 from sccat.scat import (compose_sfunctors, coproduct, functor_U,
-                        functor_U_map, identity_sfunctor, singleton_cat,
+                        functor_U_map, identity_sfunctor, singleton_cat, u_functor,
                         validate_scat, validate_sfunctor)
 from sccat.sset import (SSetMap, _from_keys, boundary, boundary_inclusion, empty_sset,
                         enumerate_sset_maps, horn_inclusion, identity_map,
@@ -512,3 +512,75 @@ def test_u_of_a_map_shares_one_point():
     assert m.target is functor_U(m.hom_maps[(0, 1)].target)
     pt = m.target.hom[(0, 0)]
     assert all(cat.hom[(o, o)] is pt for cat in (m.source, m.target) for o in (0, 1))
+
+
+# -- input errors ------------------------------------------------------------------
+
+def _non_injective_attachment():
+    """U of the collapse of the boundary of Delta[1] onto the point, tagged as
+    an attachment, glued by the identity of its source."""
+    inc = functor_U_map(SSetMap(boundary(1, D), point(D), [[0, 0]] * (D + 1)))
+    att = Attachment(kind="usset", A=inc.source, F=inc.target, inc=inc)
+    return pushout_generating(inc.source, att, identity_sfunctor(inc.source), B)
+
+
+def _c2_pushout():
+    """The pushout of C2 along the empty functor into a point."""
+    att, base = Attachment.c2(D), singleton_cat(D)
+    return pushout_generating(base, att, glue_for_c2(att, base), B)
+
+
+def _cocone_off_the_span():
+    """A cell U(empty -> pt) glued onto x -> y of the walking arrow, with a
+    cocone that sends the cell's y to x: the legs disagree on the span."""
+    att, arrow = point_attachment(), walking_arrow(D)
+    empty = SSetMap(empty_sset(D), arrow.hom[(0, 1)], [[] for _ in range(D + 1)])
+    res = pushout_generating(arrow, att, glue_for_u(att, arrow, 0, 1, empty), B)
+    cell_to_x = u_functor(att.F, arrow, 0, 0, identity_map(point(D)))
+    return pushout_mediating(res, identity_sfunctor(arrow), cell_to_x)
+
+
+WORDS_INPUT_ERRORS = {
+    "non-mono": (lambda: Attachment.from_sset_mono(SSetMap(boundary(1, D), point(D),
+                                                           [[0, 0]] * (D + 1))),
+                 "attachment needs a monomorphism of simplicial sets"),
+    "a2-objects": (lambda: Attachment.a2(singleton_cat(D)),
+                   "an A2 attachment target has exactly two objects"),
+    "glue-source": (lambda: pushout_generating(walking_arrow(D), Attachment.c2(D),
+                                               identity_sfunctor(walking_arrow(D))),
+                    "glue must start at the attachment source"),
+    "glue-target": (lambda: pushout_generating(singleton_cat(D), Attachment.c2(D),
+                                               glue_for_c2(Attachment.c2(D), walking_arrow(D))),
+                    "glue must land in the base category"),
+    "glue-dim_bound": (lambda: pushout_generating(singleton_cat(D), Attachment.c2(D + 1),
+                                                  glue_for_c2(Attachment.c2(D + 1),
+                                                              singleton_cat(D))),
+                       "dim_bound mismatch between base and attachment"),
+    "non-injective": (_non_injective_attachment, "attachment inclusion is not injective"),
+    "glue-c2-kind": (lambda: glue_for_c2(point_attachment(), walking_arrow(D)),
+                     "glue_for_c2 needs a c2 attachment"),
+    "glue-object-kind": (lambda: glue_at_object(Attachment.c2(D), walking_arrow(D), 0),
+                         "glue_at_object needs an a2 attachment"),
+    "glue-u-kind": (lambda: glue_for_u(Attachment.c2(D), walking_arrow(D), 0, 1,
+                                       identity_map(point(D))),
+                    "glue_for_u needs a U(mono) attachment"),
+    "glue-u-hom": (lambda: glue_for_u(point_attachment(), walking_arrow(D), 0, 1,
+                                      identity_map(point(D))),
+                   "hom_map must send Hom(x, y) of the source into Hom(gx, gy) of the base"),
+    "cocone-base": (lambda: pushout_mediating(_c2_pushout(), identity_sfunctor(walking_arrow(D)),
+                                              identity_sfunctor(singleton_cat(D))),
+                    "cocone leg must start at the base category"),
+    "cocone-attached": (lambda: pushout_mediating(_c2_pushout(),
+                                                  identity_sfunctor(singleton_cat(D)),
+                                                  identity_sfunctor(walking_arrow(D))),
+                        "cocone leg must start at the attached category"),
+    "cocone-span": (_cocone_off_the_span, "cocone does not commute with the attachment span"),
+}
+
+
+@pytest.mark.parametrize("case", WORDS_INPUT_ERRORS)
+def test_malformed_inputs_raise_input_error_with_their_message(case):
+    call, message = WORDS_INPUT_ERRORS[case]
+    with pytest.raises(InputError) as err:
+        call()
+    assert type(err.value) is InputError and str(err.value) == message
