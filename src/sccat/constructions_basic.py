@@ -5,9 +5,8 @@ without import cycles.
 """
 from __future__ import annotations
 
-from .scat import SFunctor, SimplicialCategory, _u_on, _unit_map, build_compose
+from .scat import SFunctor, SimplicialCategory, _category, _u_on, _unit_map, build_compose
 from .sset import _check_natural, point
-from .verdict import InputError
 
 
 def walking_arrow(dim_bound: int = 4) -> SimplicialCategory:
@@ -24,16 +23,13 @@ def codiscrete_groupoid(n_objects: int, dim_bound: int = 4) -> SimplicialCategor
     identities = (0,) * n_objects
     compose = build_compose(n_objects, homs, dim_bound,
                             lambda k, a, b, c, g, f: 0, identities)
-    return SimplicialCategory(
-        objects=tuple(("x", "y", "z")[i] if n_objects <= 3 else f"x{i}"
-                      for i in range(n_objects)),
-        hom=homs, compose=compose, identities=identities)
+    return _category(tuple(("x", "y", "z")[i] if n_objects <= 3 else f"x{i}"
+                           for i in range(n_objects)), homs, compose, identities, dim_bound)
 
 
 def inclusion_of_object(cat: SimplicialCategory, a: int,
                         singleton) -> SFunctor:
     """The functor from the one-object category onto the object a."""
-    if not 0 <= a < cat.n_objects():
-        raise InputError("unknown object")
+    _check_natural("a", a, 0, cat.n_objects() - 1, "unknown object")
     return SFunctor(source=singleton, target=cat, ob_map=(a,),
                     hom_maps={(0, 0): _unit_map(singleton.hom[(0, 0)], cat, a)})

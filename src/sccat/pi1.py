@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intmat
-from .sset import SimplicialSet, _UnionFind
+from .sset import SimplicialSet, _UnionFind, _check_natural
 from .verdict import Budget, BudgetExceeded, InputError, UNDECIDED_GROUP, Verdict
 
 # A word is a tuple of nonzero ints: +g means generator g-1, -g its inverse.
@@ -216,8 +216,7 @@ class EdgePathData:
 
 
 def edge_path_data(x: SimplicialSet, base: int) -> EdgePathData:
-    if not (0 <= base < x.size(0)):
-        raise InputError("base vertex out of range")
+    _check_natural("base", base, 0, x.size(0) - 1, "base vertex out of range")
     edges = []
     if x.dim_bound >= 1:
         edges = [(idx, x.dims[1][idx].faces[1], x.dims[1][idx].faces[0])

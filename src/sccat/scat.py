@@ -10,9 +10,11 @@ before the category exists.
 
 Composition tables are indexed ``compose[(a, b, c)][k][g][f]`` = index of
 g after f in Hom(a, c)_k, for f in Hom(a, b)_k and g in Hom(b, c)_k.
-``build_compose`` fills every entry with an identity-tower factor by the
-unit law and asks a construction's rule only for the others; in U(X)
-every composite is such a unit composite.
+Their canonical form: every object triple is a key, every level a tuple of
+row tuples, and a level where Hom(a, b)_k or Hom(b, c)_k is empty is ().
+``build_compose`` makes them so, filling every entry with an identity-tower
+factor by the unit law and asking a construction's rule only for the
+others (in U(X) every composite is such a unit composite).
 
 Functors carry an object map plus one simplicial map per hom pair.
 Validation is dimension by dimension, through ``cat``: dimension k is an
@@ -40,13 +42,22 @@ from .verdict import InputError, StructureError
 
 
 class SimplicialCategory:
+    """The public constructor is for hand-built data: it checks the keys
+    and dim_bound, gives every missing hom one empty set, and stores the
+    tables in the canonical form of ``build_compose``, a missing triple
+    with composable pairs left out for ``validate_scat`` to name.  Library
+    builders make canonical data and store it through ``_category``, with
+    no check; they hand this constructor nothing."""
     __slots__ = ("objects", "hom", "compose", "identities", "dim_bound", "_cache")
 
-    def __init__(self, objects, hom, compose, identities, dim_bound=None):
-        self.objects = tuple(objects)
-        self.hom = dict(hom)
-        n = len(self.objects)
-        bounds = {h.dim_bound for h in self.hom.values()}
+    def __init__(self, objects, hom, compose, identities, dim_bound: int | None = None):
+        objects, hom = tuple(objects), dict(hom)
+        n = len(objects)
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        triples = [(a, b, c) for a, b in pairs for c in range(n)]
+        if not (hom.keys() <= set(pairs) and compose.keys() <= set(triples)):
+            raise InputError("hom and compose keys must be pairs and triples of objects")
+        bounds = {h.dim_bound for h in hom.values()}
         if dim_bound is None:
             if not bounds:
                 raise InputError("dim_bound required for a category with no homs")
@@ -54,33 +65,22 @@ class SimplicialCategory:
         _check_natural("dim_bound", dim_bound)
         if bounds - {dim_bound}:
             raise InputError("all hom complexes must share one dim_bound")
-        self.dim_bound = dim_bound
-        missing = [(a, b) for a in range(n) for b in range(n) if (a, b) not in self.hom]
+        missing = [p for p in pairs if p not in hom]
         if missing:
-            self.hom.update(dict.fromkeys(missing, empty_sset(dim_bound)))
-        # canonicalize: a dimension with no composable pairs stores ()
-        self.compose = {}
-        for key, levels in compose.items():
-            a, b, c = key
-            out = []
-            for k in range(dim_bound + 1):
-                lvl = levels[k] if k < len(levels) else ()
-                if self.hom[(a, b)].size(k) and self.hom[(b, c)].size(k):
-                    out.append(tuple(map(tuple, lvl)))
-                else:
-                    out.append(())
-            self.compose[key] = tuple(out)
-        empty_levels = tuple(() for _ in range(dim_bound + 1))
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if (a, b, c) not in self.compose:
-                        hf, hg = self.hom[(a, b)], self.hom[(b, c)]
-                        if all(not (hf.size(k) and hg.size(k))
-                               for k in range(dim_bound + 1)):
-                            self.compose[(a, b, c)] = empty_levels
-        self.identities = tuple(identities)
-        self._cache = {}
+            hom.update(dict.fromkeys(missing, empty_sset(dim_bound)))
+        tables = {}
+        for t in triples:
+            live = [hom[t[:2]].size(k) and hom[t[1:]].size(k) for k in range(dim_bound + 1)]
+            if t in compose or not any(live):
+                levels = compose.get(t, ())
+                tables[t] = tuple(tuple(map(tuple, levels[k])) if live[k] and k < len(levels)
+                                  else () for k in range(dim_bound + 1))
+        self._store(objects, hom, tables, tuple(identities), dim_bound)
+
+    def _store(self, objects, hom, compose, identities, dim_bound):
+        self.objects, self.hom, self.compose = objects, hom, compose
+        self.identities, self.dim_bound, self._cache = identities, dim_bound, {}
+        return self
 
     # -- accessors -----------------------------------------------------------
     def n_objects(self) -> int:
@@ -119,6 +119,12 @@ class SimplicialCategory:
                 f"dim_bound={self.dim_bound})")
 
 
+def _category(objects, hom, compose, identities, dim_bound) -> SimplicialCategory:
+    """Canonical data (see ``build_compose``), every hom pair a key, stored as given."""
+    return SimplicialCategory.__new__(SimplicialCategory)._store(
+        objects, hom, compose, identities, dim_bound)
+
+
 def _identity_towers(homs: dict, identities, dim_bound: int) -> list:
     """[k][a]: s_0 applied k times to the marked 0-simplex identities[a]."""
     towers = [tuple(identities)]
@@ -128,13 +134,16 @@ def _identity_towers(homs: dict, identities, dim_bound: int) -> list:
 
 
 def build_compose(n_objects: int, homs: dict, dim_bound: int, rule, identities) -> dict:
-    """Composition tables from the marked identity 0-simplices and a
-    rule(k, a, b, c, g, f) -> index.
+    """Composition tables in canonical form from the marked identity
+    0-simplices and a rule(k, a, b, c, g, f) -> index: every object triple
+    is a key, and a level where Hom(a, b)_k or Hom(b, c)_k is empty is ().
 
     The unit law fills every entry with an identity-tower factor: g after
     the identity of a is g, the identity of c after f is f.  ``rule`` is
     asked only for the other entries, and may be None when there are none
     (as in U(X))."""
+    _check_natural("n_objects", n_objects)
+    _check_natural("dim_bound", dim_bound)
     ids = _identity_towers(homs, identities, dim_bound)
     compose = {}
     for a in range(n_objects):
@@ -143,10 +152,10 @@ def build_compose(n_objects: int, homs: dict, dim_bound: int, rule, identities) 
                 levels = []
                 for k in range(dim_bound + 1):
                     nf, ng = homs[(a, b)].size(k), homs[(b, c)].size(k)
-                    if a == b and nf == 1:      # f is the identity tower
+                    if not (nf and ng):
+                        levels.append(())
+                    elif a == b and nf == 1:    # f is the identity tower
                         levels.append(tuple(zip(range(ng))))
-                    elif not nf:
-                        levels.append(((),) * ng)
                     else:
                         id_f = ids[k][a] if a == b else -1
                         id_g = ids[k][b] if b == c else -1
@@ -287,16 +296,14 @@ def compose_sfunctors(G: SFunctor, F: SFunctor) -> SFunctor:
 # basic constructions
 
 def empty_cat(dim_bound: int = 4) -> SimplicialCategory:
-    return SimplicialCategory(objects=(), hom={}, compose={}, identities=(),
-                              dim_bound=dim_bound)
+    _check_natural("dim_bound", dim_bound)
+    return _category((), {}, {}, (), dim_bound)
 
 
 def singleton_cat(dim_bound: int = 4, label: str = "x") -> SimplicialCategory:
     pt = point(dim_bound)
-    return SimplicialCategory(
-        objects=(label,), hom={(0, 0): pt},
-        compose={(0, 0, 0): tuple(((0,),) for _ in range(dim_bound + 1))},
-        identities=(0,))
+    return _category((label,), {(0, 0): pt},
+                     {(0, 0, 0): tuple(((0,),) for _ in range(dim_bound + 1))}, (0,), dim_bound)
 
 
 def _u_on(x: SimplicialSet, pt: SimplicialSet) -> SimplicialCategory:
@@ -304,9 +311,7 @@ def _u_on(x: SimplicialSet, pt: SimplicialSet) -> SimplicialCategory:
     bound = x.dim_bound
     homs = {(0, 0): pt, (1, 1): pt, (0, 1): x, (1, 0): empty_sset(bound)}
     # every composite has an identity factor: the unit law fills all tables
-    return SimplicialCategory(objects=("x", "y"), hom=homs,
-                              compose=build_compose(2, homs, bound, None, (0, 0)),
-                              identities=(0, 0))
+    return _category(("x", "y"), homs, build_compose(2, homs, bound, None, (0, 0)), (0, 0), bound)
 
 
 @memo
@@ -333,6 +338,8 @@ def u_functor(u_cat: SimplicialCategory, target: SimplicialCategory, gx: int,
               gy: int, hom_map: SSetMap) -> SFunctor:
     """The functor from u_cat = U(X) (or a category of its shape) to the
     target sending x, y to gx, gy and X = Hom(x, y) by hom_map."""
+    for g in (gx, gy):
+        _check_natural("object", g, 0, target.n_objects() - 1, "unknown object")
     obs = (gx, gy)
     hom_maps = {(o, o): _unit_map(u_cat.hom[(o, o)], target, g) for o, g in enumerate(obs)}
     hom_maps[(0, 1)] = hom_map
@@ -354,16 +361,16 @@ def _on_objects(parts: list, labels: tuple, dim_bound: int) -> SimplicialCategor
             homs[(i, j)] = c.hom[(x, y)] if p == q else empty
             for k, (r, _, z) in enumerate(parts):
                 compose[(i, j, k)] = c.compose[(x, y, z)] if p == q == r else empty_levels
-    return SimplicialCategory(objects=labels, hom=homs, compose=compose,
-                              identities=tuple(c.identities[x] for _, c, x in parts),
-                              dim_bound=dim_bound)
+    return _category(labels, homs, compose, tuple(c.identities[x] for _, c, x in parts),
+                     dim_bound)
 
 
 def full_subcategory(cat: SimplicialCategory, objs) -> tuple:
     """(subcategory, inclusion functor); objs by index, order preserved."""
     objs = list(objs)
-    if any(not (0 <= o < cat.n_objects()) for o in objs):
-        raise InputError("unknown object in subcategory selection")
+    for o in objs:
+        _check_natural("object", o, 0, cat.n_objects() - 1,
+                       "unknown object in subcategory selection")
     sub = _on_objects([(0, cat, o) for o in objs], tuple(cat.objects[o] for o in objs),
                       cat.dim_bound)
     return sub, _identity_on_homs(sub, cat, objs)
@@ -372,8 +379,7 @@ def full_subcategory(cat: SimplicialCategory, objs) -> tuple:
 def double_object(cat: SimplicialCategory, a: int) -> tuple:
     """(E', collapse) where E' has two objects a, a' and every hom equal to
     Hom(a, a); the collapse sends both to a and is the identity on homs."""
-    if not (0 <= a < cat.n_objects()):
-        raise InputError("unknown object")
+    _check_natural("a", a, 0, cat.n_objects() - 1, "unknown object")
     label = cat.objects[a]
     e = _on_objects([(0, cat, a), (0, cat, a)], (label, f"{label}'"), cat.dim_bound)
     return e, _identity_on_homs(e, cat, (a, a))
@@ -438,9 +444,8 @@ def pullback_scat(f: SFunctor, h: SFunctor) -> tuple:
     identities = tuple(pair_idx[(i, i)][0][(B.identities[b], C.identities[c])]
                        for i, (b, c) in enumerate(obj_pairs))
     compose = build_compose(len(obj_pairs), homs, bound, rule, identities)
-    P = SimplicialCategory(
-        objects=tuple(f"({B.objects[b]},{C.objects[c]})" for (b, c) in obj_pairs),
-        hom=homs, compose=compose, identities=identities, dim_bound=bound)
+    P = _category(tuple(f"({B.objects[b]},{C.objects[c]})" for (b, c) in obj_pairs),
+                  homs, compose, identities, bound)
     pr_B = SFunctor(source=P, target=B,
                     ob_map=tuple(b for (b, c) in obj_pairs),
                     hom_maps={(i, j): proj_b[(i, j)]
@@ -543,10 +548,9 @@ def is_homotopy_equivalence(cat: SimplicialCategory, a: int, b: int,
                             e: int) -> bool:
     """Whether the 0-simplex e of Hom(a, b) becomes an isomorphism in the
     component category."""
-    if not (0 <= a < cat.n_objects() and 0 <= b < cat.n_objects()):
-        raise InputError("unknown object")
-    if not (0 <= e < cat.hom[(a, b)].size(0)):
-        raise InputError("not a 0-simplex of the stated hom")
+    for v in (a, b):
+        _check_natural("object", v, 0, cat.n_objects() - 1, "unknown object")
+    _check_natural("e", e, 0, cat.hom[(a, b)].size(0) - 1, "not a 0-simplex of the stated hom")
     fc, classes = pi0_data(cat)
     cls = pi0_class_of(cat.hom[(a, b)])[e]
     ok, _ = is_isomorphism(fc, a, b, cls)

@@ -53,10 +53,12 @@ def memo(fn):
     return cached
 
 
-def _check_natural(name: str, v, low: int = 0, high: float = float("inf")) -> None:
-    """InputError naming the argument unless v is an int (a bool is not) in low..high."""
+def _check_natural(name: str, v, low: int = 0, high: float = float("inf"),
+                   message: str | None = None) -> None:
+    """InputError, with ``message`` or one naming the argument, unless v is
+    an int (a bool is not) in low..high."""
     if type(v) is not int or not low <= v <= high:
-        raise InputError(f"{name} must be an int in {low}..{high}, got {v!r}")
+        raise InputError(message or f"{name} must be an int in {low}..{high}, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +70,7 @@ def _check_natural(name: str, v, low: int = 0, high: float = float("inf")) -> No
 
 def word_after_degeneracy(word: tuple, j: int) -> tuple:
     """Normal form of s_j composed after the normal word s_word."""
+    _check_natural("j", j)
     out = []
     i = 0
     while i < len(word) and j <= word[i]:
@@ -109,6 +112,8 @@ def degeneracy_words(base_dim: int, length: int) -> list:
     strictly decreasing length-tuples over 0..base_dim + length - 1, returned
     in lexicographic order.
     """
+    _check_natural("base_dim", base_dim)
+    _check_natural("length", length)
     return sorted(c[::-1] for c in itertools.combinations(range(base_dim + length), length))
 
 
@@ -215,6 +220,7 @@ def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> l
     no constructor makes records: each one hands its keyed tables to
     ``_from_keys``, which calls this.
     """
+    _check_natural("dim_bound", dim_bound)
     dims, after = [], {}
     bases = words = ()
     record = functools.partial(tuple.__new__, Simplex)   # Simplex._make, in C

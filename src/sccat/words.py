@@ -46,9 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions_basic import inclusion_of_object
-from .scat import (SFunctor, SimplicialCategory, build_compose, compose_sfunctors,
+from .scat import (SFunctor, SimplicialCategory, _category, build_compose, compose_sfunctors,
                    empty_cat, functor_U_map, singleton_cat, u_functor)
-from .sset import SSetMap, _from_keys
+from .sset import SSetMap, _check_natural, _from_keys
 from .verdict import Budget, BudgetExceeded, InputError, _Steps
 
 # letters: ("C", a, b, idx) with C-object endpoints, or ("F", u, v, idx)
@@ -83,6 +83,7 @@ class Attachment:
     def a2(h: SimplicialCategory, x_index: int = 0, label: str = "a2") -> "Attachment":
         if h.n_objects() != 2:
             raise InputError("an A2 attachment target has exactly two objects")
+        _check_natural("x_index", x_index, 0, 1)
         a = singleton_cat(h.dim_bound, label=str(h.objects[x_index]))
         inc = inclusion_of_object(h, x_index, a)
         return Attachment(kind="a2", A=a, F=h, inc=inc, label=label)
@@ -287,9 +288,7 @@ class _WordEngine:
         for u in self.new_objects:
             lbl = str(self.F.objects[u])
             labels.append(lbl if lbl not in labels else f"{lbl}+")
-        D = SimplicialCategory(objects=tuple(labels), hom=homs,
-                               compose=compose, identities=identities,
-                               dim_bound=bound)
+        D = _category(tuple(labels), homs, compose, identities, bound)
 
         inc_base = SFunctor(
             source=self.C, target=D,
@@ -347,12 +346,11 @@ def glue_for_u(attachment: Attachment, base: SimplicialCategory, gx: int,
     Hom(gx, gy) by the given simplicial map."""
     if attachment.kind != "usset":
         raise InputError("glue_for_u needs a U(mono) attachment")
-    if not (0 <= gx < base.n_objects() and 0 <= gy < base.n_objects()):
-        raise InputError("unknown object")
+    glue = u_functor(attachment.A, base, gx, gy, hom_map)    # checks gx and gy
     if hom_map.source != attachment.A.hom[(0, 1)] or hom_map.target != base.hom[(gx, gy)]:
         raise InputError("hom_map must send Hom(x, y) of the source into "
                          "Hom(gx, gy) of the base")
-    return u_functor(attachment.A, base, gx, gy, hom_map)
+    return glue
 
 
 def pushout_mediating(result: PushoutResult, to_base: SFunctor,

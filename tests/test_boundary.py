@@ -1,0 +1,179 @@
+"""The public boundary: every int slot of a public function rejects what is
+not an int in range with InputError (a ValueError), never with an error
+that leaks from inside, and never by returning.
+
+The sweep covers the public functions and constructors of ``sset``,
+``scat`` and ``constructions_basic``, the generating sets of ``model`` and
+the fields of ``Budget``.  Methods of built objects (``size``, ``face``,
+``comp``, ...) index data that is already checked and are not swept.
+"""
+import inspect
+import re
+
+import pytest
+
+from sccat import constructions_basic, model, scat, sset, verdict
+from sccat.constructions_basic import codiscrete_groupoid, inclusion_of_object, walking_arrow
+from sccat.model import c2_generator, generating_acyclic_a1, generating_cofibrations
+from sccat.pi1 import edge_path_data
+from sccat.scat import (SimplicialCategory, build_compose, double_object, empty_cat,
+                        full_subcategory, functor_U_map, is_homotopy_equivalence,
+                        singleton_cat, u_functor)
+from sccat.sset import (SimplicialSet, attach_nondeg, boundary, boundary_inclusion,
+                        degeneracy_words, derive_records, empty_sset, from_nondegenerate,
+                        from_simplex_tuples, from_simplicial_complex, horn, horn_inclusion,
+                        point, standard_simplex, word_after_degeneracy)
+from sccat.verdict import Budget, InputError
+from sccat.words import Attachment
+
+D = 2
+VALUES = [2.0, True, -1, None, "a"]
+
+
+def _records_of_a_point():
+    pt = point(D)
+    return ([[s.faces for s in level] for level in pt.dims],
+            [[s.degens for s in level] for level in pt.dims[:D]])
+
+
+def _u_functor(gx, gy):
+    g = functor_U_map(horn_inclusion(2, 1, D))
+    return u_functor(g.source, g.target, gx, gy, g.hom_maps[(0, 1)])
+
+
+def _is_homotopy_equivalence(a=0, b=0, e=0):
+    return is_homotopy_equivalence(codiscrete_groupoid(2, D), a, b, e)
+
+
+# "module.name" -> {int slot: the call with the value put in that slot, every
+# other argument valid}
+SWEEP = {
+    "sset.word_after_degeneracy": {"j": lambda v: word_after_degeneracy((1,), v)},
+    "sset.degeneracy_words": {"base_dim": lambda v: degeneracy_words(v, 1),
+                              "length": lambda v: degeneracy_words(1, v)},
+    "sset.SimplicialSet": {"dim_bound": lambda v: SimplicialSet(v, point(D).dims)},
+    "sset.derive_records": {"dim_bound": lambda v: derive_records(v, *_records_of_a_point())},
+    "sset.from_nondegenerate": {"dim_bound": lambda v: from_nondegenerate(v, [[[]]])},
+    "sset.from_simplex_tuples": {"dim_bound": lambda v: from_simplex_tuples(v, [(0,)])},
+    "sset.standard_simplex": {"n": lambda v: standard_simplex(v, D),
+                              "dim_bound": lambda v: standard_simplex(1, v)},
+    "sset.boundary": {"n": lambda v: boundary(v, D), "dim_bound": lambda v: boundary(1, v)},
+    "sset.horn": {"n": lambda v: horn(v, 0, D), "k": lambda v: horn(2, v, D),
+                  "dim_bound": lambda v: horn(2, 0, v)},
+    "sset.point": {"dim_bound": point},
+    "sset.empty_sset": {"dim_bound": empty_sset},
+    "sset.from_simplicial_complex": {
+        "dim_bound": lambda v: from_simplicial_complex([(0, 1)], v)},
+    "sset.attach_nondeg": {"k": lambda v: attach_nondeg(point(D), v, [])},
+    "sset.boundary_inclusion": {"n": lambda v: boundary_inclusion(v, D),
+                                "dim_bound": lambda v: boundary_inclusion(1, v)},
+    "sset.horn_inclusion": {"n": lambda v: horn_inclusion(v, 0, D),
+                            "k": lambda v: horn_inclusion(2, v, D),
+                            "dim_bound": lambda v: horn_inclusion(2, 0, v)},
+    # dim_bound=None is read off the homs, so the sweep gives no homs
+    "scat.SimplicialCategory": {
+        "dim_bound": lambda v: SimplicialCategory((), {}, {}, (), dim_bound=v)},
+    "scat.build_compose": {
+        "n_objects": lambda v: build_compose(v, {(0, 0): point(D)}, D, None, (0,)),
+        "dim_bound": lambda v: build_compose(1, {(0, 0): point(D)}, v, None, (0,))},
+    "scat.empty_cat": {"dim_bound": empty_cat},
+    "scat.singleton_cat": {"dim_bound": singleton_cat},
+    "scat.u_functor": {"gx": lambda v: _u_functor(v, 1), "gy": lambda v: _u_functor(0, v)},
+    "scat.full_subcategory": {"objs": lambda v: full_subcategory(walking_arrow(D), [0, v])},
+    "scat.double_object": {"a": lambda v: double_object(walking_arrow(D), v)},
+    "scat.is_homotopy_equivalence": {"a": lambda v: _is_homotopy_equivalence(a=v),
+                                     "b": lambda v: _is_homotopy_equivalence(b=v),
+                                     "e": lambda v: _is_homotopy_equivalence(e=v)},
+    "constructions_basic.walking_arrow": {"dim_bound": walking_arrow},
+    "constructions_basic.codiscrete_groupoid": {
+        "n_objects": lambda v: codiscrete_groupoid(v, D),
+        "dim_bound": lambda v: codiscrete_groupoid(2, v)},
+    "constructions_basic.inclusion_of_object": {
+        "a": lambda v: inclusion_of_object(walking_arrow(D), v, singleton_cat(D))},
+    "model.c2_generator": {"dim_bound": c2_generator},
+    "model.generating_cofibrations": {"n_max": lambda v: generating_cofibrations(v, D),
+                                      "dim_bound": lambda v: generating_cofibrations(1, v)},
+    "model.generating_acyclic_a1": {"n_max": lambda v: generating_acyclic_a1(v, D),
+                                    "dim_bound": lambda v: generating_acyclic_a1(1, v)},
+    "verdict.Budget": {"max_dim": lambda v: Budget(max_dim=v),
+                       "max_words": lambda v: Budget(max_words=v),
+                       "max_steps": lambda v: Budget(max_steps=v)},
+}
+
+# the swept modules, and for model only its generating sets
+SCOPE = {sset: None, scat: None, constructions_basic: None,
+         model: {"c2_generator", "generating_cofibrations", "generating_acyclic_a1"},
+         verdict: {"Budget"}}
+# a record type: a plain tuple that only sset.derive_records makes
+NOT_SWEPT = {"sset.Simplex"}
+
+
+@pytest.mark.parametrize("slot", [(name, arg) for name, slots in SWEEP.items()
+                                  for arg in slots], ids="-".join)
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+def test_every_int_slot_raises_input_or_value_error(slot, value):
+    name, arg = slot
+    try:
+        out = SWEEP[name][arg](value)
+    except ValueError:      # InputError included
+        return
+    pytest.fail(f"{name}({arg}={value!r}) returned {out!r}")
+
+
+def _int_slots(module, names):
+    """("module.name", parameter) for each public function or class of the
+    module (of ``names`` only, when given) with a parameter annotated int."""
+    short = module.__name__.rsplit(".", 1)[1]
+    for name, obj in vars(module).items():
+        if (name.startswith("_") or getattr(obj, "__module__", None) != module.__name__
+                or not callable(obj) or (names is not None and name not in names)):
+            continue
+        for p in inspect.signature(obj).parameters.values():
+            if re.search(r"\bint\b", str(p.annotation)):
+                yield f"{short}.{name}", p.name
+
+
+def test_the_sweep_covers_every_public_int_slot():
+    found = {slot for module, names in SCOPE.items() for slot in _int_slots(module, names)
+             if slot[0] not in NOT_SWEPT}
+    swept = {(name, arg) for name, slots in SWEEP.items() for arg in slots}
+    assert found - swept == set()
+    # and names no function that has gone
+    modules = {m.__name__.rsplit(".", 1)[1]: m for m in SCOPE}
+    assert all(callable(getattr(modules[name.split(".")[0]], name.split(".")[1], None))
+               for name in SWEEP)
+
+
+# -- object-index slots ------------------------------------------------------------
+
+def _a2_attachment(x_index):
+    return Attachment.a2(codiscrete_groupoid(2, D), x_index)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: full_subcategory(c, [True]),
+    lambda c: double_object(c, True),
+    lambda c: double_object(c, 1.0),
+    lambda c: inclusion_of_object(c, True, singleton_cat(D)),
+    lambda c: inclusion_of_object(c, 1.0, singleton_cat(D)),
+    lambda c: _a2_attachment(True),
+    lambda c: is_homotopy_equivalence(c, 0, 0, 0.0),
+    lambda c: edge_path_data(boundary(1, D), True),
+    lambda c: edge_path_data(boundary(1, D), 0.0),
+], ids=["full_subcategory-True", "double_object-True", "double_object-1.0",
+        "inclusion_of_object-True", "inclusion_of_object-1.0", "a2-True",
+        "is_homotopy_equivalence-0.0", "edge_path_data-True", "edge_path_data-0.0"])
+def test_object_index_slots_take_only_ints(call):
+    with pytest.raises(InputError):
+        call(codiscrete_groupoid(2, D))
+
+
+# -- the public constructor's keys ---------------------------------------------------
+
+@pytest.mark.parametrize("hom, compose", [
+    ({(0, 0): point(D)}, {(0, 0, 5): ()}),
+    ({(0, 0): point(D), (3, 3): point(D)}, {}),
+], ids=["compose-triple", "hom-pair"])
+def test_the_public_constructor_rejects_keys_of_unknown_objects(hom, compose):
+    with pytest.raises(InputError, match="keys must be pairs and triples of objects"):
+        SimplicialCategory(("x",), hom, compose, (0,))

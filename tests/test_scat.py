@@ -9,6 +9,7 @@ from sccat import constructions_basic, scat
 from sccat.cat import is_equivalence, is_isomorphism, validate_functor
 from sccat.constructions_basic import (codiscrete_groupoid,
                                        inclusion_of_object, walking_arrow)
+from sccat.model import factor_bounded, generating_acyclic_a1, generating_cofibrations
 from sccat.scat import (
     SFunctor, SimplicialCategory, build_compose, compose_sfunctors, coproduct,
     double_object, empty_cat, full_subcategory, functor_U, functor_U_map,
@@ -24,6 +25,7 @@ from sccat.verdict import Budget, InputError, StructureError
 from sccat.words import Attachment, glue_for_u, pushout_generating
 from tests import test_model
 from tests.test_model import z2_category
+from tests.test_ssetcheck import LIFTING_COMPLEXES
 
 D = 2  # dim bound for most tests
 
@@ -109,7 +111,7 @@ def rule_on_every_entry(n_objects, homs, dim_bound, rule):
     entries included."""
     return {(a, b, c): tuple(
         tuple(tuple(rule(k, a, b, c, g, f) for f in range(homs[(a, b)].size(k)))
-              for g in range(homs[(b, c)].size(k)))
+              for g in range(homs[(b, c)].size(k))) if homs[(a, b)].size(k) else ()
         for k in range(dim_bound + 1))
         for a in range(n_objects) for b in range(n_objects) for c in range(n_objects)}
 
@@ -158,6 +160,39 @@ def test_unit_law_tables_equal_the_rule_on_every_entry(make, monkeypatch):
     assert any(rule is not u_rule for *_, rule, _ in calls)
     for n_objects, homs, dim_bound, rule, out in calls:
         assert out == rule_on_every_entry(n_objects, homs, dim_bound, rule)
+
+
+# the factorizations whose pushout stages the canonical-form test reads
+FACTORIZATIONS = [
+    (lambda: functor_U_map(horn_inclusion(2, 1, D)), lambda: generating_acyclic_a1(2, D)),
+    (lambda: test_model.empty_to(walking_arrow(D)), lambda: generating_cofibrations(1, D)),
+    (lambda: test_model.two_copies_onto_one(boundary(1, D)),
+     lambda: generating_cofibrations(1, D)),
+]
+
+
+def library_categories():
+    """The categories the library builds on the fixtures: the multi-object
+    categories, U(X) of every lifting complex, the pullbacks above, and
+    every pushout stage of the factorizations."""
+    cats = list(test_model.MULTI_OBJECT_CATEGORIES)
+    cats += [functor_U(x) for xs in LIFTING_COMPLEXES.values() for x in xs]
+    cats += [make()[0] for make in (z2_pullback, codiscrete_pullback, u_pullback)]
+    for f, gens in FACTORIZATIONS:
+        res = factor_bounded(f(), gens(), test_model.B)
+        assert res.cells
+        cats += [cell.glue.target for cell in res.cells] + [res.left.target]
+    return cats
+
+
+def test_library_categories_are_canonical():
+    # the public constructor, which canonicalizes, changes nothing of what
+    # the library builds: the same tables, in the same order
+    for cat in library_categories():
+        again = SimplicialCategory(cat.objects, cat.hom, cat.compose, cat.identities,
+                                   cat.dim_bound)
+        assert again == cat
+        assert list(again.compose.items()) == list(cat.compose.items())
 
 
 def with_entries(cat, entries, identities=None):
