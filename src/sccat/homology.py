@@ -26,7 +26,7 @@ cycle basis is read off the same reduction.
 from __future__ import annotations
 
 from . import intmat
-from .sset import SimplicialSet, SSetMap, memo, pi0
+from .sset import SimplicialSet, SSetMap, _check_natural, memo, pi0
 from .verdict import InputError, StructureError
 
 
@@ -90,16 +90,22 @@ def assert_chain_complex(x: SimplicialSet) -> None:
             raise StructureError(f"boundary squared is nonzero in degree {k + 1}")
 
 
-@memo
 def homology(x: SimplicialSet, k: int) -> tuple:
     """(betti, sorted torsion coefficients) of H_k(X; Z).
 
     Degrees run 0..dim_bound; the top degree is exact because the object
-    is skeletal.  Other degrees raise a dimension-bound error.
+    is skeletal.  Other degrees raise a dimension-bound error, and a degree
+    that is no int (a bool is not) an InputError, before the memo is read.
     """
-    if k < 0 or k > x.dim_bound:
+    if type(k) is not int or not 0 <= k <= x.dim_bound:
+        _check_natural("k", k, float("-inf"), message=f"homology degree must be an int, got {k!r}")
         raise DimensionBoundError(
             f"homology degree {k} outside tracked range 0..{x.dim_bound}")
+    return _homology(x, k)
+
+
+@memo
+def _homology(x: SimplicialSet, k: int) -> tuple:
     assert_chain_complex(x)
     n_k = len(x.nondeg_indices(k))
     above = _boundary_reduction(x, k + 1).invariant_factors()

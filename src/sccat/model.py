@@ -260,6 +260,8 @@ class GeneratorMap:
     __slots__ = ("name", "dim", "cell", "dim_bound", "_build", "_attachment")
 
     def __init__(self, name: str, dim: int, cell: tuple | None, dim_bound: int, build):
+        _check_natural("dim", dim)
+        _check_natural("dim_bound", dim_bound)
         self.name, self.dim, self.cell, self.dim_bound = name, dim, cell, dim_bound
         self._build, self._attachment = build, None
 

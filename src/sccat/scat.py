@@ -57,6 +57,8 @@ class SimplicialCategory:
         triples = [(a, b, c) for a, b in pairs for c in range(n)]
         if not (hom.keys() <= set(pairs) and compose.keys() <= set(triples)):
             raise InputError("hom and compose keys must be pairs and triples of objects")
+        if not all(isinstance(h, SimplicialSet) for h in hom.values()):
+            raise InputError("every hom must be a SimplicialSet")
         bounds = {h.dim_bound for h in hom.values()}
         if dim_bound is None:
             if not bounds:
@@ -144,6 +146,8 @@ def build_compose(n_objects: int, homs: dict, dim_bound: int, rule, identities) 
     (as in U(X))."""
     _check_natural("n_objects", n_objects)
     _check_natural("dim_bound", dim_bound)
+    if any(not isinstance(h, SimplicialSet) or h.dim_bound != dim_bound for h in homs.values()):
+        raise InputError("every hom must be a SimplicialSet at dim_bound")
     ids = _identity_towers(homs, identities, dim_bound)
     compose = {}
     for a in range(n_objects):
@@ -553,6 +557,5 @@ def is_homotopy_equivalence(cat: SimplicialCategory, a: int, b: int,
     _check_natural("e", e, 0, cat.hom[(a, b)].size(0) - 1, "not a 0-simplex of the stated hom")
     fc, classes = pi0_data(cat)
     cls = pi0_class_of(cat.hom[(a, b)])[e]
-    ok, _ = is_isomorphism(fc, a, b, cls)
-    return ok
+    return is_isomorphism(fc, a, b, cls)[0]
 

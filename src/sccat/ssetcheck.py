@@ -25,7 +25,8 @@ search of ``sset``, the one definition of the search order, walks the
 maps until the first of them.  So the square is the one the exhaustive
 search ``has_rlp_sset`` finds, which stays the join's independent oracle.
 Every lifting check here and in ``model`` joins and names squares through
-one function, ``_first_miss``.
+one function, ``_first_miss``.  A cell on whose two levels p is a bijection
+is decided without a join: the inverse of p fills every square.
 """
 from __future__ import annotations
 
@@ -74,8 +75,7 @@ def is_weak_equivalence_sset(f: SSetMap, budget: Budget | None = None) -> Verdic
     pi0 or homology comparison is a definite no.
     """
     budget = budget or Budget()
-    inv = is_iso_map(f)
-    if inv is not None:
+    if is_iso_map(f) is not None:
         return Verdict.yes(witness={"isomorphism": True}, route="isomorphism")
     if not pi0_bijective(f):
         return Verdict.no(witness={
@@ -128,11 +128,8 @@ def check_square_lift(square: SSetSquare, diagonal: SSetMap) -> bool:
 def naive_diagonal_exists(square: SSetSquare) -> bool:
     """Slow independent re-search used to re-validate DefiniteNo squares:
     plain enumeration of all maps B -> C with no pruning beyond validity."""
-    b, c = square.i.target, square.p.source
-    for g in enumerate_sset_maps(b, c):
-        if check_square_lift(square, g):
-            return True
-    return False
+    return any(check_square_lift(square, g)
+               for g in enumerate_sset_maps(square.i.target, square.p.source))
 
 
 def _squares(i: SSetMap, p: SSetMap, max_nodes=None):
@@ -265,12 +262,24 @@ def _first_square(ps: list, unfilled: list, i: SSetMap, n: int, k: int | None) -
     return q, up, bottom
 
 
+def _bijective(p: SSetMap, n: int, steps: _Steps) -> bool:
+    """Whether p is a bijection on levels n - 1 and n (only 0 when n = 0), charged as
+    ``Budget`` says.  Then p^-1(y) fills every square against the horn (n, k) or the
+    boundary of Delta[n]: p(d_i x) = d_i y = p(x_i), and p is injective on X_{n-1}."""
+    levels = p.assign[max(n - 1, 0):n + 1]
+    ok = all(len(a) == p.target.size(m) == len(set(a))
+             for m, a in enumerate(levels, max(n - 1, 0)))
+    steps.charge(sum(map(len, levels)) if ok else 0)
+    return ok
+
+
 def _first_miss(ps: list, n: int, k: int | None, inclusion, steps: _Steps):
     """Join the maps ps into one Y against the horn (n, k), or the boundary
     of Delta[n] when k is None: None if every square has a filler, else (q,
     ``_first_square``'s square of ps[q]), its inclusion made by
-    ``inclusion()`` on a miss only."""
-    unfilled = [_unfilled(p, n, k, steps) for p in ps]
+    ``inclusion()`` on a miss only.  A map that is ``_bijective`` there
+    misses nothing and is not joined."""
+    unfilled = [{} if _bijective(p, n, steps) else _unfilled(p, n, k, steps) for p in ps]
     if not any(unfilled):
         return None
     i = inclusion()

@@ -97,7 +97,12 @@ class Budget:
     call over all horns or boundaries, for ``is_fibration`` one total over
     the horns of every hom map, and for route (b) and ``factor_bounded``
     one total over the hom-wise lifting checks of the whole call; naming a
-    counterexample square charges nothing.  Each functor search (as in
+    counterexample square charges nothing, nor does a failed test of a
+    map for a bijection on a cell's levels n - 1 and n: a size mismatch
+    costs one comparison, else the join that follows charges at least
+    |X_{n-1}|.  A test that passes replaces the join and charges |X_{n-1}|
+    + |X_n|, a step per simplex read, never more than the join; so it only
+    turns unknowns into definite answers.  Each functor search (as in
     ``solve_lifting``) and each pushout gets max_steps of its own.
     """
     max_dim: int = 4

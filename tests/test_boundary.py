@@ -3,8 +3,9 @@ not an int in range with InputError (a ValueError), never with an error
 that leaks from inside, and never by returning.
 
 The sweep covers the public functions and constructors of ``sset``,
-``scat`` and ``constructions_basic``, the generating sets of ``model`` and
-the fields of ``Budget``.  Methods of built objects (``size``, ``face``,
+``scat`` and ``constructions_basic``, the degree of ``homology``, ``betti``
+and ``homology_map_is_iso``, the generating sets and ``GeneratorMap`` of
+``model`` and the fields of ``Budget``.  Methods of built objects (``size``, ``face``,
 ``comp``, ...) index data that is already checked and are not swept.
 """
 import inspect
@@ -12,9 +13,10 @@ import re
 
 import pytest
 
-from sccat import constructions_basic, model, scat, sset, verdict
+from sccat import constructions_basic, homology, model, scat, sset, verdict
 from sccat.constructions_basic import codiscrete_groupoid, inclusion_of_object, walking_arrow
-from sccat.model import c2_generator, generating_acyclic_a1, generating_cofibrations
+from sccat.homology import betti, homology_map_is_iso
+from sccat.model import GeneratorMap, c2_generator, generating_acyclic_a1, generating_cofibrations
 from sccat.pi1 import edge_path_data
 from sccat.scat import (SimplicialCategory, build_compose, double_object, empty_cat,
                         full_subcategory, functor_U_map, is_homotopy_equivalence,
@@ -22,7 +24,7 @@ from sccat.scat import (SimplicialCategory, build_compose, double_object, empty_
 from sccat.sset import (SimplicialSet, attach_nondeg, boundary, boundary_inclusion,
                         degeneracy_words, derive_records, empty_sset, from_nondegenerate,
                         from_simplex_tuples, from_simplicial_complex, horn, horn_inclusion,
-                        point, standard_simplex, word_after_degeneracy)
+                        identity_map, point, standard_simplex, word_after_degeneracy)
 from sccat.verdict import Budget, InputError
 from sccat.words import Attachment
 
@@ -90,6 +92,12 @@ SWEEP = {
         "dim_bound": lambda v: codiscrete_groupoid(2, v)},
     "constructions_basic.inclusion_of_object": {
         "a": lambda v: inclusion_of_object(walking_arrow(D), v, singleton_cat(D))},
+    "homology.homology": {"k": lambda v: homology.homology(boundary(1, D), v)},
+    "homology.betti": {"k": lambda v: betti(boundary(1, D), v)},
+    "homology.homology_map_is_iso": {
+        "k": lambda v: homology_map_is_iso(identity_map(boundary(1, D)), v)},
+    "model.GeneratorMap": {"dim": lambda v: GeneratorMap("C2", v, None, D, None),
+                           "dim_bound": lambda v: GeneratorMap("C2", 0, None, v, None)},
     "model.c2_generator": {"dim_bound": c2_generator},
     "model.generating_cofibrations": {"n_max": lambda v: generating_cofibrations(v, D),
                                       "dim_bound": lambda v: generating_cofibrations(1, v)},
@@ -100,9 +108,11 @@ SWEEP = {
                        "max_steps": lambda v: Budget(max_steps=v)},
 }
 
-# the swept modules, and for model only its generating sets
+# the swept modules, and for homology and model only the names above
 SCOPE = {sset: None, scat: None, constructions_basic: None,
-         model: {"c2_generator", "generating_cofibrations", "generating_acyclic_a1"},
+         homology: {"homology", "betti", "homology_map_is_iso"},
+         model: {"GeneratorMap", "c2_generator", "generating_cofibrations",
+                 "generating_acyclic_a1"},
          verdict: {"Budget"}}
 # a record type: a plain tuple that only sset.derive_records makes
 NOT_SWEPT = {"sset.Simplex"}
@@ -177,3 +187,24 @@ def test_object_index_slots_take_only_ints(call):
 def test_the_public_constructor_rejects_keys_of_unknown_objects(hom, compose):
     with pytest.raises(InputError, match="keys must be pairs and triples of objects"):
         SimplicialCategory(("x",), hom, compose, (0,))
+
+
+# -- hom slots of the category constructors ---------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda: build_compose(1, {(0, 0): point(D)}, D + 1, None, (0,)),
+    lambda: build_compose(1, {(0, 0): 5}, D, None, (0,)),
+    lambda: SimplicialCategory(("x",), {(0, 0): 5}, {}, (0,)),
+], ids=["build_compose-dim_bound-above-the-hom", "build_compose-int-hom",
+        "SimplicialCategory-int-hom"])
+def test_a_hom_must_be_a_simplicial_set_at_the_dim_bound(call):
+    with pytest.raises(InputError, match="every hom must be a SimplicialSet"):
+        call()
+
+
+def test_a_degree_that_is_no_int_raises_after_the_int_degree_is_memoized():
+    x = boundary(1, D)
+    assert homology.homology(x, 1) == (0, [])
+    for v in (1.0, True):
+        with pytest.raises(InputError, match="homology degree must be an int"):
+            homology.homology(x, v)

@@ -23,12 +23,12 @@ from sccat.scat import (SFunctor, SimplicialCategory, build_compose,
 from sccat.search import enumerate_sfunctors
 from sccat.sset import (SSetMap, boundary, boundary_inclusion, empty_sset, horn,
                         horn_inclusion, identity_map, point, standard_simplex)
-from sccat.ssetcheck import _first_square, unique_map_to_point
+from sccat.ssetcheck import _first_miss, _first_square, unique_map_to_point
 from sccat.verdict import (BUDGET, Budget, BudgetExceeded, InputError, _Steps,
                            aggregate)
 from sccat.words import Attachment, pushout_generating, pushout_mediating
 from tests.test_ssetcheck import (LIFTING_COMPLEXES, _rlp_by_faces, first_square_at_last_slot,
-                                  lifting_maps)
+                                  fold_map, lifting_maps)
 
 D = 2
 B = Budget(max_dim=2, max_words=16, max_steps=500_000)
@@ -85,17 +85,18 @@ def test_identity_is_fibration():
 
 
 def test_max_steps_bounds_all_homs_of_a_fibration_together():
-    # U(id Delta[2]): the Delta[2] hom alone needs 104 steps, the identity
-    # homs on the two objects and the empty hom need steps on top
-    f = functor_U_map(identity_map(standard_simplex(2, D)))
+    # U(fold Delta[2] + Delta[2] -> Delta[2]): the fold hom alone needs 208
+    # steps, the identity homs on the two objects need steps on top (a step
+    # per simplex their bijection test reads), the empty hom none
+    f = functor_U_map(fold_map(standard_simplex(2, D)))
     per_hom = []
     for pair in f.source.object_pairs():
         steps = _Steps(10**9)
         for n in (1, 2):
             for k in range(n + 1):
-                assert _rlp_by_faces(f.hom_maps[pair], n, k, steps)
+                assert _first_miss([f.hom_maps[pair]], n, k, None, steps) is None
         per_hom.append(10**9 - steps.left)
-    assert max(per_hom) == 104 < sum(per_hom)
+    assert max(per_hom) == 208 < sum(per_hom)
     v = is_fibration(f, Budget(max_steps=104))
     assert v.kind == "unknown" and v.reason == BUDGET
     assert is_fibration(f, Budget(max_steps=sum(per_hom))).is_yes
@@ -370,7 +371,7 @@ def test_has_rlp_identity_against_everything():
 def test_rlp_a1_detects_non_kan_hom():
     # U(dDelta[2] -> point): hom map is not a Kan fibration, so RLP(A1)
     # fails, reproducing the characterization of F1
-    from sccat.ssetcheck import _first_square, unique_map_to_point
+    from sccat.ssetcheck import _first_miss, _first_square, unique_map_to_point
     p = unique_map_to_point(boundary(2, D))
     f = functor_U_map(p)
     v = has_rlp_against_set(f, generating_acyclic_a1(2, D), B)

@@ -1,19 +1,21 @@
 import itertools
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sccat.ssetcheck import (
-    SSetSquare, _first_square, _unfilled, check_square_lift, enumerate_squares,
-    has_rlp_sset, is_acyclic_fibration_sset, is_kan_fibration,
+    SSetSquare, _bijective, _first_miss, _first_square, _unfilled, check_square_lift,
+    enumerate_squares, has_rlp_sset, is_acyclic_fibration_sset, is_kan_fibration,
     is_weak_equivalence_sset, is_weakly_contractible, naive_diagonal_exists,
     unique_map_to_point,
 )
 from sccat.sset import (
-    SSetMap, _SlotSearch, _sset_maps, _tuple_inclusion, boundary, boundary_inclusion,
-    compose_maps, disjoint_union, empty_sset, enumerate_sset_maps, from_simplicial_complex,
-    horn, horn_inclusion, identity_map, point, standard_simplex,
+    Simplex, SimplicialSet, SSetMap, _SlotSearch, _sset_maps, _tuple_inclusion, boundary,
+    boundary_inclusion, compose_maps, disjoint_union, empty_sset, enumerate_sset_maps,
+    from_nondegenerate, from_simplicial_complex, horn, horn_inclusion, identity_map,
+    is_iso_map, point, standard_simplex, validate_sset, validate_sset_map,
 )
 from sccat.verdict import (BUDGET, UNDECIDED_GROUP, Budget, BudgetExceeded, Verdict,
                            _Steps, aggregate)
@@ -323,9 +325,29 @@ def _steps_used(p, n, k):
     return 10**9 - steps.left
 
 
+def fold_map(x):
+    """The fold map X + X -> X, a trivial double cover: a Kan fibration
+    that is not an isomorphism, so each of its cells is joined."""
+    z, *incs = disjoint_union(x, x)
+    assign = [[None] * z.size(k) for k in range(x.dim_bound + 1)]
+    for inc in incs:
+        for k, level in enumerate(inc.assign):
+            for i, j in enumerate(level):
+                assign[k][j] = i
+    return SSetMap(z, x, assign)
+
+
+def codiscrete_nerve():
+    """The nerve of the codiscrete groupoid on two objects through dimension
+    2: its map to a point is an acyclic fibration there, and no level of it
+    is a bijection."""
+    return from_nondegenerate(2, [[[], []], [[(1, ()), (0, ())], [(0, ()), (1, ())]],
+                                  [[(1, ()), (0, (0,)), (0, ())], [(0, ()), (1, (0,)), (1, ())]]])
+
+
 def test_max_steps_bounds_all_horns_together():
     # every horn fits under the cap on its own, the whole check does not
-    p = identity_map(standard_simplex(2, 2))
+    p = fold_map(standard_simplex(2, 2))
     per_horn = [_steps_used(p, n, k) for n in (1, 2) for k in range(n + 1)]
     cap = max(per_horn)
     assert sum(per_horn) > cap
@@ -336,7 +358,7 @@ def test_max_steps_bounds_all_horns_together():
 
 
 def test_max_steps_bounds_all_boundaries_together():
-    p = identity_map(standard_simplex(2, 2))
+    p = unique_map_to_point(codiscrete_nerve())
     total = sum(_steps_used(p, n, None) for n in range(3))
     assert is_acyclic_fibration_sset(p, Budget(max_steps=total)).is_yes
     v = is_acyclic_fibration_sset(p, Budget(max_steps=total - 1))
@@ -614,3 +636,99 @@ def test_join_of_an_empty_source_equals_the_depth_first_join(d):
     # tuples run out, and they end at the first level
     for y in LIFTING_COMPLEXES[d]:
         assert_join_matches_recursion(SSetMap(empty_sset(d), y, [[] for _ in range(d + 1)]))
+
+
+# -- a bijective cell is decided without a join ----------------------------------
+
+def relabelled(x):
+    """The isomorphism from x onto a copy of x that lists the simplices of
+    every level in reverse order."""
+    pos = [[len(level) - 1 - i for i in range(len(level))] for level in x.dims]
+    dims = [[Simplex(tuple(pos[k - 1][f] for f in s.faces),
+                     tuple(pos[k + 1][j] for j in s.degens),
+                     pos[k - len(s.word)][s.base], s.word) for s in reversed(level)]
+            for k, level in enumerate(x.dims)]
+    return SSetMap(x, SimplicialSet(x.dim_bound, dims), pos)
+
+
+def relabellings(d):
+    """The relabelling of each fixture complex and surface."""
+    return [relabelled(x) for x in LIFTING_COMPLEXES[d] + [p.source for p in SURFACE_MAPS[d][::2]]]
+
+
+def isomorphisms(d):
+    """The identity and the relabelling of each fixture complex and surface."""
+    return [f for r in relabellings(d) for f in (identity_map(r.source), r)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_relabellings_are_isomorphisms_and_move_every_level_of_two_simplices(d):
+    for f in relabellings(d):
+        assert validate_sset(f.target) == validate_sset_map(f) == []
+        assert is_iso_map(f) is not None
+        assert all(level != list(range(len(level))) for level in f.assign if len(level) > 1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_checks_equal_the_square_search_on_every_fixture_map(d):
+    # every map between the fixture complexes (their identities among
+    # them), the surface maps (the surfaces' identities among them), and
+    # the relabelling of each complex and surface
+    last = len(LIFTING_COMPLEXES[d]) - 1
+    maps = [p for i in range(last + 1) for j in range(last + 1) for p in lifting_maps(d, i, j)]
+    for p in maps + SURFACE_MAPS[d] + relabellings(d):
+        for fast, slow in [(is_kan_fibration, kan_by_search),
+                           (is_acyclic_fibration_sset, acyclic_fibration_by_search)]:
+            assert fast(p, Budget()) == slow(p, Budget())
+
+
+def _commuting_squares(p, n, k):
+    """Every commuting square of p against the horn (n, k), or the boundary
+    when k is None, that ``_unfilled`` walks, as {bottom: face tuples}: with
+    the n-simplices of X hidden no square has a filler, so it lists them all."""
+    hidden = SimpleNamespace(source=SimpleNamespace(dims=p.source.dims[:n] + ((),)),
+                             target=p.target, assign=p.assign)
+    return _unfilled(hidden, n, k, _Steps(None))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_the_inverse_fills_every_square_of_a_bijective_cell(d):
+    for p in isomorphisms(d):
+        inverse = is_iso_map(p)
+        for n, k in cells_through(d):
+            assert _bijective(p, n, _Steps(None))
+            pos = [i for i in range(n + 1) if i != k] if n else []
+            squares = _commuting_squares(p, n, k)
+            assert len(squares) == p.target.size(n)
+            for b, tuples in squares.items():
+                x = inverse.assign[n][b]
+                assert p.assign[n][x] == b
+                assert all(tuple(p.source.face(n, x, i) for i in pos) == t for t in tuples)
+
+
+def _charged(p, n, k):
+    """The steps ``_first_miss`` charges for p alone on one cell."""
+    d, steps = p.source.dim_bound, _Steps(10**9)
+    _first_miss([p], n, k, lambda: boundary_inclusion(n, d) if k is None
+                else horn_inclusion(n, k, d), steps)
+    return 10**9 - steps.left
+
+
+def test_a_bijective_cell_charges_a_step_per_simplex_read_and_no_more_than_its_join():
+    for p in (identity_map(standard_simplex(3, 3)), relabelled(SURFACE_MAPS[3][0].source)):
+        x = p.source
+        for n, k in cells_through(3):
+            read = x.size(n) + (x.size(n - 1) if n else 0)
+            assert _charged(p, n, k) == read
+            assert _join_result(_unfilled, p, n, k, 10**9)[1] >= read
+
+
+def test_a_cell_that_is_no_bijection_charges_its_join():
+    # the non-injective self-maps of the D2 fixtures, whose level sizes
+    # agree, and the fold map, whose sizes differ: the old join totals
+    maps = [p for i in range(len(LIFTING_COMPLEXES[2])) for p in lifting_maps(2, i, i)
+            if is_iso_map(p) is None] + [fold_map(standard_simplex(2, 2))]
+    assert len(maps) > 1
+    for p in maps:
+        for n, k in cells_through(2):
+            assert _charged(p, n, k) == _join_result(_unfilled, p, n, k, 10**9)[1]

@@ -1,6 +1,7 @@
 """Alternating benchmark pairs of a parent revision and the working tree.
 
     python3 tools/pairs.py --parent HEAD~1 --workload factorization --pairs 10 --seconds 8 --seed 7
+    python3 tools/pairs.py --parent HEAD~1 --workload kan-lifting --json BENCH_27.json
 
 Run from anywhere inside a git checkout.  The parent revision is checked out
 into a temporary ``git worktree``, which is removed on exit, also after an
@@ -13,12 +14,23 @@ For every end-to-end metric (read from the working tree's
 ``BENCHMARK.json``) it prints each pair's two values, each side's median
 and quartiles, and how many pairs the working tree won: a pair is won when
 its value is better in the metric's direction, and a tie is won by
-neither side.  Standard library only.
+neither side.
+
+``--json PATH`` also writes the comparison to PATH: both revisions (the
+working tree as its base commit and a digest of its diff under ``src/`` and
+``perfbench/``), the Python version, the core count, the seed, the run
+length and the number of pairs; every end-to-end metric with each side's
+values per pair, median and quartiles, and the pairs won; and every item's
+per-pair medians on each side, read from ``perfbench/out/*-trace0.json``,
+with their median and quartiles.  Standard library only.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -26,14 +38,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+SCHEMA = 1
+
 
 def git(*args: str, cwd: Path) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, text=True,
                           capture_output=True).stdout.strip()
 
 
-def run_bench(checkout: Path, args) -> dict:
-    """{metric: value} from the last line of one perfbench run in ``checkout``."""
+def run_bench(checkout: Path, args) -> tuple:
+    """({metric: value} from the last line of one perfbench run in
+    ``checkout``, {item: median ms} from the output file of that run)."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds)],
@@ -41,7 +56,22 @@ def run_bench(checkout: Path, args) -> dict:
     last = json.loads(out.strip().splitlines()[-1])
     if not last["correct"] or last["failed"]:
         raise SystemExit(f"pairs: incorrect or failed operations in {checkout}: {last}")
-    return {name: m["value"] for name, m in last["metrics"].items()}
+    details = checkout / "perfbench" / "out" / f"{args.workload}-seed{args.seed}-trace0.json"
+    items = json.loads(details.read_text())["items"]
+    return ({name: m["value"] for name, m in last["metrics"].items()},
+            {item["name"]: item["median_ms"] for item in items})
+
+
+def run_pairs(parent_checkout: Path, change_checkout: Path, args) -> tuple:
+    """(parent runs, change runs), one ``run_bench`` result per pair and
+    side, the side that goes first alternating."""
+    parent, change = [], []
+    for i in range(args.pairs):
+        sides = [(parent_checkout, parent), (change_checkout, change)]
+        for checkout, runs in (sides if i % 2 == 0 else sides[::-1]):
+            runs.append(run_bench(checkout, args))
+        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    return parent, change
 
 
 def quartiles(values: list) -> tuple:
@@ -52,20 +82,60 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def report(metrics: list, parent: list, change: list) -> None:
+def side(values: list) -> dict:
+    q1, q2, q3 = quartiles(values)
+    return {"values": values, "median": q2, "q1": q1, "q3": q3}
+
+
+def describe(root: Path, parent_rev: str, args) -> dict:
+    """The revisions, the machine and the run settings of a comparison."""
+    diff = git("diff", "HEAD", "--", "src", "perfbench", cwd=root)
+    return {
+        "schema": SCHEMA,
+        "workload": args.workload,
+        "parent": {"rev": git("rev-parse", parent_rev, cwd=root)},
+        "change": {"base": git("rev-parse", "HEAD", cwd=root),
+                   "diff_sha256": hashlib.sha256(diff.encode()).hexdigest()},
+        "python": platform.python_version(),
+        "cores": os.cpu_count(),
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+    }
+
+
+def summary(metrics: list, parent: list, change: list, about: dict) -> dict:
+    """``about`` with every end-to-end metric in ``metrics`` (the entries of
+    BENCHMARK.json) and every item that each run of both sides reports."""
+    out = dict(about, metrics={}, items={})
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
-        a = [run[name] for run in parent]
-        b = [run[name] for run in change]
-        won = sum(y < x if lower else y > x for x, y in zip(a, b))
+        a = [run[0][name] for run in parent]
+        b = [run[0][name] for run in change]
+        out["metrics"][name] = {
+            "unit": m["unit"], "better": m["better"], "parent": side(a), "change": side(b),
+            "change_won": sum(y < x if lower else y > x for x, y in zip(a, b))}
+    for name in parent[0][1]:
+        if all(name in run[1] for run in parent + change):
+            out["items"][name] = {"parent": side([run[1][name] for run in parent]),
+                                  "change": side([run[1][name] for run in change])}
+    return out
+
+
+def report(s: dict) -> None:
+    print(f"# {s['workload']} seed={s['seed']} seconds={s['seconds']} "
+          f"parent={s['parent']['rev'][:7]} change=working tree on {s['change']['base'][:7]}")
+    for name, m in s["metrics"].items():
+        a, b = m["parent"]["values"], m["change"]["values"]
         print(f"\n{name} ({m['unit']}, {m['better']} is better)")
         for i, (x, y) in enumerate(zip(a, b)):
             ratio = y / x if x else float("nan")
             print(f"  pair {i + 1:2d}: parent {x:.6g}  change {y:.6g}  ratio {ratio:.4f}")
-        for side, values in (("parent", a), ("change", b)):
-            q1, q2, q3 = quartiles(values)
-            print(f"  {side}: median {q2:.6g}  quartiles {q1:.6g} .. {q3:.6g}  IQR {q3 - q1:.6g}")
-        print(f"  change won {won} of {len(a)} pairs")
+        for label in ("parent", "change"):
+            q = m[label]
+            print(f"  {label}: median {q['median']:.6g}  quartiles {q['q1']:.6g} .. "
+                  f"{q['q3']:.6g}  IQR {q['q3'] - q['q1']:.6g}")
+        print(f"  change won {m['change_won']} of {len(a)} pairs")
 
 
 def main(argv=None) -> int:
@@ -75,6 +145,7 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=8)
     ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--json", type=Path, help="also write the comparison to this file")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         ap.error("--pairs and --seconds must be positive")
@@ -84,15 +155,10 @@ def main(argv=None) -> int:
     worktree = tmp / "parent"
     try:
         git("worktree", "add", "--detach", str(worktree), args.parent, cwd=root)
-        parent, change = [], []
-        for i in range(args.pairs):
-            sides = [(worktree, parent), (root, change)]
-            for checkout, runs in (sides if i % 2 == 0 else sides[::-1]):
-                runs.append(run_bench(checkout, args))
-            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-        print(f"# {args.workload} seed={args.seed} seconds={args.seconds} "
-              f"parent={git('rev-parse', '--short', args.parent, cwd=root)} change=working tree")
-        report(metrics, parent, change)
+        s = summary(metrics, *run_pairs(worktree, root, args), describe(root, args.parent, args))
+        report(s)
+        if args.json:
+            args.json.write_text(json.dumps(s, indent=1) + "\n")
     finally:
         if worktree.exists():
             subprocess.run(["git", "worktree", "remove", "--force", str(worktree)], cwd=root,
