@@ -12,21 +12,21 @@ k + 1 entries, and dd = 0, the chain maps and the reductions all work on
 such columns.  `boundary_matrix` and `chain_map_matrix` are dense views,
 kept for tests and tracing; no decision reads them.
 
-Besides Betti numbers and torsion this module computes whether a
+Besides Betti numbers and torsion this module decides whether a
 simplicial map induces isomorphisms on homology, which is what the
-weak-equivalence checkers consume.  Finitely generated abelian groups are
-Hopfian, so between groups with equal invariants the induced map is an
-isomorphism iff it is onto.  That is one lattice test: the image cycles
-together with the target boundaries must span the target cycle lattice,
-which its invariant factors decide without coordinates.  Each boundary is
-reduced once per complex (`intmat.Reduction`) and cached; its invariant
-factors give ranks, Betti numbers and torsion, and the source side's
-cycle basis is read off the same reduction.
+weak-equivalence checkers consume.  That is one lattice test (see
+`homology_map_is_iso`), except where the groups settle it with no check
+lost: H_0 is free on pi0 and every 0-chain is a cycle, so H_0(f) is an
+isomorphism iff pi0(f) is a bijection; between zero groups every target
+cycle is a boundary, so the test cannot fail.  Each boundary is reduced
+once per complex (`intmat.Reduction`) and cached; its invariant factors
+give ranks, Betti numbers and torsion, and the source side's cycle basis
+is read off the same reduction.
 """
 from __future__ import annotations
 
 from . import intmat
-from .sset import SimplicialSet, SSetMap, _check_natural, memo, pi0
+from .sset import SimplicialSet, SSetMap, _check_natural, memo, pi0, pi0_bijective
 from .verdict import InputError, StructureError
 
 
@@ -77,7 +77,7 @@ def boundary_matrix(x: SimplicialSet, k: int):
 def _boundary_reduction(x: SimplicialSet, k: int) -> intmat.Reduction:
     """The reduction of d_k, computed once per complex: its invariant
     factors and its cycle basis are both read off it."""
-    return intmat.Reduction(_boundary_columns(x, k), _chain_rank(x, k - 1))
+    return intmat.Reduction(_boundary_columns(x, k))
 
 
 @memo
@@ -155,22 +155,32 @@ def homology_map_is_iso(f: SSetMap, k: int) -> bool:
     """Whether H_k(f) is an isomorphism.  Always definite.
 
     With equal groups on both sides, H_k(f) is an isomorphism iff it is
-    onto, i.e. iff f(Z_k X) + B_k Y = Z_k Y.  The cycle lattice Z_k Y is a
+    onto (they are Hopfian), i.e. iff f(Z_k X) + B_k Y = Z_k Y.  Z_k Y is a
     kernel, hence saturated, so the glued generators span it iff their rank
     is dim Z_k Y and every invariant factor is 1.  The target's cached
     invariant factors give dim Z_k Y; the cycle basis is read on the
     source side only, off the source's cached reduction.
+
+    Two cases glue nothing and lose no check.  In degree 0 (H_0 is free on
+    pi0, d_0 = 0, and dd = 0 is checked first, as ``homology`` does) it is
+    whether pi0(f) is a bijection.  Between zero groups Z_k Y = B_k Y, so
+    only the check that cycles go to cycles runs.
     """
     x, y = f.source, f.target
+    if type(k) is int and k == 0:  # any other degree is checked by `homology`
+        assert_chain_complex(x)
+        assert_chain_complex(y)
+        return pi0_bijective(f)
     if homology(x, k) != homology(y, k):
         return False
     images = intmat.mul_columns(_chain_map_columns(f, k),
                                 _boundary_reduction(x, k).kernel_basis())
     if any(intmat.mul_columns(_boundary_columns(y, k), images)):
         raise StructureError("cycle maps to a non-cycle")
+    if homology(y, k) == (0, []):  # Z_k Y = B_k Y
+        return True
     cycle_rank = _chain_rank(y, k) - len(_boundary_reduction(y, k).invariant_factors())
-    factors = intmat.Reduction(images + _boundary_columns(y, k + 1),
-                               _chain_rank(y, k)).invariant_factors()
+    factors = intmat.Reduction(images + _boundary_columns(y, k + 1)).invariant_factors()
     return len(factors) == cycle_rank and all(d == 1 for d in factors)
 
 

@@ -267,9 +267,9 @@ def _sub_multiple(dst: dict, q: int, src: dict) -> None:
             dst.pop(i, None)
 
 
-def _column_reduce(columns: list, m: int) -> tuple:
-    """Eliminate the +-1 pivots of the m-row matrix with sparse `columns` by
-    sparse unimodular column operations.
+def _column_reduce(columns: list) -> tuple:
+    """Eliminate the +-1 pivots of the matrix with sparse `columns` (no
+    entry zero) by sparse unimodular column operations.
 
     Passes visit the live columns in index order; each takes its unit in
     the row with the fewest live entries, then the lowest, and clears that
@@ -279,45 +279,50 @@ def _column_reduce(columns: list, m: int) -> tuple:
     """
     cols = [dict(col) for col in columns]
     trans = [{j: 1} for j in range(len(cols))]
-    where = [set() for _ in range(m)]  # row -> live columns
+    where = {}  # row -> live columns, for the rows that occur
     for j, col in enumerate(cols):
         for i in col:
-            where[i].add(j)
+            where.setdefault(i, set()).add(j)
     live = [True] * len(cols)
     units, progress = 0, True
     while progress:
         progress = False
         for j, col in enumerate(cols):
-            rows = [i for i, v in col.items() if v in (1, -1)] if live[j] else []
-            if not rows:
+            r = best = None
+            for i, v in col.items() if live[j] else ():
+                if (v == 1 or v == -1) and (best is None or (len(where[i]), i) < best):
+                    r, best = i, (len(where[i]), i)
+            if r is None:
                 continue
-            r = min(rows, key=lambda i: (len(where[i]), i))
             live[j], units, progress = False, units + 1, True
             for i in col:
-                where[i].discard(j)
+                where[i].remove(j)
             for c in sorted(where[r]):
-                q = cols[c][r] * col[r]
-                _sub_multiple(cols[c], q, col)
-                _sub_multiple(trans[c], q, trans[j])
-                for i in col:
-                    if i in cols[c]:
+                other = cols[c]
+                q = other[r] * col[r]
+                for i, v in col.items():  # other -= q * col, and where follows
+                    w = other.get(i, 0) - q * v
+                    if w:
+                        other[i] = w
                         where[i].add(c)
                     else:
-                        where[i].discard(c)
+                        del other[i]
+                        where[i].remove(c)
+                _sub_multiple(trans[c], q, trans[j])
     return units, [(col, t) for col, t, keep in zip(cols, trans, live) if keep]
 
 
 class Reduction:
-    """The m-row matrix with sparse `columns`, reduced once: its +-1 pivots
-    split off sparsely, then the live block put through the dense Smith
-    normal form.  Invariant factors and kernel basis are both read off it.
-    `live` holds the (live column, transform column) pairs; `snf` is None
-    when no live column is nonzero.
+    """The matrix with sparse `columns` (no entry zero), reduced once: its
+    +-1 pivots split off sparsely, then the live block put through the
+    dense Smith normal form.  Invariant factors and kernel basis are both
+    read off it.  `live` holds the (live column, transform column) pairs;
+    `snf` is None when no live column is nonzero.
     """
     __slots__ = ("units", "live", "snf")
 
-    def __init__(self, columns: list, m: int):
-        self.units, self.live = _column_reduce(columns, m)
+    def __init__(self, columns: list):
+        self.units, self.live = _column_reduce(columns)
         nonzero = [col for col, _ in self.live if col]
         rows = sorted({i for col in nonzero for i in col})
         self.snf = (smith_normal_form([[col.get(i, 0) for col in nonzero] for i in rows])
@@ -356,7 +361,7 @@ def mul_columns(a: list, b: list) -> list:
 
 def invariant_factors(a: Matrix) -> list:
     """The nonzero diagonal of the Smith normal form of `a`, in order."""
-    return Reduction(sparse_columns(a), len(a)).invariant_factors()
+    return Reduction(sparse_columns(a)).invariant_factors()
 
 
 def rank(a: Matrix) -> int:
@@ -365,7 +370,7 @@ def rank(a: Matrix) -> int:
 
 def kernel_basis(a: Matrix) -> list:
     """Saturated basis of the integer kernel, as column vectors (lists of ints)."""
-    basis = Reduction(sparse_columns(a), len(a)).kernel_basis()
+    basis = Reduction(sparse_columns(a)).kernel_basis()
     return [[vec.get(j, 0) for j in range(shape(a)[1])] for vec in basis]
 
 

@@ -62,7 +62,7 @@ def abelianization_invariants(p: GroupPresentation) -> tuple:
             g = abs(letter) - 1
             col[g] = col.get(g, 0) + (1 if letter > 0 else -1)
         columns.append({g: col[g] for g in sorted(col) if col[g]})
-    facs = intmat.Reduction(columns, p.n_generators).invariant_factors()
+    facs = intmat.Reduction(columns).invariant_factors()
     betti = p.n_generators - len(facs)
     torsion = sorted(d for d in facs if d != 1)
     return (betti, torsion)
@@ -187,10 +187,15 @@ def coset_enumeration(p: GroupPresentation, max_cosets: int) -> int | None:
 
 
 def is_trivial_group(p: GroupPresentation, budget: Budget | None = None) -> Verdict:
+    return _is_trivial_group(p, budget, None)
+
+
+def _is_trivial_group(p: GroupPresentation, budget: Budget | None, ab) -> Verdict:
+    """With the abelianization ``ab`` if it is known (H_1, by Hurewicz), else None."""
     budget = budget or Budget()
     if p.n_generators == 0:
         return Verdict.yes(witness={"reason": "no generators"})
-    ab = abelianization_invariants(p)
+    ab = ab or abelianization_invariants(p)
     if ab != (0, []):
         return Verdict.no(witness={"abelianization": ab})
     max_cosets = max(2, min(budget.max_steps, 20000))

@@ -146,8 +146,12 @@ def build_compose(n_objects: int, homs: dict, dim_bound: int, rule, identities) 
     (as in U(X))."""
     _check_natural("n_objects", n_objects)
     _check_natural("dim_bound", dim_bound)
-    if any(not isinstance(h, SimplicialSet) or h.dim_bound != dim_bound for h in homs.values()):
-        raise InputError("every hom must be a SimplicialSet at dim_bound")
+    if homs.keys() != {(a, b) for a in range(n_objects) for b in range(n_objects)} or any(
+            not isinstance(h, SimplicialSet) or h.dim_bound != dim_bound for h in homs.values()):
+        raise InputError("every hom must be a SimplicialSet at dim_bound, one per object pair")
+    if len(identities) != n_objects or any(type(i) is not int or not 0 <= i < homs[(a, a)].size(0)
+                                           for a, i in enumerate(identities)):
+        raise InputError("identities must mark one 0-simplex of each Hom(a, a)")
     ids = _identity_towers(homs, identities, dim_bound)
     compose = {}
     for a in range(n_objects):

@@ -581,6 +581,11 @@ def pi0_map(f: SSetMap) -> list:
     return [tgt_class[f.assign[0][comp[0]]] for comp in pi0(f.source)]
 
 
+def pi0_bijective(f: SSetMap) -> bool:
+    m = pi0_map(f)
+    return len(set(m)) == len(m) == len(pi0(f.target))
+
+
 # ---------------------------------------------------------------------------
 # maps
 

@@ -5,7 +5,8 @@ Weak contractibility is certified through pi_0, the edge-path group and
 integer homology; for skeletal finite complexes this combination is
 complete on simply connected inputs (simple connectivity plus vanishing
 reduced homology forces contractibility), so the only honest escape hatch
-is an undecided fundamental group.
+is an undecided fundamental group.  On a connected set the abelianized
+edge-path group is H_1 (Hurewicz), already computed: no relator is reduced.
 
 The weak-equivalence checker is deliberately partial: definite answers
 are sound, isomorphisms and simply connected comparisons are decided, and
@@ -33,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import homology as hml
-from .pi1 import fundamental_group_trivial
+from .pi1 import _is_trivial_group, edge_path_presentation
 from .sset import (SimplicialSet, SSetMap, _slot_order, _sset_maps, boundary_inclusion,
                    compose_maps, enumerate_sset_maps, horn_inclusion, is_iso_map,
-                   pi0, pi0_map, standard_simplex)
+                   pi0, pi0_bijective, pi0_map, standard_simplex)
 from .verdict import (BUDGET, Budget, BudgetExceeded, UNDECIDED_GROUP, Verdict,
                       _Steps, aggregate)
 
@@ -48,7 +49,8 @@ def is_weakly_contractible(x: SimplicialSet, budget: Budget | None = None) -> Ve
         if k == 0:
             return Verdict.no(witness={"pi0_classes": h})
         return Verdict.no(witness={"nonvanishing_homology": {"degree": k, "value": h}})
-    pi1_verdict = fundamental_group_trivial(x, pi0(x)[0][0], budget)
+    # x is connected and H_1 = 0
+    pi1_verdict = _is_trivial_group(edge_path_presentation(x, pi0(x)[0][0]), budget, (0, []))
     if pi1_verdict.is_no:
         return Verdict.no(witness={"pi1": pi1_verdict.witness})
     if not pi1_verdict.is_definite:
@@ -57,13 +59,10 @@ def is_weakly_contractible(x: SimplicialSet, budget: Budget | None = None) -> Ve
                                 "reduced_homology": "vanishes"})
 
 
-def pi0_bijective(f: SSetMap) -> bool:
-    m = pi0_map(f)
-    return len(set(m)) == len(m) == len(pi0(f.target))
-
-
 def _all_components_simply_connected(x: SimplicialSet, budget: Budget) -> Verdict:
-    return aggregate([fundamental_group_trivial(x, comp[0], budget) for comp in pi0(x)])
+    ab = hml.homology(x, 1) if x.dim_bound and len(pi0(x)) == 1 else None
+    return aggregate([_is_trivial_group(edge_path_presentation(x, comp[0]), budget, ab)
+                      for comp in pi0(x)])
 
 
 def is_weak_equivalence_sset(f: SSetMap, budget: Budget | None = None) -> Verdict:

@@ -59,13 +59,29 @@ def test_the_schema_check_names_what_departs():
             == ["$.a.rev: 1 is not <class 'str'>"])
 
 
-def test_what_pairs_writes_has_the_schema(monkeypatch):
+def load_pairs():
     spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
     pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pairs)
+    return pairs
+
+
+def test_what_pairs_writes_has_the_schema(monkeypatch):
+    pairs = load_pairs()
     monkeypatch.setattr(pairs, "git", lambda *args, cwd: "0" * 40)
     args = type("Args", (), {"workload": "kan-lifting", "seed": 7, "seconds": 8.0, "pairs": 2})
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     run = ({m["name"]: 1.0 for m in metrics}, {"kan id torus D3": 1.9, "kan torus->pt D2": 0.4})
     out = pairs.summary(metrics, [run, run], [run, run], pairs.describe(ROOT, "HEAD", args))
     assert mismatches(json.loads(json.dumps(out)), SCHEMA) == []
+
+
+def test_the_trajectory_has_one_row_per_bench_file_in_order():
+    files = sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+    records = [(p.name, json.loads(p.read_text())) for p in files]
+    table = load_pairs().trajectory(records).splitlines()
+    assert len(table) == 2 + len(files)
+    for row, (name, b) in zip(table[2:], records):
+        assert row.startswith(f"| {name} | {b['workload']} | {b['seed']} | {b['pairs']} | ")
+        assert row.count("|") == table[0].count("|") == table[1].count("|")
+        assert row.endswith(f"({b['metrics']['op_ms_p50']['change_won']}/{b['pairs']}) |")

@@ -9,13 +9,14 @@ from sccat.homology import (
     DimensionBoundError, betti, boundary_matrix, chain_map_matrix, homology,
     homology_iso_all_degrees, homology_map_is_iso, reduced_homology_vanishes,
 )
+from sccat.pi1 import abelianization_invariants, edge_path_presentation
 from sccat.sset import (
     SimplicialSet, SSetMap, boundary, boundary_inclusion, derive_records,
     disjoint_union, enumerate_sset_maps, from_nondegenerate, from_simplicial_complex, horn,
-    horn_inclusion, identity_map, pi0, point, standard_simplex,
+    horn_inclusion, identity_map, pi0, point, standard_simplex, sub_complex,
 )
-from sccat.ssetcheck import is_weakly_contractible
-from sccat.verdict import StructureError
+from sccat.ssetcheck import is_weak_equivalence_sset, is_weakly_contractible, unique_map_to_point
+from sccat.verdict import InputError, StructureError
 from tests.test_sset import IDENTIFIED_FACES, projective_plane
 
 
@@ -329,6 +330,15 @@ def grid_disk_facets(n):
     return out
 
 
+def annulus_facets():
+    """A 6-cycle (vertices 0..5) times an interval (inner cycle 6..11)."""
+    out = []
+    for i in range(6):
+        o0, o1, n0, n1 = i, (i + 1) % 6, 6 + i, 6 + (i + 1) % 6
+        out += [(o0, o1, n0), (o1, n0, n1)]
+    return out
+
+
 def test_unit_pivots_leave_no_dense_snf(monkeypatch):
     dense = []
     snf = intmat.smith_normal_form
@@ -341,3 +351,111 @@ def test_unit_pivots_leave_no_dense_snf(monkeypatch):
     # RP^2: d_1 = [[0]] has no pivot to factor, d_2 = [[2]] has no unit
     assert homology(projective_plane(2), 1) == (0, [2])
     assert dense == [[[2]]]
+
+
+# ---------------------------------------------------------------------------
+# the groups settle H_0(f) and H_k(f) between zero groups; the general
+# lattice test is the oracle for both shortcuts
+
+def lattice_test_is_iso(f, k):
+    """H_k(f) is an isomorphism, by the glued lattice test in every degree
+    where the groups are equal: f(Z_k X) + B_k Y must be Z_k Y."""
+    x, y = f.source, f.target
+    if homology(x, k) != homology(y, k):
+        return False
+    images = intmat.mul_columns(hml._chain_map_columns(f, k),
+                                hml._boundary_reduction(x, k).kernel_basis())
+    if any(intmat.mul_columns(hml._boundary_columns(y, k), images)):
+        raise StructureError("cycle maps to a non-cycle")
+    cycle_rank = hml._chain_rank(y, k) - len(hml._boundary_reduction(y, k).invariant_factors())
+    factors = intmat.Reduction(images + hml._boundary_columns(y, k + 1)).invariant_factors()
+    return len(factors) == cycle_rank and all(d == 1 for d in factors)
+
+
+BIPYRAMID_FACETS = [(0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4), (0, 2, 4), (1, 2, 4)]
+TETRAHEDRON_BOUNDARY_FACETS = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+CYCLE_FACES = [(i,) for i in range(6)] + [(i, (i + 1) % 6) for i in range(6)]
+
+
+def cycle_into_annulus():
+    """The outer 6-cycle of the annulus, as a subcomplex inclusion."""
+    x = from_simplicial_complex(annulus_facets(), 2)
+    wanted = {frozenset(f) for f in CYCLE_FACES}
+    return sub_complex(x, [[i for i in range(x.size(k)) if x.vertices_of(k, i) in wanted]
+                           for k in range(3)])[1]
+
+
+def bipyramid_onto_tetrahedron_boundary(d):
+    """Collapses the lower cone of a 2-sphere onto a face of the boundary of Delta[3]."""
+    maps = enumerate_sset_maps(from_simplicial_complex(BIPYRAMID_FACETS, d),
+                               from_simplicial_complex(TETRAHEDRON_BOUNDARY_FACETS, d))
+    return next(f for f in maps if tuple(f.assign[0]) == (0, 1, 2, 3, 2))
+
+
+def weak_equivalence_fixture_maps():
+    return ([unique_map_to_point(from_simplicial_complex(grid_disk_facets(n), 2))
+             for n in (3, 4, 5)]
+            + [horn_inclusion(2, 1, 2), horn_inclusion(3, 1, 3), horn_inclusion(4, 2, 4),
+               boundary_inclusion(2, 2), boundary_inclusion(3, 3)]
+            + [bipyramid_onto_tetrahedron_boundary(d) for d in (2, 3)]
+            + [cycle_into_annulus()])
+
+
+def test_the_groups_settle_what_the_lattice_test_decides():
+    maps = [f for d in (2, 3) for i in range(len(ORACLE_COMPLEXES[d]))
+            for j in range(len(ORACLE_COMPLEXES[d])) for f in oracle_maps(d, i, j)]
+    maps += weak_equivalence_fixture_maps()
+    settled = set()
+    for f in maps:
+        for k in range(f.source.dim_bound + 1):
+            got = homology_map_is_iso(f, k)
+            assert got == lattice_test_is_iso(f, k)
+            if k == 0 and homology(f.source, 0) == homology(f.target, 0):
+                settled.add(("degree 0", got))
+            elif homology(f.target, k) == homology(f.source, k) == (0, []):
+                settled.add(("zero groups", got))
+    # both answers in degree 0 with equal groups, and the zero-group case, are met
+    assert settled == {("degree 0", True), ("degree 0", False), ("zero groups", True)}
+
+
+def test_degree_0_still_checks_the_chain_complex():
+    with pytest.raises(StructureError):
+        homology_map_is_iso(identity_map(triangle_on_one_edge()), 0)
+
+
+@pytest.mark.parametrize("k", [0.0, False])
+def test_degree_0_shortcut_takes_no_degree_that_is_no_int(k):
+    with pytest.raises(InputError, match="homology degree must be an int"):
+        homology_map_is_iso(identity_map(boundary(1, 2)), k)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(homology_oracle_inputs().filter(lambda x: len(pi0(x)) == 1))
+def test_hurewicz_the_abelianized_edge_path_group_is_h1(x):
+    assert abelianization_invariants(edge_path_presentation(x, 0)) == homology(x, 1)
+
+
+def test_the_checks_reduce_only_boundaries(monkeypatch):
+    built = []  # the columns of every reduction
+
+    class Recording(intmat.Reduction):
+        __slots__ = ()
+
+        def __init__(self, columns):
+            built.append(columns)
+            super().__init__(columns)
+
+    monkeypatch.setattr(intmat, "Reduction", Recording)
+    f = unique_map_to_point(from_simplicial_complex(grid_disk_facets(4), 2))
+    assert is_weak_equivalence_sset(f).qualifier == {"route": "contractible"}
+    # d_1, d_2 and d_3 of each side; d_0 is not reduced, and nothing is glued
+    boundaries = [hml._boundary_columns(z, k) for z in (f.source, f.target) for k in (1, 2, 3)]
+    assert len(built) == 6
+    assert all(any(cols is b for b in boundaries) for cols in built)
+
+    built.clear()
+    disk = from_simplicial_complex(grid_disk_facets(5), 2)
+    assert is_weakly_contractible(disk).is_yes
+    # ab(pi1) is read off H_1 = 0: the relators are not reduced
+    assert len(built) == 3
+    assert all(any(cols is hml._boundary_columns(disk, k) for k in (1, 2, 3)) for cols in built)

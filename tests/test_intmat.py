@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sccat import intmat
+from sccat import homology as hml, intmat
+from tests.test_homology import homology_oracle_inputs
 
 
 def test_snf_identity():
@@ -131,3 +132,57 @@ def test_reduction_passes_again_for_units_made_by_a_pivot(monkeypatch):
     monkeypatch.setattr(intmat, "smith_normal_form", lambda a: dense.append(a) or snf(a))
     assert intmat.invariant_factors([[2, 1], [3, 1]]) == [1, 1]
     assert dense == []
+
+
+# ---------------------------------------------------------------------------
+# the sparse column reduction against a plain transcription of its pivot rule
+
+def column_reduce_by_pivot_lists(columns, m):
+    """`intmat._column_reduce` written plainly: each column lists its unit
+    rows and takes the min by (live entries in the row, row); every one of
+    the m rows has a set of live columns; entries cancel through
+    `_sub_multiple`, and the row index is mended after each clearing."""
+    cols = [dict(col) for col in columns]
+    trans = [{j: 1} for j in range(len(cols))]
+    where = [set() for _ in range(m)]
+    for j, col in enumerate(cols):
+        for i in col:
+            where[i].add(j)
+    live = [True] * len(cols)
+    units, progress = 0, True
+    while progress:
+        progress = False
+        for j, col in enumerate(cols):
+            rows = [i for i, v in col.items() if v in (1, -1)] if live[j] else []
+            if not rows:
+                continue
+            r = min(rows, key=lambda i: (len(where[i]), i))
+            live[j], units, progress = False, units + 1, True
+            for i in col:
+                where[i].discard(j)
+            for c in sorted(where[r]):
+                q = cols[c][r] * col[r]
+                intmat._sub_multiple(cols[c], q, col)
+                intmat._sub_multiple(trans[c], q, trans[j])
+                for i in col:
+                    if i in cols[c]:
+                        where[i].add(c)
+                    else:
+                        where[i].discard(c)
+    return units, [(col, t) for col, t, keep in zip(cols, trans, live) if keep]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(homology_oracle_inputs())
+def test_column_reduction_of_boundaries_matches_the_pivot_lists(x):
+    for k in range(x.dim_bound + 2):
+        cols = hml._boundary_columns(x, k)
+        assert (intmat._column_reduce(cols)
+                == column_reduce_by_pivot_lists(cols, hml._chain_rank(x, k - 1)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_matrices())
+def test_column_reduction_of_small_matrices_matches_the_pivot_lists(a):
+    cols = intmat.sparse_columns(a)
+    assert intmat._column_reduce(cols) == column_reduce_by_pivot_lists(cols, len(a))

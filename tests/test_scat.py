@@ -195,6 +195,16 @@ def test_library_categories_are_canonical():
         assert list(again.compose.items()) == list(cat.compose.items())
 
 
+@pytest.mark.parametrize("n_objects, identities, message", [
+    (2, (0, 0), "every hom must be a SimplicialSet at dim_bound, one per object pair"),
+    (1, (5,), "identities must mark one 0-simplex of each Hom"),
+    (1, (0, 0), "identities must mark one 0-simplex of each Hom"),
+], ids=["a-missing-hom-pair", "an-identity-out-of-range", "one-identity-too-many"])
+def test_build_compose_rejects_missing_homs_and_bad_identities(n_objects, identities, message):
+    with pytest.raises(InputError, match=message):
+        build_compose(n_objects, {(0, 0): point(2)}, 2, None, identities)
+
+
 def with_entries(cat, entries, identities=None):
     """cat with compose[t][k][g][f] = v for each ((t, k, g, f), v)."""
     compose = {t: [[list(row) for row in lvl] for lvl in levels]

@@ -19,7 +19,7 @@ from sccat.sset import (
 )
 from sccat.verdict import (BUDGET, UNDECIDED_GROUP, Budget, BudgetExceeded, Verdict,
                            _Steps, aggregate)
-from tests.test_homology import cycle, torus_facets
+from tests.test_homology import annulus_facets, cycle, torus_facets
 from tests.test_sset import projective_plane
 
 B = Budget(max_dim=3)
@@ -438,15 +438,6 @@ def _unfilled_by_recursion(p, n, k, steps):
             xs.pop()
 
     extend(0)
-    return out
-
-
-def annulus_facets():
-    """A 6-cycle (vertices 0..5) times an interval (inner cycle 6..11)."""
-    out = []
-    for i in range(6):
-        o0, o1, n0, n1 = i, (i + 1) % 6, 6 + i, 6 + (i + 1) % 6
-        out += [(o0, o1, n0), (o1, n0, n1)]
     return out
 
 

@@ -2,6 +2,7 @@
 
     python3 tools/pairs.py --parent HEAD~1 --workload factorization --pairs 10 --seconds 8 --seed 7
     python3 tools/pairs.py --parent HEAD~1 --workload kan-lifting --json BENCH_27.json
+    python3 tools/pairs.py --trajectory
 
 Run from anywhere inside a git checkout.  The parent revision is checked out
 into a temporary ``git worktree``, which is removed on exit, also after an
@@ -22,7 +23,13 @@ working tree as its base commit and a digest of its diff under ``src/`` and
 length and the number of pairs; every end-to-end metric with each side's
 values per pair, median and quartiles, and the pairs won; and every item's
 per-pair medians on each side, read from ``perfbench/out/*-trace0.json``,
-with their median and quartiles.  Standard library only.
+with their median and quartiles.
+
+``--trajectory`` runs nothing: it prints, as one Markdown table, pass_s and
+op_ms_p50 of every ``BENCH_<n>.json`` committed at HEAD, in the order of n,
+each as the parent's median -> the change's median with the pairs won.
+
+Standard library only.
 """
 from __future__ import annotations
 
@@ -31,6 +38,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -39,6 +47,7 @@ import tempfile
 from pathlib import Path
 
 SCHEMA = 1
+TRAJECTORY = ("pass_s", "op_ms_p50")
 
 
 def git(*args: str, cwd: Path) -> str:
@@ -138,18 +147,49 @@ def report(s: dict) -> None:
         print(f"  change won {m['change_won']} of {len(a)} pairs")
 
 
+def committed_benches(root: Path) -> list:
+    """(file name, record) of every BENCH_<n>.json committed at HEAD, by n."""
+    names = git("ls-tree", "--name-only", "HEAD", cwd=root).splitlines()
+    found = sorted((int(m.group(1)), name) for name in names
+                   if (m := re.fullmatch(r"BENCH_(\d+)\.json", name)))
+    return [(name, json.loads(git("show", f"HEAD:{name}", cwd=root))) for _, name in found]
+
+
+def trajectory(benches: list) -> str:
+    """The Markdown table of ``--trajectory`` for (file name, record) pairs."""
+    rows = ["| file | workload | seed | pairs | parent | "
+            + " | ".join(f"{name} parent -> change (won)" for name in TRAJECTORY) + " |",
+            "| --- | --- | ---: | ---: | --- |" + " ---: |" * len(TRAJECTORY)]
+    for file, b in benches:
+        cells = []
+        for name in TRAJECTORY:
+            m = b["metrics"][name]
+            cells.append(f"{m['parent']['median']:#.4g} -> {m['change']['median']:#.4g} "
+                         f"({m['change_won']}/{b['pairs']})")
+        rows.append(f"| {file} | {b['workload']} | {b['seed']} | {b['pairs']} | "
+                    f"{b['parent']['rev'][:7]} | " + " | ".join(cells) + " |")
+    return "\n".join(rows)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, help="revision to compare against")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--parent", help="revision to compare against")
+    ap.add_argument("--workload")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=8)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--json", type=Path, help="also write the comparison to this file")
+    ap.add_argument("--trajectory", action="store_true",
+                    help="print the committed BENCH_<n>.json files as one table, run nothing")
     args = ap.parse_args(argv)
+    root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
+    if args.trajectory:
+        print(trajectory(committed_benches(root)))
+        return 0
+    if not (args.parent and args.workload):
+        ap.error("--parent and --workload are required unless --trajectory is given")
     if args.pairs < 1 or args.seconds <= 0:
         ap.error("--pairs and --seconds must be positive")
-    root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
     metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
     tmp = Path(tempfile.mkdtemp(prefix="pairs-"))
     worktree = tmp / "parent"
