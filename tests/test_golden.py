@@ -1,5 +1,6 @@
 """Golden digests of the lifting checks, both acyclic-fibration routes, the
-generic search and bounded factorization on the test fixtures.
+generic search, bounded factorization, the fundamental-group and
+weak-equivalence checks and coset enumeration on the test fixtures.
 
 Each corpus entry is one call; its result (or the exception it raised) is
 put into a canonical form and hashed.  ``golden_digests.json`` keeps one
@@ -16,13 +17,17 @@ import pathlib
 
 from sccat import model
 from sccat.constructions_basic import codiscrete_groupoid, inclusion_of_object, walking_arrow
+from sccat.pi1 import coset_enumeration, edge_path_presentation, fundamental_group_trivial
 from sccat.scat import functor_U_map, identity_sfunctor, singleton_cat
 from sccat.sset import (SimplicialSet, SSetMap, boundary, boundary_inclusion, horn,
                         horn_inclusion)
-from sccat.ssetcheck import is_acyclic_fibration_sset, is_kan_fibration
+from sccat.ssetcheck import (is_acyclic_fibration_sset, is_kan_fibration,
+                             is_weak_equivalence_sset, is_weakly_contractible)
 from sccat.verdict import Budget
+from tests.test_homology import ORACLE_COMPLEXES, oracle_maps, weak_equivalence_fixture_maps
 from tests.test_model import (MULTI_OBJECT_CATEGORIES, empty_to, multi_object_functors,
                               two_copies_onto_one)
+from tests.test_pi1 import PI1_SPACES, PRESENTATIONS
 from tests.test_ssetcheck import LIFTING_COMPLEXES, SURFACE_MAPS, lifting_maps
 
 DATA = pathlib.Path(__file__).with_name("golden_digests.json")
@@ -155,9 +160,47 @@ def _factorizations():
     }
 
 
+def _pi1_corpus() -> dict:
+    """The fundamental-group and weak-equivalence side: weak contractibility,
+    and the edge-path presentation and its triviality at every base, of each
+    homology oracle complex and each space of the pi1 tests (the torus among
+    them, with more than one generator); the weak-equivalence check on every
+    map between two oracle complexes and on the fixture maps; coset
+    enumeration on the presentations of the pi1 tests, capped as
+    ``is_trivial_group`` caps it."""
+    out = {}
+    spaces = {f"D{d} {i}": x for d, xs in ORACLE_COMPLEXES.items() for i, x in enumerate(xs)}
+    spaces.update({f"pi1 space {i}": x for i, x in enumerate(PI1_SPACES)})
+    for name, x in spaces.items():
+        for b, budget in BUDGETS.items():
+            out[f"contractible {name} {b}"] = (
+                lambda x=x, budget=budget: is_weakly_contractible(x, budget))
+        for base in range(x.size(0)):
+            out[f"edge-path {name} at {base}"] = (
+                lambda x=x, base=base: edge_path_presentation(x, base))
+            for b, budget in BUDGETS.items():
+                out[f"pi1 trivial {name} at {base} {b}"] = (
+                    lambda x=x, base=base, budget=budget:
+                    fundamental_group_trivial(x, base, budget))
+    maps = {f"D{d} {i}->{j} #{q}": f for d, xs in ORACLE_COMPLEXES.items()
+            for i in range(len(xs)) for j in range(len(xs))
+            for q, f in enumerate(oracle_maps(d, i, j))}
+    maps.update({f"fixture #{q}": f for q, f in enumerate(weak_equivalence_fixture_maps())})
+    for name, f in maps.items():
+        for b, budget in BUDGETS.items():
+            out[f"weq {name} {b}"] = (
+                lambda f=f, budget=budget: is_weak_equivalence_sset(f, budget))
+    for q, pres in enumerate(PRESENTATIONS):
+        for b, budget in BUDGETS.items():
+            cap = max(2, min(budget.max_steps, 20000))
+            out[f"coset_enumeration #{q} {b}"] = (
+                lambda pres=pres, cap=cap: coset_enumeration(pres, cap))
+    return out
+
+
 def corpus() -> dict:
     """Entry name -> a call with no arguments."""
-    out = {}
+    out = _pi1_corpus()
     for name, p in _sset_maps().items():
         for b, budget in BUDGETS.items():
             out[f"kan {name} {b}"] = lambda p=p, budget=budget: is_kan_fibration(p, budget)

@@ -30,13 +30,21 @@ def test_abelianization():
     assert abelianization_invariants(P(["a", "b"], [(1,), (2,)])) == (0, [])
 
 
-@pytest.mark.parametrize("pres,order", [
+ORDERS = [
     (P(["a"], [(1,)]), 1),
     (P(["a"], [(1, 1, 1)]), 3),
     (P(["a", "b"], [(1, 1), (2, 2), (1, 2, 1, 2)]), 4),  # Klein four group
     (P(["a", "b"], [(1, -2), (1, 1, 1), (2, 2, 2, 2)]), 1),  # a=b, a^3=a^4=1
     (P([], []), 1),
-])
+]
+A5 = P(["a", "b"], [(1, 1), (2, 2, 2), (1, 2) * 5])
+# trivial, but only the enumeration can tell
+TRIVIAL_BY_ENUMERATION = P(["a", "b"], [(1, 2, -1, -2, -2), (2, 1, -2, -1, -1)])
+# the presentations of this module, the golden corpus enumerates them too
+PRESENTATIONS = [pres for pres, _ in ORDERS] + [P(["a"], []), A5, TRIVIAL_BY_ENUMERATION]
+
+
+@pytest.mark.parametrize("pres,order", ORDERS)
 def test_coset_enumeration_orders(pres, order):
     assert coset_enumeration(pres, 2000) == order
 
@@ -54,14 +62,14 @@ def test_is_trivial_group_examples():
     v = is_trivial_group(P(["a"], [(1, 1, 1)]))
     assert v.witness["abelianization"] == (0, [3])
     # A5 is perfect: the abelianization is trivial, the enumeration says no
-    v = is_trivial_group(P(["a", "b"], [(1, 1), (2, 2, 2), (1, 2) * 5]))
+    v = is_trivial_group(A5)
     assert v.is_no and v.witness == {"order": 60}
 
 
 def test_is_trivial_group_unknown_on_tiny_budget():
     # trivial abelianization, so only enumeration can decide; with no room
     # to enumerate the verdict must stay unknown
-    pres = P(["a", "b"], [(1, 2, -1, -2, -2), (2, 1, -2, -1, -1)])
+    pres = TRIVIAL_BY_ENUMERATION
     v = is_trivial_group(pres, Budget(max_steps=3))
     assert v.kind == "unknown"
     # with room it is the classic presentation of the trivial group
