@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .sset import _check_natural
 from .verdict import InputError
 
 
@@ -103,8 +104,9 @@ def validate_category(c: FiniteCategory) -> list:
 
 def is_isomorphism(c: FiniteCategory, a: int, b: int, m: int):
     """(True, inverse) if m: a -> b has a two-sided inverse, else (False, None)."""
-    if not (0 <= m < len(c.hom(a, b))):
-        raise InputError("morphism index out of range")
+    _check_natural("a", a, 0, c.n_objects() - 1, "unknown object")
+    _check_natural("b", b, 0, c.n_objects() - 1, "unknown object")
+    _check_natural("m", m, 0, len(c.hom(a, b)) - 1, "morphism index out of range")
     for m2 in range(len(c.hom(b, a))):
         if (c.comp(a, b, a, m2, m) == c.identities[a]
                 and c.comp(b, a, b, m, m2) == c.identities[b]):

@@ -11,7 +11,11 @@ factors of the abelianized relator matrix give a definite "no"), then a bounded
 Todd-Coxeter coset enumeration over the trivial subgroup, one HLT pass with
 deferred coincidences: if it completes, the group order is the number of
 surviving cosets, which settles the question either way; if the coset table
-overflows its budget the verdict is unknown.
+overflows its budget the verdict is unknown.  The table has one column per
+letter, 2g for generator g and 2g + 1 for its inverse, so ``c ^ 1`` is the
+inverse column.  Every read resolves through a union-find of the cosets,
+only relator scans merge, and a merge keeps complete rows complete and
+closed relator cycles closed.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .sset import SimplicialSet, _UnionFind, _check_natural
-from .verdict import Budget, BudgetExceeded, InputError, UNDECIDED_GROUP, Verdict
+from .verdict import Budget, BudgetExceeded, UNDECIDED_GROUP, Verdict, _Steps
 
 # A word is a tuple of nonzero ints: +g means generator g-1, -g its inverse.
 Word = tuple
@@ -33,9 +37,9 @@ class GroupPresentation:
     def __post_init__(self):
         n = len(self.generators)
         for rel in self.relators:
-            for letter in rel:
-                if letter == 0 or abs(letter) > n:
-                    raise InputError(f"relator letter {letter} out of range")
+            for letter in rel:          # 0 is no letter
+                _check_natural("relator letter", letter or None, -n, n,
+                               f"relator letter {letter!r} out of range")
 
     @property
     def n_generators(self) -> int:
@@ -63,127 +67,97 @@ def abelianization_invariants(p: GroupPresentation) -> tuple:
             col[g] = col.get(g, 0) + (1 if letter > 0 else -1)
         columns.append({g: col[g] for g in sorted(col) if col[g]})
     facs = intmat.Reduction(columns).invariant_factors()
-    betti = p.n_generators - len(facs)
-    torsion = sorted(d for d in facs if d != 1)
-    return (betti, torsion)
+    return (p.n_generators - len(facs), sorted(d for d in facs if d != 1))
 
 
 # ---------------------------------------------------------------------------
 # Todd-Coxeter coset enumeration over the trivial subgroup (HLT style)
 
-class _CosetTable:
-    """Coset table over the trivial subgroup with lazy coincidence merging.
-
-    Entries may point at dead cosets; every read resolves through the
-    union-find ``cosets``.  Merging two cosets keeps the smaller one and
-    combines their rows, cascading further merges.
-
-    Only relator scans merge.  ``set_entry`` fills only undefined entries
-    of class representatives (a fresh coset's, or the two that end a
-    deduction), so it never meets a coincidence.  A merge only
-    identifies cosets, so it keeps complete rows complete and closed
-    relator cycles closed.
-    """
-
-    def __init__(self, n_gens: int, max_cosets: int):
-        self.n_cols = 2 * n_gens
-        self.max_cosets = max_cosets
-        self.table = [[None] * self.n_cols]
-        self.cosets = _UnionFind(1)
-
-    def col(self, letter: int) -> int:
-        g = abs(letter) - 1
-        return 2 * g if letter > 0 else 2 * g + 1
-
-    def inv_col(self, c: int) -> int:
-        return c ^ 1
-
-    def entry(self, a: int, c: int):
-        v = self.table[self.cosets.find(a)][c]
-        return None if v is None else self.cosets.find(v)
-
-    def define(self, a: int, c: int):
-        if len(self.table) >= self.max_cosets:
-            raise BudgetExceeded("coset table full")
-        self.table.append([None] * self.n_cols)
-        self.set_entry(a, c, self.cosets.add())
-
-    def set_entry(self, a: int, c: int, b: int):
-        self.table[a][c] = b
-        self.table[b][self.inv_col(c)] = a
-
-    def merge(self, a: int, b: int):
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            x, y = self.cosets.find(x), self.cosets.find(y)
-            if x == y:
-                continue
-            self.cosets.union(x, y)
-            if y < x:
-                x, y = y, x
-            rx, ry = self.table[x], self.table[y]
-            for c in range(self.n_cols):
-                v = ry[c]
-                if v is None:
-                    continue
-                if rx[c] is None:
-                    rx[c] = v
-                else:
-                    stack.append((rx[c], v))
-                ry[c] = None
-
-    def scan(self, start: int, word: Word):
-        """Trace a relator from a live coset, deducing or defining until it closes."""
-        while True:
-            f = b = start
-            i, j = 0, len(word) - 1
-            while i <= j:
-                nxt = self.entry(f, self.col(word[i]))
-                if nxt is None:
-                    break
-                f = nxt
-                i += 1
-            while j >= i:
-                prv = self.entry(b, self.inv_col(self.col(word[j])))
-                if prv is None:
-                    break
-                b = prv
-                j -= 1
-            if j < i:
-                self.merge(f, b)
-                return
-            if j == i:
-                self.set_entry(f, self.col(word[i]), b)
-                return
-            self.define(f, self.col(word[i]))
-
-
 def coset_enumeration(p: GroupPresentation, max_cosets: int) -> int | None:
-    """Order of the presented group if enumeration completes, else None.
+    """Order of the presented group if enumeration completes within
+    ``max_cosets`` cosets, else None.
+
+    Each relator is read once as its list of columns (2g for generator g,
+    2g + 1 for its inverse).  Entries may point at dead cosets; every read
+    resolves through the union-find ``cosets``.  Only relator scans merge:
+    ``link`` fills only undefined entries of class representatives (a fresh
+    coset's, or the two that end a deduction), so it never meets a
+    coincidence.  A merge keeps the smaller coset and combines the two
+    rows, cascading further merges; it only identifies cosets, so it keeps
+    complete rows complete and closed relator cycles closed.  Each defined
+    coset is one step of a ``_Steps`` that allows the ``max_cosets - 1``
+    cosets after coset 0.
 
     One pass over the cosets in order: scan every relator at a live coset,
     then define its missing entries.  A coset live at the end was processed
     whole, and merges keep its row complete and its cycles closed, so the
     finished table needs no second look.
     """
-    relators = [r for r in (free_reduce(r) for r in p.relators) if r]
-    tbl = _CosetTable(p.n_generators, max_cosets)
+    _check_natural("max_cosets", max_cosets)
+    n_cols = 2 * p.n_generators
+    relators = [[2 * abs(x) - 2 + (x < 0) for x in r]
+                for r in map(free_reduce, p.relators) if r]
+    table = [[None] * n_cols]
+    cosets = _UnionFind(1)
+    find = cosets.find
+    steps = _Steps(max_cosets - 1)
+
+    def entry(a, c):
+        v = table[find(a)][c]
+        return None if v is None else find(v)
+
+    def link(a, c, b):
+        table[a][c] = b
+        table[b][c ^ 1] = a
+
+    def define(a, c):
+        steps.charge()
+        table.append([None] * n_cols)
+        link(a, c, cosets.add())
+
+    def merge(a, b):
+        stack = [(a, b)]
+        while stack:
+            x, y = sorted(map(find, stack.pop()))
+            if x == y:
+                continue
+            cosets.union(x, y)
+            rx = table[x]
+            for c, v in enumerate(table[y]):
+                if v is not None:
+                    if rx[c] is None:
+                        rx[c] = v
+                    else:
+                        stack.append((rx[c], v))
+
+    def scan(start, cols):
+        """Trace a relator from a live coset, deducing or defining until it closes."""
+        while True:
+            f = b = start
+            i, j = 0, len(cols) - 1
+            while i <= j and (nxt := entry(f, cols[i])) is not None:
+                f, i = nxt, i + 1
+            while j >= i and (prv := entry(b, cols[j] ^ 1)) is not None:
+                b, j = prv, j - 1
+            if j < i:
+                return merge(f, b)
+            if j == i:
+                return link(f, cols[i], b)
+            define(f, cols[i])
+
     try:
-        a = 0
-        while a < len(tbl.table):
-            for rel in relators:
-                if tbl.cosets.find(a) != a:
+        for a, _ in enumerate(table):       # rows defined in the pass join it
+            for cols in relators:
+                if find(a) != a:
                     break
-                tbl.scan(a, rel)
-            if tbl.cosets.find(a) == a:
-                for c in range(tbl.n_cols):
-                    if tbl.entry(a, c) is None:
-                        tbl.define(a, c)
-            a += 1
+                scan(a, cols)
+            if find(a) == a:
+                for c in range(n_cols):
+                    if entry(a, c) is None:
+                        define(a, c)
     except BudgetExceeded:
         return None
-    return sum(tbl.cosets.find(a) == a for a in range(len(tbl.table)))
+    return sum(find(a) == a for a in range(len(table)))
 
 
 def is_trivial_group(p: GroupPresentation, budget: Budget | None = None) -> Verdict:
@@ -222,51 +196,40 @@ class EdgePathData:
 
 def edge_path_data(x: SimplicialSet, base: int) -> EdgePathData:
     _check_natural("base", base, 0, x.size(0) - 1, "base vertex out of range")
-    edges = []
-    if x.dim_bound >= 1:
-        edges = [(idx, x.dims[1][idx].faces[1], x.dims[1][idx].faces[0])
-                 for idx in x.nondeg_indices(1)]
+    edges = [(idx, x.dims[1][idx].faces[1], x.dims[1][idx].faces[0])
+             for idx in (x.nondeg_indices(1) if x.dim_bound >= 1 else ())]
     adj = {}
     for idx, tail, head in edges:
         adj.setdefault(tail, []).append((idx, head))
         adj.setdefault(head, []).append((idx, tail))
 
-    # breadth-first spanning tree from the base, edges in index order; the
-    # vertices it reaches are the base's path component
+    # breadth-first spanning tree from the base, edges in index order, read
+    # off one queue as it grows; the vertices it reaches are the base's path
+    # component
     tree = set()
     seen = {base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for idx, w in sorted(adj.get(v, [])):
-                if w not in seen:
-                    seen.add(w)
-                    tree.add(idx)
-                    nxt.append(w)
-        frontier = nxt
+    queue = [base]
+    for v in queue:
+        for idx, w in sorted(adj.get(v, [])):
+            if w not in seen:
+                seen.add(w)
+                tree.add(idx)
+                queue.append(w)
 
-    gen_of_edge = {}
-    names = []
-    for idx, tail, head in edges:
-        if tail in seen and idx not in tree:
-            gen_of_edge[idx] = len(names) + 1
-            names.append(f"e{idx}")
+    off_tree = [idx for idx, tail, _ in edges if tail in seen and idx not in tree]
+    gen_of_edge = {idx: g for g, idx in enumerate(off_tree, 1)}
 
+    # the boundary d2 d0 d1^-1 of each 2-simplex, off-tree edges only
     relators = []
-    if x.dim_bound >= 2:
-        for idx in x.nondeg_indices(2):
-            rec = x.dims[2][idx]
-            word = []
-            for edge_idx, sign in ((rec.faces[2], 1), (rec.faces[0], 1),
-                                   (rec.faces[1], -1)):
-                g = gen_of_edge.get(edge_idx)
-                if g is not None:
-                    word.append(sign * g)
-            word = free_reduce(tuple(word))
-            if word:
-                relators.append(word)
-    pres = GroupPresentation(generators=tuple(names), relators=tuple(relators))
+    for idx in x.nondeg_indices(2) if x.dim_bound >= 2 else ():
+        faces = x.dims[2][idx].faces
+        word = free_reduce(tuple(sign * gen_of_edge[e] for e, sign in
+                                 ((faces[2], 1), (faces[0], 1), (faces[1], -1))
+                                 if e in gen_of_edge))
+        if word:
+            relators.append(word)
+    pres = GroupPresentation(generators=tuple(f"e{idx}" for idx in off_tree),
+                             relators=tuple(relators))
     return EdgePathData(presentation=pres, component=tuple(sorted(seen)),
                         tree_edges=tuple(sorted(tree)),
                         generator_of_edge=gen_of_edge)

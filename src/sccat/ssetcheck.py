@@ -7,6 +7,7 @@ complete on simply connected inputs (simple connectivity plus vanishing
 reduced homology forces contractibility), so the only honest escape hatch
 is an undecided fundamental group.  On a connected set the abelianized
 edge-path group is H_1 (Hurewicz), already computed: no relator is reduced.
+``_all_components_simply_connected`` is the one place that reads it so.
 
 The weak-equivalence checker is deliberately partial: definite answers
 are sound, isomorphisms and simply connected comparisons are decided, and
@@ -50,7 +51,7 @@ def is_weakly_contractible(x: SimplicialSet, budget: Budget | None = None) -> Ve
             return Verdict.no(witness={"pi0_classes": h})
         return Verdict.no(witness={"nonvanishing_homology": {"degree": k, "value": h}})
     # x is connected and H_1 = 0
-    pi1_verdict = _is_trivial_group(edge_path_presentation(x, pi0(x)[0][0]), budget, (0, []))
+    pi1_verdict = _all_components_simply_connected(x, budget)
     if pi1_verdict.is_no:
         return Verdict.no(witness={"pi1": pi1_verdict.witness})
     if not pi1_verdict.is_definite:
@@ -59,7 +60,7 @@ def is_weakly_contractible(x: SimplicialSet, budget: Budget | None = None) -> Ve
                                 "reduced_homology": "vanishes"})
 
 
-def _all_components_simply_connected(x: SimplicialSet, budget: Budget) -> Verdict:
+def _all_components_simply_connected(x: SimplicialSet, budget: Budget | None) -> Verdict:
     ab = hml.homology(x, 1) if x.dim_bound and len(pi0(x)) == 1 else None
     return aggregate([_is_trivial_group(edge_path_presentation(x, comp[0]), budget, ab)
                       for comp in pi0(x)])

@@ -91,19 +91,20 @@ class Budget:
     DK-equivalence check do not.  max_words bounds the number of
     adjoined-generator letters in a composite word and the number of cells
     ``factor_bounded`` attaches, max_steps the number of steps a
-    :class:`_Steps` counter allows: search nodes, join steps or pushout
-    word extensions.  For ``is_kan_fibration`` and
-    ``is_acyclic_fibration_sset``, max_steps is one total per top-level
-    call over all horns or boundaries, for ``is_fibration`` one total over
-    the horns of every hom map, and for route (b) and ``factor_bounded``
-    one total over the hom-wise lifting checks of the whole call; naming a
-    counterexample square charges nothing, nor does a failed test of a
-    map for a bijection on a cell's levels n - 1 and n: a size mismatch
-    costs one comparison, else the join that follows charges at least
-    |X_{n-1}|.  A test that passes replaces the join and charges |X_{n-1}|
-    + |X_n|, a step per simplex read, never more than the join; so it only
-    turns unknowns into definite answers.  Each functor search (as in
-    ``solve_lifting``) and each pushout gets max_steps of its own.
+    :class:`_Steps` counter allows: search nodes, join steps, pushout word
+    extensions or coset-table rows.  For ``is_kan_fibration`` and
+    ``is_acyclic_fibration_sset``, max_steps is one total per top-level call
+    over all horns or boundaries, for ``is_fibration`` one total over the
+    horns of every hom map, and for route (b) and ``factor_bounded`` one
+    total over the hom-wise lifting checks of the whole call; naming a
+    counterexample square charges nothing, nor does a failed test of a map
+    for a bijection on a cell's levels n - 1 and n: a size mismatch costs one
+    comparison, else the join that follows charges at least |X_{n-1}|.  A
+    test that passes replaces the join and charges |X_{n-1}| + |X_n|, a step
+    per simplex read, never more than the join; so it only turns unknowns
+    into definite answers.  Each functor search (as in ``solve_lifting``) and
+    each pushout gets max_steps of its own, and the coset table of each
+    ``is_trivial_group`` call min(max_steps, 20 000) rows of its own.
     """
     max_dim: int = 4
     max_words: int = 64
@@ -122,7 +123,9 @@ class BudgetExceeded(Exception):
 class _Steps:
     """The one step counter of every engine: ``charge(n)`` counts n steps and
     raises BudgetExceeded once the count passes ``cap``, never when ``cap``
-    is None.  One counter may be shared by the sub-checks of a whole call."""
+    is None.  One counter may be shared by the sub-checks of a whole call;
+    coset-table rows count on one of their own, capped at min(max_steps,
+    20 000) by ``is_trivial_group``."""
 
     def __init__(self, cap: int | None):
         self.left = float("inf") if cap is None else cap

@@ -3,9 +3,11 @@ not an int in range with InputError (a ValueError), never with an error
 that leaks from inside, and never by returning.
 
 The sweep covers the public functions and constructors of ``sset``,
-``scat`` and ``constructions_basic``, the degree of ``homology``, ``betti``
-and ``homology_map_is_iso``, the generating sets and ``GeneratorMap`` of
-``model`` and the fields of ``Budget``.  Methods of built objects (``size``, ``face``,
+``scat``, ``constructions_basic``, ``pi1``, ``cat`` and ``words``, the
+degree of ``homology``, ``betti`` and ``homology_map_is_iso``, the
+generating sets and ``GeneratorMap`` of ``model`` and the fields of
+``Budget``; ``test_pi1`` checks the letters of a presentation's relators
+the same way.  Methods of built objects (``size``, ``face``,
 ``comp``, ...) index data that is already checked and are not swept.
 """
 import inspect
@@ -13,20 +15,22 @@ import re
 
 import pytest
 
-from sccat import constructions_basic, homology, model, scat, sset, verdict
+from sccat import cat, constructions_basic, homology, model, pi1, scat, sset, verdict, words
+from sccat.cat import is_isomorphism
 from sccat.constructions_basic import codiscrete_groupoid, inclusion_of_object, walking_arrow
 from sccat.homology import betti, homology_map_is_iso
 from sccat.model import GeneratorMap, c2_generator, generating_acyclic_a1, generating_cofibrations
-from sccat.pi1 import edge_path_data
+from sccat.pi1 import (GroupPresentation, coset_enumeration, edge_path_data,
+                       edge_path_presentation, fundamental_group_trivial)
 from sccat.scat import (SimplicialCategory, build_compose, double_object, empty_cat,
                         full_subcategory, functor_U_map, is_homotopy_equivalence,
-                        singleton_cat, u_functor)
+                        pi0_category, singleton_cat, u_functor)
 from sccat.sset import (SimplicialSet, attach_nondeg, boundary, boundary_inclusion,
                         degeneracy_words, derive_records, empty_sset, from_nondegenerate,
                         from_simplex_tuples, from_simplicial_complex, horn, horn_inclusion,
                         identity_map, point, standard_simplex, word_after_degeneracy)
 from sccat.verdict import Budget, InputError
-from sccat.words import Attachment
+from sccat.words import Attachment, glue_at_object, glue_for_u
 
 D = 2
 VALUES = [2.0, True, -1, None, "a"]
@@ -45,6 +49,16 @@ def _u_functor(gx, gy):
 
 def _is_homotopy_equivalence(a=0, b=0, e=0):
     return is_homotopy_equivalence(codiscrete_groupoid(2, D), a, b, e)
+
+
+def _is_isomorphism(a=0, b=1, m=0):
+    return is_isomorphism(pi0_category(codiscrete_groupoid(2, D)), a, b, m)
+
+
+def _glue_for_u(gx, gy):
+    i = horn_inclusion(2, 1, D)
+    base = functor_U_map(i).target
+    return glue_for_u(Attachment.from_sset_mono(i), base, gx, gy, i)
 
 
 # "module.name" -> {int slot: the call with the value put in that slot, every
@@ -103,6 +117,18 @@ SWEEP = {
                                       "dim_bound": lambda v: generating_cofibrations(1, v)},
     "model.generating_acyclic_a1": {"n_max": lambda v: generating_acyclic_a1(v, D),
                                     "dim_bound": lambda v: generating_acyclic_a1(1, v)},
+    "pi1.coset_enumeration": {
+        "max_cosets": lambda v: coset_enumeration(GroupPresentation(("a",), ((1, 1),)), v)},
+    "pi1.edge_path_data": {"base": lambda v: edge_path_data(boundary(1, D), v)},
+    "pi1.edge_path_presentation": {"base": lambda v: edge_path_presentation(boundary(1, D), v)},
+    "pi1.fundamental_group_trivial": {
+        "base": lambda v: fundamental_group_trivial(boundary(1, D), v)},
+    "cat.is_isomorphism": {"a": lambda v: _is_isomorphism(a=v),
+                           "b": lambda v: _is_isomorphism(b=v),
+                           "m": lambda v: _is_isomorphism(m=v)},
+    "words.glue_at_object": {"obj": lambda v: glue_at_object(
+        Attachment.a2(codiscrete_groupoid(2, D)), codiscrete_groupoid(2, D), v)},
+    "words.glue_for_u": {"gx": lambda v: _glue_for_u(v, 1), "gy": lambda v: _glue_for_u(0, v)},
     "verdict.Budget": {"max_dim": lambda v: Budget(max_dim=v),
                        "max_words": lambda v: Budget(max_words=v),
                        "max_steps": lambda v: Budget(max_steps=v)},
@@ -113,7 +139,7 @@ SCOPE = {sset: None, scat: None, constructions_basic: None,
          homology: {"homology", "betti", "homology_map_is_iso"},
          model: {"GeneratorMap", "c2_generator", "generating_cofibrations",
                  "generating_acyclic_a1"},
-         verdict: {"Budget"}}
+         verdict: {"Budget"}, pi1: None, cat: None, words: None}
 # a record type: a plain tuple that only sset.derive_records makes
 NOT_SWEPT = {"sset.Simplex"}
 

@@ -6,6 +6,7 @@ from sccat.cat import (
     FiniteCategory, FiniteFunctor, compose_functors, is_equivalence,
     is_isomorphism, validate_category, validate_functor,
 )
+from sccat.verdict import InputError
 
 
 # -- handy constructions for tests -------------------------------------------
@@ -69,6 +70,15 @@ def test_walking_arrow_generator_not_isomorphism():
     c = walking_arrow_category()
     ok, _ = is_isomorphism(c, 0, 1, 0)
     assert not ok  # no morphism back from y to x
+
+
+@pytest.mark.parametrize("a, b, m, message", [
+    (True, 1, 0, "unknown object"), (0.0, 1, 0, "unknown object"), (0, 2, 0, "unknown object"),
+    (0, 1, None, "morphism index out of range"), (0, 1, 1, "morphism index out of range"),
+], ids=["a-True", "a-0.0", "b-2", "m-None", "m-1"])
+def test_is_isomorphism_takes_only_objects_and_morphisms_of_the_category(a, b, m, message):
+    with pytest.raises(InputError, match=message):
+        is_isomorphism(codiscrete_category(2), a, b, m)
 
 
 def test_identity_functor_is_equivalence():

@@ -7,9 +7,9 @@ from sccat.pi1 import (
     edge_path_data, edge_path_presentation, free_reduce,
     fundamental_group_trivial, is_trivial_group,
 )
-from sccat.sset import (boundary, disjoint_union, from_simplicial_complex, horn, pi0,
-                        pi0_class_of, point, standard_simplex)
-from sccat.verdict import Budget
+from sccat.sset import (_UnionFind, boundary, disjoint_union, from_simplicial_complex, horn,
+                        pi0, pi0_class_of, point, standard_simplex)
+from sccat.verdict import Budget, BudgetExceeded, InputError
 from tests.test_homology import cycle, torus_facets
 from tests.test_sset import projective_plane
 
@@ -54,6 +54,12 @@ def test_coset_enumeration_budget():
     assert coset_enumeration(P(["a"], []), 50) is None
 
 
+@pytest.mark.parametrize("max_cosets", [True, 2.0, 0.0, -1, None, "a"], ids=repr)
+def test_coset_enumeration_takes_only_a_natural_cap(max_cosets):
+    with pytest.raises(InputError, match="max_cosets must be an int"):
+        coset_enumeration(P(["a"], [(1, 1)]), max_cosets)
+
+
 def test_is_trivial_group_examples():
     assert is_trivial_group(P([], [])).is_yes
     assert is_trivial_group(P(["a"], [])).is_no          # abelianization Z
@@ -74,6 +80,12 @@ def test_is_trivial_group_unknown_on_tiny_budget():
     assert v.kind == "unknown"
     # with room it is the classic presentation of the trivial group
     assert is_trivial_group(pres, Budget(max_steps=10000)).is_yes
+
+
+@pytest.mark.parametrize("letter", [0, 2, -2, 1.0, 2.0, True, None, "a"], ids=repr)
+def test_a_relator_letter_is_a_nonzero_int_naming_a_generator(letter):
+    with pytest.raises(InputError, match="relator letter .* out of range"):
+        GroupPresentation(("a",), ((letter,),))
 
 
 def test_edge_path_presentation_delta2_trivial():
@@ -172,3 +184,122 @@ PI1_SPACES = [boundary(2, 2), standard_simplex(2, 2), projective_plane(2), horn(
 def test_edge_path_component_is_the_pi0_component_of_the_base(x):
     for base in range(x.size(0)):
         assert edge_path_data(x, base).component == tuple(pi0(x)[pi0_class_of(x)[base]])
+
+
+# ---------------------------------------------------------------------------
+# oracle: the coset enumeration as a table object with a hand-kept cap, the
+# earlier implementation, kept here verbatim in behaviour
+
+class _CosetTable:
+    """Coset table over the trivial subgroup with lazy coincidence merging:
+    reads resolve through the union-find ``cosets``, a merge keeps the
+    smaller coset, and only relator scans merge."""
+
+    def __init__(self, n_gens, max_cosets):
+        self.n_cols = 2 * n_gens
+        self.max_cosets = max_cosets
+        self.table = [[None] * self.n_cols]
+        self.cosets = _UnionFind(1)
+
+    def col(self, letter):
+        g = abs(letter) - 1
+        return 2 * g if letter > 0 else 2 * g + 1
+
+    def inv_col(self, c):
+        return c ^ 1
+
+    def entry(self, a, c):
+        v = self.table[self.cosets.find(a)][c]
+        return None if v is None else self.cosets.find(v)
+
+    def define(self, a, c):
+        if len(self.table) >= self.max_cosets:
+            raise BudgetExceeded("coset table full")
+        self.table.append([None] * self.n_cols)
+        self.set_entry(a, c, self.cosets.add())
+
+    def set_entry(self, a, c, b):
+        self.table[a][c] = b
+        self.table[b][self.inv_col(c)] = a
+
+    def merge(self, a, b):
+        stack = [(a, b)]
+        while stack:
+            x, y = stack.pop()
+            x, y = self.cosets.find(x), self.cosets.find(y)
+            if x == y:
+                continue
+            self.cosets.union(x, y)
+            if y < x:
+                x, y = y, x
+            rx, ry = self.table[x], self.table[y]
+            for c in range(self.n_cols):
+                v = ry[c]
+                if v is None:
+                    continue
+                if rx[c] is None:
+                    rx[c] = v
+                else:
+                    stack.append((rx[c], v))
+                ry[c] = None
+
+    def scan(self, start, word):
+        while True:
+            f = b = start
+            i, j = 0, len(word) - 1
+            while i <= j:
+                nxt = self.entry(f, self.col(word[i]))
+                if nxt is None:
+                    break
+                f = nxt
+                i += 1
+            while j >= i:
+                prv = self.entry(b, self.inv_col(self.col(word[j])))
+                if prv is None:
+                    break
+                b = prv
+                j -= 1
+            if j < i:
+                self.merge(f, b)
+                return
+            if j == i:
+                self.set_entry(f, self.col(word[i]), b)
+                return
+            self.define(f, self.col(word[i]))
+
+
+def coset_enumeration_by_table(p, max_cosets):
+    relators = [r for r in (free_reduce(r) for r in p.relators) if r]
+    tbl = _CosetTable(p.n_generators, max_cosets)
+    try:
+        a = 0
+        while a < len(tbl.table):
+            for rel in relators:
+                if tbl.cosets.find(a) != a:
+                    break
+                tbl.scan(a, rel)
+            if tbl.cosets.find(a) == a:
+                for c in range(tbl.n_cols):
+                    if tbl.entry(a, c) is None:
+                        tbl.define(a, c)
+            a += 1
+    except BudgetExceeded:
+        return None
+    return sum(tbl.cosets.find(a) == a for a in range(len(tbl.table)))
+
+
+@st.composite
+def presentations(draw):
+    """0-3 generators and, with at least one, 0-4 relators of length 1-7."""
+    n = draw(st.integers(0, 3))
+    if n == 0:
+        return P([], [])
+    letters = st.integers(1, n).flatmap(lambda g: st.sampled_from([g, -g]))
+    rels = draw(st.lists(st.lists(letters, min_size=1, max_size=7).map(tuple), max_size=4))
+    return P([f"g{i}" for i in range(n)], rels)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(presentations(), st.sampled_from([0, 1, 2, 5, 17, 60, 400]))
+def test_coset_enumeration_equals_the_table_oracle(pres, max_cosets):
+    assert coset_enumeration(pres, max_cosets) == coset_enumeration_by_table(pres, max_cosets)
