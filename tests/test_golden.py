@@ -1,6 +1,7 @@
 """Golden digests of the lifting checks, both acyclic-fibration routes, the
-generic search, bounded factorization, the fundamental-group and
-weak-equivalence checks and coset enumeration on the test fixtures.
+generic search, bounded factorization, the pushouts along generating maps,
+the fundamental-group and weak-equivalence checks and coset enumeration on
+the test fixtures.
 
 Each corpus entry is one call; its result (or the exception it raised) is
 put into a canonical form and hashed.  ``golden_digests.json`` keeps one
@@ -18,12 +19,14 @@ import pathlib
 from sccat import model
 from sccat.constructions_basic import codiscrete_groupoid, inclusion_of_object, walking_arrow
 from sccat.pi1 import coset_enumeration, edge_path_presentation, fundamental_group_trivial
-from sccat.scat import functor_U_map, identity_sfunctor, singleton_cat
+from sccat.scat import functor_U, functor_U_map, identity_sfunctor, singleton_cat
 from sccat.sset import (SimplicialSet, SSetMap, boundary, boundary_inclusion, horn,
                         horn_inclusion)
 from sccat.ssetcheck import (is_acyclic_fibration_sset, is_kan_fibration,
                              is_weak_equivalence_sset, is_weakly_contractible)
 from sccat.verdict import Budget
+from sccat.words import (Attachment, glue_at_object, glue_for_c2, glue_for_u,
+                         pushout_generating)
 from tests.test_homology import ORACLE_COMPLEXES, oracle_maps, weak_equivalence_fixture_maps
 from tests.test_model import (MULTI_OBJECT_CATEGORIES, empty_to, multi_object_functors,
                               two_copies_onto_one)
@@ -198,9 +201,50 @@ def _pi1_corpus() -> dict:
     return out
 
 
+def _u_pushout(inc, budget):
+    """U(inc) pushed out into U of inc's target, glued along inc itself."""
+    base = functor_U(inc.target)
+    att = Attachment.from_sset_mono(inc)
+    return pushout_generating(base, att, glue_for_u(att, base, 0, 1, inc), budget)
+
+
+def _c2_pushout(budget):
+    """A new object next to codiscrete(2)."""
+    base, att = codiscrete_groupoid(2, 2), Attachment.c2(2)
+    return pushout_generating(base, att, glue_for_c2(att, base), budget)
+
+
+def _a2_pushout(budget):
+    """codiscrete(2) attached along its object 0 to the object 1 of another."""
+    base = codiscrete_groupoid(2, 2)
+    att = Attachment.a2(codiscrete_groupoid(2, 2), 0)
+    return pushout_generating(base, att, glue_at_object(att, base, 1), budget)
+
+
+def _pushout_corpus() -> dict:
+    """Pushouts along generating maps: U of every boundary and horn
+    inclusion into Delta[m], for 1 <= m <= d <= 3, pushed out into
+    U(Delta[m]) along the inclusion itself, and the C2 and A2 pushouts
+    above, each at every golden budget; the largest of the benchmark's
+    pushouts, U of the horn (4, 2) at D4, at the default budget only."""
+    incs = {f"bd{m} D{d}": (lambda m=m, d=d: boundary_inclusion(m, d))
+            for d in (1, 2, 3) for m in range(1, d + 1)}
+    incs.update({f"horn{m}{k} D{d}": (lambda m=m, k=k, d=d: horn_inclusion(m, k, d))
+                 for d in (1, 2, 3) for m in range(1, d + 1) for k in range(m + 1)})
+    out = {f"pushout U {name} {b}": (lambda inc=inc, budget=budget: _u_pushout(inc(), budget))
+           for name, inc in incs.items() for b, budget in BUDGETS.items()}
+    for b, budget in BUDGETS.items():
+        out[f"pushout C2 codiscrete2 D2 {b}"] = lambda budget=budget: _c2_pushout(budget)
+        out[f"pushout A2 codiscrete2 at 1 D2 {b}"] = lambda budget=budget: _a2_pushout(budget)
+    out["pushout U horn42 D4 default"] = (
+        lambda: _u_pushout(horn_inclusion(4, 2, 4), BUDGETS["default"]))
+    return out
+
+
 def corpus() -> dict:
     """Entry name -> a call with no arguments."""
     out = _pi1_corpus()
+    out.update(_pushout_corpus())
     for name, p in _sset_maps().items():
         for b, budget in BUDGETS.items():
             out[f"kan {name} {b}"] = lambda p=p, budget=budget: is_kan_fibration(p, budget)
