@@ -375,8 +375,10 @@ def is_free_map(f: SFunctor, marking: GeneratorMarking,
 
     Always terminates: if two normalized words ever evaluate equally the
     answer is no, and otherwise the word count is bounded by the simplex
-    count.  Past ``max_steps`` words it answers (None, {"step_cap": ...}).
+    count.  Past ``max_steps`` words it answers (None, {"step_cap": ...});
+    ``max_steps`` is an int of at least 1, as in ``Budget``.
     """
+    _check_natural("max_steps", max_steps, 1)
     src, tgt = f.source, f.target
     report = {}
     bad = validate_marking(tgt, marking)

@@ -5,9 +5,9 @@ that leaks from inside, and never by returning.
 The sweep covers the public functions and constructors of ``sset``,
 ``scat``, ``constructions_basic``, ``pi1``, ``cat`` and ``words``, the
 degree of ``homology``, ``betti`` and ``homology_map_is_iso``, the
-generating sets and ``GeneratorMap`` of ``model`` and the fields of
-``Budget``; ``test_pi1`` checks the letters of a presentation's relators
-the same way.  Methods of built objects (``size``, ``face``,
+generating sets, ``GeneratorMap`` and ``is_free_map`` of ``model`` and the
+fields of ``Budget``; ``test_pi1`` checks the letters of a presentation's
+relators the same way.  Methods of built objects (``size``, ``face``,
 ``comp``, ...) index data that is already checked and are not swept.
 """
 import inspect
@@ -19,7 +19,9 @@ from sccat import cat, constructions_basic, homology, model, pi1, scat, sset, ve
 from sccat.cat import is_isomorphism
 from sccat.constructions_basic import codiscrete_groupoid, inclusion_of_object, walking_arrow
 from sccat.homology import betti, homology_map_is_iso
-from sccat.model import GeneratorMap, c2_generator, generating_acyclic_a1, generating_cofibrations
+from sccat.model import (GeneratorMap, GeneratorMarking, c2_generator,
+                         coproduct_inclusion_functor, generating_acyclic_a1,
+                         generating_cofibrations, is_free_map)
 from sccat.pi1 import (GroupPresentation, coset_enumeration, edge_path_data,
                        edge_path_presentation, fundamental_group_trivial)
 from sccat.scat import (SimplicialCategory, build_compose, double_object, empty_cat,
@@ -53,6 +55,19 @@ def _is_homotopy_equivalence(a=0, b=0, e=0):
 
 def _is_isomorphism(a=0, b=1, m=0):
     return is_isomorphism(pi0_category(codiscrete_groupoid(2, D)), a, b, m)
+
+
+def _is_free_map(max_steps):
+    """{x} + {y} -> U(bd Delta[1]) with every simplex but the identities marked."""
+    h = scat.functor_U(boundary(1, D))
+    marked = {}
+    for (a, b) in h.object_pairs():
+        entries = {(k, i) for k in range(D + 1) for i in range(h.hom[(a, b)].size(k))
+                   if not (a == b and i == h.identity_tower(a, k))}
+        if entries:
+            marked[(a, b)] = entries
+    return is_free_map(coproduct_inclusion_functor(h),
+                       GeneratorMarking.close_under_degeneracies(h, marked), max_steps=max_steps)
 
 
 def _glue_for_u(gx, gy):
@@ -117,6 +132,7 @@ SWEEP = {
                                       "dim_bound": lambda v: generating_cofibrations(1, v)},
     "model.generating_acyclic_a1": {"n_max": lambda v: generating_acyclic_a1(v, D),
                                     "dim_bound": lambda v: generating_acyclic_a1(1, v)},
+    "model.is_free_map": {"max_steps": _is_free_map},
     "pi1.coset_enumeration": {
         "max_cosets": lambda v: coset_enumeration(GroupPresentation(("a",), ((1, 1),)), v)},
     "pi1.edge_path_data": {"base": lambda v: edge_path_data(boundary(1, D), v)},
@@ -138,7 +154,7 @@ SWEEP = {
 SCOPE = {sset: None, scat: None, constructions_basic: None,
          homology: {"homology", "betti", "homology_map_is_iso"},
          model: {"GeneratorMap", "c2_generator", "generating_cofibrations",
-                 "generating_acyclic_a1"},
+                 "generating_acyclic_a1", "is_free_map"},
          verdict: {"Budget"}, pi1: None, cat: None, words: None}
 # a record type: a plain tuple that only sset.derive_records makes
 NOT_SWEPT = {"sset.Simplex"}
@@ -234,3 +250,9 @@ def test_a_degree_that_is_no_int_raises_after_the_int_degree_is_memoized():
     for v in (1.0, True):
         with pytest.raises(InputError, match="homology degree must be an int"):
             homology.homology(x, v)
+
+
+def test_is_free_map_takes_a_step_cap_of_at_least_one():
+    assert _is_free_map(1)[0] is None
+    with pytest.raises(InputError, match="max_steps must be an int in 1.."):
+        _is_free_map(0)

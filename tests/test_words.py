@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 import sccat
 from sccat.constructions_basic import codiscrete_groupoid, walking_arrow
 from sccat.model import generating_cofibrations
-from sccat.scat import (compose_sfunctors, coproduct, functor_U,
-                        functor_U_map, identity_sfunctor, singleton_cat, u_functor,
-                        validate_scat, validate_sfunctor)
+from sccat.scat import (SFunctor, SimplicialCategory, _category, build_compose,
+                        compose_sfunctors, coproduct, functor_U, functor_U_map,
+                        identity_sfunctor, singleton_cat, u_functor, validate_scat,
+                        validate_sfunctor)
 from sccat.sset import (SSetMap, _from_keys, boundary, boundary_inclusion, empty_sset,
                         enumerate_sset_maps, horn_inclusion, identity_map,
                         point, standard_simplex)
 from sccat.verdict import Budget, BudgetExceeded, InputError, _Steps
-from sccat.words import (Attachment, _WordEngine, glue_at_object, glue_for_c2,
+from sccat.words import (Attachment, PushoutResult, glue_at_object, glue_for_c2,
                          glue_for_u, pushout_generating, pushout_mediating)
 from tests.test_model import MULTI_OBJECT_CATEGORIES, z2_category
 
@@ -176,10 +177,236 @@ def test_adjoin_generator_to_disjoint_objects_stabilizes():
     assert cat.hom[(1, 0)].is_empty()
 
 
+# ---------------------------------------------------------------------------
+# oracle: the pushout as a word-engine class whose closure hands its words to
+# the assembly, the earlier implementation, kept here verbatim; its
+# normalize, d_endpoints and word_f_count are the reference of the tests
+
+class _WordEngine:
+    def __init__(self, base: SimplicialCategory, att: Attachment,
+                 glue: SFunctor, budget: Budget):
+        if glue.source != att.A:
+            raise InputError("glue must start at the attachment source")
+        if glue.target != base:
+            raise InputError("glue must land in the base category")
+        if base.dim_bound != att.F.dim_bound:
+            raise InputError("dim_bound mismatch between base and attachment")
+        self.C = base
+        self.F = att.F
+        self.att = att
+        self.glue = glue
+        self.budget = budget
+        self.bound = base.dim_bound
+
+        # object bookkeeping: D-objects = C-objects + new F-objects
+        inc_ob_image = set(att.inc.ob_map)
+        self.f2d = {}
+        self.new_objects = []
+        for a_obj in range(att.A.n_objects()):
+            self.f2d[att.inc.ob(a_obj)] = glue.ob(a_obj)
+        for u in range(self.F.n_objects()):
+            if u not in inc_ob_image:
+                self.f2d[u] = base.n_objects() + len(self.new_objects)
+                self.new_objects.append(u)
+        self.n_objects = base.n_objects() + len(self.new_objects)
+
+        # F-simplices in the image of A, rewritten through the glue
+        self.image_rewrite = {}
+        for (a, b) in att.A.object_pairs():
+            inc_map = att.inc.hom_maps[(a, b)]
+            glue_map = glue.hom_maps[(a, b)]
+            u, v = att.inc.ob(a), att.inc.ob(b)
+            ga, gb = glue.ob(a), glue.ob(b)
+            for k in range(self.bound + 1):
+                for idx in range(att.A.hom[(a, b)].size(k)):
+                    key = (k, u, v, inc_map.assign[k][idx])
+                    val = ("C", ga, gb, glue_map.assign[k][idx])
+                    if key in self.image_rewrite and self.image_rewrite[key] != val:
+                        raise InputError("attachment inclusion is not injective")
+                    self.image_rewrite[key] = val
+
+        self.c_id = base.identity_towers()
+        self.f_id = self.F.identity_towers()
+
+    # -- letters -------------------------------------------------------------
+    def d_endpoints(self, letter):
+        tag, a, b, idx = letter
+        if tag == "C":
+            return a, b
+        return self.f2d[a], self.f2d[b]
+
+    def rewrite(self, k, letter):
+        """Normalize one letter: None for identities, C-letters for the
+        image of the attachment source."""
+        tag, a, b, idx = letter
+        if tag == "F":
+            if a == b and self.f_id[k][a] == idx:
+                return None
+            letter = self.image_rewrite.get((k, a, b, idx), letter)
+            tag, a, b, idx = letter
+        return None if tag == "C" and a == b and self.c_id[k][a] == idx else letter
+
+    def normalize(self, k, letters):
+        """The normal word of a product of letters: each letter, rewritten,
+        is composed with the last letter of the normal word before it for
+        as long as the two compose inside one factor."""
+        out = []
+        for letter in letters:
+            letter = self.rewrite(k, letter)
+            while letter and out and out[-1][0] == letter[0] and out[-1][2] == letter[1]:
+                tag, a, b, idx = out.pop()
+                cat = self.C if tag == "C" else self.F
+                letter = self.rewrite(k, (tag, a, letter[2],
+                                          cat.comp(k, a, b, letter[2], letter[3], idx)))
+            if letter:
+                out.append(letter)
+        return tuple(out)
+
+    def word_f_count(self, word):
+        return sum(1 for l in word if l[0] == "F")
+
+    # -- closure ---------------------------------------------------------------
+    def generate(self):
+        """The normal words of every dimension, keyed by (k, a, b): a
+        depth-first walk of the tree of normal words from the empty ones,
+        which tries every letter starting at a word's target and keeps the
+        ones that do not compose with its last letter inside one factor."""
+        n = self.n_objects
+        words = {(k, a, b): [] for k in range(self.bound + 1)
+                 for a in range(n) for b in range(n)}
+        steps = _Steps(self.budget.max_steps)
+        self.one = [{} for _ in range(self.bound + 1)]    # [k]: letter -> its normal word
+        for k, one in enumerate(self.one):
+            letters = [{} for _ in range(n)]    # D-source -> letters, in order
+            for tag, cat in (("C", self.C), ("F", self.F)):
+                for (a, b) in cat.object_pairs():
+                    for idx in range(cat.hom[(a, b)].size(k)):
+                        w = one[tag, a, b, idx] = self.normalize(k, [(tag, a, b, idx)])
+                        for letter in w:
+                            letters[self.d_endpoints(letter)[0]][letter] = None
+            stack = [((), o, o) for o in range(n)]
+            for o in range(n):
+                words[(k, o, o)].append(())
+            while stack:
+                w, a, b = stack.pop()
+                last = w[-1] if w else (None, None, None)
+                for letter in letters[b]:
+                    steps.charge()
+                    if letter[0] == last[0] and letter[1] == last[2]:
+                        continue
+                    new, c = w + (letter,), self.d_endpoints(letter)[1]
+                    if self.word_f_count(new) > self.budget.max_words:
+                        raise BudgetExceeded("free closure did not stabilize within max_words")
+                    words[(k, a, c)].append(new)
+                    stack.append((new, a, c))
+        return words
+
+    # -- assembling the result ---------------------------------------------------
+    def build(self) -> PushoutResult:
+        raw = self.generate()
+        bound = self.bound
+        n = self.n_objects
+
+        def word_key(w):
+            return (self.word_f_count(w), len(w), w)
+
+        # deterministic order: old simplices first, keeping their indices
+        # (each C letter is its own normal form, an identity tower the empty
+        # word), then everything else by (generator count, length, letters)
+        words = {}
+        n_old = self.C.n_objects()
+        for k in range(bound + 1):
+            for a in range(n):
+                for b in range(n):
+                    old = self.C.hom[(a, b)].size(k) if max(a, b) < n_old else 0
+                    lst = [self.one[k]["C", a, b, idx] for idx in range(old)]
+                    seen = set(lst)
+                    lst += sorted((w for w in raw[(k, a, b)] if w not in seen), key=word_key)
+                    words[(k, (a, b))] = lst
+
+        def letter_op(k, letter, op, i):
+            """d_i (op "face") or s_i (op "degeneracy") of one letter."""
+            tag, a, b, idx = letter
+            hom = self.C.hom[(a, b)] if tag == "C" else self.F.hom[(a, b)]
+            return (tag, a, b, getattr(hom, op)(k, idx, i))
+
+        def op_keys(k, pair, op, dk):
+            """Per word of Hom_pair in dimension k, the normal words of its
+            k + 1 faces (dk = -1) or degeneracies (dk = +1), made as the
+            builder reads them.  The first words are C's simplices at their
+            old indices, so their rows are read off C's records."""
+            below = words[(k + dk, pair)]
+            old = self.C.hom[pair].dims[k] if max(pair) < n_old else ()
+            for s in old:
+                yield [below[j] for j in (s.faces if dk < 0 else s.degens)]
+            for w in words[(k, pair)][len(old):]:
+                yield [self.normalize(k + dk, [letter_op(k, l, op, i) for l in w])
+                       for i in range(k + 1)]
+
+        homs, index = {}, {}
+        for pair in ((a, b) for a in range(n) for b in range(n)):
+            levels = [words[(k, pair)] for k in range(bound + 1)]
+            if max(pair) < n_old and all(
+                    len(level) == self.C.hom[pair].size(k) for k, level in enumerate(levels)):
+                # no new word: the hom is the base's own
+                homs[pair] = self.C.hom[pair]
+                index[pair] = [dict(zip(level, range(len(level)))) for level in levels]
+                continue
+            homs[pair], index[pair] = _from_keys(
+                bound, levels,
+                [[]] + [op_keys(k, pair, "face", -1) for k in range(1, bound + 1)],
+                [op_keys(k, pair, "degeneracy", 1) for k in range(bound)])
+
+        def rule(k, a, b, c, g, f):
+            """g after f is the normal form of the word f g."""
+            w = self.normalize(k, words[(k, (a, b))][f] + words[(k, (b, c))][g])
+            return index[(a, c)][k][w]
+
+        identities = tuple(index[(o, o)][0][()] for o in range(n))
+        compose = build_compose(n, homs, bound, rule, identities)
+
+        labels = list(self.C.objects)
+        for u in self.new_objects:
+            lbl = str(self.F.objects[u])
+            labels.append(lbl if lbl not in labels else f"{lbl}+")
+        D = _category(tuple(labels), homs, compose, identities, bound)
+
+        inc_base = SFunctor(
+            source=self.C, target=D,
+            ob_map=tuple(range(self.C.n_objects())),
+            hom_maps={pair: SSetMap(self.C.hom[pair], homs[pair],
+                                    [list(range(self.C.hom[pair].size(k)))
+                                     for k in range(bound + 1)])
+                      for pair in self.C.object_pairs()})
+
+        f_ob = tuple(self.f2d[u] for u in range(self.F.n_objects()))
+
+        # an F letter (u, v) normalizes to a word from f2d[u] to f2d[v], also
+        # when the glue rewrites it into C
+        f_maps = {}
+        for (u, v) in self.F.object_pairs():
+            h, pair = self.F.hom[(u, v)], (self.f2d[u], self.f2d[v])
+            f_maps[(u, v)] = SSetMap(h, homs[pair], [
+                [index[pair][k][self.one[k]["F", u, v, idx]]
+                 for idx in range(h.size(k))] for k in range(bound + 1)])
+        inc_attached = SFunctor(source=self.F, target=D, ob_map=f_ob,
+                                hom_maps=f_maps)
+
+        return PushoutResult(category=D, inc_base=inc_base,
+                             inc_attached=inc_attached, stabilized=True,
+                             attachment=self.att, glue=self.glue,
+                             new_objects=tuple(self.new_objects), words=words)
+
+
+def pushout_of(eng):
+    """``pushout_generating`` on the engine's inputs."""
+    return pushout_generating(eng.C, eng.att, eng.glue, eng.budget)
+
+
 # -- the one-letter closure against the all-pairs fixed point ----------------
 
 def all_pairs_generate(eng):
-    """The word sets of ``eng.generate`` by naive evaluation: the atoms, then
+    """The word sets of the pushout by naive evaluation: the atoms, then
     rounds that compose every pair of words again until a round adds
     nothing; one step per composed pair."""
     bound = eng.bound
@@ -243,9 +470,10 @@ U_MONOS = [horn_inclusion(1, 0, D), horn_inclusion(2, 1, D),
            boundary_inclusion(2, D)]
 
 
-def draw_engine(data):
+def draw_engine(data, max_steps=st.just(10**5)):
     """A word engine for a drawn base, attachment and glue, or None when
-    the drawn objects admit no glue."""
+    the drawn objects admit no glue; its step cap is drawn from
+    ``max_steps``."""
     base = data.draw(st.sampled_from(CLOSURE_BASES))
     obj = st.integers(0, base.n_objects() - 1)
     kind = data.draw(st.sampled_from(["u", "point", "c2", "a2"]))
@@ -264,7 +492,29 @@ def draw_engine(data):
             return None
         glue = glue_for_u(att, base, gx, gy, data.draw(st.sampled_from(maps)))
     return _WordEngine(base, att, glue, Budget(max_words=data.draw(st.integers(3, 6)),
-                                               max_steps=10**5))
+                                               max_steps=data.draw(max_steps)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_pushout_equals_the_word_engine(data):
+    # the same result, or the same exception with the same message, at step
+    # caps from one step to more than any drawn closure needs
+    eng = draw_engine(data, st.sampled_from([1, 5, 40, 300, 10**5]))
+    if eng is None:
+        return
+    outcomes = []
+    for build in (eng.build, lambda: pushout_of(eng)):
+        try:
+            outcomes.append(build())
+        except Exception as e:
+            outcomes.append(e)
+    want, got = outcomes
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    for field in ("category", "inc_base", "inc_attached", "words", "new_objects", "stabilized"):
+        assert getattr(got, field) == getattr(want, field), field
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -278,7 +528,7 @@ def test_one_letter_closure_equals_all_pairs_closure(data):
     except BudgetExceeded:
         return
     # the reference stabilized, so the one-letter closure must too
-    assert {key: set(ws) for key, ws in eng.generate().items()} == expected
+    assert {(k, a, b): set(ws) for (k, (a, b)), ws in pushout_of(eng).words.items()} == expected
 
 
 def assert_tables_follow_the_words(eng, res):
@@ -323,7 +573,7 @@ def test_pushout_tables_follow_the_words(data):
     if eng is None:
         return
     try:
-        res = eng.build()
+        res = pushout_of(eng)
     except BudgetExceeded:
         return
     assert_tables_follow_the_words(eng, res)
@@ -336,7 +586,7 @@ def test_u_pushout_tables_follow_the_words(inc):
     base = functor_U(inc.target)
     att = Attachment.from_sset_mono(inc)
     eng = _WordEngine(base, att, glue_for_u(att, base, 0, 1, inc), B)
-    assert_tables_follow_the_words(eng, eng.build())
+    assert_tables_follow_the_words(eng, pushout_of(eng))
 
 
 def test_pushout_charges_one_step_per_extension():
@@ -483,7 +733,7 @@ def full_build(eng, res, pair):
 
 def assert_unchanged_homs_are_kept(base, att, glue):
     eng = _WordEngine(base, att, glue, Budget())
-    res = eng.build()
+    res = pushout_of(eng)
     kept = 0
     for p in res.category.object_pairs():
         assert res.category.hom[p] == full_build(eng, res, p)
