@@ -1,7 +1,8 @@
 """Golden digests of the lifting checks, both acyclic-fibration routes, the
-generic search, bounded factorization, the pushouts along generating maps,
-the fundamental-group and weak-equivalence checks and coset enumeration on
-the test fixtures.
+DK-equivalence check, the generic search, bounded factorization, the
+pushouts along generating maps, the fundamental-group and weak-equivalence
+checks, coset enumeration, homology, and the free-map and A2 checks on the
+test fixtures.
 
 Each corpus entry is one call; its result (or the exception it raised) is
 put into a canonical form and hashed.  ``golden_digests.json`` keeps one
@@ -18,19 +19,24 @@ import pathlib
 
 from sccat import model
 from sccat.constructions_basic import codiscrete_groupoid, inclusion_of_object, walking_arrow
+from sccat.homology import betti, homology
 from sccat.pi1 import coset_enumeration, edge_path_presentation, fundamental_group_trivial
-from sccat.scat import functor_U, functor_U_map, identity_sfunctor, singleton_cat
+from sccat.scat import (double_object, functor_U, functor_U_map, identity_sfunctor,
+                        singleton_cat)
 from sccat.sset import (SimplicialSet, SSetMap, boundary, boundary_inclusion, horn,
-                        horn_inclusion)
+                        horn_inclusion, point, standard_simplex)
 from sccat.ssetcheck import (is_acyclic_fibration_sset, is_kan_fibration,
-                             is_weak_equivalence_sset, is_weakly_contractible)
+                             is_weak_equivalence_sset, is_weakly_contractible,
+                             unique_map_to_point)
 from sccat.verdict import Budget
 from sccat.words import (Attachment, glue_at_object, glue_for_c2, glue_for_u,
                          pushout_generating)
-from tests.test_homology import ORACLE_COMPLEXES, oracle_maps, weak_equivalence_fixture_maps
-from tests.test_model import (MULTI_OBJECT_CATEGORIES, empty_to, multi_object_functors,
-                              two_copies_onto_one)
+from tests.test_homology import (ORACLE_COMPLEXES, oracle_maps, triangle_on_one_edge,
+                                 weak_equivalence_fixture_maps)
+from tests.test_model import (MULTI_OBJECT_CATEGORIES, empty_to, marking_all_nonidentity,
+                              multi_object_functors, two_copies_onto_one)
 from tests.test_pi1 import PI1_SPACES, PRESENTATIONS
+from tests.test_sset import IDENTIFIED_FACES
 from tests.test_ssetcheck import LIFTING_COMPLEXES, SURFACE_MAPS, lifting_maps
 
 DATA = pathlib.Path(__file__).with_name("golden_digests.json")
@@ -241,10 +247,77 @@ def _pushout_corpus() -> dict:
     return out
 
 
+def _homology_corpus() -> dict:
+    """H_k and its Betti number at every degree 0..dim_bound, and at the
+    first degree past it, of each homology oracle complex, of each set with
+    identified faces at D2-D4, and of the triangle on one edge, whose
+    boundary squared is nonzero."""
+    spaces = {f"D{d} {i}": x for d, xs in ORACLE_COMPLEXES.items() for i, x in enumerate(xs)}
+    spaces.update({f"{name} D{d}": make(d) for name, make in IDENTIFIED_FACES.items()
+                   for d in (2, 3, 4)})
+    spaces["triangle on one edge"] = triangle_on_one_edge()
+    return {f"{check.__name__} {name} in {k}": (lambda check=check, x=x, k=k: check(x, k))
+            for name, x in spaces.items() for k in range(x.dim_bound + 2)
+            for check in (homology, betti)}
+
+
+# the free-map step caps: the default, three that cut the decisions on
+# U(bd Delta[1]) (six words) short at different points, and one that cuts
+# the A2 check on codiscrete(2) (three words) short
+FREE_MAP_CAPS = (10**6, 2, 3, 5, 6)
+
+
+def _free_map_corpus() -> dict:
+    """The free-map check on the fixtures of the model tests: the coproduct
+    inclusion {x} + {y} -> H, the identity of H and the inclusion of the
+    object 0, for H = U(bd Delta[1]), U(pt), U(Delta[1]), codiscrete(2) and
+    the walking arrow, under no marking, under every simplex but the
+    identities marked and closed under degeneracies, and under the 0-simplex
+    0 of Hom(0, 1) marked alone; the two maps that are not monomorphisms.
+    The A2 check on the inclusion of the object 0 into each H and into
+    codiscrete(3), with the full marking, the empty one and none given.  Each at every
+    step cap of ``FREE_MAP_CAPS``, the A2 check through ``max_steps``."""
+    targets = {"U bd1": lambda: functor_U(boundary(1, 2)), "U pt": lambda: functor_U(point(2)),
+               "U Delta1": lambda: functor_U(standard_simplex(1, 2)),
+               "codiscrete2": lambda: codiscrete_groupoid(2, 2),
+               "arrow": lambda: walking_arrow(2)}
+    maps = {"collapse of doubled pt": lambda h: double_object(singleton_cat(2), 0)[1],
+            "U Delta1->pt": lambda h: functor_U_map(
+                unique_map_to_point(standard_simplex(1, 2)))}
+    out = {}
+    for name, make in targets.items():
+        h = make()
+        markings = {"none": model.GeneratorMarking({}), "all": marking_all_nonidentity(h),
+                    "one unclosed": model.GeneratorMarking({(0, 1): frozenset({(0, 0)})})}
+        fs = {"coproduct": model.coproduct_inclusion_functor(h), "identity": identity_sfunctor(h),
+              "object 0": inclusion_of_object(h, 0, singleton_cat(2))}
+        for cap in FREE_MAP_CAPS:
+            out.update({f"is_free_map {fname} {name} marking {mname} cap {cap}": (
+                lambda f=f, m=m, cap=cap: model.is_free_map(f, m, max_steps=cap))
+                for fname, f in fs.items() for mname, m in markings.items()})
+            for mname, m in [("absent", None), ("none", markings["none"]),
+                             ("all", markings["all"])]:
+                out[f"is_a2_candidate {name} marking {mname} cap {cap}"] = (
+                    lambda inc=fs["object 0"], m=m, cap=cap:
+                    model.is_a2_candidate(inc, Budget(max_steps=cap), marking=m))
+    for cap in FREE_MAP_CAPS:
+        out.update({f"is_free_map {name} cap {cap}": (
+            lambda f=f, cap=cap: model.is_free_map(f(None), model.GeneratorMarking({}),
+                                                   max_steps=cap))
+            for name, f in maps.items()})
+        out[f"is_a2_candidate codiscrete3 cap {cap}"] = (
+            lambda cap=cap: model.is_a2_candidate(
+                inclusion_of_object(codiscrete_groupoid(3, 2), 0, singleton_cat(2)),
+                Budget(max_steps=cap)))
+    return out
+
+
 def corpus() -> dict:
     """Entry name -> a call with no arguments."""
     out = _pi1_corpus()
     out.update(_pushout_corpus())
+    out.update(_homology_corpus())
+    out.update(_free_map_corpus())
     for name, p in _sset_maps().items():
         for b, budget in BUDGETS.items():
             out[f"kan {name} {b}"] = lambda p=p, budget=budget: is_kan_fibration(p, budget)
@@ -253,8 +326,8 @@ def corpus() -> dict:
     functors = _functors()
     for name, f in functors.items():
         for b, budget in BUDGETS.items():
-            for check in (model.is_fibration, model.is_acyclic_fibration,
-                          model.is_acyclic_fibration_by_rlp):
+            for check in (model.is_dk_equivalence, model.is_fibration,
+                          model.is_acyclic_fibration, model.is_acyclic_fibration_by_rlp):
                 out[f"{check.__name__} {name} {b}"] = (
                     lambda check=check, f=f, budget=budget: check(f, budget))
     for name in ("multi 2->3", "multi 1->3", "multi 4->6", "U D2 0->2", "U bd1 D2",
