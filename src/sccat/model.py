@@ -39,7 +39,7 @@ from .sset import SSetMap, _check_natural, _tuple_inclusion, boundary, horn, sta
 from .ssetcheck import (_cells, _first_miss, _rlp_against_cells, is_weak_equivalence_sset,
                         is_weakly_contractible)
 from .verdict import (BUDGET, Budget, BudgetExceeded, InputError, Verdict,
-                      _Steps, aggregate)
+                      _Steps, _budget, aggregate)
 from .words import Attachment, glue_for_c2, pushout_generating, pushout_mediating
 
 
@@ -94,7 +94,7 @@ def solve_lifting(problem: LiftingProblem, budget: Budget | None = None) -> Verd
     DefiniteYes carries the first witness in enumeration order, DefiniteNo
     means exhaustion, and Unknown appears only on the node budget.
     """
-    budget = budget or Budget()
+    budget = _budget(budget)
     if not problem.commutes():
         raise InputError("lifting square does not commute")
     try:
@@ -126,14 +126,14 @@ def _problem_squares(gen: SFunctor, f: SFunctor, budget: Budget):
 def enumerate_problem_squares(gen: SFunctor, f: SFunctor, budget: Budget):
     """All commuting squares with the generator on the left and f on the
     right, bottoms first, then the tops over f (f . top = bottom . gen)."""
-    return list(_problem_squares(gen, f, budget))
+    return list(_problem_squares(gen, f, _budget(budget)))
 
 
 def has_rlp_against_set(f: SFunctor, gens, budget: Budget | None = None) -> Verdict:
     """RLP of f against every GeneratorMap in gens, by the generic functor
     search; a definite counterexample square dominates, then unknowns, then
     yes."""
-    budget = budget or Budget()
+    budget = _budget(budget)
     saw_unknown = False
     try:
         for gen in gens:
@@ -184,7 +184,7 @@ def _first_failure(f: SFunctor, gens, steps: _Steps):
 
 def is_dk_equivalence(f: SFunctor, budget: Budget | None = None) -> Verdict:
     """W1 on every function complex and W2 on components."""
-    budget = budget or Budget()
+    budget = _budget(budget)
     sub = []
     for (a, b) in f.source.object_pairs():
         v = is_weak_equivalence_sset(f.hom_maps[(a, b)], budget)
@@ -200,7 +200,7 @@ def is_dk_equivalence(f: SFunctor, budget: Budget | None = None) -> Verdict:
 def is_fibration(f: SFunctor, budget: Budget | None = None) -> Verdict:
     """F1 on every function complex, under one step count for all of
     them; F2 by finite enumeration."""
-    budget = budget or Budget()
+    budget = _budget(budget)
     steps = _Steps(budget.max_steps)
     sub = []
     for (a, b) in f.source.object_pairs():
@@ -224,7 +224,7 @@ def is_fibration(f: SFunctor, budget: Budget | None = None) -> Verdict:
 
 def is_acyclic_fibration(f: SFunctor, budget: Budget | None = None) -> Verdict:
     """Route (a): fibration and DK-equivalence."""
-    budget = budget or Budget()
+    budget = _budget(budget)
     return aggregate([is_fibration(f, budget), is_dk_equivalence(f, budget)],
                      witness_on_yes={"route": "definitional"}, route="a")
 
@@ -234,7 +234,7 @@ def is_acyclic_fibration_by_rlp(f: SFunctor, budget: Budget | None = None) -> Ve
     ``factor_bounded``: all joins share one count of ``budget.max_steps``.
     Generators are decided on their cells; only the one that names the
     square of a no is built."""
-    budget = budget or Budget()
+    budget = _budget(budget)
     n_max = min(budget.max_dim, f.source.dim_bound)
     steps = _Steps(budget.max_steps)
     try:
@@ -332,20 +332,14 @@ class GeneratorMarking:
 
     @staticmethod
     def close_under_degeneracies(cat: SimplicialCategory, marked: dict) -> "GeneratorMarking":
-        out = {pair: set(entries) for pair, entries in marked.items()}
-        for pair, entries in out.items():
-            hom = cat.hom[pair]
-            frontier = list(entries)
-            while frontier:
-                k, idx = frontier.pop()
-                if k + 1 > cat.dim_bound:
-                    continue
-                for j in range(k + 1):
-                    up = (k + 1, hom.degeneracy(k, idx, j))
-                    if up not in entries:
-                        entries.add(up)
-                        frontier.append(up)
-        return GeneratorMarking(marked={p: frozenset(v) for p, v in out.items()})
+        out = {}
+        for pair, entries in marked.items():
+            hom, closed = cat.hom[pair], set(entries)
+            for k in range(cat.dim_bound):      # level k + 1 is closed once level k is
+                closed |= {(k + 1, hom.degeneracy(k, idx, j))
+                           for kk, idx in closed if kk == k for j in range(k + 1)}
+            out[pair] = frozenset(closed)
+        return GeneratorMarking(marked=out)
 
 
 def validate_marking(cat: SimplicialCategory, marking: GeneratorMarking) -> list:
@@ -358,12 +352,10 @@ def validate_marking(cat: SimplicialCategory, marking: GeneratorMarking) -> list
         for (k, idx) in entries:
             if not (0 <= k <= cat.dim_bound) or not (0 <= idx < hom.size(k)):
                 bad.append(f"marking {pair} references unknown simplex ({k},{idx})")
-                continue
-            if k + 1 <= cat.dim_bound:
+            elif k < cat.dim_bound:
                 for j in range(k + 1):
                     if (k + 1, hom.degeneracy(k, idx, j)) not in entries:
-                        bad.append(f"marking {pair} not closed under s_{j} "
-                                   f"at ({k},{idx})")
+                        bad.append(f"marking {pair} not closed under s_{j} at ({k},{idx})")
     return bad
 
 
@@ -373,14 +365,18 @@ def is_free_map(f: SFunctor, marking: GeneratorMarking,
     target simplex the value of exactly one normalized word in image
     simplices and marked generators.
 
-    Always terminates: if two normalized words ever evaluate equally the
-    answer is no, and otherwise the word count is bounded by the simplex
-    count.  Past ``max_steps`` words it answers (None, {"step_cap": ...});
-    ``max_steps`` is an int of at least 1, as in ``Budget``.
+    The letters of dimension k are the image simplices but the identities
+    (the empty words), as ("i", pair, idx), then the marked generators, as
+    ("g", pair, idx), each kind by pair, then index.  Normalized words have
+    no two adjacent image letters.  Each dimension builds them breadth
+    first, each once, and each word built costs one step; so a (pair,
+    value) met twice is a relation, and otherwise the word count is bounded
+    by the simplex count.  Past ``max_steps`` words it answers (None,
+    {"step_cap": ...}); ``max_steps`` is an int of at least 1, as in
+    ``Budget``.
     """
     _check_natural("max_steps", max_steps, 1)
     src, tgt = f.source, f.target
-    report = {}
     bad = validate_marking(tgt, marking)
     if bad:
         return False, {"marking": bad}
@@ -389,76 +385,50 @@ def is_free_map(f: SFunctor, marking: GeneratorMarking,
     image = {}
     for (a, b) in src.object_pairs():
         m = f.hom_maps[(a, b)]
-        pair = (f.ob(a), f.ob(b))
         for k in range(src.dim_bound + 1):
             if len(set(m.assign[k])) != src.hom[(a, b)].size(k):
                 return False, {"monomorphism": f"hom map {(a, b)} dim {k}"}
-            for idx in m.assign[k]:
-                image.setdefault(pair, set()).add((k, idx))
+        image[(f.ob(a), f.ob(b))] = {(k, i) for k, level in enumerate(m.assign) for i in level}
     for pair, entries in marking.marked.items():
         clash = entries & image.get(pair, set())
         if clash:
             return False, {"marking_in_image": {"pair": pair,
                                                 "simplices": sorted(clash)}}
 
-    # letters per dimension: ("i", pair, idx) image simplices (identity
-    # towers excluded: identities are the empty word) and ("g", pair, idx)
-    # marked generators.  Normalized words never have two adjacent image
-    # letters; the closure builds each normalized word exactly once, so a
-    # (pair, value) collision is a genuine relation.
-    bound = tgt.dim_bound
-    n = tgt.n_objects()
+    # the alphabet, once per call: (dimension, source object) -> letters
     id_towers = tgt.identity_towers()
-
-    def letters_at(k):
-        return ([("i", pair, idx) for pair in sorted(image) for kk, idx in sorted(image[pair])
-                 if kk == k and not (pair[0] == pair[1] and idx == id_towers[k][pair[0]])]
-                + [("g", pair, idx) for pair in sorted(marking.marked)
-                   for kk, idx in sorted(marking.marked[pair]) if kk == k])
+    letters = {}
+    for kind, table in (("i", image), ("g", marking.marked)):
+        for pair in sorted(table):
+            for k, idx in sorted(table[pair]):
+                if kind == "g" or pair[0] != pair[1] or idx != id_towers[k][pair[0]]:
+                    letters.setdefault((k, pair[0]), []).append((kind, pair, idx))
 
     steps = _Steps(max_steps)
-    for k in range(bound + 1):
-        letters = letters_at(k)
-        seen = {}   # (pair, value) -> word
-        queue = []
-        for o in range(n):
-            key = ((o, o), id_towers[k][o])
-            seen[key] = ()
-            queue.append(((), (o, o), id_towers[k][o]))
-        pos = 0
-        while pos < len(queue):
-            word, pair, value = queue[pos]
-            pos += 1
-            for letter in letters:
-                _, lpair, lidx = letter
-                if lpair[0] != pair[1]:
-                    continue
-                if word and word[-1][0] == "i" and letter[0] == "i":
-                    continue  # adjacent image letters must stay composed
-                if word:
-                    new_value = tgt.comp(k, pair[0], pair[1], lpair[1],
-                                         lidx, value)
-                else:
-                    new_value = lidx
-                new_pair = (pair[0], lpair[1])
-                new_word = word + (letter,)
-                try:
+    try:
+        for k in range(tgt.dim_bound + 1):
+            queue = [((), (o, o), id_towers[k][o]) for o in range(tgt.n_objects())]
+            seen = {(pair, value): word for word, pair, value in queue}
+            for word, (a, b), value in queue:       # words built in the pass join it
+                for letter in letters.get((k, b), ()):
+                    kind, (_, c), idx = letter
+                    if kind == "i" and word and word[-1][0] == "i":
+                        continue  # adjacent image letters must stay composed
+                    key = ((a, c), tgt.comp(k, a, b, c, idx, value) if word else idx)
                     steps.charge()
-                except BudgetExceeded:
-                    return None, {"step_cap": max_steps}
-                key = (new_pair, new_value)
-                if key in seen:
-                    return False, {"relation": {
-                        "value": key, "words": [seen[key], new_word]},
-                        "dimension": k}
-                seen[key] = new_word
-                queue.append((new_word, new_pair, new_value))
-
-        for (a, b) in tgt.object_pairs():
-            for idx in range(tgt.hom[(a, b)].size(k)):
-                if ((a, b), idx) not in seen:
-                    return False, {"not_generated": {"pair": (a, b), "dimension": k,
-                                                     "simplex": idx}}
+                    if key in seen:
+                        return False, {"relation": {"value": key,
+                                                    "words": [seen[key], word + (letter,)]},
+                                       "dimension": k}
+                    seen[key] = word + (letter,)
+                    queue.append((seen[key], *key))
+            for pair in tgt.object_pairs():
+                for idx in range(tgt.hom[pair].size(k)):
+                    if (pair, idx) not in seen:
+                        return False, {"not_generated": {"pair": pair, "dimension": k,
+                                                         "simplex": idx}}
+    except BudgetExceeded:
+        return None, {"step_cap": max_steps}
     return True, {"free": True}
 
 
@@ -491,7 +461,7 @@ def is_a2_candidate(inc: SFunctor, budget: Budget | None = None, *,
     Hom(x, x)_0, so ``is_free_map`` finds a relation or reaches its step
     cap.  The yes return stays so that the verdict follows its witness.
     """
-    budget = budget or Budget()
+    budget = _budget(budget)
     h = inc.target
     if h.n_objects() != 2 or inc.source.n_objects() != 1:
         return Verdict.no(witness={"shape": "needs {x} -> H with two objects"})
@@ -563,7 +533,7 @@ def factor_bounded(f: SFunctor, gens, budget: Budget | None = None) -> FactorRes
     left after ``budget.max_words`` cells or a join or pushout exceeds the
     budget; the exact equation right . left = f holds on every return.
     """
-    budget = budget or Budget()
+    budget = _budget(budget)
     for gen in gens:
         if not isinstance(gen, GeneratorMap):
             raise InputError(f"{type(gen).__name__} is not a GeneratorMap")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .sset import SimplicialSet, _UnionFind, _check_natural
-from .verdict import Budget, BudgetExceeded, UNDECIDED_GROUP, Verdict, _Steps
+from .verdict import Budget, BudgetExceeded, UNDECIDED_GROUP, Verdict, _Steps, _budget
 
 # A word is a tuple of nonzero ints: +g means generator g-1, -g its inverse.
 Word = tuple
@@ -166,7 +166,7 @@ def is_trivial_group(p: GroupPresentation, budget: Budget | None = None) -> Verd
 
 def _is_trivial_group(p: GroupPresentation, budget: Budget | None, ab) -> Verdict:
     """With the abelianization ``ab`` if it is known (H_1, by Hurewicz), else None."""
-    budget = budget or Budget()
+    budget = _budget(budget)
     if p.n_generators == 0:
         return Verdict.yes(witness={"reason": "no generators"})
     ab = ab or abelianization_invariants(p)
@@ -241,4 +241,5 @@ def edge_path_presentation(x: SimplicialSet, base: int) -> GroupPresentation:
 
 def fundamental_group_trivial(x: SimplicialSet, base: int,
                               budget: Budget | None = None) -> Verdict:
+    budget = _budget(budget)
     return is_trivial_group(edge_path_presentation(x, base), budget)

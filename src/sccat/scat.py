@@ -559,7 +559,7 @@ def is_homotopy_equivalence(cat: SimplicialCategory, a: int, b: int,
     for v in (a, b):
         _check_natural("object", v, 0, cat.n_objects() - 1, "unknown object")
     _check_natural("e", e, 0, cat.hom[(a, b)].size(0) - 1, "not a 0-simplex of the stated hom")
-    fc, classes = pi0_data(cat)
+    fc, _ = pi0_data(cat)
     cls = pi0_class_of(cat.hom[(a, b)])[e]
     return is_isomorphism(fc, a, b, cls)[0]
 

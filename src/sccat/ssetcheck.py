@@ -40,10 +40,11 @@ from .sset import (SimplicialSet, SSetMap, _slot_order, _sset_maps, boundary_inc
                    compose_maps, enumerate_sset_maps, horn_inclusion, is_iso_map,
                    pi0, pi0_bijective, pi0_map, standard_simplex)
 from .verdict import (BUDGET, Budget, BudgetExceeded, UNDECIDED_GROUP, Verdict,
-                      _Steps, aggregate)
+                      _Steps, _budget, aggregate)
 
 
 def is_weakly_contractible(x: SimplicialSet, budget: Budget | None = None) -> Verdict:
+    budget = _budget(budget)
     ok, fail = hml.reduced_homology_vanishes(x)
     if not ok:
         k, h = fail
@@ -74,7 +75,7 @@ def is_weak_equivalence_sset(f: SSetMap, budget: Budget | None = None) -> Verdic
     sides + homology isomorphism through the induced chain map.  A failed
     pi0 or homology comparison is a definite no.
     """
-    budget = budget or Budget()
+    budget = _budget(budget)
     if is_iso_map(f) is not None:
         return Verdict.yes(witness={"isomorphism": True}, route="isomorphism")
     if not pi0_bijective(f):
@@ -155,7 +156,7 @@ def has_rlp_sset(p: SSetMap, i: SSetMap, budget: Budget | None = None) -> Verdic
     """Right lifting property of p against i, by exhaustive search: each
     square's diagonal is the first map B -> C under i and over p.  Stops
     at the first square with no diagonal."""
-    budget = budget or Budget()
+    budget = _budget(budget)
     try:
         witnesses = []
         for sq in _squares(i, p, max_nodes=budget.max_steps):
@@ -313,12 +314,12 @@ def _rlp_against_cells(p: SSetMap, horns: bool, budget: Budget, steps: _Steps) -
 
 
 def is_kan_fibration(p: SSetMap, budget: Budget | None = None) -> Verdict:
-    budget = budget or Budget()
+    budget = _budget(budget)
     return _rlp_against_cells(p, True, budget, _Steps(budget.max_steps))
 
 
 def is_acyclic_fibration_sset(p: SSetMap, budget: Budget | None = None) -> Verdict:
-    budget = budget or Budget()
+    budget = _budget(budget)
     return _rlp_against_cells(p, False, budget, _Steps(budget.max_steps))
 
 

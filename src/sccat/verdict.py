@@ -115,6 +115,16 @@ class Budget:
             raise ValueError("budget fields must be positive ints")
 
 
+def _budget(budget) -> Budget:
+    """What a ``budget=`` slot holds, checked on entry: None is the default
+    Budget, a Budget is used as given, and anything else an InputError."""
+    if budget is None:
+        return Budget()
+    if not isinstance(budget, Budget):
+        raise InputError(f"budget must be a Budget or None, got {budget!r}")
+    return budget
+
+
 class BudgetExceeded(Exception):
     """The one budget signal: a search, join, coset table or pushout ran out
     of its budget.  Decision procedures catch it and answer unknown."""

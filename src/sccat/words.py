@@ -50,7 +50,7 @@ from .constructions_basic import inclusion_of_object
 from .scat import (SFunctor, SimplicialCategory, _category, build_compose, compose_sfunctors,
                    empty_cat, functor_U_map, singleton_cat, u_functor)
 from .sset import SSetMap, _check_natural, _from_keys
-from .verdict import Budget, BudgetExceeded, InputError, _Steps
+from .verdict import Budget, BudgetExceeded, InputError, _Steps, _budget
 
 # letters: ("C", a, b, idx) with C-object endpoints, or ("F", u, v, idx)
 # with F-object endpoints; the simplex dimension is carried by the word.
@@ -106,7 +106,7 @@ def pushout_generating(base: SimplicialCategory, attachment: Attachment,
                        glue: SFunctor, budget: Budget | None = None) -> PushoutResult:
     """Pushout of the attachment along the glue, exact when the free
     closure stabilizes within the budget; raises BudgetExceeded otherwise."""
-    budget = budget or Budget()
+    budget = _budget(budget)
     C, F, inc = base, attachment.F, attachment.inc
     if glue.source != attachment.A:
         raise InputError("glue must start at the attachment source")
@@ -137,7 +137,7 @@ def pushout_generating(base: SimplicialCategory, attachment: Attachment,
     c_id, f_id = C.identity_towers(), F.identity_towers()
 
     def ends(letter):
-        tag, a, b, idx = letter
+        tag, a, b, _ = letter
         return (a, b) if tag == "C" else (f2d[a], f2d[b])
 
     def rewrite(k, letter):

@@ -9,24 +9,27 @@ generating sets, ``GeneratorMap`` and ``is_free_map`` of ``model`` and the
 fields of ``Budget``; ``test_pi1`` checks the letters of a presentation's
 relators the same way.  Methods of built objects (``size``, ``face``,
 ``comp``, ...) index data that is already checked and are not swept.
+Every ``budget=`` slot of the package takes None or a ``Budget`` and
+rejects anything else with InputError on entry.
 """
 import inspect
 import re
 
 import pytest
 
-from sccat import cat, constructions_basic, homology, model, pi1, scat, sset, verdict, words
+from sccat import (cat, constructions_basic, homology, intmat, model, pi1, scat, search, sset,
+                   ssetcheck, verdict, words)
 from sccat.cat import is_isomorphism
 from sccat.constructions_basic import codiscrete_groupoid, inclusion_of_object, walking_arrow
 from sccat.homology import betti, homology_map_is_iso
-from sccat.model import (GeneratorMap, GeneratorMarking, c2_generator,
+from sccat.model import (GeneratorMap, GeneratorMarking, LiftingProblem, c2_generator,
                          coproduct_inclusion_functor, generating_acyclic_a1,
                          generating_cofibrations, is_free_map)
 from sccat.pi1 import (GroupPresentation, coset_enumeration, edge_path_data,
                        edge_path_presentation, fundamental_group_trivial)
 from sccat.scat import (SimplicialCategory, build_compose, double_object, empty_cat,
-                        full_subcategory, functor_U_map, is_homotopy_equivalence,
-                        pi0_category, singleton_cat, u_functor)
+                        full_subcategory, functor_U_map, identity_sfunctor,
+                        is_homotopy_equivalence, pi0_category, singleton_cat, u_functor)
 from sccat.sset import (SimplicialSet, attach_nondeg, boundary, boundary_inclusion,
                         degeneracy_words, derive_records, empty_sset, from_nondegenerate,
                         from_simplex_tuples, from_simplicial_complex, horn, horn_inclusion,
@@ -256,3 +259,70 @@ def test_is_free_map_takes_a_step_cap_of_at_least_one():
     assert _is_free_map(1)[0] is None
     with pytest.raises(InputError, match="max_steps must be an int in 1.."):
         _is_free_map(0)
+
+
+# -- budget slots ----------------------------------------------------------------------
+
+def _one():
+    return identity_sfunctor(singleton_cat(D))
+
+
+def _pushout(budget):
+    i = horn_inclusion(2, 1, D)
+    base, att = functor_U_map(i).target, Attachment.from_sset_mono(i)
+    return words.pushout_generating(base, att, glue_for_u(att, base, 0, 1, i), budget)
+
+
+# "module.name" -> the call with the value put in its budget slot, every other
+# argument valid
+BUDGET_SWEEP = {
+    "model.solve_lifting": lambda b: model.solve_lifting(
+        LiftingProblem(left=_one(), right=_one(), top=_one(), bottom=_one()), b),
+    "model.enumerate_problem_squares": lambda b: model.enumerate_problem_squares(
+        c2_generator(D).map, _one(), b),
+    "model.has_rlp_against_set": lambda b: model.has_rlp_against_set(
+        _one(), [c2_generator(D)], b),
+    "model.is_dk_equivalence": lambda b: model.is_dk_equivalence(_one(), b),
+    "model.is_fibration": lambda b: model.is_fibration(_one(), b),
+    "model.is_acyclic_fibration": lambda b: model.is_acyclic_fibration(_one(), b),
+    "model.is_acyclic_fibration_by_rlp": lambda b: model.is_acyclic_fibration_by_rlp(_one(), b),
+    "model.is_a2_candidate": lambda b: model.is_a2_candidate(
+        inclusion_of_object(codiscrete_groupoid(2, D), 0, singleton_cat(D)), b),
+    "model.factor_bounded": lambda b: model.factor_bounded(_one(), [c2_generator(D)], b),
+    "pi1.is_trivial_group": lambda b: pi1.is_trivial_group(
+        GroupPresentation(("a",), ((1,),)), b),
+    "pi1.fundamental_group_trivial": lambda b: fundamental_group_trivial(boundary(1, D), 0, b),
+    "ssetcheck.is_weakly_contractible": lambda b: ssetcheck.is_weakly_contractible(point(D), b),
+    "ssetcheck.is_weak_equivalence_sset": lambda b: ssetcheck.is_weak_equivalence_sset(
+        identity_map(point(D)), b),
+    "ssetcheck.has_rlp_sset": lambda b: ssetcheck.has_rlp_sset(
+        identity_map(point(D)), boundary_inclusion(1, D), b),
+    "ssetcheck.is_kan_fibration": lambda b: ssetcheck.is_kan_fibration(
+        identity_map(point(D)), b),
+    "ssetcheck.is_acyclic_fibration_sset": lambda b: ssetcheck.is_acyclic_fibration_sset(
+        identity_map(point(D)), b),
+    "words.pushout_generating": _pushout,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_SWEEP))
+@pytest.mark.parametrize("value", [5, "a", {}, 0], ids=repr)
+def test_every_budget_slot_takes_only_none_or_a_budget(name, value):
+    with pytest.raises(InputError, match="budget must be a Budget or None"):
+        BUDGET_SWEEP[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_SWEEP))
+def test_every_budget_slot_takes_none_and_a_budget(name):
+    BUDGET_SWEEP[name](None)
+    BUDGET_SWEEP[name](Budget(max_steps=50))
+
+
+def test_the_budget_sweep_covers_every_public_budget_slot():
+    found = {f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+             for module in (cat, constructions_basic, homology, intmat, model, pi1, scat,
+                            search, sset, ssetcheck, verdict, words)
+             for name, obj in vars(module).items()
+             if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+             and inspect.isfunction(obj) and "budget" in inspect.signature(obj).parameters}
+    assert found == set(BUDGET_SWEEP)

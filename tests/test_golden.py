@@ -275,18 +275,16 @@ def _free_map_corpus() -> dict:
     identities marked and closed under degeneracies, and under the 0-simplex
     0 of Hom(0, 1) marked alone; the two maps that are not monomorphisms.
     The A2 check on the inclusion of the object 0 into each H and into
-    codiscrete(3), with the full marking, the empty one and none given.  Each at every
-    step cap of ``FREE_MAP_CAPS``, the A2 check through ``max_steps``."""
-    targets = {"U bd1": lambda: functor_U(boundary(1, 2)), "U pt": lambda: functor_U(point(2)),
-               "U Delta1": lambda: functor_U(standard_simplex(1, 2)),
-               "codiscrete2": lambda: codiscrete_groupoid(2, 2),
-               "arrow": lambda: walking_arrow(2)}
-    maps = {"collapse of doubled pt": lambda h: double_object(singleton_cat(2), 0)[1],
-            "U Delta1->pt": lambda h: functor_U_map(
-                unique_map_to_point(standard_simplex(1, 2)))}
+    codiscrete(3), with the full marking, the empty one and none given.
+    Each at every step cap of ``FREE_MAP_CAPS``, the A2 check through
+    ``max_steps``."""
+    targets = {"U bd1": functor_U(boundary(1, 2)), "U pt": functor_U(point(2)),
+               "U Delta1": functor_U(standard_simplex(1, 2)),
+               "codiscrete2": codiscrete_groupoid(2, 2), "arrow": walking_arrow(2)}
+    maps = {"collapse of doubled pt": lambda: double_object(singleton_cat(2), 0)[1],
+            "U Delta1->pt": lambda: functor_U_map(unique_map_to_point(standard_simplex(1, 2)))}
     out = {}
-    for name, make in targets.items():
-        h = make()
+    for name, h in targets.items():
         markings = {"none": model.GeneratorMarking({}), "all": marking_all_nonidentity(h),
                     "one unclosed": model.GeneratorMarking({(0, 1): frozenset({(0, 0)})})}
         fs = {"coproduct": model.coproduct_inclusion_functor(h), "identity": identity_sfunctor(h),
@@ -302,7 +300,7 @@ def _free_map_corpus() -> dict:
                     model.is_a2_candidate(inc, Budget(max_steps=cap), marking=m))
     for cap in FREE_MAP_CAPS:
         out.update({f"is_free_map {name} cap {cap}": (
-            lambda f=f, cap=cap: model.is_free_map(f(None), model.GeneratorMarking({}),
+            lambda f=f, cap=cap: model.is_free_map(f(), model.GeneratorMarking({}),
                                                    max_steps=cap))
             for name, f in maps.items()})
         out[f"is_a2_candidate codiscrete3 cap {cap}"] = (

@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -18,11 +19,11 @@ from sccat.model import (
 )
 from sccat.scat import (SFunctor, SimplicialCategory, build_compose,
                         compose_sfunctors, coproduct, double_object, empty_cat,
-                        functor_U, functor_U_map, identity_sfunctor,
+                        full_subcategory, functor_U, functor_U_map, identity_sfunctor,
                         singleton_cat, validate_scat, validate_sfunctor)
 from sccat.search import enumerate_sfunctors
-from sccat.sset import (SSetMap, boundary, boundary_inclusion, empty_sset, horn,
-                        horn_inclusion, identity_map, point, standard_simplex)
+from sccat.sset import (SSetMap, _check_natural, boundary, boundary_inclusion, empty_sset,
+                        horn, horn_inclusion, identity_map, point, standard_simplex)
 from sccat.ssetcheck import _first_miss, _first_square, unique_map_to_point
 from sccat.verdict import (BUDGET, Budget, BudgetExceeded, InputError, _Steps,
                            aggregate)
@@ -586,6 +587,219 @@ def test_a2_candidate_step_cap_is_budget_exhausted():
                         marking=marking_all_nonidentity(h))
     assert v.kind == "unknown" and v.reason == "budget-exhausted"
     assert v.witness == {"step_cap": 2}
+
+
+# -- oracle: the free-map check as it was before its letters were tabled ----------------
+#
+# The earlier implementation, kept verbatim but for its names.  It shares no
+# code with ``is_free_map`` but the category's accessors, ``_check_natural``
+# and ``_Steps``: it has its own marking check and degeneracy closure, scans
+# every image and marked entry to build each dimension's alphabet, tries
+# every letter on every word, walks its queue by index and catches the step
+# cap at each charge.
+
+def _close_by_frontier(cat, marked):
+    out = {pair: set(entries) for pair, entries in marked.items()}
+    for pair, entries in out.items():
+        hom = cat.hom[pair]
+        frontier = list(entries)
+        while frontier:
+            k, idx = frontier.pop()
+            if k + 1 > cat.dim_bound:
+                continue
+            for j in range(k + 1):
+                up = (k + 1, hom.degeneracy(k, idx, j))
+                if up not in entries:
+                    entries.add(up)
+                    frontier.append(up)
+    return GeneratorMarking(marked={p: frozenset(v) for p, v in out.items()})
+
+
+def _marking_faults(cat, marking):
+    bad = []
+    for pair, entries in marking.marked.items():
+        if pair not in cat.hom:
+            bad.append(f"marking references unknown hom {pair}")
+            continue
+        hom = cat.hom[pair]
+        for (k, idx) in entries:
+            if not (0 <= k <= cat.dim_bound) or not (0 <= idx < hom.size(k)):
+                bad.append(f"marking {pair} references unknown simplex ({k},{idx})")
+                continue
+            if k + 1 <= cat.dim_bound:
+                for j in range(k + 1):
+                    if (k + 1, hom.degeneracy(k, idx, j)) not in entries:
+                        bad.append(f"marking {pair} not closed under s_{j} "
+                                   f"at ({k},{idx})")
+    return bad
+
+
+def _free_map_by_scan(f, marking, max_steps=10**6):
+    _check_natural("max_steps", max_steps, 1)
+    src, tgt = f.source, f.target
+    bad = _marking_faults(tgt, marking)
+    if bad:
+        return False, {"marking": bad}
+    if len(set(f.ob_map)) != len(f.ob_map):
+        return False, {"monomorphism": "object map not injective"}
+    image = {}
+    for (a, b) in src.object_pairs():
+        m = f.hom_maps[(a, b)]
+        pair = (f.ob(a), f.ob(b))
+        for k in range(src.dim_bound + 1):
+            if len(set(m.assign[k])) != src.hom[(a, b)].size(k):
+                return False, {"monomorphism": f"hom map {(a, b)} dim {k}"}
+            for idx in m.assign[k]:
+                image.setdefault(pair, set()).add((k, idx))
+    for pair, entries in marking.marked.items():
+        clash = entries & image.get(pair, set())
+        if clash:
+            return False, {"marking_in_image": {"pair": pair,
+                                                "simplices": sorted(clash)}}
+    bound = tgt.dim_bound
+    n = tgt.n_objects()
+    id_towers = tgt.identity_towers()
+
+    def letters_at(k):
+        return ([("i", pair, idx) for pair in sorted(image) for kk, idx in sorted(image[pair])
+                 if kk == k and not (pair[0] == pair[1] and idx == id_towers[k][pair[0]])]
+                + [("g", pair, idx) for pair in sorted(marking.marked)
+                   for kk, idx in sorted(marking.marked[pair]) if kk == k])
+
+    steps = _Steps(max_steps)
+    for k in range(bound + 1):
+        letters = letters_at(k)
+        seen = {}   # (pair, value) -> word
+        queue = []
+        for o in range(n):
+            key = ((o, o), id_towers[k][o])
+            seen[key] = ()
+            queue.append(((), (o, o), id_towers[k][o]))
+        pos = 0
+        while pos < len(queue):
+            word, pair, value = queue[pos]
+            pos += 1
+            for letter in letters:
+                _, lpair, lidx = letter
+                if lpair[0] != pair[1]:
+                    continue
+                if word and word[-1][0] == "i" and letter[0] == "i":
+                    continue
+                if word:
+                    new_value = tgt.comp(k, pair[0], pair[1], lpair[1],
+                                         lidx, value)
+                else:
+                    new_value = lidx
+                new_pair = (pair[0], lpair[1])
+                new_word = word + (letter,)
+                try:
+                    steps.charge()
+                except BudgetExceeded:
+                    return None, {"step_cap": max_steps}
+                key = (new_pair, new_value)
+                if key in seen:
+                    return False, {"relation": {
+                        "value": key, "words": [seen[key], new_word]},
+                        "dimension": k}
+                seen[key] = new_word
+                queue.append((new_word, new_pair, new_value))
+
+        for (a, b) in tgt.object_pairs():
+            for idx in range(tgt.hom[(a, b)].size(k)):
+                if ((a, b), idx) not in seen:
+                    return False, {"not_generated": {"pair": (a, b), "dimension": k,
+                                                     "simplex": idx}}
+    return True, {"free": True}
+
+
+@lru_cache(maxsize=None)
+def free_map_targets(d):
+    """Categories at D{d}: U(X) for the sets X of ``free_map_sets``,
+    codiscrete(2), the walking arrow, and three with composable morphisms
+    that are no identities: Z/2, codiscrete(3) and the walking arrow + Z/2."""
+    return ([functor_U(x) for x in free_map_sets(d)]
+            + [codiscrete_groupoid(2, d), walking_arrow(d), z2_category(d),
+               codiscrete_groupoid(3, d), coproduct([walking_arrow(d), z2_category(d)])[0]])
+
+
+@lru_cache(maxsize=None)
+def free_map_sets(d):
+    """The point, bd Delta[1], Delta[1] and, from D2, the horn (2, 1)."""
+    return [point(d), boundary(1, d), standard_simplex(1, d)] + ([horn(2, 1, d)] if d > 1 else [])
+
+
+def draw_free_map_input(data):
+    """(f, seeds, closed, max_steps).  f is a coproduct inclusion (into a
+    two-object category), the inclusion of a full subcategory or of an
+    object, an identity, or a map that is not injective: the collapse of a
+    doubled object, or U of a set onto the point.  The seeds are simplices
+    of f's target, nearly all outside f's image: every one of them but at
+    most one, or a few; one in the image is added one time in eight."""
+    d = data.draw(st.integers(1, 3), label="dim_bound")
+    h = data.draw(st.sampled_from(free_map_targets(d)))
+    n = h.n_objects()
+    # the two maps that are not injective are drawn least
+    kind = data.draw(st.sampled_from(["coproduct"] * 3 * (n == 2) + ["full"] * 3
+                                     + ["object", "identity", "collapse", "onto pt"]))
+    if kind == "coproduct":
+        f = coproduct_inclusion_functor(h)
+    elif kind == "full":
+        f = full_subcategory(h, data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                                   max_size=n, unique=True)))[1]
+    elif kind == "object":
+        f = inclusion_of_object(h, data.draw(st.integers(0, n - 1)), singleton_cat(d))
+    elif kind == "identity":
+        f = identity_sfunctor(h)
+    elif kind == "collapse":
+        f = double_object(h, data.draw(st.integers(0, n - 1)))[1]
+    else:
+        f = functor_U_map(unique_map_to_point(data.draw(st.sampled_from(free_map_sets(d)[1:]))))
+    tgt = f.target
+    image = {((f.ob(a), f.ob(b)), k, idx) for (a, b), m in f.hom_maps.items()
+             for k, level in enumerate(m.assign) for idx in level}
+    simplices = [(pair, k, idx) for pair in sorted(tgt.hom) for k in range(tgt.dim_bound + 1)
+                 for idx in range(tgt.hom[pair].size(k))]
+    outside = [s for s in simplices if s not in image]
+    if not outside:
+        chosen = []
+    elif data.draw(st.booleans(), label="all outside"):
+        dropped = data.draw(st.lists(st.sampled_from(outside), max_size=1))
+        chosen = [s for s in outside if s not in dropped]
+    else:
+        chosen = data.draw(st.lists(st.sampled_from(outside), max_size=4))
+    if image and data.draw(st.integers(0, 7)) == 0:
+        chosen.append(data.draw(st.sampled_from(sorted(image))))
+    seeds = {}
+    for pair, k, idx in chosen:
+        seeds.setdefault(pair, set()).add((k, idx))
+    closed = data.draw(st.integers(0, 3)) > 0
+    max_steps = data.draw(st.one_of(st.integers(1, 12), st.integers(1, 10**6)))
+    return f, seeds, closed, max_steps
+
+
+FREE_MAP_OUTCOMES = {"free", "relation", "not_generated", "marking", "marking_in_image",
+                     "monomorphism", "step_cap"}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def compare_free_map_with_the_scan(data, outcomes):
+    f, seeds, closed, max_steps = draw_free_map_input(data)
+    marking = GeneratorMarking({pair: frozenset(v) for pair, v in seeds.items()})
+    if closed:
+        marking = GeneratorMarking.close_under_degeneracies(f.target, seeds)
+        assert marking == _close_by_frontier(f.target, seeds)
+    assert validate_marking(f.target, marking) == _marking_faults(f.target, marking)
+    got = is_free_map(f, marking, max_steps)
+    assert got == _free_map_by_scan(f, marking, max_steps)
+    outcomes[next(iter(got[1]))] += 1
+
+
+def test_free_map_equals_the_scan_oracle():
+    # 400 derandomized draws, which meet every outcome
+    outcomes = Counter()
+    compare_free_map_with_the_scan(outcomes=outcomes)
+    assert set(outcomes) == FREE_MAP_OUTCOMES, outcomes
 
 
 # -- factorization ---------------------------------------------------------------------
