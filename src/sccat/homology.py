@@ -12,16 +12,25 @@ k + 1 entries, and dd = 0, the chain maps and the reductions all work on
 such columns.  `boundary_matrix` and `chain_map_matrix` are dense views,
 kept for tests and tracing; no decision reads them.
 
+dd = 0 is multiplied out only on hand-built sets (see ``sset``): on a set
+the library built, the simplicial identities hold by construction and give
+dd = 0 (May, Simplicial Objects in Algebraic Topology, 1967, section 22;
+Goerss and Jardine, Simplicial Homotopy Theory, III.2).  The invariant
+factors of d_1 are read off pi0: d_1 sends an edge to the difference of
+its ends, so its cokernel is free on pi0, and its factors are one 1 per
+vertex beyond the first of each component.
+
 Besides Betti numbers and torsion this module decides whether a
 simplicial map induces isomorphisms on homology, which is what the
 weak-equivalence checkers consume.  That is one lattice test (see
 `homology_map_is_iso`), except where the groups settle it with no check
 lost: H_0 is free on pi0 and every 0-chain is a cycle, so H_0(f) is an
 isomorphism iff pi0(f) is a bijection; between zero groups every target
-cycle is a boundary, so the test cannot fail.  Each boundary is reduced
-once per complex (`intmat.Reduction`) and cached; its invariant factors
-give ranks, Betti numbers and torsion, and the source side's cycle basis
-is read off the same reduction.
+cycle is a boundary, so the test cannot fail.  A boundary other than d_1
+is reduced once per complex (`intmat.Reduction`) and cached; its invariant
+factors give ranks, Betti numbers and torsion, and the source side's
+cycle basis is read off the same reduction.  d_1 is reduced only where
+that basis is read.
 """
 from __future__ import annotations
 
@@ -80,11 +89,23 @@ def _boundary_reduction(x: SimplicialSet, k: int) -> intmat.Reduction:
     return intmat.Reduction(_boundary_columns(x, k))
 
 
+def _invariant_factors(x: SimplicialSet, k: int) -> list:
+    """The invariant factors of d_k; those of d_1 are read off pi0."""
+    if k == 1:
+        return [1] * (x.size(0) - len(pi0(x)))
+    return _boundary_reduction(x, k).invariant_factors()
+
+
 @memo
 def assert_chain_complex(x: SimplicialSet) -> None:
     """dd = 0 on the normalized complex; raised eagerly before any reduction.
-    A complex that passes is not multiplied out again; one that fails
-    raises on every call."""
+
+    Only a hand-built set is multiplied out: on a set the library built,
+    the simplicial identities hold by construction and give dd = 0, so
+    this returns at once.  A complex that passes is not multiplied out
+    again; one that fails raises on every call."""
+    if not x._by_hand:
+        return
     for k in range(1, x.dim_bound + 1):
         if any(intmat.mul_columns(_boundary_columns(x, k), _boundary_columns(x, k + 1))):
             raise StructureError(f"boundary squared is nonzero in degree {k + 1}")
@@ -108,8 +129,8 @@ def homology(x: SimplicialSet, k: int) -> tuple:
 def _homology(x: SimplicialSet, k: int) -> tuple:
     assert_chain_complex(x)
     n_k = len(x.nondeg_indices(k))
-    above = _boundary_reduction(x, k + 1).invariant_factors()
-    betti = n_k - len(_boundary_reduction(x, k).invariant_factors()) - len(above)
+    above = _invariant_factors(x, k + 1)
+    betti = n_k - len(_invariant_factors(x, k)) - len(above)
     torsion = sorted(d for d in above if d != 1)
     if betti < 0:
         raise StructureError("negative betti number: boundary data inconsistent")
@@ -179,7 +200,7 @@ def homology_map_is_iso(f: SSetMap, k: int) -> bool:
         raise StructureError("cycle maps to a non-cycle")
     if homology(y, k) == (0, []):  # Z_k Y = B_k Y
         return True
-    cycle_rank = _chain_rank(y, k) - len(_boundary_reduction(y, k).invariant_factors())
+    cycle_rank = _chain_rank(y, k) - len(_invariant_factors(y, k))
     factors = intmat.Reduction(images + _boundary_columns(y, k + 1)).invariant_factors()
     return len(factors) == cycle_rank and all(d == 1 for d in factors)
 

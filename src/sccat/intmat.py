@@ -8,7 +8,8 @@ operations (Kaczynski, Mrozek and Slusarek 1998; Dumas, Heckenbach,
 Saunders and Welker 2003).  Only the block left without a unit is put
 through the one dense Smith normal form.  A `Reduction` holds both
 stages, so a caller that caches it reads invariant factors and kernel
-off one pass.
+off one pass; it logs its column operations and builds the transform
+from the log only when a kernel is read.
 
 Dense matrices are lists of rows of Python ints; `invariant_factors`,
 `rank` and `kernel_basis` convert one once with `sparse_columns`.  The dense
@@ -274,11 +275,12 @@ def _column_reduce(columns: list) -> tuple:
     Passes visit the live columns in index order; each takes its unit in
     the row with the fewest live entries, then the lowest, and clears that
     row from every other live column.  So the matrix is equivalent to
-    1^units + L, L the live block.  Returns (units, [(live column,
-    transform column t), ...]), where the matrix times t is the live column.
+    1^units + L, L the live block.  Returns (units, [(live column, its
+    input index), ...], steps): each step (c, q, j) took q times column j
+    from column c, in order, and `_replay` turns them into the transform.
     """
     cols = [dict(col) for col in columns]
-    trans = [{j: 1} for j in range(len(cols))]
+    steps = []
     where = {}  # row -> live columns, for the rows that occur
     for j, col in enumerate(cols):
         for i in col:
@@ -308,21 +310,35 @@ def _column_reduce(columns: list) -> tuple:
                     else:
                         del other[i]
                         where[i].remove(c)
-                _sub_multiple(trans[c], q, trans[j])
-    return units, [(col, t) for col, t, keep in zip(cols, trans, live) if keep]
+                steps.append((c, q, j))
+    return units, [(col, j) for j, (col, keep) in enumerate(zip(cols, live)) if keep], steps
+
+
+def _replay(n: int, steps: list) -> list:
+    """The transform columns of `_column_reduce` on n columns: the identity,
+    with each step (c, q, j) taking q times column j from column c, in the
+    order logged.  The input matrix times transform column j is column j as
+    the reduction left it."""
+    trans = [{j: 1} for j in range(n)]
+    for c, q, j in steps:
+        _sub_multiple(trans[c], q, trans[j])
+    return trans
 
 
 class Reduction:
     """The matrix with sparse `columns` (no entry zero), reduced once: its
     +-1 pivots split off sparsely, then the live block put through the
     dense Smith normal form.  Invariant factors and kernel basis are both
-    read off it.  `live` holds the (live column, transform column) pairs;
-    `snf` is None when no live column is nonzero.
+    read off it.  `live` holds the (live column, input index) pairs;
+    `snf` is None when no live column is nonzero.  The unimodular column
+    transform is not kept: `steps` logs the eliminations, and
+    `kernel_basis`, the only reader of the transform, replays them on the
+    identity in the same order, so only a kernel read pays for it.
     """
-    __slots__ = ("units", "live", "snf")
+    __slots__ = ("units", "live", "steps", "snf")
 
     def __init__(self, columns: list):
-        self.units, self.live = _column_reduce(columns)
+        self.units, self.live, self.steps = _column_reduce(columns)
         nonzero = [col for col, _ in self.live if col]
         rows = sorted({i for col in nonzero for i in col})
         self.snf = (smith_normal_form([[col.get(i, 0) for col in nonzero] for i in rows])
@@ -335,10 +351,11 @@ class Reduction:
         """Sparse vectors over the input columns.  The transform T is
         unimodular, so ker a = T (0 + ker L): the transforms of the zero
         live columns, then the dense kernel of the others through T."""
-        basis = [t for col, t in self.live if not col]
+        trans = _replay(self.units + len(self.live), self.steps)
+        basis = [trans[j] for col, j in self.live if not col]
         if self.snf:
             residual = [{i: v for i, v in enumerate(vec) if v} for vec in self.snf.kernel_basis()]
-            basis += mul_columns([t for col, t in self.live if col], residual)
+            basis += mul_columns([trans[j] for col, j in self.live if col], residual)
         return basis
 
 

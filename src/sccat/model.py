@@ -324,14 +324,39 @@ def generating_acyclic_a1(n_max: int, dim_bound: int = 4) -> list:
 # ---------------------------------------------------------------------------
 # free maps and the A2 check
 
+def _check_marked(marked) -> None:
+    """InputError unless ``marked`` is a dict whose values are sets of
+    (dimension, index) pairs of ints (a bool is no int)."""
+    if not (isinstance(marked, dict) and all(
+            isinstance(entries, (set, frozenset)) and all(
+                type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int
+                for e in entries) for entries in marked.values())):
+        raise InputError("a marking maps hom pairs to sets of (dimension, index) pairs of ints")
+
+
+def _names_simplex(hom, k: int, idx: int) -> bool:
+    return 0 <= k <= hom.dim_bound and 0 <= idx < hom.size(k)
+
+
 @dataclass(frozen=True)
 class GeneratorMarking:
     """Per hom pair, the set of (dimension, index) marked as free
-    generators.  Degeneracies of marked simplices must be marked."""
+    generators.  Degeneracies of marked simplices must be marked.  Any
+    other shape raises InputError on construction."""
     marked: dict
+
+    def __post_init__(self):
+        _check_marked(self.marked)
 
     @staticmethod
     def close_under_degeneracies(cat: SimplicialCategory, marked: dict) -> "GeneratorMarking":
+        """``marked`` with every degeneracy of a marked simplex marked.  A
+        marking of the wrong shape, or one naming a hom or simplex that cat
+        does not have, raises InputError."""
+        _check_marked(marked)
+        for pair, entries in marked.items():
+            if pair not in cat.hom or not all(_names_simplex(cat.hom[pair], *e) for e in entries):
+                raise InputError(f"marking {pair} names no hom or simplex of the category")
         out = {}
         for pair, entries in marked.items():
             hom, closed = cat.hom[pair], set(entries)
@@ -342,7 +367,13 @@ class GeneratorMarking:
         return GeneratorMarking(marked=out)
 
 
+def _check_marking(marking) -> None:
+    if not isinstance(marking, GeneratorMarking):
+        raise InputError(f"marking must be a GeneratorMarking, got {type(marking).__name__}")
+
+
 def validate_marking(cat: SimplicialCategory, marking: GeneratorMarking) -> list:
+    _check_marking(marking)
     bad = []
     for pair, entries in marking.marked.items():
         if pair not in cat.hom:
@@ -350,7 +381,7 @@ def validate_marking(cat: SimplicialCategory, marking: GeneratorMarking) -> list
             continue
         hom = cat.hom[pair]
         for (k, idx) in entries:
-            if not (0 <= k <= cat.dim_bound) or not (0 <= idx < hom.size(k)):
+            if not _names_simplex(hom, k, idx):
                 bad.append(f"marking {pair} references unknown simplex ({k},{idx})")
             elif k < cat.dim_bound:
                 for j in range(k + 1):
@@ -462,6 +493,8 @@ def is_a2_candidate(inc: SFunctor, budget: Budget | None = None, *,
     cap.  The yes return stays so that the verdict follows its witness.
     """
     budget = _budget(budget)
+    if marking is not None:
+        _check_marking(marking)
     h = inc.target
     if h.n_objects() != 2 or inc.source.n_objects() != 1:
         return Verdict.no(witness={"shape": "needs {x} -> H with two objects"})

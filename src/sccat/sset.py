@@ -22,6 +22,13 @@ pairs for pullbacks, and an old index or the degeneracy word of the new
 cell for cell attachment.  Pushouts of simplicial categories (``words``)
 key their homs by normal words.
 
+The builder stores its tables through ``_sset``, which trusts them: every
+library construction keeps the simplicial identities, so homology does not
+multiply out dd = 0 on its sets.  The public ``SimplicialSet(...)`` is for
+hand-built tables; it checks dim_bound and the level count and marks its
+set hand-built, as is any set built from a hand-built one, so homology
+checks dd = 0 there.  ``validate_sset`` checks every invariant on demand.
+
 Derived data (the accessors below, pi0 here, homology, component
 categories, the simplicial category U(X) of ``scat.functor_U``) is
 computed once per instance through ``memo``; values are treated as
@@ -138,15 +145,19 @@ class Simplex(NamedTuple):
 
 
 class SimplicialSet:
-    __slots__ = ("dim_bound", "dims", "_cache")
+    """Built by hand through the public constructor, by the library through
+    ``_sset``; the mark is a private slot, outside ``==`` and the hash."""
+    __slots__ = ("dim_bound", "dims", "_by_hand", "_cache")
 
     def __init__(self, dim_bound: int, dims: list):
         _check_natural("dim_bound", dim_bound)
         if len(dims) != dim_bound + 1:
             raise InputError("dims must have dim_bound + 1 levels")
-        self.dim_bound = dim_bound
-        self.dims = tuple(map(tuple, dims))
-        self._cache = {}
+        self._store(dim_bound, tuple(map(tuple, dims)), True)
+
+    def _store(self, dim_bound, dims, by_hand):
+        self.dim_bound, self.dims, self._by_hand, self._cache = dim_bound, dims, by_hand, {}
+        return self
 
     # -- identity / hashing ------------------------------------------------
     def __eq__(self, other):
@@ -205,7 +216,7 @@ class SimplicialSet:
 # ---------------------------------------------------------------------------
 # records from tables: the one place EZ decompositions are made
 
-def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> list:
+def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> tuple:
     """Simplex records from face and degeneracy index tables.
 
     ``faces_tables[k][idx]`` is the tuple of faces of the k-simplex idx and
@@ -239,18 +250,27 @@ def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> l
                         words[x] = after[key] = word_after_degeneracy(*key)
                     break
         degens = degens_tables[k] if k < dim_bound else itertools.repeat(())
-        dims.append([*map(record, zip(faces, degens, bases, words))])
-    return dims
+        dims.append((*map(record, zip(faces, degens, bases, words)),))
+    return tuple(dims)
 
 
-def _from_keys(dim_bound: int, levels: list, faces: list, degens: list) -> tuple:
+def _sset(dim_bound: int, dims: tuple, by_hand: bool = False) -> SimplicialSet:
+    """A set from a library builder: tuple levels of records, stored as
+    given with no check.  Its simplicial identities hold by construction,
+    so it is hand-built only when built from a hand-built set."""
+    return SimplicialSet.__new__(SimplicialSet)._store(dim_bound, dims, by_hand)
+
+
+def _from_keys(dim_bound: int, levels: list, faces: list, degens: list,
+               by_hand: bool = False) -> tuple:
     """(the simplicial set whose k-simplices are the keys ``levels[k]``, in
     that order, index) with index[k] = {key: position}.
 
     ``faces[k]`` lists, for each key of levels[k] in order, the keys of its
     faces d_0, ..., d_k (k >= 1) and ``degens[k]`` those of its degeneracies
     s_0, ..., s_k (k < dim_bound), so every row of level k holds k + 1 keys.
-    A key no level holds raises KeyError.
+    A key no level holds raises KeyError.  ``by_hand`` marks a set built
+    from a hand-built one (see ``_sset``).
     """
     index = [dict(zip(level, range(len(level)))) for level in levels]
     # a level's rows are mapped through the index as one flat run and cut
@@ -261,7 +281,7 @@ def _from_keys(dim_bound: int, levels: list, faces: list, degens: list) -> tuple
                                        itertools.chain.from_iterable(faces[k]))] * (k + 1))])
         degen_tables.append([*zip(*[map(index[k].__getitem__,
                                         itertools.chain.from_iterable(degens[k - 1]))] * k)])
-    return SimplicialSet(dim_bound, derive_records(dim_bound, face_tables, degen_tables)), index
+    return _sset(dim_bound, derive_records(dim_bound, face_tables, degen_tables), by_hand), index
 
 
 def _broken_face_identities(x: SimplicialSet, k: int, faces) -> list:
@@ -407,7 +427,7 @@ def point(dim_bound: int = 4) -> SimplicialSet:
 
 def empty_sset(dim_bound: int = 4) -> SimplicialSet:
     _check_natural("dim_bound", dim_bound)
-    return SimplicialSet(dim_bound, [[] for _ in range(dim_bound + 1)])
+    return _sset(dim_bound, ((),) * (dim_bound + 1))
 
 
 def from_simplicial_complex(facets: list, dim_bound: int = 4) -> SimplicialSet:
@@ -686,7 +706,7 @@ def sub_complex(x: SimplicialSet, keep: list) -> tuple:
     recs = [[x.dims[k][i] for i in level] for k, level in enumerate(keep)]
     try:
         sub, index = _from_keys(x.dim_bound, keep, [[s.faces for s in level] for level in recs],
-                                [[s.degens for s in level] for level in recs])
+                                [[s.degens for s in level] for level in recs], x._by_hand)
     except KeyError:
         raise InputError("subcomplex not closed under faces and degeneracies") from None
     return sub, SSetMap(sub, x, keep), index
@@ -703,7 +723,8 @@ def disjoint_union(x: SimplicialSet, y: SimplicialSet) -> tuple:
         bound, [[(p, i) for p, part in enumerate(parts) for i in range(part.size(k))]
                 for k in range(bound + 1)],
         [[[(p, f) for f in s.faces] for p, s in level] for level in recs],
-        [[[(p, d) for d in s.degens] for p, s in level] for level in recs])
+        [[[(p, d) for d in s.degens] for p, s in level] for level in recs],
+        x._by_hand or y._by_hand)
     inc_x, inc_y = (SSetMap(part, z, [[index[k][(p, i)] for i in range(part.size(k))]
                                       for k in range(bound + 1)])
                     for p, part in enumerate(parts))
@@ -729,7 +750,8 @@ def pullback_ssets(f: SSetMap, g: SSetMap) -> tuple:
     recs = [[(x.dims[k][i], y.dims[k][j]) for i, j in level] for k, level in enumerate(pairs)]
     p, index = _from_keys(bound, pairs,
                           [[list(zip(s.faces, t.faces)) for s, t in level] for level in recs],
-                          [[list(zip(s.degens, t.degens)) for s, t in level] for level in recs])
+                          [[list(zip(s.degens, t.degens)) for s, t in level] for level in recs],
+                          x._by_hand or y._by_hand)
     pr_x = SSetMap(p, x, [[i for (i, j) in pairs[k]] for k in range(bound + 1)])
     pr_y = SSetMap(p, y, [[j for (i, j) in pairs[k]] for k in range(bound + 1)])
     return p, pr_x, pr_y, index
@@ -771,7 +793,7 @@ def attach_nondeg(x: SimplicialSet, k: int, faces: list) -> tuple:
                 for d in range(1, bound + 1)],
         [[s.degens for s in x.dims[d]]
          + [[word_after_degeneracy(w, j) for j in range(d + 1)] for w in new[d]]
-         for d in range(bound)])
+         for d in range(bound)], x._by_hand)
     return z, index[k][()]
 
 

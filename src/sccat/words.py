@@ -215,6 +215,7 @@ def pushout_generating(base: SimplicialCategory, attachment: Attachment,
                                       for tag, a, b, r in recs]) for i in range(k + 1)]
 
     homs, index = {}, {}
+    by_hand = any(h._by_hand for cat in (C, F) for h in cat.hom.values())
     for pair in pairs:
         levels = [words[(k, pair)] for k in range(bound + 1)]
         if max(pair) < n_old and all(
@@ -225,7 +226,7 @@ def pushout_generating(base: SimplicialCategory, attachment: Attachment,
             continue
         homs[pair], index[pair] = _from_keys(
             bound, levels, [[]] + [rows(k, pair, -1) for k in range(1, bound + 1)],
-            [rows(k, pair, 1) for k in range(bound)])
+            [rows(k, pair, 1) for k in range(bound)], by_hand)
 
     def rule(k, a, b, c, g, f):
         """g after f is the normal form of the word f g."""

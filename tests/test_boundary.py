@@ -10,7 +10,9 @@ fields of ``Budget``; ``test_pi1`` checks the letters of a presentation's
 relators the same way.  Methods of built objects (``size``, ``face``,
 ``comp``, ...) index data that is already checked and are not swept.
 Every ``budget=`` slot of the package takes None or a ``Budget`` and
-rejects anything else with InputError on entry.
+rejects anything else with InputError on entry.  Every marking slot of
+``model`` takes only a ``GeneratorMarking``, and a marking's dict is
+checked for its shape before it is read.
 """
 import inspect
 import re
@@ -326,3 +328,70 @@ def test_the_budget_sweep_covers_every_public_budget_slot():
              if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
              and inspect.isfunction(obj) and "budget" in inspect.signature(obj).parameters}
     assert found == set(BUDGET_SWEEP)
+
+
+# -- marking slots -----------------------------------------------------------------------
+
+def _u_bd1():
+    return scat.functor_U(boundary(1, D))
+
+
+# "name" -> the call with the value put in its marking slot, every other argument
+# valid; the first two take the plain dict of a marking, the others a GeneratorMarking
+MARKED_SWEEP = {
+    "model.GeneratorMarking": GeneratorMarking,
+    "model.GeneratorMarking.close_under_degeneracies":
+        lambda m: GeneratorMarking.close_under_degeneracies(_u_bd1(), m),
+}
+MARKING_SWEEP = {
+    "model.validate_marking": lambda m: model.validate_marking(_u_bd1(), m),
+    "model.is_free_map": lambda m: is_free_map(coproduct_inclusion_functor(_u_bd1()), m),
+    "model.is_a2_candidate": lambda m: model.is_a2_candidate(
+        inclusion_of_object(codiscrete_groupoid(2, D), 0, singleton_cat(D)), marking=m),
+}
+BAD_MARKED = {"int": 5, "none": None, "str": "a", "list-of-entries": {(0, 1): [(0, 0)]},
+              "str-dimension": {(0, 1): frozenset({("a", 0)})},
+              "int-entry": {(0, 1): frozenset({0})},
+              "bool-index": {(0, 1): frozenset({(0, True)})},
+              "triple-entry": {(0, 1): frozenset({(0, 0, 0)})}}
+
+
+@pytest.mark.parametrize("name", sorted(MARKED_SWEEP))
+@pytest.mark.parametrize("value", sorted(BAD_MARKED))
+def test_every_marked_slot_checks_the_shape_first(name, value):
+    with pytest.raises(InputError, match="a marking maps hom pairs to sets of"):
+        MARKED_SWEEP[name](BAD_MARKED[value])
+
+
+@pytest.mark.parametrize("marked", [{(5, 5): set()}, {(0, 1): {(0, 99)}}, {(0, 1): {(-1, 0)}}],
+                         ids=["hom", "simplex", "dimension"])
+def test_closing_a_marking_names_an_unknown_hom_or_simplex(marked):
+    with pytest.raises(InputError, match="names no hom or simplex of the category"):
+        GeneratorMarking.close_under_degeneracies(_u_bd1(), marked)
+
+
+@pytest.mark.parametrize("name", sorted(MARKING_SWEEP))
+@pytest.mark.parametrize("value", [5, "a", {}, {(0, 1): frozenset()}], ids=repr)
+def test_every_marking_slot_takes_only_a_generator_marking(name, value):
+    with pytest.raises(InputError, match="marking must be a GeneratorMarking"):
+        MARKING_SWEEP[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(MARKING_SWEEP))
+def test_every_marking_slot_takes_a_generator_marking(name):
+    MARKING_SWEEP[name](GeneratorMarking({(0, 1): frozenset({(0, 0)})}))
+
+
+def test_a_free_map_check_with_a_marking_of_the_wrong_shape_raises_input_error():
+    for entry in (("a", 0), 0):
+        with pytest.raises(InputError):
+            is_free_map(coproduct_inclusion_functor(_u_bd1()),
+                        GeneratorMarking({(0, 1): frozenset({entry})}))
+
+
+def test_the_marking_sweep_covers_every_public_marking_slot():
+    found = {f"model.{name}" for name, obj in vars(model).items()
+             if not name.startswith("_") and getattr(obj, "__module__", None) == model.__name__
+             and inspect.isfunction(obj) and {"marking", "marked"} & set(
+                 inspect.signature(obj).parameters)}
+    assert found == set(MARKING_SWEEP)

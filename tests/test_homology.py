@@ -4,16 +4,17 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sccat import homology as hml, intmat
+from sccat import homology as hml, intmat, sset
 from sccat.homology import (
     DimensionBoundError, betti, boundary_matrix, chain_map_matrix, homology,
     homology_iso_all_degrees, homology_map_is_iso, reduced_homology_vanishes,
 )
 from sccat.pi1 import abelianization_invariants, edge_path_presentation
+from sccat.scat import functor_U
 from sccat.sset import (
-    SimplicialSet, SSetMap, boundary, boundary_inclusion, derive_records,
-    disjoint_union, enumerate_sset_maps, from_nondegenerate, from_simplicial_complex, horn,
-    horn_inclusion, identity_map, pi0, point, standard_simplex, sub_complex,
+    SimplicialSet, SSetMap, attach_nondeg, boundary, boundary_inclusion, derive_records,
+    disjoint_union, empty_sset, enumerate_sset_maps, from_nondegenerate, from_simplicial_complex,
+    horn, horn_inclusion, identity_map, pi0, point, pullback_ssets, standard_simplex, sub_complex,
 )
 from sccat.ssetcheck import is_weak_equivalence_sset, is_weakly_contractible, unique_map_to_point
 from sccat.verdict import InputError, StructureError
@@ -60,15 +61,21 @@ def test_homology_degree_out_of_range():
 
 
 def test_chain_complex_checked_once_per_complex(monkeypatch):
-    # d_k d_{k+1} for k = 1, 2, 3, multiplied out once for all degrees
+    # on a hand-built set, d_k d_{k+1} for k = 1, 2, 3, multiplied out once
+    # for all degrees; on a set the library built, never
     products = []
     mul_columns = intmat.mul_columns
     monkeypatch.setattr(intmat, "mul_columns",
                         lambda a, b: products.append(1) or mul_columns(a, b))
     x = standard_simplex(3, dim_bound=3)
+    by_hand = SimplicialSet(x.dim_bound, x.dims)
+    for k in range(4):
+        homology(by_hand, k)
+    assert len(products) == 3
+    products.clear()
     for k in range(4):
         homology(x, k)
-    assert len(products) == 3
+    assert len(products) == 0
 
 
 def triangle_on_one_edge():
@@ -448,14 +455,86 @@ def test_the_checks_reduce_only_boundaries(monkeypatch):
     monkeypatch.setattr(intmat, "Reduction", Recording)
     f = unique_map_to_point(from_simplicial_complex(grid_disk_facets(4), 2))
     assert is_weak_equivalence_sset(f).qualifier == {"route": "contractible"}
-    # d_1, d_2 and d_3 of each side; d_0 is not reduced, and nothing is glued
-    boundaries = [hml._boundary_columns(z, k) for z in (f.source, f.target) for k in (1, 2, 3)]
-    assert len(built) == 6
+    # d_2 and d_3 of each side, and d_1 of the source only, for the cycle
+    # basis H_1(f) reads; the target's d_1 is read off pi0, d_0 is not
+    # reduced, and nothing is glued
+    boundaries = [hml._boundary_columns(f.source, 1)] + [
+        hml._boundary_columns(z, k) for z in (f.source, f.target) for k in (2, 3)]
+    assert len(built) == 5
     assert all(any(cols is b for b in boundaries) for cols in built)
 
     built.clear()
     disk = from_simplicial_complex(grid_disk_facets(5), 2)
     assert is_weakly_contractible(disk).is_yes
-    # ab(pi1) is read off H_1 = 0: the relators are not reduced
-    assert len(built) == 3
-    assert all(any(cols is hml._boundary_columns(disk, k) for k in (1, 2, 3)) for cols in built)
+    # ab(pi1) is read off H_1 = 0: the relators are not reduced; and d_1,
+    # whose factors pi0 gives, is not reduced either
+    assert len(built) == 2
+    assert all(any(cols is hml._boundary_columns(disk, k) for k in (2, 3)) for cols in built)
+
+
+# -- the premise of trusting library-built sets: their simplicial identities
+# hold, so dd = 0 need not be multiplied out on them
+
+def assert_library_built_and_simplicial(x):
+    assert not x._by_hand
+    for k in range(2, x.dim_bound + 1):
+        assert all(sset._broken_face_identities(x, k, s.faces) == [] for s in x.dims[k])
+    for k in range(1, x.dim_bound + 1):
+        assert not any(intmat.mul_columns(hml._boundary_columns(x, k),
+                                          hml._boundary_columns(x, k + 1)))
+
+
+@st.composite
+def library_builds(draw):
+    """A drawn set of `homology_oracle_inputs` (from_simplex_tuples or
+    from_nondegenerate) and what each library builder makes of it: a
+    disjoint union, a product with Delta[1] as a pullback over the point, a
+    k-simplex attached on the faces of one of its k-simplices, a
+    subcomplex, the empty set and the homs of U."""
+    x = draw(homology_oracle_inputs())
+    d = x.dim_bound
+    k = draw(st.integers(1, d))
+    faces = x.dims[k][draw(st.integers(0, x.size(k) - 1))].faces if x.size(k) else None
+    keep = draw(st.sampled_from(pi0(x)))
+    built = [x, disjoint_union(x, boundary(1, d))[0],
+             pullback_ssets(unique_map_to_point(x), unique_map_to_point(standard_simplex(1, d)))[0],
+             sub_complex(x, [[v for v in range(x.size(j)) if x.vertices_of(j, v) <= set(keep)]
+                             for j in range(d + 1)])[0],
+             empty_sset(d), *functor_U(x).hom.values()]
+    if faces is not None:
+        built.append(attach_nondeg(x, k, list(faces))[0])
+    return built
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(library_builds())
+def test_every_library_builder_keeps_the_simplicial_identities(built):
+    for x in built:
+        assert_library_built_and_simplicial(x)
+
+
+def test_the_golden_pushouts_keep_the_simplicial_identities():
+    from tests.test_golden import _pushout_corpus
+    for name, call in _pushout_corpus().items():
+        if name.endswith(" default"):
+            for x in call().category.hom.values():
+                assert_library_built_and_simplicial(x)
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: disjoint_union(point(2), x)[0],
+    lambda x: pullback_ssets(unique_map_to_point(x), unique_map_to_point(point(2)))[0],
+    lambda x: sub_complex(x, [range(x.size(k)) for k in range(3)])[0],
+    lambda x: attach_nondeg(x, 1, [0, 1])[0],
+], ids=["disjoint_union", "pullback_ssets", "sub_complex", "attach_nondeg"])
+def test_a_set_built_from_a_hand_built_one_is_still_checked(build):
+    x = build(triangle_on_one_edge())
+    assert x._by_hand
+    with pytest.raises(StructureError):
+        homology(x, 1)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(homology_oracle_inputs())
+def test_pi0_gives_the_invariant_factors_of_d1(x):
+    assert hml._invariant_factors(x, 1) == hml._boundary_reduction(x, 1).invariant_factors()
