@@ -351,7 +351,7 @@ class Reduction:
         """Sparse vectors over the input columns.  The transform T is
         unimodular, so ker a = T (0 + ker L): the transforms of the zero
         live columns, then the dense kernel of the others through T."""
-        trans = _replay(self.units + len(self.live), self.steps)
+        trans = _replay(self.units + len(self.live), self.steps)  # each column is one or the other
         basis = [trans[j] for col, j in self.live if not col]
         if self.snf:
             residual = [{i: v for i, v in enumerate(vec) if v} for vec in self.snf.kernel_basis()]

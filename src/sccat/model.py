@@ -354,11 +354,10 @@ class GeneratorMarking:
         marking of the wrong shape, or one naming a hom or simplex that cat
         does not have, raises InputError."""
         _check_marked(marked)
+        out = {}
         for pair, entries in marked.items():
             if pair not in cat.hom or not all(_names_simplex(cat.hom[pair], *e) for e in entries):
                 raise InputError(f"marking {pair} names no hom or simplex of the category")
-        out = {}
-        for pair, entries in marked.items():
             hom, closed = cat.hom[pair], set(entries)
             for k in range(cat.dim_bound):      # level k + 1 is closed once level k is
                 closed |= {(k + 1, hom.degeneracy(k, idx, j))

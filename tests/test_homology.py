@@ -496,8 +496,9 @@ def library_builds(draw):
     k = draw(st.integers(1, d))
     faces = x.dims[k][draw(st.integers(0, x.size(k) - 1))].faces if x.size(k) else None
     keep = draw(st.sampled_from(pi0(x)))
+    edge = unique_map_to_point(standard_simplex(1, d))
     built = [x, disjoint_union(x, boundary(1, d))[0],
-             pullback_ssets(unique_map_to_point(x), unique_map_to_point(standard_simplex(1, d)))[0],
+             pullback_ssets(unique_map_to_point(x), edge)[0],
              sub_complex(x, [[v for v in range(x.size(j)) if x.vertices_of(j, v) <= set(keep)]
                              for j in range(d + 1)])[0],
              empty_sset(d), *functor_U(x).hom.values()]
