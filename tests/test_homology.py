@@ -515,7 +515,7 @@ def test_every_library_builder_keeps_the_simplicial_identities(built):
 
 
 def test_the_golden_pushouts_keep_the_simplicial_identities():
-    from tests.test_golden import _pushout_corpus
+    from tests.test_golden import _pushout_corpus  # here: test_golden imports this module
     for name, call in _pushout_corpus().items():
         if name.endswith(" default"):
             for x in call().category.hom.values():
