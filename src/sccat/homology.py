@@ -64,9 +64,9 @@ def _boundary_columns(x: SimplicialSet, k: int) -> list:
         return []
     rows_pos = _nondeg_pos(x, k - 1) if k else {}
     cols = []
-    for idx in x.nondeg_indices(k):
+    for faces in x.nondeg_faces(k):
         col, sign = {}, 1
-        for f in x.dims[k][idx].faces:
+        for f in faces:
             r = rows_pos.get(f)
             if r is not None:
                 v = col.pop(r, 0) + sign

@@ -35,7 +35,7 @@ from .scat import (SFunctor, SimplicialCategory, compose_sfunctors,
                    coproduct, identity_sfunctor, is_homotopy_equivalence,
                    pi0_functor, singleton_cat, u_functor)
 from .search import enumerate_sfunctors
-from .sset import SSetMap, _check_natural, _tuple_inclusion, boundary, horn, standard_simplex
+from .sset import SSetMap, _check_natural, _simplex, _tuple_inclusion, boundary, horn
 from .ssetcheck import (_cells, _first_miss, _rlp_against_cells, is_weak_equivalence_sset,
                         is_weakly_contractible)
 from .verdict import (BUDGET, Budget, BudgetExceeded, InputError, Verdict,
@@ -303,7 +303,7 @@ def _cell_generators(n_max: int, dim_bound: int, horns: bool) -> list:
     def build(gen):
         n, k = gen.cell
         if n not in simplices:
-            simplices[n] = standard_simplex(n, dim_bound)
+            simplices[n] = _simplex(n, dim_bound)
         sub = boundary(n, dim_bound) if k is None else horn(n, k, dim_bound)
         return Attachment.from_sset_mono(_tuple_inclusion(sub, simplices[n]), gen.name)
 

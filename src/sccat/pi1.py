@@ -196,8 +196,8 @@ class EdgePathData:
 
 def edge_path_data(x: SimplicialSet, base: int) -> EdgePathData:
     _check_natural("base", base, 0, x.size(0) - 1, "base vertex out of range")
-    edges = [(idx, x.dims[1][idx].faces[1], x.dims[1][idx].faces[0])
-             for idx in (x.nondeg_indices(1) if x.dim_bound >= 1 else ())]
+    edges = [(idx, f[1], f[0]) for idx, f in zip(x.nondeg_indices(1), x.nondeg_faces(1))
+             ] if x.dim_bound >= 1 else []
     adj = {}
     for idx, tail, head in edges:
         adj.setdefault(tail, []).append((idx, head))
@@ -221,8 +221,7 @@ def edge_path_data(x: SimplicialSet, base: int) -> EdgePathData:
 
     # the boundary d2 d0 d1^-1 of each 2-simplex, off-tree edges only
     relators = []
-    for idx in x.nondeg_indices(2) if x.dim_bound >= 2 else ():
-        faces = x.dims[2][idx].faces
+    for faces in x.nondeg_faces(2) if x.dim_bound >= 2 else ():
         word = free_reduce(tuple(sign * gen_of_edge[e] for e, sign in
                                  ((faces[2], 1), (faces[0], 1), (faces[1], -1))
                                  if e in gen_of_edge))

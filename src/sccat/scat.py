@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .cat import (FiniteCategory, FiniteFunctor, is_isomorphism,
                   validate_category, validate_functor)
-from .sset import (SimplicialSet, SSetMap, _check_natural, compose_maps, empty_sset,
+from .sset import (SimplicialSet, SSetMap, _check_natural, _simplex, compose_maps, empty_sset,
                    identity_map, memo, pi0, pi0_class_of, pi0_map, point,
                    pullback_ssets, validate_sset, validate_sset_map)
 from .verdict import InputError, StructureError
@@ -326,7 +326,7 @@ def _u_on(x: SimplicialSet, pt: SimplicialSet) -> SimplicialCategory:
 def functor_U(x: SimplicialSet) -> SimplicialCategory:
     """Two objects, Hom(x, y) = X, no other nonidentity morphisms.  Made
     once per X, as derived data of X."""
-    return _u_on(x, point(x.dim_bound))
+    return _u_on(x, _simplex(0, x.dim_bound))
 
 
 def functor_U_map(g: SSetMap) -> SFunctor:

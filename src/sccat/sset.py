@@ -1,20 +1,34 @@
 """Finite, dimension-bounded simplicial sets and their maps.
 
-A simplicial set here stores *every* simplex up to ``dim_bound``,
+A simplicial set here has *every* simplex up to ``dim_bound``,
 degenerate ones included, as indexed tables of face and degeneracy
-operators.  Each simplex record also carries its Eilenberg-Zilber
-decomposition: the index of a nondegenerate base together with the
-strictly decreasing degeneracy word that produces the simplex from it.
-Nothing above ``dim_bound`` is stored; everything up there is degenerate
-by construction, so the objects are honest ``dim_bound``-skeletal
-simplicial sets.
+operators: ``dims``, one level of records per dimension.  Each simplex
+record also carries its Eilenberg-Zilber decomposition: the index of a
+nondegenerate base together with the strictly decreasing degeneracy word
+that produces the simplex from it.  Nothing above ``dim_bound`` is stored;
+everything up there is degenerate by construction, so the objects are
+honest ``dim_bound``-skeletal simplicial sets.
+
+A set comes in one of two forms.  The eager form holds its records from
+construction on; every builder but the vertex-tuple one makes it.  The
+deferred form, a vertex-tuple set (``_TupleSet``), holds only what its
+builder knows: the levels, as its tuple index, their sizes, the
+degeneracy rows and the complex's own tuples, which are exactly its
+nondegenerate simplices.  Its records are made on the first read of
+``dims``, after which it is an eager set.  ``size``, ``nondeg_indices``
+and ``nondeg_faces`` answer in both forms, and homology, pi0 and the
+edge-path group read nothing else, so they make no record of a
+vertex-tuple set.
 
 Every constructor names its simplices by hashable keys and hands one
 builder, ``_from_keys``, the keys of each level in index order together
 with the keys of every simplex's faces and degeneracies; the builder
-numbers the keys, maps each level's key rows to index rows in one run,
-and derives the records, ``Simplex`` named tuples, a level at a time by
-``derive_records``.  The keys are nondecreasing vertex tuples for
+numbers the keys, maps each level's key rows to index rows in one run
+(``_rows``), and derives the records, ``Simplex`` named tuples, a level at
+a time by ``_derive_records`` (``derive_records`` with no check).  The
+vertex-tuple builder takes the two steps apart: it numbers its keys at
+construction, and maps its rows and derives its records on the first read
+of ``dims``.  The keys are nondecreasing vertex tuples for
 simplicial complexes (standard simplices, boundaries, horns), (base
 dimension, base, degeneracy word) for explicit nondegenerate skeleta,
 kept indices for subcomplexes, (part, index) for disjoint unions, (i, j)
@@ -27,7 +41,11 @@ library construction keeps the simplicial identities, so homology does not
 multiply out dd = 0 on its sets.  The public ``SimplicialSet(...)`` is for
 hand-built tables; it checks dim_bound and the level count and marks its
 set hand-built, as is any set built from a hand-built one, so homology
-checks dd = 0 there.  ``validate_sset`` checks every invariant on demand.
+checks dd = 0 there.  Likewise ``from_simplex_tuples`` checks every tuple
+it is given, closure under subsets included, while the standard
+simplices, boundaries, horns and ``from_simplicial_complex`` make tuples
+that pass and hand them to the trusted ``_tuple_set``.  ``validate_sset``
+checks every invariant on demand.
 
 Derived data (the accessors below, pi0 here, homology, component
 categories, the simplicial category U(X) of ``scat.functor_U``) is
@@ -78,6 +96,11 @@ def _check_natural(name: str, v, low: int = 0, high: float = float("inf"),
 def word_after_degeneracy(word: tuple, j: int) -> tuple:
     """Normal form of s_j composed after the normal word s_word."""
     _check_natural("j", j)
+    return _after(word, j)
+
+
+def _after(word: tuple, j: int) -> tuple:
+    """``word_after_degeneracy`` unchecked, for the j the library makes."""
     out = []
     i = 0
     while i < len(word) and j <= word[i]:
@@ -146,7 +169,11 @@ class Simplex(NamedTuple):
 
 class SimplicialSet:
     """Built by hand through the public constructor, by the library through
-    ``_sset``; the mark is a private slot, outside ``==`` and the hash."""
+    ``_sset``; the mark is a private slot, outside ``==`` and the hash.
+
+    ``dims`` is a plain slot: an eager set holds its records there from
+    the start, and a vertex-tuple set is a ``_TupleSet`` until the first
+    read of ``dims`` makes them, then a SimplicialSet like any other."""
     __slots__ = ("dim_bound", "dims", "_by_hand", "_cache")
 
     def __init__(self, dim_bound: int, dims: list):
@@ -161,15 +188,15 @@ class SimplicialSet:
 
     # -- identity / hashing ------------------------------------------------
     def __eq__(self, other):
-        return (isinstance(other, SimplicialSet)
-                and self.dim_bound == other.dim_bound
-                and self.dims == other.dims)
+        return self is other or (isinstance(other, SimplicialSet)
+                                 and self.dim_bound == other.dim_bound
+                                 and self.dims == other.dims)
 
     def __hash__(self):
         return hash((self.dim_bound, self.dims))
 
     def __repr__(self):
-        sizes = ",".join(str(len(level)) for level in self.dims)
+        sizes = ",".join(str(self.size(k)) for k in range(self.dim_bound + 1))
         return f"SimplicialSet(dim_bound={self.dim_bound}, sizes=[{sizes}])"
 
     # -- basic accessors ----------------------------------------------------
@@ -184,7 +211,21 @@ class SimplicialSet:
 
     @memo
     def nondeg_indices(self, k: int) -> tuple:
+        return self._nondeg_indices(k)
+
+    def _nondeg_indices(self, k):
         return tuple(i for i, s in enumerate(self.dims[k]) if s.nondeg)
+
+    @memo
+    def nondeg_faces(self, k: int) -> tuple:
+        """The faces of the nondegenerate k-simplices, one tuple of indices
+        into level k - 1 per entry of ``nondeg_indices(k)``, in its order.
+        Homology, pi0 and the edge-path group read only these."""
+        return self._nondeg_faces(k)
+
+    def _nondeg_faces(self, k):
+        level = self.dims[k]
+        return tuple(level[i].faces for i in self.nondeg_indices(k))
 
     def apply_word(self, dim: int, idx: int, word: tuple) -> int:
         """Index of s_word applied to the simplex (dim, idx)."""
@@ -210,7 +251,7 @@ class SimplicialSet:
         return frozenset().union(*(self.vertices_of(k - 1, f) for f in self.dims[k][idx].faces))
 
     def is_empty(self) -> bool:
-        return all(len(level) == 0 for level in self.dims)
+        return not any(map(self.size, range(self.dim_bound + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +270,14 @@ def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> t
     j but costs more on the one-simplex levels most builds have.  Each
     level's records come from one map.  The EZ decomposition is unique, so
     no constructor makes records: each one hands its keyed tables to
-    ``_from_keys``, which calls this.
+    ``_from_keys``, or a vertex-tuple set makes them on the first read of
+    ``dims``, both through ``_derive_records``, this with no check.
     """
     _check_natural("dim_bound", dim_bound)
+    return _derive_records(dim_bound, faces_tables, degens_tables)
+
+
+def _derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> tuple:
     dims, after = [], {}
     bases = words = ()
     record = functools.partial(tuple.__new__, Simplex)   # Simplex._make, in C
@@ -247,7 +293,7 @@ def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> t
                     key = below_words[y], j
                     w = words[x] = after.get(key)
                     if w is None:
-                        words[x] = after[key] = word_after_degeneracy(*key)
+                        words[x] = after[key] = _after(*key)
                     break
         degens = degens_tables[k] if k < dim_bound else itertools.repeat(())
         dims.append((*map(record, zip(faces, degens, bases, words)),))
@@ -273,15 +319,18 @@ def _from_keys(dim_bound: int, levels: list, faces: list, degens: list,
     from a hand-built one (see ``_sset``).
     """
     index = [dict(zip(level, range(len(level)))) for level in levels]
-    # a level's rows are mapped through the index as one flat run and cut
-    # back into rows by zip
-    face_tables, degen_tables = [[()] * len(levels[0])], []
-    for k in range(1, dim_bound + 1):
-        face_tables.append([*zip(*[map(index[k - 1].__getitem__,
-                                       itertools.chain.from_iterable(faces[k]))] * (k + 1))])
-        degen_tables.append([*zip(*[map(index[k].__getitem__,
-                                        itertools.chain.from_iterable(degens[k - 1]))] * k)])
-    return _sset(dim_bound, derive_records(dim_bound, face_tables, degen_tables), by_hand), index
+    chain = itertools.chain.from_iterable
+    return _sset(dim_bound, _derive_records(
+        dim_bound, [[()] * len(levels[0])] + [_rows(index[k - 1], chain(faces[k]), k + 1)
+                                              for k in range(1, dim_bound + 1)],
+        [_rows(index[k], chain(degens[k - 1]), k) for k in range(1, dim_bound + 1)]),
+        by_hand), index
+
+
+def _rows(index: dict, keys, width: int) -> list:
+    """The flat run ``keys`` mapped through ``index`` and cut into rows of
+    ``width`` by zip.  A key the index lacks raises KeyError."""
+    return [*zip(*[map(index.__getitem__, keys)] * width)]
 
 
 def _broken_face_identities(x: SimplicialSet, k: int, faces) -> list:
@@ -335,7 +384,7 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
 
     faces = [[]] + [[[face_key(*key, i) for i in range(k + 1)] for key in levels[k]]
                     for k in range(1, dim_bound + 1)]
-    degens = [[[(bd, bi, word_after_degeneracy(w, j)) for j in range(k + 1)]
+    degens = [[[(bd, bi, _after(w, j)) for j in range(k + 1)]
                for (bd, bi, w) in levels[k]] for k in range(dim_bound)]
     try:
         x, _ = _from_keys(dim_bound, levels, faces, degens)
@@ -353,64 +402,139 @@ def from_nondegenerate(dim_bound: int, face_data: list) -> SimplicialSet:
 
 def from_simplex_tuples(dim_bound: int, simplices) -> SimplicialSet:
     """Simplicial set of a simplicial complex whose ``simplices`` are
-    nonempty strictly increasing vertex tuples, closed under subsets, of at
-    most dim_bound + 1 entries; a dim_bound that is not an int >= 0, or a
-    longer, empty or unsorted tuple, or one missing a subset raises InputError.
+    nonempty strictly increasing tuples of hashable, comparable vertices,
+    closed under subsets, of at most dim_bound + 1 entries.  A dim_bound
+    that is not an int >= 0 raises InputError, and so does an entry that
+    is no such tuple, naming the first in input order, or a missing subset.
 
     Its k-simplices are the nondecreasing (k+1)-tuples whose vertex set is
     a simplex, in lexicographic order, keyed by themselves.  By
     Eilenberg-Zilber each degenerate one is s_j t = t[:j+1] + t[j:] of a
     tuple t one level down, so level k is the complex's own (k+1)-tuples
     and the degeneracies of level k-1.  The builder's tuple index is kept
-    in the cache, for inclusions.
+    in the cache, for inclusions; the records are made on the first read
+    of ``dims`` (see ``_TupleSet``).
     """
     _check_natural("dim_bound", dim_bound)
     simplices, own = list(simplices), {}
-    for t in simplices:
-        own.setdefault(len(t), []).append(t)
-    # checked a column at a time; a failure names the first bad tuple in input order
-    if not own.keys() <= set(range(1, dim_bound + 2)) or not all(
-            all(map(operator.lt, a, b)) for level in own.values()
-            for a, b in itertools.pairwise(zip(*level))):
-        for t in simplices:
-            if not 1 <= len(t) <= dim_bound + 1:
-                raise InputError(f"from_simplex_tuples: {t} needs 1 to {dim_bound + 1} vertices")
-            if not all(map(operator.lt, t, t[1:])):
-                raise InputError(f"from_simplex_tuples: {t} is not strictly increasing")
-    # zip cuts flat key lists into rows; combinations(t, k) lists d_k t, ...,
-    # d_0 t, so a level's faces read backwards are its rows from the last up
-    levels, degens = [sorted(set(own.get(1, ())))], []
-    for k in range(1, dim_bound + 1):
-        flat = [t[:j + 1] + t[j:] for t in levels[-1] for j in range(k)]
-        degens.append([*zip(*[iter(flat)] * k)])
-        levels.append(sorted({*own.get(k + 1, ()), *flat}))
-    faces = [()] + [[*zip(*[reversed([*itertools.chain.from_iterable(
-        map(itertools.combinations, levels[k], itertools.repeat(k)))])] * (k + 1))][::-1]
-        for k in range(1, dim_bound + 1)]
+    # checked a column at a time; entries with no len, hash or order raise TypeError
     try:
-        x, index = _from_keys(dim_bound, levels, faces, degens)
-    except KeyError:
-        raise InputError("from_simplex_tuples: simplices not closed under subsets") from None
-    x._cache["tuples"] = index
+        for t in simplices:
+            own.setdefault(len(t), []).append(t)
+        present = set(simplices)
+        if (all(map(isinstance, simplices, itertools.repeat(tuple)))
+                and own.keys() <= set(range(1, dim_bound + 2))
+                and all(all(map(operator.lt, a, b)) for level in own.values()
+                        for a, b in itertools.pairwise(zip(*level)))):
+            if not present.issuperset(itertools.chain.from_iterable(
+                    itertools.combinations(t, len(t) - 1) for t in simplices if len(t) > 1)):
+                raise InputError("from_simplex_tuples: simplices not closed under subsets")
+            return _tuple_set(dim_bound, simplices)
+    except TypeError:
+        pass
+    # the first bad entry in input order
+    seen = {}                       # vertex type -> a vertex of that type
+    for t in simplices:
+        if not isinstance(t, tuple):
+            raise InputError(f"from_simplex_tuples: {t!r} is not a tuple")
+        if not 1 <= len(t) <= dim_bound + 1:
+            raise InputError(f"from_simplex_tuples: {t} needs 1 to {dim_bound + 1} vertices")
+        try:            # a vertex is compared with one vertex of each type so far
+            hash(t)
+            sorted([*t, *seen.values()])
+        except TypeError:
+            raise InputError(f"from_simplex_tuples: {t} has a vertex that does not hash"
+                             " or compare with those before it") from None
+        seen.update(zip(map(type, t), t))
+        if not all(map(operator.lt, t, t[1:])):
+            raise InputError(f"from_simplex_tuples: {t} is not strictly increasing")
+    raise InputError("from_simplex_tuples: the vertices do not sort")
+
+
+class _TupleSet(SimplicialSet):
+    """A vertex-tuple set whose records are not made yet.
+
+    Its dims slot holds what the builder knows, (own, degens): own[k] is
+    the complex's own (k+1)-tuples in order, its nondegenerate k-simplices,
+    and degens[k - 1] the keys s_0 t, ..., s_(k-1) t of each (k-1)-simplex
+    t, in order, as one flat run.  The tuple index gives the levels and
+    their sizes.  ``size`` reads these, and so do ``_nondeg_indices`` and
+    ``_nondeg_faces``, whose values the base class memoizes under its
+    ``nondeg_indices`` and ``nondeg_faces``, so a value read before the
+    records exist is kept after.  The first read of ``dims`` makes the
+    records through ``_derive_records``, stores them in the slot and makes
+    the set a plain SimplicialSet, so no hook stays on the class of any set.
+    """
+    __slots__ = ()
+
+    def size(self, k: int) -> int:
+        return len(self._cache["tuples"][k])
+
+    def _nondeg_indices(self, k):
+        return tuple(map(self._cache["tuples"][k].__getitem__, _DIMS.__get__(self)[0][k]))
+
+    def _nondeg_faces(self, k):
+        own = _DIMS.__get__(self)[0][k]
+        if not k:
+            return ((),) * len(own)
+        below = self._cache["tuples"][k - 1].__getitem__
+        # combinations(t, k) lists d_k t, ..., d_0 t
+        return tuple(tuple(map(below, itertools.combinations(t, k)))[::-1] for t in own)
+
+    @property
+    def dims(self):
+        degens, index, bound = _DIMS.__get__(self)[1], self._cache["tuples"], self.dim_bound
+        faces = [[()] * len(index[0])]
+        for k in range(1, bound + 1):
+            # combinations(t, k) lists d_k t, ..., d_0 t, so a level's faces
+            # read backwards are its rows from the last up
+            flat = [*itertools.chain.from_iterable(
+                map(itertools.combinations, index[k], itertools.repeat(k)))]
+            faces.append(_rows(index[k - 1], reversed(flat), k + 1)[::-1])
+        dims = _derive_records(bound, faces, [_rows(index[k], degens[k - 1], k)
+                                              for k in range(1, bound + 1)])
+        _DIMS.__set__(self, dims)
+        self.__class__ = SimplicialSet
+        return dims
+
+
+_DIMS = SimplicialSet.dims          # the slot under _TupleSet's property
+
+
+def _tuple_set(dim_bound: int, simplices) -> SimplicialSet:
+    """``from_simplex_tuples`` of simplices trusted to pass its checks."""
+    own = [[] for _ in range(dim_bound + 1)]
+    for t in simplices:
+        own[len(t) - 1].append(t)
+    own = [sorted(set(level)) for level in own]
+    levels, degens = [own[0]], []
+    for k in range(1, dim_bound + 1):
+        degens.append([t[:j + 1] + t[j:] for t in levels[-1] for j in range(k)])
+        levels.append(sorted({*own[k], *degens[-1]}))
+    x = _sset(dim_bound, (own, degens))
+    x._cache["tuples"] = [dict(zip(level, range(len(level)))) for level in levels]
+    x.__class__ = _TupleSet
     return x
 
 
-def _simplex_faces(n: int, missing=()) -> list:
-    """The nonempty faces of Delta[n] as vertex tuples, less ``missing``."""
-    return [t for r in range(1, n + 2) for t in itertools.combinations(range(n + 1), r)
-            if t not in missing]
+def _simplex(n: int, dim_bound: int, missing=()) -> SimplicialSet:
+    """Delta[n] less the vertex tuples ``missing``, for an n and a
+    dim_bound the library made or checked."""
+    return _tuple_set(dim_bound, [t for r in range(1, n + 2)
+                                  for t in itertools.combinations(range(n + 1), r)
+                                  if t not in missing])
 
 
 def standard_simplex(n: int, dim_bound: int = 4) -> SimplicialSet:
     _check_natural("dim_bound", dim_bound)
     _check_natural("n", n, 0, dim_bound)
-    return from_simplex_tuples(dim_bound, _simplex_faces(n))
+    return _simplex(n, dim_bound)
 
 
 def boundary(n: int, dim_bound: int = 4) -> SimplicialSet:
     _check_natural("dim_bound", dim_bound)
     _check_natural("n", n, 0, dim_bound)
-    return from_simplex_tuples(dim_bound, _simplex_faces(n, {tuple(range(n + 1))}))
+    return _simplex(n, dim_bound, {tuple(range(n + 1))})
 
 
 def horn(n: int, k: int, dim_bound: int = 4) -> SimplicialSet:
@@ -418,11 +542,12 @@ def horn(n: int, k: int, dim_bound: int = 4) -> SimplicialSet:
     _check_natural("n", n, 1, dim_bound)
     _check_natural("k", k, 0, n)
     full = tuple(range(n + 1))
-    return from_simplex_tuples(dim_bound, _simplex_faces(n, {full, full[:k] + full[k + 1:]}))
+    return _simplex(n, dim_bound, {full, full[:k] + full[k + 1:]})
 
 
 def point(dim_bound: int = 4) -> SimplicialSet:
-    return standard_simplex(0, dim_bound)
+    _check_natural("dim_bound", dim_bound)
+    return _simplex(0, dim_bound)
 
 
 def empty_sset(dim_bound: int = 4) -> SimplicialSet:
@@ -448,14 +573,39 @@ def from_simplicial_complex(facets: list, dim_bound: int = 4) -> SimplicialSet:
         f = sorted(rank[v] for v in f)
         for r in range(1, len(f) + 1):
             faces.update(itertools.combinations(f, r))
-    return from_simplex_tuples(dim_bound, faces)
+    return _tuple_set(dim_bound, faces)
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 def validate_sset(x: SimplicialSet) -> list:
-    """All violated structural invariants, as readable strings."""
+    """All violated structural invariants, as readable strings.  Records
+    whose fields the checks cannot read are named instead, one string per
+    wrong field: each record must be a Simplex whose faces, degeneracies
+    and word are tuples of ints and whose base is an int."""
+    try:
+        return _violations(x)
+    except (AttributeError, IndexError, TypeError, ValueError):
+        wrong = [f"dim {k} simplex {idx}: {what}" for k, level in enumerate(x.dims)
+                 for idx, rec in enumerate(level) for what in _wrong_types(rec)]
+        if not wrong:
+            raise
+        return wrong
+
+
+def _wrong_types(rec) -> list:
+    """The fields of a record that ``validate_sset`` cannot read."""
+    if not isinstance(rec, Simplex):
+        return ["not a Simplex record"]
+    ints = [type(v) is tuple and all(type(i) is int for i in v) for v in rec]
+    ints[2] = type(rec.base) is int
+    return [f"{name} not {want}" for name, want, ok in zip(
+        ("faces", "degeneracies", "decomposition base", "degeneracy word"),
+        ("a tuple of ints", "a tuple of ints", "an int", "a tuple of ints"), ints) if not ok]
+
+
+def _violations(x: SimplicialSet) -> list:
     bad = []
     bound, dims = x.dim_bound, x.dims
 
@@ -575,9 +725,8 @@ def pi0(x: SimplicialSet) -> list:
     n = x.size(0)
     uf = _UnionFind(n)
     if x.dim_bound >= 1:
-        for idx in x.nondeg_indices(1):
-            s = x.dims[1][idx]
-            uf.union(s.faces[0], s.faces[1])
+        for f in x.nondeg_faces(1):
+            uf.union(f[0], f[1])
     groups = {}
     for v in range(n):
         groups.setdefault(uf.find(v), []).append(v)
@@ -792,7 +941,7 @@ def attach_nondeg(x: SimplicialSet, k: int, faces: list) -> tuple:
                 + [[face_of_new(w, i) for i in range(d + 1)] for w in new[d]]
                 for d in range(1, bound + 1)],
         [[s.degens for s in x.dims[d]]
-         + [[word_after_degeneracy(w, j) for j in range(d + 1)] for w in new[d]]
+         + [[_after(w, j) for j in range(d + 1)] for w in new[d]]
          for d in range(bound)], x._by_hand)
     return z, index[k][()]
 
@@ -809,12 +958,12 @@ def _tuple_inclusion(small: SimplicialSet, big: SimplicialSet) -> SSetMap:
 
 def boundary_inclusion(n: int, dim_bound: int = 4) -> SSetMap:
     """The inclusion of the boundary into the n-simplex."""
-    return _tuple_inclusion(boundary(n, dim_bound), standard_simplex(n, dim_bound))
+    return _tuple_inclusion(boundary(n, dim_bound), _simplex(n, dim_bound))
 
 
 def horn_inclusion(n: int, k: int, dim_bound: int = 4) -> SSetMap:
     """The inclusion of the (n, k)-horn into the n-simplex."""
-    return _tuple_inclusion(horn(n, k, dim_bound), standard_simplex(n, dim_bound))
+    return _tuple_inclusion(horn(n, k, dim_bound), _simplex(n, dim_bound))
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 from . import homology as hml
 from .pi1 import _is_trivial_group, edge_path_presentation
-from .sset import (SimplicialSet, SSetMap, _slot_order, _sset_maps, boundary_inclusion,
-                   compose_maps, enumerate_sset_maps, horn_inclusion, is_iso_map,
-                   pi0, pi0_bijective, pi0_map, standard_simplex)
+from .sset import (SimplicialSet, SSetMap, _simplex, _slot_order, _sset_maps,
+                   boundary_inclusion, compose_maps, enumerate_sset_maps, horn_inclusion,
+                   is_iso_map, pi0, pi0_bijective, pi0_map)
 from .verdict import (BUDGET, Budget, BudgetExceeded, UNDECIDED_GROUP, Verdict,
                       _Steps, _budget, aggregate)
 
@@ -324,5 +324,5 @@ def is_acyclic_fibration_sset(p: SSetMap, budget: Budget | None = None) -> Verdi
 
 
 def unique_map_to_point(x: SimplicialSet) -> SSetMap:
-    pt = standard_simplex(0, x.dim_bound)
+    pt = _simplex(0, x.dim_bound)
     return SSetMap(x, pt, [[0] * x.size(k) for k in range(x.dim_bound + 1)])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sccat import homology as hml, scat, search, sset, words
 from sccat.constructions_basic import codiscrete_groupoid
+from sccat.pi1 import edge_path_presentation
 from sccat.sset import (
     SimplicialSet, Simplex, SSetMap, _broken_face_identities, attach_nondeg, boundary,
     boundary_inclusion, compose_maps, compose_words, degeneracy_words, disjoint_union,
@@ -121,6 +122,11 @@ def test_validate_catches_broken_identity():
     (1, 0, {"base": 1}, "dim 1 simplex 0: decomposition does not reproduce the simplex"),
     (1, 0, {"word": ()}, "dim 1 simplex 0: flagged nondegenerate but equals s_0 d_0"),
     (1, 0, {"word": (3,)}, "dim 1 simplex 0: degeneracy word entry out of range"),
+    # fields of the wrong type; the first record is Simplex((None, 0), (), 0, (0,))
+    (1, 0, {"faces": (None, 0), "degens": ()}, "dim 1 simplex 0: faces not a tuple of ints"),
+    (1, 1, {"base": None}, "dim 1 simplex 1: decomposition base not an int"),
+    (1, 1, {"word": 3}, "dim 1 simplex 1: degeneracy word not a tuple of ints"),
+    (1, 1, {"faces": None}, "dim 1 simplex 1: faces not a tuple of ints"),
 ])
 def test_validate_sset_names_each_broken_record(k, idx, fields, message):
     x = standard_simplex(1, dim_bound=3)
@@ -357,6 +363,14 @@ def test_from_simplex_tuples_rejects_tuples_that_do_not_strictly_increase(simpli
     ([(0,), (0, 1, 2), (1, 0)], "(0, 1, 2)", "needs 1 to 2 vertices"),
     ([(0,), (), (1, 0)], "()", "needs 1 to 2 vertices"),
     ([(1,), (0,), (0, 1), (1, 1)], "(1, 1)", "is not strictly increasing"),
+    # entries with no len, no hash or no order with the others
+    ([0], "0", "is not a tuple"),
+    ([[0], [1], [0, 1]], "[0]", "is not a tuple"),
+    ([(0,), ("a",)], "('a',)", "has a vertex that does not hash or compare with those before it"),
+    # no bad entry but a missing subset, which names no entry; a bad entry
+    # is named before a missing subset
+    ([(0, 1)], "simplices", "not closed under subsets"),
+    ([(0, 1), (1, 0)], "(1, 0)", "is not strictly increasing"),
 ])
 def test_from_simplex_tuples_names_the_first_bad_tuple_in_input_order(simplices, bad, message):
     # the tuples are checked a column at a time; the message still names the
@@ -803,6 +817,33 @@ def test_tuple_complex_records_match_the_scan(data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(sets), max_size=len(sets)))
     x = sset.from_simplex_tuples(d, closure([s for s, k in zip(sets, keep) if k] or [(0,)]))
     assert_records_match_the_scan(x)
+
+
+def nondegenerate_reads(x):
+    """The sizes and nondegenerate data of x, and what homology, pi0 and
+    the edge-path group make of them."""
+    levels = range(x.dim_bound + 1)
+    return ([x.size(k) for k in levels], [x.nondeg_indices(k) for k in levels],
+            [x.nondeg_faces(k) for k in levels], [hml.homology(x, k) for k in levels],
+            pi0(x), [edge_path_presentation(x, v) for v in range(x.size(0))])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_a_tuple_set_reads_its_nondegenerate_data_before_its_records(data):
+    # the draw of test_tuple_complex_records_match_the_scan
+    d = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(1, 6))
+    sets = [s for size in range(1, d + 2) for s in itertools.combinations(range(n), size)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(sets), max_size=len(sets)))
+    x = sset.from_simplex_tuples(d, closure([s for s, k in zip(sets, keep) if k] or [(0,)]))
+    got = nondegenerate_reads(x)
+    assert type(x) is sset._TupleSet        # no record made yet
+    assert got == nondegenerate_reads(SimplicialSet(x.dim_bound, x.dims))
+    assert type(x) is SimplicialSet
+    # what was read before the records is kept after them
+    assert all(x.nondeg_indices(k) is got[1][k] and x.nondeg_faces(k) is got[2][k]
+               for k in range(d + 1))
 
 
 @pytest.mark.parametrize("name", sorted(IDENTIFIED_FACES))

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sccat import sset
+from sccat.homology import homology_iso_all_degrees
 from sccat.ssetcheck import (
     SSetSquare, _bijective, _first_miss, _first_square, _unfilled, check_square_lift,
     enumerate_squares, has_rlp_sset, is_acyclic_fibration_sset, is_kan_fibration,
@@ -23,6 +25,43 @@ from tests.test_homology import annulus_facets, cycle, torus_facets
 from tests.test_sset import projective_plane
 
 B = Budget(max_dim=3)
+
+
+# -- records made only when read -----------------------------------------------
+
+@pytest.fixture
+def record_builds(monkeypatch):
+    """One entry per record build from now on (calls of sset._derive_records)."""
+    calls, real = [], sset._derive_records
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(sset, "_derive_records", counted)
+    return calls
+
+
+def _torus_identity():
+    return identity_map(from_simplicial_complex(torus_facets(), 3))
+
+
+@pytest.mark.parametrize("check, want", [
+    (lambda: is_weak_equivalence_sset(horn_inclusion(4, 2, 4)).kind, "yes"),
+    (lambda: is_weakly_contractible(standard_simplex(4, 4)).kind, "yes"),
+    (lambda: homology_iso_all_degrees(_torus_identity()), (True, None)),
+    (lambda: is_kan_fibration(_torus_identity()).kind, "yes"),
+], ids=["weq horn(4,2)", "contractible Delta[4]", "homology iso id torus", "kan id torus"])
+def test_the_checks_on_tuple_sets_make_no_records(check, want, record_builds):
+    assert check() == want
+    assert record_builds == []
+
+
+def test_the_records_of_a_tuple_set_are_made_once_on_the_first_read(record_builds):
+    x = standard_simplex(4, 4)
+    assert record_builds == []
+    dims = x.dims
+    assert record_builds == [4] and type(x) is SimplicialSet
+    assert x.dims is dims and record_builds == [4]
 
 
 # -- weak contractibility ----------------------------------------------------
