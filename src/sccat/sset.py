@@ -320,11 +320,10 @@ def _from_keys(dim_bound: int, levels: list, faces: list, degens: list,
     """
     index = [dict(zip(level, range(len(level)))) for level in levels]
     chain = itertools.chain.from_iterable
-    return _sset(dim_bound, _derive_records(
-        dim_bound, [[()] * len(levels[0])] + [_rows(index[k - 1], chain(faces[k]), k + 1)
-                                              for k in range(1, dim_bound + 1)],
-        [_rows(index[k], chain(degens[k - 1]), k) for k in range(1, dim_bound + 1)]),
-        by_hand), index
+    face_tables = [[()] * len(levels[0])] + [_rows(index[k - 1], chain(faces[k]), k + 1)
+                                             for k in range(1, dim_bound + 1)]
+    degen_tables = [_rows(index[k], chain(degens[k - 1]), k) for k in range(1, dim_bound + 1)]
+    return _sset(dim_bound, _derive_records(dim_bound, face_tables, degen_tables), by_hand), index
 
 
 def _rows(index: dict, keys, width: int) -> list:
