@@ -5,7 +5,7 @@ without import cycles.
 """
 from __future__ import annotations
 
-from .scat import SFunctor, SimplicialCategory, _category, _u_on, _unit_map, build_compose
+from .scat import SFunctor, SimplicialCategory, _deferred_category, _u_on, _unit_map
 from .sset import _check_natural, point
 
 
@@ -20,11 +20,9 @@ def codiscrete_groupoid(n_objects: int, dim_bound: int = 4) -> SimplicialCategor
     _check_natural("n_objects", n_objects, 1)
     pt = point(dim_bound)
     homs = {(a, b): pt for a in range(n_objects) for b in range(n_objects)}
-    identities = (0,) * n_objects
-    compose = build_compose(n_objects, homs, dim_bound,
-                            lambda k, a, b, c, g, f: 0, identities)
-    return _category(tuple(("x", "y", "z")[i] if n_objects <= 3 else f"x{i}"
-                           for i in range(n_objects)), homs, compose, identities, dim_bound)
+    return _deferred_category(tuple(("x", "y", "z")[i] if n_objects <= 3 else f"x{i}"
+                                    for i in range(n_objects)), homs,
+                              lambda k, a, b, c, g, f: 0, (0,) * n_objects, dim_bound)
 
 
 def inclusion_of_object(cat: SimplicialCategory, a: int,

@@ -14,7 +14,10 @@ Their canonical form: every object triple is a key, every level a tuple of
 row tuples, and a level where Hom(a, b)_k or Hom(b, c)_k is empty is ().
 ``build_compose`` makes them so, filling every entry with an identity-tower
 factor by the unit law and asking a construction's rule only for the
-others (in U(X) every composite is such a unit composite).
+others (in U(X) every composite is such a unit composite).  The library's
+U(X), pushouts, pullbacks and codiscrete groupoids make their tables on
+the first read of ``compose`` (``_DeferredCategory``); the public
+constructor and every other builder store them at once.
 
 Functors carry an object map plus one simplicial map per hom pair.
 Validation is dimension by dimension, through ``cat``: dimension k is an
@@ -45,9 +48,11 @@ class SimplicialCategory:
     """The public constructor is for hand-built data: it checks the keys
     and dim_bound, gives every missing hom one empty set, and stores the
     tables in the canonical form of ``build_compose``, a missing triple
-    with composable pairs left out for ``validate_scat`` to name.  Library
-    builders make canonical data and store it through ``_category``, with
-    no check; they hand this constructor nothing."""
+    with composable pairs left out for ``validate_scat`` to name, at once.
+    Library builders make canonical data and store it through
+    ``_category``, with no check, or through ``_deferred_category``, whose
+    tables are made on the first read of ``compose``; they hand this
+    constructor nothing."""
     __slots__ = ("objects", "hom", "compose", "identities", "dim_bound", "_cache")
 
     def __init__(self, objects, hom, compose, identities, dim_bound: int | None = None):
@@ -109,12 +114,12 @@ class SimplicialCategory:
         return ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
 
     def __eq__(self, other):
-        return (isinstance(other, SimplicialCategory)
-                and self.objects == other.objects
-                and self.dim_bound == other.dim_bound
-                and self.hom == other.hom
-                and self.compose == other.compose
-                and self.identities == other.identities)
+        return self is other or (isinstance(other, SimplicialCategory)
+                                 and self.objects == other.objects
+                                 and self.dim_bound == other.dim_bound
+                                 and self.hom == other.hom
+                                 and self.compose == other.compose
+                                 and self.identities == other.identities)
 
     def __repr__(self):
         return (f"SimplicialCategory(objects={list(self.objects)}, "
@@ -122,9 +127,41 @@ class SimplicialCategory:
 
 
 def _category(objects, hom, compose, identities, dim_bound) -> SimplicialCategory:
-    """Canonical data (see ``build_compose``), every hom pair a key, stored as given."""
+    """Canonical data (see ``build_compose``), every hom pair a key, stored
+    as given; the tables are made already (see ``_deferred_category``)."""
     return SimplicialCategory.__new__(SimplicialCategory)._store(
         objects, hom, compose, identities, dim_bound)
+
+
+class _DeferredCategory(SimplicialCategory):
+    """A library-built category whose composition tables are not made yet.
+
+    Its compose slot holds their maker, ``build_compose`` on the
+    category's data and a rule, with every check.  The first read of
+    ``compose`` runs it, stores the tables in the slot and makes the
+    category a plain SimplicialCategory, so no hook stays on the class of
+    any category.  Nothing else reads the slot: the objects, homs and
+    identity towers answer in both forms."""
+    __slots__ = ()
+
+    @property
+    def compose(self):
+        compose = _COMPOSE.__get__(self)()
+        _COMPOSE.__set__(self, compose)
+        self.__class__ = SimplicialCategory
+        return compose
+
+
+_COMPOSE = SimplicialCategory.compose   # the slot under _DeferredCategory's property
+
+
+def _deferred_category(objects, homs, rule, identities, dim_bound) -> SimplicialCategory:
+    """``_category`` of the tables ``build_compose`` makes of this data and
+    rule, made on the first read of ``compose`` (see ``_DeferredCategory``)."""
+    cat = _category(objects, homs, lambda: build_compose(
+        len(objects), homs, dim_bound, rule, identities), identities, dim_bound)
+    cat.__class__ = _DeferredCategory
+    return cat
 
 
 def _identity_towers(homs: dict, identities, dim_bound: int) -> list:
@@ -143,7 +180,8 @@ def build_compose(n_objects: int, homs: dict, dim_bound: int, rule, identities) 
     The unit law fills every entry with an identity-tower factor: g after
     the identity of a is g, the identity of c after f is f.  ``rule`` is
     asked only for the other entries, and may be None when there are none
-    (as in U(X))."""
+    (as in U(X)).  The tables are made when this is called;
+    ``_deferred_category`` calls it on the first read of ``compose``."""
     _check_natural("n_objects", n_objects)
     _check_natural("dim_bound", dim_bound)
     if homs.keys() != {(a, b) for a in range(n_objects) for b in range(n_objects)} or any(
@@ -244,7 +282,7 @@ class SFunctor:
         return (isinstance(other, SFunctor)
                 and self.source == other.source and self.target == other.target
                 and self.ob_map == other.ob_map
-                and all(self.hom_maps[p] == other.hom_maps[p]
+                and all(self.hom_maps.get(p) == other.hom_maps.get(p)
                         for p in self.source.object_pairs()))
 
     def __hash__(self):
@@ -319,7 +357,7 @@ def _u_on(x: SimplicialSet, pt: SimplicialSet) -> SimplicialCategory:
     bound = x.dim_bound
     homs = {(0, 0): pt, (1, 1): pt, (0, 1): x, (1, 0): empty_sset(bound)}
     # every composite has an identity factor: the unit law fills all tables
-    return _category(("x", "y"), homs, build_compose(2, homs, bound, None, (0, 0)), (0, 0), bound)
+    return _deferred_category(("x", "y"), homs, None, (0, 0), bound)
 
 
 @memo
@@ -451,9 +489,8 @@ def pullback_scat(f: SFunctor, h: SFunctor) -> tuple:
 
     identities = tuple(pair_idx[(i, i)][0][(B.identities[b], C.identities[c])]
                        for i, (b, c) in enumerate(obj_pairs))
-    compose = build_compose(len(obj_pairs), homs, bound, rule, identities)
-    P = _category(tuple(f"({B.objects[b]},{C.objects[c]})" for (b, c) in obj_pairs),
-                  homs, compose, identities, bound)
+    P = _deferred_category(tuple(f"({B.objects[b]},{C.objects[c]})" for (b, c) in obj_pairs),
+                           homs, rule, identities, bound)
     pr_B = SFunctor(source=P, target=B,
                     ob_map=tuple(b for (b, c) in obj_pairs),
                     hom_maps={(i, j): proj_b[(i, j)]

@@ -15,9 +15,10 @@ deferred form, a vertex-tuple set (``_TupleSet``), holds only what its
 builder knows: the levels, as its tuple index, their sizes, the
 degeneracy rows and the complex's own tuples, which are exactly its
 nondegenerate simplices.  Its records are made on the first read of
-``dims``, after which it is an eager set.  ``size``, ``nondeg_indices``
-and ``nondeg_faces`` answer in both forms, and homology, pi0 and the
-edge-path group read nothing else, so they make no record of a
+``dims``, after which it is an eager set.  ``size``, ``degeneracy``,
+``nondeg_indices`` and ``nondeg_faces`` answer in both forms, and
+homology, pi0, the edge-path group and the identity towers of a
+simplicial category read nothing else, so they make no record of a
 vertex-tuple set.
 
 Every constructor names its simplices by hashable keys and hands one
@@ -457,17 +458,21 @@ class _TupleSet(SimplicialSet):
     the complex's own (k+1)-tuples in order, its nondegenerate k-simplices,
     and degens[k - 1] the keys s_0 t, ..., s_(k-1) t of each (k-1)-simplex
     t, in order, as one flat run.  The tuple index gives the levels and
-    their sizes.  ``size`` reads these, and so do ``_nondeg_indices`` and
-    ``_nondeg_faces``, whose values the base class memoizes under its
-    ``nondeg_indices`` and ``nondeg_faces``, so a value read before the
-    records exist is kept after.  The first read of ``dims`` makes the
-    records through ``_derive_records``, stores them in the slot and makes
-    the set a plain SimplicialSet, so no hook stays on the class of any set.
+    their sizes.  ``size`` and ``degeneracy`` read these, and so do
+    ``_nondeg_indices`` and ``_nondeg_faces``, whose values the base class
+    memoizes under its ``nondeg_indices`` and ``nondeg_faces``, so a value
+    read before the records exist is kept after.  The first read of
+    ``dims`` makes the records through ``_derive_records``, stores them in
+    the slot and makes the set a plain SimplicialSet, so no hook stays on
+    the class of any set.
     """
     __slots__ = ()
 
     def size(self, k: int) -> int:
         return len(self._cache["tuples"][k])
+
+    def degeneracy(self, k: int, idx: int, j: int) -> int:
+        return self._cache["tuples"][k + 1][_DIMS.__get__(self)[1][k][idx * (k + 1) + j]]
 
     def _nondeg_indices(self, k):
         return tuple(map(self._cache["tuples"][k].__getitem__, _DIMS.__get__(self)[0][k]))

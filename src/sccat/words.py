@@ -39,15 +39,16 @@ category is the genuine pushout whenever generation stabilizes.
    letterwise keeps the construction simplicial, composition included.
    The base's simplices keep their records, and only new words are
    normalized letter by letter.  A hom that gains no word is the base's
-   own object, not rebuilt.  Composites with an identity factor are filled
-   by the unit law; only the others normalize a product.
+   own object, not rebuilt.  The composition tables are made on the first
+   read of the pushout's ``compose``: composites with an identity factor
+   are filled by the unit law; only the others normalize a product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .constructions_basic import inclusion_of_object
-from .scat import (SFunctor, SimplicialCategory, _category, build_compose, compose_sfunctors,
+from .scat import (SFunctor, SimplicialCategory, _deferred_category, compose_sfunctors,
                    empty_cat, functor_U_map, singleton_cat, u_functor)
 from .sset import SSetMap, _check_natural, _from_keys
 from .verdict import Budget, BudgetExceeded, InputError, _Steps, _budget
@@ -234,13 +235,11 @@ def pushout_generating(base: SimplicialCategory, attachment: Attachment,
         return index[(a, c)][k][w]
 
     identities = tuple(index[(o, o)][0][()] for o in range(n))
-    compose = build_compose(n, homs, bound, rule, identities)
-
     labels = list(C.objects)
     for u in new_objects:
         lbl = str(F.objects[u])
         labels.append(lbl if lbl not in labels else f"{lbl}+")
-    D = _category(tuple(labels), homs, compose, identities, bound)
+    D = _deferred_category(tuple(labels), homs, rule, identities, bound)
 
     inc_base = SFunctor(
         source=C, target=D, ob_map=tuple(range(n_old)),

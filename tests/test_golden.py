@@ -17,7 +17,7 @@ import hashlib
 import json
 import pathlib
 
-from sccat import model
+from sccat import model, scat
 from sccat.constructions_basic import codiscrete_groupoid, inclusion_of_object, walking_arrow
 from sccat.homology import betti, homology
 from sccat.pi1 import coset_enumeration, edge_path_presentation, fundamental_group_trivial
@@ -84,8 +84,11 @@ def _encode_fields(obj, known: dict):
         names = [s for cls in type(obj).__mro__ for s in getattr(cls, "__slots__", ())]
         if not names:
             raise TypeError(f"no canonical form for {type(obj).__name__}")
-    return [type(obj).__name__, [[name, encode(getattr(obj, name), known)]
-                                 for name in names if not name.startswith("_")]]
+    # the fields first: reading one may make deferred data and change the
+    # type, as the first read of a deferred category's compose does
+    fields = [[name, encode(getattr(obj, name), known)]
+              for name in names if not name.startswith("_")]
+    return [type(obj).__name__, fields]
 
 
 def _hash(enc) -> str:
@@ -352,6 +355,13 @@ def test_encoding_is_canonical():
     assert encode(ValueError("x"), {}) == ["raised", "ValueError", "x"]
     g = model.generating_cofibrations(0, 2)[0]
     assert [name for name, _ in encode(g, {})[1]] == ["name", "dim", "cell", "dim_bound"]
+
+
+def test_a_deferred_category_encodes_as_after_its_first_read():
+    deferred, read = walking_arrow(2), walking_arrow(2)
+    assert read.compose and type(deferred) is scat._DeferredCategory
+    assert encode(deferred, {}) == encode(read, {})
+    assert encode(deferred, {})[0] == "SimplicialCategory"
 
 
 def test_results_match_the_golden_digests():

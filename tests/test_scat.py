@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sccat import constructions_basic, scat
+from sccat import constructions_basic, scat, sset, words
 from sccat.cat import is_equivalence, is_isomorphism, validate_functor
 from sccat.constructions_basic import (codiscrete_groupoid,
                                        inclusion_of_object, walking_arrow)
@@ -146,17 +146,26 @@ def u_pullback():
         "z2-pullback", "codiscrete-pullback", "u-pullback"])
 def test_unit_law_tables_equal_the_rule_on_every_entry(make, monkeypatch):
     # every build_compose call the construction makes, U(X) by the rule of
-    # U; the unit law's entries are what each rule gives there
-    calls, real = [], scat.build_compose
+    # U; the unit law's entries are what each rule gives there.  A library
+    # category makes its tables on the first read of compose, so each one
+    # the construction makes is read
+    calls, made, real, defer = [], [], scat.build_compose, scat._deferred_category
 
     def recording(n_objects, homs, dim_bound, rule, identities):
         out = real(n_objects, homs, dim_bound, rule, identities)
         calls.append((n_objects, homs, dim_bound, rule or u_rule, out))
         return out
 
-    for module in (scat, constructions_basic, test_model, sys.modules[__name__]):
+    def deferring(*data):
+        made.append(defer(*data))
+        return made[-1]
+
+    for module in (scat, test_model, sys.modules[__name__]):
         monkeypatch.setattr(module, "build_compose", recording)
+    for module in (scat, constructions_basic, words):
+        monkeypatch.setattr(module, "_deferred_category", deferring)
     make()
+    assert all(type(cat.compose) is dict for cat in made)
     assert any(rule is not u_rule for *_, rule, _ in calls)
     for n_objects, homs, dim_bound, rule, out in calls:
         assert out == rule_on_every_entry(n_objects, homs, dim_bound, rule)
@@ -193,6 +202,98 @@ def test_library_categories_are_canonical():
                                    cat.dim_bound)
         assert again == cat
         assert list(again.compose.items()) == list(cat.compose.items())
+
+
+# -- composition tables made on the first read --------------------------------
+
+def counting_build_compose(monkeypatch) -> list:
+    """The data of every build_compose call from here on."""
+    calls, real = [], scat.build_compose
+
+    def counting(*data):
+        calls.append(data)
+        return real(*data)
+    monkeypatch.setattr(scat, "build_compose", counting)
+    return calls
+
+
+def benchmark_pushout(inc):
+    """U(inc) pushed out into U of inc's target, at inc's bound."""
+    base, att = functor_U(inc.target), Attachment.from_sset_mono(inc)
+    return pushout_generating(base, att, glue_for_u(att, base, 0, 1, inc),
+                              Budget(max_dim=inc.target.dim_bound, max_words=16,
+                                     max_steps=500_000)).category
+
+
+DEFERRED = {
+    "functor_U": lambda: [functor_U(standard_simplex(2, D))],
+    "functor_U_map": lambda: [functor_U_map(horn_inclusion(2, 1, D)).source,
+                              functor_U_map(boundary_inclusion(2, D)).target],
+    **{f"pushout {name}": (lambda inc=inc: [benchmark_pushout(inc())]) for name, inc in {
+        "horn[2,1] D2": lambda: horn_inclusion(2, 1, 2),
+        "horn[3,1] D3": lambda: horn_inclusion(3, 1, 3),
+        "horn[4,2] D4": lambda: horn_inclusion(4, 2, 4),
+        "bd[2] D2": lambda: boundary_inclusion(2, 2),
+        "bd[3] D3": lambda: boundary_inclusion(3, 3)}.items()},
+    "codiscrete_groupoid": lambda: [codiscrete_groupoid(n, D) for n in (1, 2, 3)],
+    # u_pullback compares two copies of U(Delta[2]), which reads their tables
+    "pullback_scat": lambda: [make()[0] for make in (z2_pullback, codiscrete_pullback)],
+}
+
+
+@pytest.mark.parametrize("name", DEFERRED)
+def test_library_categories_make_their_tables_on_the_first_read(name, monkeypatch):
+    calls = counting_build_compose(monkeypatch)
+    cats = DEFERRED[name]()
+    assert calls == [] and all(type(cat) is scat._DeferredCategory for cat in cats)
+    for made, cat in enumerate(cats, 1):
+        tables = cat.compose
+        assert len(calls) == made and type(cat) is SimplicialCategory
+        assert cat.compose is tables and len(calls) == made
+        assert calls[-1][:2] == (cat.n_objects(), cat.hom)
+
+
+def eager(make, monkeypatch):
+    """make() with every deferred table made at construction: ``_category``
+    of ``build_compose`` run at once on the same data and rule."""
+    def at_once(objects, homs, rule, identities, dim_bound):
+        return scat._category(objects, homs, build_compose(
+            len(objects), homs, dim_bound, rule, identities), identities, dim_bound)
+    with monkeypatch.context() as patch:
+        for module in (scat, constructions_basic, words):
+            patch.setattr(module, "_deferred_category", at_once)
+        return make()
+
+
+def test_deferred_tables_equal_the_tables_made_at_once(monkeypatch):
+    from tests.test_golden import _pushout_corpus  # here: test_golden imports test_model
+    makes = [lambda x=x: scat._u_on(x, point(x.dim_bound))
+             for xs in LIFTING_COMPLEXES.values() for x in xs]
+    makes += [lambda call=call: call().category
+              for name, call in _pushout_corpus().items() if name.endswith(" default")]
+    makes += [lambda make=make: make()[0]
+              for make in (z2_pullback, codiscrete_pullback, u_pullback)]
+    makes += [lambda n=n: codiscrete_groupoid(n, D) for n in (1, 2, 3)]
+    for make in makes:
+        deferred, at_once = make(), eager(make, monkeypatch)
+        assert type(deferred) is scat._DeferredCategory and type(at_once) is SimplicialCategory
+        assert deferred.compose == at_once.compose and deferred == at_once
+
+
+def test_a_factorization_makes_no_composition_table(monkeypatch):
+    f, gens = functor_U_map(horn_inclusion(2, 1, 2)), generating_acyclic_a1(2, 2)
+    calls = counting_build_compose(monkeypatch)
+    assert factor_bounded(f, gens).complete
+    assert calls == []
+
+
+def test_identity_towers_of_u_make_no_record_of_the_point(monkeypatch):
+    records, real = [], sset._derive_records
+    monkeypatch.setattr(sset, "_derive_records", lambda *data: records.append(data) or real(*data))
+    u = functor_U(standard_simplex(2, 3))
+    towers = u.identity_towers()
+    assert records == [] and type(u.hom[(0, 0)]) is sset._TupleSet
+    assert towers == [(0, 0)] * 4
 
 
 @pytest.mark.parametrize("n_objects, identities, message", [
@@ -436,6 +537,9 @@ def test_pullback_mediating_functor():
     med = pullback_mediating(P, prB, prC, ident, ident)
     assert validate_sfunctor(med) == []
     assert compose_sfunctors(prB, med) == ident
+    # a functor that lacks its hom maps is unequal, in both orders
+    bare = SFunctor(source=cat, target=cat, ob_map=ident.ob_map, hom_maps={})
+    assert bare != ident and ident != bare
 
 
 # -- pi0 -------------------------------------------------------------------------

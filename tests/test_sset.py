@@ -837,10 +837,16 @@ def test_a_tuple_set_reads_its_nondegenerate_data_before_its_records(data):
     sets = [s for size in range(1, d + 2) for s in itertools.combinations(range(n), size)]
     keep = data.draw(st.lists(st.booleans(), min_size=len(sets), max_size=len(sets)))
     x = sset.from_simplex_tuples(d, closure([s for s, k in zip(sets, keep) if k] or [(0,)]))
-    got = nondegenerate_reads(x)
+
+    def degeneracies(y):
+        return [[y.degeneracy(k, i, j) for i in range(y.size(k)) for j in range(k + 1)]
+                for k in range(d)]
+    got, degens = nondegenerate_reads(x), degeneracies(x)
     assert type(x) is sset._TupleSet        # no record made yet
     assert got == nondegenerate_reads(SimplicialSet(x.dim_bound, x.dims))
     assert type(x) is SimplicialSet
+    assert degens == degeneracies(x) == [[s.degens[j] for s in x.dims[k] for j in range(k + 1)]
+                                         for k in range(d)]
     # what was read before the records is kept after them
     assert all(x.nondeg_indices(k) is got[1][k] and x.nondeg_faces(k) is got[2][k]
                for k in range(d + 1))
