@@ -24,6 +24,7 @@ from sccat.sset import (SSetMap, boundary, boundary_inclusion, compose_maps,
 from sccat.verdict import Budget, InputError, StructureError
 from sccat.words import Attachment, glue_for_u, pushout_generating
 from tests import test_model
+from tests.test_golden import _pushout_corpus
 from tests.test_model import z2_category
 from tests.test_ssetcheck import LIFTING_COMPLEXES
 
@@ -266,7 +267,6 @@ def eager(make, monkeypatch):
 
 
 def test_deferred_tables_equal_the_tables_made_at_once(monkeypatch):
-    from tests.test_golden import _pushout_corpus  # here: test_golden imports test_model
     makes = [lambda x=x: scat._u_on(x, point(x.dim_bound))
              for xs in LIFTING_COMPLEXES.values() for x in xs]
     makes += [lambda call=call: call().category
