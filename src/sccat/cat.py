@@ -107,6 +107,11 @@ def is_isomorphism(c: FiniteCategory, a: int, b: int, m: int):
     _check_natural("a", a, 0, c.n_objects() - 1, "unknown object")
     _check_natural("b", b, 0, c.n_objects() - 1, "unknown object")
     _check_natural("m", m, 0, len(c.hom(a, b)) - 1, "morphism index out of range")
+    return _is_isomorphism(c, a, b, m)
+
+
+def _is_isomorphism(c: FiniteCategory, a: int, b: int, m: int):
+    """``is_isomorphism`` with no check, for the a, b and m the library made."""
     for m2 in range(len(c.hom(b, a))):
         if (c.comp(a, b, a, m2, m) == c.identities[a]
                 and c.comp(b, a, b, m, m2) == c.identities[b]):
@@ -199,7 +204,7 @@ def is_equivalence(F: FiniteFunctor):
             if found:
                 break
             for m in range(len(d.hom(F.ob(a), t))):
-                ok, inv = is_isomorphism(d, F.ob(a), t, m)
+                ok, inv = _is_isomorphism(d, F.ob(a), t, m)
                 if ok:
                     found = {"source_object": a, "iso": (F.ob(a), t, m),
                              "inverse": inv}

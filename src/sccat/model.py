@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 from .cat import is_equivalence
 from .constructions_basic import inclusion_of_object
-from .scat import (SFunctor, SimplicialCategory, compose_sfunctors,
-                   coproduct, identity_sfunctor, is_homotopy_equivalence,
-                   pi0_functor, singleton_cat, u_functor)
+from .scat import (SFunctor, SimplicialCategory, _is_homotopy_equivalence, _u_functor,
+                   compose_sfunctors, coproduct, identity_sfunctor, pi0_functor,
+                   singleton_cat)
 from .search import enumerate_sfunctors
 from .sset import SSetMap, _check_natural, _simplex, _tuple_inclusion, boundary, horn
 from .ssetcheck import (_cells, _first_miss, _rlp_against_cells, is_weak_equivalence_sset,
@@ -174,8 +174,8 @@ def _first_failure(f: SFunctor, gens, steps: _Steps):
                 q, square = miss
                 return gen, LiftingProblem(
                     left=gen.map, right=f,
-                    top=u_functor(gen.map.source, src, *tops[q], square.top),
-                    bottom=u_functor(gen.map.target, tgt, c, c2, square.bottom))
+                    top=_u_functor(gen.map.source, src, *tops[q], square.top),
+                    bottom=_u_functor(gen.map.target, tgt, c, c2, square.bottom))
     return None
 
 
@@ -212,9 +212,9 @@ def is_fibration(f: SFunctor, budget: Budget | None = None) -> Verdict:
     for a1 in range(src.n_objects()):
         for b in range(tgt.n_objects()):
             for e in range(tgt.hom[(f.ob(a1), b)].size(0)):
-                if is_homotopy_equivalence(tgt, f.ob(a1), b, e) and not any(
+                if _is_homotopy_equivalence(tgt, f.ob(a1), b, e) and not any(
                         f.ob(a2) == b and f.apply(0, a1, a2, d) == e
-                        and is_homotopy_equivalence(src, a1, a2, d)
+                        and _is_homotopy_equivalence(src, a1, a2, d)
                         for a2 in range(src.n_objects())
                         for d in range(src.hom[(a1, a2)].size(0))):
                     return Verdict.no(witness={"f2_failure": {
@@ -262,8 +262,12 @@ class GeneratorMap:
     def __init__(self, name: str, dim: int, cell: tuple | None, dim_bound: int, build):
         _check_natural("dim", dim)
         _check_natural("dim_bound", dim_bound)
+        self._store(name, dim, cell, dim_bound, build)
+
+    def _store(self, name, dim, cell, dim_bound, build):
         self.name, self.dim, self.cell, self.dim_bound = name, dim, cell, dim_bound
         self._build, self._attachment = build, None
+        return self
 
     @property
     def attachment(self) -> Attachment:
@@ -286,7 +290,13 @@ class GeneratorMap:
 
 def c2_generator(dim_bound: int = 4) -> GeneratorMap:
     _check_natural("dim_bound", dim_bound)
-    return GeneratorMap("C2", 0, None, dim_bound, lambda gen: Attachment.c2(gen.dim_bound))
+    return _generator("C2", 0, None, dim_bound, lambda gen: Attachment.c2(gen.dim_bound))
+
+
+def _generator(*fields) -> GeneratorMap:
+    """``GeneratorMap(*fields)`` with no check, for the dim and dim_bound the
+    library checked."""
+    return GeneratorMap.__new__(GeneratorMap)._store(*fields)
 
 
 def _cell_generators(n_max: int, dim_bound: int, horns: bool) -> list:
@@ -307,8 +317,8 @@ def _cell_generators(n_max: int, dim_bound: int, horns: bool) -> list:
         sub = boundary(n, dim_bound) if k is None else horn(n, k, dim_bound)
         return Attachment.from_sset_mono(_tuple_inclusion(sub, simplices[n]), gen.name)
 
-    return [GeneratorMap(f"C1[{n}]" if k is None else f"A1[{n},{k}]", n, (n, k),
-                         dim_bound, build) for n, k in _cells(n_max, horns)]
+    return [_generator(f"C1[{n}]" if k is None else f"A1[{n},{k}]", n, (n, k),
+                       dim_bound, build) for n, k in _cells(n_max, horns)]
 
 
 def generating_cofibrations(n_max: int, dim_bound: int = 4) -> list:
@@ -469,8 +479,8 @@ def coproduct_inclusion_functor(h: SimplicialCategory) -> SFunctor:
     sx = singleton_cat(h.dim_bound, label=str(h.objects[0]))
     sy = singleton_cat(h.dim_bound, label=str(h.objects[1]))
     cop, _ = coproduct([sx, sy])
-    return u_functor(cop, h, 0, 1, SSetMap(cop.hom[(0, 1)], h.hom[(0, 1)],
-                                           [[] for _ in range(h.dim_bound + 1)]))
+    return _u_functor(cop, h, 0, 1, SSetMap(cop.hom[(0, 1)], h.hom[(0, 1)],
+                                            [[] for _ in range(h.dim_bound + 1)]))
 
 
 def is_a2_candidate(inc: SFunctor, budget: Budget | None = None, *,

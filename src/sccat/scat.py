@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cat import (FiniteCategory, FiniteFunctor, is_isomorphism,
+from .cat import (FiniteCategory, FiniteFunctor, _is_isomorphism,
                   validate_category, validate_functor)
-from .sset import (SimplicialSet, SSetMap, _check_natural, _simplex, compose_maps, empty_sset,
-                   identity_map, memo, pi0, pi0_class_of, pi0_map, point,
+from .sset import (SimplicialSet, SSetMap, _check_natural, _empty_sset, _simplex, compose_maps,
+                   empty_sset, identity_map, memo, pi0, pi0_class_of, pi0_map, point,
                    pullback_ssets, validate_sset, validate_sset_map)
 from .verdict import InputError, StructureError
 
@@ -355,7 +355,7 @@ def singleton_cat(dim_bound: int = 4, label: str = "x") -> SimplicialCategory:
 def _u_on(x: SimplicialSet, pt: SimplicialSet) -> SimplicialCategory:
     """U(X) with the point pt as the hom of each object to itself."""
     bound = x.dim_bound
-    homs = {(0, 0): pt, (1, 1): pt, (0, 1): x, (1, 0): empty_sset(bound)}
+    homs = {(0, 0): pt, (1, 1): pt, (0, 1): x, (1, 0): _empty_sset(bound)}
     # every composite has an identity factor: the unit law fills all tables
     return _deferred_category(("x", "y"), homs, None, (0, 0), bound)
 
@@ -371,7 +371,7 @@ def functor_U_map(g: SSetMap) -> SFunctor:
     """U applied to a simplicial-set map: into U(g.target), from U(g.source)
     made on the point of U(g.target)."""
     u_target = functor_U(g.target)
-    return u_functor(_u_on(g.source, u_target.hom[(0, 0)]), u_target, 0, 1, g)
+    return _u_functor(_u_on(g.source, u_target.hom[(0, 0)]), u_target, 0, 1, g)
 
 
 def _unit_map(pt: SimplicialSet, cat: SimplicialCategory, a: int) -> SSetMap:
@@ -386,6 +386,12 @@ def u_functor(u_cat: SimplicialCategory, target: SimplicialCategory, gx: int,
     target sending x, y to gx, gy and X = Hom(x, y) by hom_map."""
     for g in (gx, gy):
         _check_natural("object", g, 0, target.n_objects() - 1, "unknown object")
+    return _u_functor(u_cat, target, gx, gy, hom_map)
+
+
+def _u_functor(u_cat: SimplicialCategory, target: SimplicialCategory, gx: int,
+               gy: int, hom_map: SSetMap) -> SFunctor:
+    """``u_functor`` with no check, for the objects the library made."""
     obs = (gx, gy)
     hom_maps = {(o, o): _unit_map(u_cat.hom[(o, o)], target, g) for o, g in enumerate(obs)}
     hom_maps[(0, 1)] = hom_map
@@ -596,7 +602,12 @@ def is_homotopy_equivalence(cat: SimplicialCategory, a: int, b: int,
     for v in (a, b):
         _check_natural("object", v, 0, cat.n_objects() - 1, "unknown object")
     _check_natural("e", e, 0, cat.hom[(a, b)].size(0) - 1, "not a 0-simplex of the stated hom")
+    return _is_homotopy_equivalence(cat, a, b, e)
+
+
+def _is_homotopy_equivalence(cat: SimplicialCategory, a: int, b: int, e: int) -> bool:
+    """``is_homotopy_equivalence`` with no check, for the a, b and e the library made."""
     fc, _ = pi0_data(cat)
     cls = pi0_class_of(cat.hom[(a, b)])[e]
-    return is_isomorphism(fc, a, b, cls)[0]
+    return _is_isomorphism(fc, a, b, cls)[0]
 

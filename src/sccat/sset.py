@@ -35,7 +35,10 @@ dimension, base, degeneracy word) for explicit nondegenerate skeleta,
 kept indices for subcomplexes, (part, index) for disjoint unions, (i, j)
 pairs for pullbacks, and an old index or the degeneracy word of the new
 cell for cell attachment.  Pushouts of simplicial categories (``words``)
-key their homs by normal words.
+key their homs by normal words, and hand the builder the base's records
+too: the base's simplices are the first keys of each level, at their own
+indices, so the builder keeps those records as given and maps rows and
+derives records only for the other keys.
 
 The builder stores its tables through ``_sset``, which trusts them: every
 library construction keeps the simplicial identities, so homology does not
@@ -278,15 +281,25 @@ def derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> t
     return _derive_records(dim_bound, faces_tables, degens_tables)
 
 
-def _derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> tuple:
+def _derive_records(dim_bound: int, faces_tables: list, degens_tables: list,
+                    kept=None) -> tuple:
+    """``derive_records`` with no check.  ``kept[k]``, if given, holds the
+    records of the first simplices of level k, which form a simplicial
+    subset at its own indices.  They are kept as given and only the other
+    simplices get records: ``faces_tables[k]`` lists only their faces, while
+    ``degens_tables`` stays whole.  A degeneracy of a kept simplex is kept,
+    so no other simplex is one, and the scan reads no base or word of a
+    kept slot."""
     dims, after = [], {}
     bases = words = ()
     record = functools.partial(tuple.__new__, Simplex)   # Simplex._make, in C
     for k, faces in enumerate(faces_tables):
+        old = kept[k] if kept else ()
+        n = len(old) + len(faces)
         below_bases, below_words = bases, words
-        bases, words = [*range(len(faces))], [()] * len(faces)
+        bases, words = [*range(n)], [()] * n
         below = degens_tables[k - 1] if k else ()
-        for x, row in enumerate(faces):
+        for x, row in enumerate(faces, len(old)):
             for j in range(k):
                 y = row[j]
                 if below[y][j] == x:
@@ -297,7 +310,10 @@ def _derive_records(dim_bound: int, faces_tables: list, degens_tables: list) -> 
                         words[x] = after[key] = _after(*key)
                     break
         degens = degens_tables[k] if k < dim_bound else itertools.repeat(())
-        dims.append((*map(record, zip(faces, degens, bases, words)),))
+        rest = degens, bases, words
+        if old:
+            rest = (itertools.islice(t, len(old), None) for t in rest)
+        dims.append((*old, *map(record, zip(faces, *rest))))
     return tuple(dims)
 
 
@@ -309,7 +325,7 @@ def _sset(dim_bound: int, dims: tuple, by_hand: bool = False) -> SimplicialSet:
 
 
 def _from_keys(dim_bound: int, levels: list, faces: list, degens: list,
-               by_hand: bool = False) -> tuple:
+               by_hand: bool = False, kept=None) -> tuple:
     """(the simplicial set whose k-simplices are the keys ``levels[k]``, in
     that order, index) with index[k] = {key: position}.
 
@@ -317,14 +333,21 @@ def _from_keys(dim_bound: int, levels: list, faces: list, degens: list,
     faces d_0, ..., d_k (k >= 1) and ``degens[k]`` those of its degeneracies
     s_0, ..., s_k (k < dim_bound), so every row of level k holds k + 1 keys.
     A key no level holds raises KeyError.  ``by_hand`` marks a set built
-    from a hand-built one (see ``_sset``).
+    from a hand-built one (see ``_sset``).  ``kept[k]``, if given, holds
+    the records of the first keys of level k, which make a simplicial set
+    at their own indices (a face or degeneracy of one is one of them):
+    those records are kept as given, ``faces`` and ``degens`` skip their
+    keys, and only the other keys are mapped and get records.
     """
     index = [dict(zip(level, range(len(level)))) for level in levels]
     chain = itertools.chain.from_iterable
-    face_tables = [[()] * len(levels[0])] + [_rows(index[k - 1], chain(faces[k]), k + 1)
-                                             for k in range(1, dim_bound + 1)]
-    degen_tables = [_rows(index[k], chain(degens[k - 1]), k) for k in range(1, dim_bound + 1)]
-    return _sset(dim_bound, _derive_records(dim_bound, face_tables, degen_tables), by_hand), index
+    old = kept or [()] * (dim_bound + 1)
+    face_tables = [[()] * (len(levels[0]) - len(old[0]))] + [
+        _rows(index[k - 1], chain(faces[k]), k + 1) for k in range(1, dim_bound + 1)]
+    degen_tables = [[*map(operator.attrgetter("degens"), old[k - 1]),
+                     *_rows(index[k], chain(degens[k - 1]), k)] for k in range(1, dim_bound + 1)]
+    dims = _derive_records(dim_bound, face_tables, degen_tables, kept)
+    return _sset(dim_bound, dims, by_hand), index
 
 
 def _rows(index: dict, keys, width: int) -> list:
@@ -556,6 +579,11 @@ def point(dim_bound: int = 4) -> SimplicialSet:
 
 def empty_sset(dim_bound: int = 4) -> SimplicialSet:
     _check_natural("dim_bound", dim_bound)
+    return _empty_sset(dim_bound)
+
+
+def _empty_sset(dim_bound: int) -> SimplicialSet:
+    """``empty_sset`` with no check, for a dim_bound the library made."""
     return _sset(dim_bound, ((),) * (dim_bound + 1))
 
 

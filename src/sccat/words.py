@@ -24,27 +24,35 @@ category is the genuine pushout whenever generation stabilizes.
 2. Closure, one dimension at a time.  Every prefix of a normal word is
    normal, so the normal words form a tree under the empty words, and the
    closure lists them directly: it extends a normal word only by an
-   alphabet letter (a normal one-letter word; each letter is normalized
-   once) that does not compose with its last letter inside one factor, and
-   the result is again normal and new.  Every letter tried at a word is
-   one step.  The walk is depth-first: when the words never stabilize, it
-   soon meets a word past ``max_words`` letters of F along one branch,
-   while a breadth-first walk first builds every shorter word, and there
-   can be exponentially many of them.  Past ``max_words`` or ``max_steps``
-   (one ``_Steps`` count per pushout), BudgetExceeded is raised.  The
-   base's simplices come first, at their old indices, then the other words
-   by (letters of F, length, letters).
-3. Assembly.  Each hom is handed to ``sset._from_keys`` keyed by its words
-   and the normal forms of their letterwise faces and degeneracies; acting
-   letterwise keeps the construction simplicial, composition included.
-   The base's simplices keep their records, and only new words are
-   normalized letter by letter.  A hom that gains no word is the base's
+   alphabet letter (a normal one-letter word: a C letter is its own, an
+   identity tower none, and each F letter is rewritten once) that does not
+   compose with its last letter inside one factor, and the result is again
+   normal and new.  Every letter tried at a word is one step.  The walk is
+   depth-first: when the words never stabilize, it soon meets a word past
+   ``max_words`` letters of F along one branch, while a breadth-first walk
+   first builds every shorter word, and there can be exponentially many of
+   them.  Past ``max_words`` or ``max_steps`` (one ``_Steps`` count per
+   pushout), BudgetExceeded is raised.  The walk visits the base's own
+   words too (the empty word at a base object and the one-letter C words),
+   but orders only the others: the base's simplices come first, at their
+   old indices, listed from the base's sizes, then the new words by
+   (letters of F, length, letters).
+3. Assembly.  Each hom that gains a word is handed to ``sset._from_keys``
+   keyed by its words and the normal forms of their letterwise faces and
+   degeneracies; acting letterwise keeps the construction simplicial,
+   composition included.  C -> D is the identity on C's indices, so the
+   base's simplices keep C's records, the record objects themselves, and
+   only the new words get rows, keys and records, normalized letter by
+   letter.  A hand-built base's records are kept as given: a wrong
+   Eilenberg-Zilber field stays wrong in the pushout, where
+   ``validate_sset`` names it.  A hom that gains no word is the base's
    own object, not rebuilt.  The composition tables are made on the first
    read of the pushout's ``compose``: composites with an identity factor
    are filled by the unit law; only the others normalize a product.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .constructions_basic import inclusion_of_object
@@ -168,22 +176,32 @@ def pushout_generating(base: SimplicialCategory, attachment: Attachment,
 
     # -- closure: each word on the stack carries its count of F-letters
     steps = _Steps(budget.max_steps)
-    words, one = {}, []        # one[k]: letter -> its normal word
+    words, one = {}, []        # one[k][(u, v)][idx]: the normal word of an F letter
     for k in range(bound + 1):
-        forms, letters = {}, [{} for _ in range(n)]    # D-source -> {letter: D-target}
-        for tag, cat in (("C", C), ("F", F)):
-            for (a, b) in cat.object_pairs():
-                for idx in range(cat.hom[(a, b)].size(k)):
-                    w = forms[tag, a, b, idx] = normalize(k, [(tag, a, b, idx)])
-                    for letter in w:
-                        source, target = ends(letter)
-                        letters[source][letter] = target
+        # the base's simplices: each C letter its own normal form, an
+        # identity tower the empty word
+        old, letters = {}, [{} for _ in range(n)]    # D-source -> {letter: D-target}
+        for (a, b) in C.object_pairs():
+            level = old[(a, b)] = [(("C", a, b, idx),) for idx in range(C.hom[(a, b)].size(k))]
+            if a == b:
+                level[c_id[k][a]] = ()
+            letters[a].update(zip(itertools.chain.from_iterable(level), itertools.repeat(b)))
+        forms = {}
+        for (u, v) in F.object_pairs():
+            level = forms[(u, v)] = []
+            for idx in range(F.hom[(u, v)].size(k)):
+                letter = rewrite(k, ("F", u, v, idx))
+                level.append((letter,) if letter else ())
+                if letter:
+                    source, target = ends(letter)
+                    letters[source][letter] = target
         one.append(forms)
-        found = {pair: [] for pair in pairs}    # (F-letters, length, word)
+        found = {pair: [] for pair in pairs}    # (F-letters, length, word), new words only
         stack = [((), o, o, 0) for o in range(n)]
         while stack:
             w, a, b, f = stack.pop()
-            found[(a, b)].append((f, len(w), w))
+            if f or len(w) > 1 or a >= n_old:
+                found[(a, b)].append((f, len(w), w))
             last_tag, _, last_end, _ = w[-1] if w else (None, None, None, None)
             for letter, c in letters[b].items():
                 steps.charge()
@@ -194,22 +212,14 @@ def pushout_generating(base: SimplicialCategory, attachment: Attachment,
                 if g > budget.max_words:
                     raise BudgetExceeded("free closure did not stabilize within max_words")
                 stack.append((new, a, c, g))
-        # each C letter is its own normal form, an identity tower the empty word
-        for (a, b) in pairs:
-            old = [forms["C", a, b, idx]
-                   for idx in range(C.hom[(a, b)].size(k) if max(a, b) < n_old else 0)]
-            seen = set(old)
-            words[(k, (a, b))] = old + [w for _, _, w in sorted(found[(a, b)]) if w not in seen]
+        for pair in pairs:
+            words[(k, pair)] = old.get(pair, []) + [w for _, _, w in sorted(found[pair])]
 
     # -- assembly
-    def rows(k, pair, dk):
-        """Per word of Hom_pair in dimension k, the normal words of its k + 1 faces
-        (dk = -1) or degeneracies (dk = +1); C's simplices come first, read off C."""
-        below = words[(k + dk, pair)]
-        old = C.hom[pair].dims[k] if max(pair) < n_old else ()
-        for s in old:
-            yield [below[j] for j in (s.faces if dk < 0 else s.degens)]
-        for w in words[(k, pair)][len(old):]:
+    def rows(k, new, dk):
+        """Per word of ``new``, the normal words of its k + 1 faces (dk = -1)
+        or degeneracies (dk = +1), normalized letter by letter."""
+        for w in new:
             recs = [(tag, a, b, (C if tag == "C" else F).hom[(a, b)].dims[k][idx])
                     for tag, a, b, idx in w]
             yield [normalize(k + dk, [(tag, a, b, r.faces[i] if dk < 0 else r.degens[i])
@@ -219,15 +229,19 @@ def pushout_generating(base: SimplicialCategory, attachment: Attachment,
     by_hand = any(h._by_hand for cat in (C, F) for h in cat.hom.values())
     for pair in pairs:
         levels = [words[(k, pair)] for k in range(bound + 1)]
-        if max(pair) < n_old and all(
-                len(level) == C.hom[pair].size(k) for k, level in enumerate(levels)):
+        base_hom = C.hom.get(pair)
+        if base_hom is not None and all(
+                len(level) == base_hom.size(k) for k, level in enumerate(levels)):
             # no new word: the hom is the base's own
-            homs[pair] = C.hom[pair]
+            homs[pair] = base_hom
             index[pair] = [dict(zip(level, range(len(level)))) for level in levels]
             continue
+        # the base's simplices keep their records; only the new words get rows
+        kept = base_hom.dims if base_hom is not None else None
+        new = [level[len(kept[k]) if kept else 0:] for k, level in enumerate(levels)]
         homs[pair], index[pair] = _from_keys(
-            bound, levels, [[]] + [rows(k, pair, -1) for k in range(1, bound + 1)],
-            [rows(k, pair, 1) for k in range(bound)], by_hand)
+            bound, levels, [[]] + [rows(k, new[k], -1) for k in range(1, bound + 1)],
+            [rows(k, new[k], 1) for k in range(bound)], by_hand, kept)
 
     def rule(k, a, b, c, g, f):
         """g after f is the normal form of the word f g."""
@@ -244,7 +258,7 @@ def pushout_generating(base: SimplicialCategory, attachment: Attachment,
     inc_base = SFunctor(
         source=C, target=D, ob_map=tuple(range(n_old)),
         hom_maps={pair: SSetMap(C.hom[pair], homs[pair],
-                                [list(range(C.hom[pair].size(k))) for k in range(bound + 1)])
+                                [range(C.hom[pair].size(k)) for k in range(bound + 1)])
                   for pair in C.object_pairs()})
 
     # an F letter (u, v) normalizes to a word from f2d[u] to f2d[v], in C or not
@@ -252,8 +266,7 @@ def pushout_generating(base: SimplicialCategory, attachment: Attachment,
     for (u, v) in F.object_pairs():
         h, pair = F.hom[(u, v)], (f2d[u], f2d[v])
         f_maps[(u, v)] = SSetMap(h, homs[pair], [
-            [index[pair][k][one[k]["F", u, v, idx]] for idx in range(h.size(k))]
-            for k in range(bound + 1)])
+            map(index[pair][k].__getitem__, one[k][(u, v)]) for k in range(bound + 1)])
     inc_attached = SFunctor(source=F, target=D, hom_maps=f_maps,
                             ob_map=tuple(f2d[u] for u in range(F.n_objects())))
 

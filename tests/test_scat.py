@@ -22,7 +22,7 @@ from sccat.sset import (SSetMap, boundary, boundary_inclusion, compose_maps,
                         horn_inclusion, identity_map, point, standard_simplex,
                         validate_sset, validate_sset_map)
 from sccat.verdict import Budget, InputError, StructureError
-from sccat.words import Attachment, glue_for_u, pushout_generating
+from sccat.words import Attachment, glue_for_c2, glue_for_u, pushout_generating
 from tests import test_model
 from tests.test_golden import _pushout_corpus
 from tests.test_model import z2_category
@@ -334,6 +334,24 @@ def test_each_law_is_checked_in_its_own_dimension(cat, entries, prefix):
     assert bad and all(v.startswith(prefix) for v in bad)
     assert reference_validate_scat(broken) != []
 
+
+
+# -- equality ---------------------------------------------------------------------
+
+def test_categories_that_differ_only_in_their_tables_compare_unequal():
+    # Z/2 and the monoid {1, e} with e e = e share their object, their hom and
+    # their identity; a pushout compares categories (its glue must land in
+    # the base), so the tables must count
+    two = boundary(1, D)
+    z2, idem = (SimplicialCategory(("x",), {(0, 0): two},
+                                   build_compose(1, {(0, 0): two}, D, rule, (0,)), (0,), D)
+                for rule in (lambda k, a, b, c, g, f: g ^ f, lambda k, a, b, c, g, f: g | f))
+    assert validate_scat(z2) == validate_scat(idem) == []
+    assert (z2.objects, z2.hom, z2.identities) == (idem.objects, idem.hom, idem.identities)
+    assert z2 != idem and not z2 == idem and z2 == z2_category(D)
+    att = Attachment.c2(D)
+    with pytest.raises(InputError, match="glue must land in the base category"):
+        pushout_generating(idem, att, glue_for_c2(att, z2))
 
 # -- functors -----------------------------------------------------------------
 

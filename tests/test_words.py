@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import os
 import subprocess
 import sys
@@ -13,9 +14,9 @@ from sccat.scat import (SFunctor, SimplicialCategory, _category, build_compose,
                         compose_sfunctors, coproduct, functor_U, functor_U_map,
                         identity_sfunctor, singleton_cat, u_functor, validate_scat,
                         validate_sfunctor)
-from sccat.sset import (SSetMap, _from_keys, boundary, boundary_inclusion, empty_sset,
-                        enumerate_sset_maps, horn_inclusion, identity_map,
-                        point, standard_simplex)
+from sccat.sset import (SimplicialSet, SSetMap, _from_keys, boundary, boundary_inclusion,
+                        empty_sset, enumerate_sset_maps, horn_inclusion, identity_map,
+                        point, standard_simplex, validate_sset)
 from sccat.verdict import Budget, BudgetExceeded, InputError, _Steps
 from sccat.words import (Attachment, PushoutResult, glue_at_object, glue_for_c2,
                          glue_for_u, pushout_generating, pushout_mediating)
@@ -752,6 +753,43 @@ def test_u_pushouts_keep_the_homs_that_gain_no_word(m, k, d):
     inc = boundary_inclusion(m, d) if k is None else horn_inclusion(m, k, d)
     assert assert_unchanged_homs_are_kept(*u_pushout_parts(inc)) == 3
 
+
+
+@pytest.mark.parametrize("m, k, d", [(m, k, d) for d in range(1, 5) for m in range(1, d + 1)
+                                     for k in [*range(m + 1), None]])
+def test_u_pushouts_keep_the_records_of_the_base(m, k, d):
+    # in Hom(x, y), which gains words, each simplex of the base sits at its
+    # old index with the base's own record; every hom equals _from_keys run
+    # on all the rows, as the word engine builds it
+    inc = boundary_inclusion(m, d) if k is None else horn_inclusion(m, k, d)
+    base, att, glue = u_pushout_parts(inc)
+    eng = _WordEngine(base, att, glue, Budget())
+    res, want = pushout_of(eng), eng.build()
+    assert res.words == want.words
+    for p in res.category.object_pairs():
+        assert res.category.hom[p] == want.category.hom[p]
+    hom, old = res.category.hom[(0, 1)], base.hom[(0, 1)]
+    assert hom is not old
+    for j in range(d + 1):
+        assert res.inc_base.hom_maps[(0, 1)].assign[j] == tuple(range(old.size(j)))
+        assert all(map(operator.is_, hom.dims[j][:old.size(j)], old.dims[j]))
+
+
+def test_a_hand_built_base_keeps_its_records_as_given():
+    # Delta[1] by hand with one degenerate simplex flagged nondegenerate: the
+    # pushout of U(bd Delta[1] -> Delta[1]) onto U of it keeps that record,
+    # and validate_sset names it there as in the base
+    inc = boundary_inclusion(1, D)
+    dims = [list(level) for level in inc.target.dims]
+    k, idx = next((k, i) for k in range(1, D + 1) for i, r in enumerate(dims[k]) if r.word)
+    dims[k][idx] = dims[k][idx]._replace(base=idx, word=())
+    x = SimplicialSet(D, dims)
+    base, att = functor_U(x), Attachment.from_sset_mono(inc)
+    glue = glue_for_u(att, base, 0, 1, SSetMap(inc.source, x, inc.assign))
+    hom = pushout_generating(base, att, glue, B).category.hom[(0, 1)]
+    assert hom.size(1) > x.size(1) and hom.dims[k][idx] is x.dims[k][idx]
+    assert validate_sset(hom) == validate_sset(x) == [
+        f"dim {k} simplex {idx}: flagged nondegenerate but equals s_0 d_0"]
 
 def test_c2_pushout_keeps_every_hom_of_the_base():
     assert assert_unchanged_homs_are_kept(*c2_pushout_parts(3)) == 4
