@@ -12,13 +12,15 @@ k + 1 entries, and dd = 0, the chain maps and the reductions all work on
 such columns.  `boundary_matrix` and `chain_map_matrix` are dense views,
 kept for tests and tracing; no decision reads them.
 
-dd = 0 is multiplied out only on hand-built sets (see ``sset``): on a set
-the library built, the simplicial identities hold by construction and give
-dd = 0 (May, Simplicial Objects in Algebraic Topology, 1967, section 22;
-Goerss and Jardine, Simplicial Homotopy Theory, III.2).  The invariant
-factors of d_1 are read off pi0: d_1 sends an edge to the difference of
-its ends, so its cokernel is free on pi0, and its factors are one 1 per
-vertex beyond the first of each component.
+dd = 0 is never multiplied out on a decision's path: every set is
+simplicial, a hand-built one validated once by its constructor (see
+``sset``) and a library-built one by construction, and the simplicial
+identities give dd = 0 (May, Simplicial Objects in Algebraic Topology,
+1967, section 22; Goerss and Jardine, Simplicial Homotopy Theory, III.2).
+``assert_chain_complex`` multiplies it out for tests and tracing.  The
+invariant factors of d_1 are read off pi0: d_1 sends an edge to the
+difference of its ends, so its cokernel is free on pi0, and its factors
+are one 1 per vertex beyond the first of each component.
 
 Besides Betti numbers and torsion this module decides whether a
 simplicial map induces isomorphisms on homology, which is what the
@@ -96,16 +98,11 @@ def _invariant_factors(x: SimplicialSet, k: int) -> list:
     return _boundary_reduction(x, k).invariant_factors()
 
 
-@memo
 def assert_chain_complex(x: SimplicialSet) -> None:
-    """dd = 0 on the normalized complex; raised eagerly before any reduction.
-
-    Only a hand-built set is multiplied out: on a set the library built,
-    the simplicial identities hold by construction and give dd = 0, so
-    this returns at once.  A complex that passes is not multiplied out
-    again; one that fails raises on every call."""
-    if not x._by_hand:
-        return
+    """dd = 0 on the normalized complex, multiplied out on every call; a
+    nonzero product raises StructureError.  No decision calls it: the
+    simplicial identities of every set give dd = 0.  It is an oracle for
+    tests and tracing."""
     for k in range(1, x.dim_bound + 1):
         if any(intmat.mul_columns(_boundary_columns(x, k), _boundary_columns(x, k + 1))):
             raise StructureError(f"boundary squared is nonzero in degree {k + 1}")
@@ -127,7 +124,6 @@ def homology(x: SimplicialSet, k: int) -> tuple:
 
 @memo
 def _homology(x: SimplicialSet, k: int) -> tuple:
-    assert_chain_complex(x)
     n_k = len(x.nondeg_indices(k))
     above = _invariant_factors(x, k + 1)
     betti = n_k - len(_invariant_factors(x, k)) - len(above)
@@ -183,14 +179,13 @@ def homology_map_is_iso(f: SSetMap, k: int) -> bool:
     source side only, off the source's cached reduction.
 
     Two cases glue nothing and lose no check.  In degree 0 (H_0 is free on
-    pi0, d_0 = 0, and dd = 0 is checked first, as ``homology`` does) it is
-    whether pi0(f) is a bijection.  Between zero groups Z_k Y = B_k Y, so
-    only the check that cycles go to cycles runs.
+    pi0 and d_0 = 0) it is whether pi0(f) is a bijection.  Between zero
+    groups Z_k Y = B_k Y, so only the check that cycles go to cycles runs.
+    No degree multiplies out dd = 0: a hand-built set was validated once,
+    by its constructor.
     """
     x, y = f.source, f.target
     if type(k) is int and k == 0:  # any other degree is checked by `homology`
-        assert_chain_complex(x)
-        assert_chain_complex(y)
         return pi0_bijective(f)
     if homology(x, k) != homology(y, k):
         return False

@@ -17,7 +17,10 @@ factor by the unit law and asking a construction's rule only for the
 others (in U(X) every composite is such a unit composite).  The library's
 U(X), pushouts, pullbacks and codiscrete groupoids make their tables on
 the first read of ``compose`` (``_DeferredCategory``); the public
-constructor and every other builder store them at once.
+constructor and every other builder store them at once.  The public
+constructor, for hand-built data, also runs ``validate_scat`` on what it
+stores: a hand-built category is validated once, by its constructor, and
+no builder or decider checks a category again.
 
 Functors carry an object map plus one simplicial map per hom pair.
 Validation is dimension by dimension, through ``cat``: dimension k is an
@@ -46,13 +49,14 @@ from .verdict import InputError, StructureError
 
 class SimplicialCategory:
     """The public constructor is for hand-built data: it checks the keys
-    and dim_bound, gives every missing hom one empty set, and stores the
-    tables in the canonical form of ``build_compose``, a missing triple
-    with composable pairs left out for ``validate_scat`` to name, at once.
-    Library builders make canonical data and store it through
-    ``_category``, with no check, or through ``_deferred_category``, whose
-    tables are made on the first read of ``compose``; they hand this
-    constructor nothing."""
+    and dim_bound, gives every missing hom one empty set, stores the tables
+    in the canonical form of ``build_compose``, a missing triple with
+    composable pairs left out, and validates the category once: a
+    violation of ``validate_scat``, or a table it cannot read, raises
+    InputError naming the first.  Library builders make canonical data and
+    store it through ``_category``, with no check, or through
+    ``_deferred_category``, whose tables are made on the first read of
+    ``compose``; they hand this constructor nothing."""
     __slots__ = ("objects", "hom", "compose", "identities", "dim_bound", "_cache")
 
     def __init__(self, objects, hom, compose, identities, dim_bound: int | None = None):
@@ -76,13 +80,18 @@ class SimplicialCategory:
         if missing:
             hom.update(dict.fromkeys(missing, empty_sset(dim_bound)))
         tables = {}
-        for t in triples:
-            live = [hom[t[:2]].size(k) and hom[t[1:]].size(k) for k in range(dim_bound + 1)]
-            if t in compose or not any(live):
-                levels = compose.get(t, ())
-                tables[t] = tuple(tuple(map(tuple, levels[k])) if live[k] and k < len(levels)
-                                  else () for k in range(dim_bound + 1))
-        self._store(objects, hom, tables, tuple(identities), dim_bound)
+        try:
+            for t in triples:
+                live = [hom[t[:2]].size(k) and hom[t[1:]].size(k) for k in range(dim_bound + 1)]
+                if t in compose or not any(live):
+                    levels = compose.get(t, ())
+                    tables[t] = tuple(tuple(map(tuple, levels[k])) if live[k] and k < len(levels)
+                                      else () for k in range(dim_bound + 1))
+            bad = validate_scat(self._store(objects, hom, tables, tuple(identities), dim_bound))
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+            bad = ["a table the checks cannot read"]
+        if bad:
+            raise InputError(f"not a simplicial category: {bad[0]}")
 
     def _store(self, objects, hom, compose, identities, dim_bound):
         self.objects, self.hom, self.compose = objects, hom, compose
@@ -229,15 +238,12 @@ def validate_scat(cat: SimplicialCategory) -> list:
     bad = []
     n = cat.n_objects()
     for (a, b), h in cat.hom.items():
-        sub = validate_sset(h)
-        bad.extend(f"hom ({a},{b}): {v}" for v in sub)
+        bad.extend(f"hom ({a},{b}): {v}" for v in validate_sset(h))
     if len(cat.identities) != n:
-        bad.append("identities must mark one 0-simplex per object")
-        return bad
+        return bad + ["identities must mark one 0-simplex per object"]
     for a in range(n):
         if not (0 <= cat.identities[a] < cat.hom[(a, a)].size(0)):
-            bad.append(f"identity of object {a} out of range")
-            return bad
+            return bad + [f"identity of object {a} out of range"]
     if bad:
         return bad
 

@@ -12,8 +12,10 @@ of the contract: counterexamples and witnesses must be reproducible.
 Instances of the unit laws, g . id = g and id . f = f, are not checked:
 identities are pinned in dimension 0 and degenerate images follow their
 decompositions, so an identity tower always goes to an identity tower,
-and such an instance holds by the target's own unit law, which
-``validate_scat`` checks in every dimension through ``validate_category``.
+and such an instance holds by the target's own unit law.  That holds for
+every target: a library-built one keeps it by construction, and a
+hand-built one was validated by its constructor, through ``validate_scat``,
+which checks it in every dimension through ``validate_category``.
 A source U(K) has no other composites, so a search from it checks no
 composition at all.
 """

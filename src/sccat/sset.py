@@ -41,15 +41,15 @@ indices, so the builder keeps those records as given and maps rows and
 derives records only for the other keys.
 
 The builder stores its tables through ``_sset``, which trusts them: every
-library construction keeps the simplicial identities, so homology does not
-multiply out dd = 0 on its sets.  The public ``SimplicialSet(...)`` is for
-hand-built tables; it checks dim_bound and the level count and marks its
-set hand-built, as is any set built from a hand-built one, so homology
-checks dd = 0 there.  Likewise ``from_simplex_tuples`` checks every tuple
-it is given, closure under subsets included, while the standard
-simplices, boundaries, horns and ``from_simplicial_complex`` make tuples
-that pass and hand them to the trusted ``_tuple_set``.  ``validate_sset``
-checks every invariant on demand.
+library construction keeps the simplicial identities.  The public
+``SimplicialSet(...)`` is for hand-built tables; it checks dim_bound and
+the level count and runs ``validate_sset`` on the set: a hand-built set is
+validated once, by its constructor, and no reader checks any set again.
+Likewise ``from_simplex_tuples`` checks every tuple it is given, closure
+under subsets included, while the standard simplices, boundaries, horns
+and ``from_simplicial_complex`` make tuples that pass and hand them to the
+trusted ``_tuple_set``.  ``validate_sset`` checks every invariant on
+demand.
 
 Derived data (the accessors below, pi0 here, homology, component
 categories, the simplicial category U(X) of ``scat.functor_U``) is
@@ -172,22 +172,29 @@ class Simplex(NamedTuple):
 
 
 class SimplicialSet:
-    """Built by hand through the public constructor, by the library through
-    ``_sset``; the mark is a private slot, outside ``==`` and the hash.
+    """Built by hand through the public constructor, which validates the
+    tables once: a violation of ``validate_sset``, or a table it cannot
+    read, raises InputError naming the first.  The library builds through
+    ``_sset``, which trusts its tables.
 
     ``dims`` is a plain slot: an eager set holds its records there from
     the start, and a vertex-tuple set is a ``_TupleSet`` until the first
     read of ``dims`` makes them, then a SimplicialSet like any other."""
-    __slots__ = ("dim_bound", "dims", "_by_hand", "_cache")
+    __slots__ = ("dim_bound", "dims", "_cache")
 
     def __init__(self, dim_bound: int, dims: list):
         _check_natural("dim_bound", dim_bound)
         if len(dims) != dim_bound + 1:
             raise InputError("dims must have dim_bound + 1 levels")
-        self._store(dim_bound, tuple(map(tuple, dims)), True)
+        try:
+            bad = validate_sset(self._store(dim_bound, tuple(map(tuple, dims))))
+        except (AttributeError, IndexError, TypeError, ValueError):
+            bad = ["a table the checks cannot read"]
+        if bad:
+            raise InputError(f"not a simplicial set: {bad[0]}")
 
-    def _store(self, dim_bound, dims, by_hand):
-        self.dim_bound, self.dims, self._by_hand, self._cache = dim_bound, dims, by_hand, {}
+    def _store(self, dim_bound, dims):
+        self.dim_bound, self.dims, self._cache = dim_bound, dims, {}
         return self
 
     # -- identity / hashing ------------------------------------------------
@@ -317,23 +324,21 @@ def _derive_records(dim_bound: int, faces_tables: list, degens_tables: list,
     return tuple(dims)
 
 
-def _sset(dim_bound: int, dims: tuple, by_hand: bool = False) -> SimplicialSet:
+def _sset(dim_bound: int, dims: tuple) -> SimplicialSet:
     """A set from a library builder: tuple levels of records, stored as
     given with no check.  Its simplicial identities hold by construction,
-    so it is hand-built only when built from a hand-built set."""
-    return SimplicialSet.__new__(SimplicialSet)._store(dim_bound, dims, by_hand)
+    as they do in every set it is built from."""
+    return SimplicialSet.__new__(SimplicialSet)._store(dim_bound, dims)
 
 
-def _from_keys(dim_bound: int, levels: list, faces: list, degens: list,
-               by_hand: bool = False, kept=None) -> tuple:
+def _from_keys(dim_bound: int, levels: list, faces: list, degens: list, kept=None) -> tuple:
     """(the simplicial set whose k-simplices are the keys ``levels[k]``, in
     that order, index) with index[k] = {key: position}.
 
     ``faces[k]`` lists, for each key of levels[k] in order, the keys of its
     faces d_0, ..., d_k (k >= 1) and ``degens[k]`` those of its degeneracies
     s_0, ..., s_k (k < dim_bound), so every row of level k holds k + 1 keys.
-    A key no level holds raises KeyError.  ``by_hand`` marks a set built
-    from a hand-built one (see ``_sset``).  ``kept[k]``, if given, holds
+    A key no level holds raises KeyError.  ``kept[k]``, if given, holds
     the records of the first keys of level k, which make a simplicial set
     at their own indices (a face or degeneracy of one is one of them):
     those records are kept as given, ``faces`` and ``degens`` skip their
@@ -347,7 +352,7 @@ def _from_keys(dim_bound: int, levels: list, faces: list, degens: list,
     degen_tables = [[*map(operator.attrgetter("degens"), old[k - 1]),
                      *_rows(index[k], chain(degens[k - 1]), k)] for k in range(1, dim_bound + 1)]
     dims = _derive_records(dim_bound, face_tables, degen_tables, kept)
-    return _sset(dim_bound, dims, by_hand), index
+    return _sset(dim_bound, dims), index
 
 
 def _rows(index: dict, keys, width: int) -> list:
@@ -887,7 +892,7 @@ def sub_complex(x: SimplicialSet, keep: list) -> tuple:
     recs = [[x.dims[k][i] for i in level] for k, level in enumerate(keep)]
     try:
         sub, index = _from_keys(x.dim_bound, keep, [[s.faces for s in level] for level in recs],
-                                [[s.degens for s in level] for level in recs], x._by_hand)
+                                [[s.degens for s in level] for level in recs])
     except KeyError:
         raise InputError("subcomplex not closed under faces and degeneracies") from None
     return sub, SSetMap(sub, x, keep), index
@@ -904,8 +909,7 @@ def disjoint_union(x: SimplicialSet, y: SimplicialSet) -> tuple:
         bound, [[(p, i) for p, part in enumerate(parts) for i in range(part.size(k))]
                 for k in range(bound + 1)],
         [[[(p, f) for f in s.faces] for p, s in level] for level in recs],
-        [[[(p, d) for d in s.degens] for p, s in level] for level in recs],
-        x._by_hand or y._by_hand)
+        [[[(p, d) for d in s.degens] for p, s in level] for level in recs])
     inc_x, inc_y = (SSetMap(part, z, [[index[k][(p, i)] for i in range(part.size(k))]
                                       for k in range(bound + 1)])
                     for p, part in enumerate(parts))
@@ -931,8 +935,7 @@ def pullback_ssets(f: SSetMap, g: SSetMap) -> tuple:
     recs = [[(x.dims[k][i], y.dims[k][j]) for i, j in level] for k, level in enumerate(pairs)]
     p, index = _from_keys(bound, pairs,
                           [[list(zip(s.faces, t.faces)) for s, t in level] for level in recs],
-                          [[list(zip(s.degens, t.degens)) for s, t in level] for level in recs],
-                          x._by_hand or y._by_hand)
+                          [[list(zip(s.degens, t.degens)) for s, t in level] for level in recs])
     pr_x = SSetMap(p, x, [[i for (i, j) in pairs[k]] for k in range(bound + 1)])
     pr_y = SSetMap(p, y, [[j for (i, j) in pairs[k]] for k in range(bound + 1)])
     return p, pr_x, pr_y, index
@@ -974,7 +977,7 @@ def attach_nondeg(x: SimplicialSet, k: int, faces: list) -> tuple:
                 for d in range(1, bound + 1)],
         [[s.degens for s in x.dims[d]]
          + [[_after(w, j) for j in range(d + 1)] for w in new[d]]
-         for d in range(bound)], x._by_hand)
+         for d in range(bound)])
     return z, index[k][()]
 
 

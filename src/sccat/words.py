@@ -43,12 +43,12 @@ category is the genuine pushout whenever generation stabilizes.
    composition included.  C -> D is the identity on C's indices, so the
    base's simplices keep C's records, the record objects themselves, and
    only the new words get rows, keys and records, normalized letter by
-   letter.  A hand-built base's records are kept as given: a wrong
-   Eilenberg-Zilber field stays wrong in the pushout, where
-   ``validate_sset`` names it.  A hom that gains no word is the base's
-   own object, not rebuilt.  The composition tables are made on the first
-   read of the pushout's ``compose``: composites with an identity factor
-   are filled by the unit law; only the others normalize a product.
+   letter.  The base's records are right as given: a hand-built base was
+   validated once, by its constructor, so the pushout checks no record.
+   A hom that gains no word is the base's own object, not rebuilt.  The
+   composition tables are made on the first read of the pushout's
+   ``compose``: composites with an identity factor are filled by the unit
+   law; only the others normalize a product.
 """
 from __future__ import annotations
 
@@ -226,7 +226,6 @@ def pushout_generating(base: SimplicialCategory, attachment: Attachment,
                                       for tag, a, b, r in recs]) for i in range(k + 1)]
 
     homs, index = {}, {}
-    by_hand = any(h._by_hand for cat in (C, F) for h in cat.hom.values())
     for pair in pairs:
         levels = [words[(k, pair)] for k in range(bound + 1)]
         base_hom = C.hom.get(pair)
@@ -241,7 +240,7 @@ def pushout_generating(base: SimplicialCategory, attachment: Attachment,
         new = [level[len(kept[k]) if kept else 0:] for k, level in enumerate(levels)]
         homs[pair], index[pair] = _from_keys(
             bound, levels, [[]] + [rows(k, new[k], -1) for k in range(1, bound + 1)],
-            [rows(k, new[k], 1) for k in range(bound)], by_hand, kept)
+            [rows(k, new[k], 1) for k in range(bound)], kept)
 
     def rule(k, a, b, c, g, f):
         """g after f is the normal form of the word f g."""

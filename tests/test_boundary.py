@@ -12,7 +12,10 @@ relators the same way.  Methods of built objects (``size``, ``face``,
 Every ``budget=`` slot of the package takes None or a ``Budget`` and
 rejects anything else with InputError on entry.  Every marking slot of
 ``model`` takes only a ``GeneratorMarking``, and a marking's dict is
-checked for its shape before it is read.
+checked for its shape before it is read.  The public constructors of
+hand-built data, ``SimplicialSet`` and ``SimplicialCategory``, refuse
+tables that break the simplicial laws, or that the validators cannot read,
+with InputError naming the first violation.
 """
 import inspect
 import re
@@ -246,6 +249,60 @@ def test_the_public_constructor_rejects_keys_of_unknown_objects(hom, compose):
         "SimplicialCategory-int-hom"])
 def test_a_hom_must_be_a_simplicial_set_at_the_dim_bound(call):
     with pytest.raises(InputError, match="every hom must be a SimplicialSet"):
+        call()
+
+
+# -- tables that break the simplicial laws ------------------------------------------
+
+def _state_tables(above_0):
+    """The composition tables of one object x with Hom(x, x) = Delta[1] at
+    D, composed by max in dimension 0 and by ``above_0`` above it."""
+    return build_compose(1, {(0, 0): standard_simplex(1, D)}, D,
+                         lambda k, a, b, c, g, f: above_0(g, f) if k else max(g, f), (0,))
+
+
+def _simplex_dims(broken):
+    """The records of Delta[2] at D, with s_0 of the vertex 0 sent to the
+    edge 01 if ``broken``."""
+    dims = [list(level) for level in standard_simplex(2, D).dims]
+    if broken:
+        dims[0][0] = dims[0][0]._replace(degens=(1,))
+    return dims
+
+
+# "module.name" -> (the constructor's message on the broken tables, the call
+# with the broken tables (True) or the sound ones (False))
+INVALID_TABLES = {
+    # every composite above dimension 0 sent to the identity tower, simplex 0
+    # of each level: dimension 1 is not associative (22 violations in all);
+    # by max in every dimension, the tables make a simplicial monoid
+    "scat.SimplicialCategory": (
+        "not a simplicial category: dim 1: associativity fails", lambda broken: SimplicialCategory(
+            ("x",), {(0, 0): standard_simplex(1, D)},
+            _state_tables((lambda g, f: 0) if broken else max), (0,))),
+    "sset.SimplicialSet": ("not a simplicial set: dim 0 simplex 0: s_0 s_0 != s_1 s_0",
+                           lambda broken: SimplicialSet(D, _simplex_dims(broken))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_TABLES))
+def test_a_public_constructor_refuses_tables_that_break_the_laws(name):
+    message, call = INVALID_TABLES[name]
+    with pytest.raises(InputError, match=message):
+        call(True)
+    call(False)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SimplicialSet(1, [5, ()]),
+    lambda: SimplicialSet(1, [[None], []]),
+    lambda: SimplicialCategory(("x",), {(0, 0): point(D)}, {(0, 0, 0): ((("a",),),) * 3}, (0,)),
+    lambda: SimplicialCategory(("x",), {(0, 0): point(D)}, {(0, 0, 0): (5,) * 3}, (0,)),
+    lambda: SimplicialCategory(("x",), {(0, 0): point(D)}, {}, ("a",)),
+], ids=["set-level-no-sequence", "set-record-none", "category-entry-str",
+        "category-row-no-sequence", "category-identity-str"])
+def test_a_public_constructor_refuses_tables_it_cannot_read(call):
+    with pytest.raises(InputError, match="not a simplicial"):
         call()
 
 

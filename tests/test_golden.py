@@ -254,14 +254,18 @@ def _homology_corpus() -> dict:
     """H_k and its Betti number at every degree 0..dim_bound, and at the
     first degree past it, of each homology oracle complex, of each set with
     identified faces at D2-D4, and of the triangle on one edge, whose
-    boundary squared is nonzero."""
+    boundary squared is nonzero.  The triangle's constructor raises, so it
+    is built inside each of its calls."""
     spaces = {f"D{d} {i}": x for d, xs in ORACLE_COMPLEXES.items() for i, x in enumerate(xs)}
     spaces.update({f"{name} D{d}": make(d) for name, make in IDENTIFIED_FACES.items()
                    for d in (2, 3, 4)})
-    spaces["triangle on one edge"] = triangle_on_one_edge()
-    return {f"{check.__name__} {name} in {k}": (lambda check=check, x=x, k=k: check(x, k))
-            for name, x in spaces.items() for k in range(x.dim_bound + 2)
-            for check in (homology, betti)}
+    out = {f"{check.__name__} {name} in {k}": (lambda check=check, x=x, k=k: check(x, k))
+           for name, x in spaces.items() for k in range(x.dim_bound + 2)
+           for check in (homology, betti)}
+    out.update({f"{check.__name__} triangle on one edge in {k}": (
+        lambda check=check, k=k: check(triangle_on_one_edge(), k))
+        for k in range(4) for check in (homology, betti)})
+    return out
 
 
 # the free-map step caps: the default, three that cut the decisions on

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sccat import homology as hml, intmat, sset
 from sccat.homology import (
-    DimensionBoundError, betti, boundary_matrix, chain_map_matrix, homology,
+    DimensionBoundError, assert_chain_complex, betti, boundary_matrix, chain_map_matrix, homology,
     homology_iso_all_degrees, homology_map_is_iso, reduced_homology_vanishes,
 )
 from sccat.pi1 import abelianization_invariants, edge_path_presentation
@@ -60,41 +60,48 @@ def test_homology_degree_out_of_range():
         homology(x, -1)
 
 
-def test_chain_complex_checked_once_per_complex(monkeypatch):
-    # on a hand-built set, d_k d_{k+1} for k = 1, 2, 3, multiplied out once
-    # for all degrees; on a set the library built, never
+def test_the_chain_complex_oracle_multiplies_out_on_every_call(monkeypatch):
+    # no degree of homology multiplies out dd = 0; the oracle multiplies out
+    # d_k d_{k+1} for k = 1, 2, 3 on every call
     products = []
     mul_columns = intmat.mul_columns
     monkeypatch.setattr(intmat, "mul_columns",
                         lambda a, b: products.append(1) or mul_columns(a, b))
-    x = standard_simplex(3, dim_bound=3)
-    by_hand = SimplicialSet(x.dim_bound, x.dims)
-    for k in range(4):
-        homology(by_hand, k)
-    assert len(products) == 3
-    products.clear()
+    x = SimplicialSet(3, standard_simplex(3, dim_bound=3).dims)
     for k in range(4):
         homology(x, k)
-    assert len(products) == 0
+    assert products == []
+    for _ in range(2):
+        assert_chain_complex(x)
+    assert len(products) == 6
 
 
-def triangle_on_one_edge():
-    """A triangle whose three faces are one edge e (d_0 e = 1, d_1 e = 0),
-    built from its tables: the constructors reject such faces."""
+def triangle_on_one_edge_records():
+    """The records of a triangle whose three faces are one edge e (d_0 e =
+    1, d_1 e = 0): d d sigma = d e != 0, so they make no simplicial set."""
     faces = [[(), ()],
              [(1, 0), (0, 0), (1, 1)],                         # e, s_0 0, s_0 1
              [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 0, 1), (2, 0, 0)]]
     degens = [[(1,), (2,)], [(3, 4), (1, 1), (2, 2)], [()] * 5]
-    return SimplicialSet(2, derive_records(2, faces, degens))
+    return derive_records(2, faces, degens)
 
 
-def test_nonzero_boundary_squared_raises_on_every_call():
-    # a triangle whose three faces are one edge: d d sigma = d e != 0
-    x = triangle_on_one_edge()
+def triangle_on_one_edge():
+    """The triangle handed to the public constructor, which refuses it."""
+    return SimplicialSet(2, triangle_on_one_edge_records())
+
+
+def test_the_triangle_on_one_edge_is_refused_by_its_constructor():
+    with pytest.raises(InputError, match=r"not a simplicial set: dim 2 simplex 0: d_0 d_2"):
+        triangle_on_one_edge()
+
+
+def test_the_chain_complex_oracle_raises_on_every_call():
+    # the triangle stored with no check: d d sigma = d e != 0
+    x = sset._sset(2, triangle_on_one_edge_records())
     for _ in range(2):
-        for k in range(3):
-            with pytest.raises(StructureError):
-                homology(x, k)
+        with pytest.raises(StructureError, match="boundary squared is nonzero in degree 2"):
+            assert_chain_complex(x)
 
 
 def test_homology_torsion_projective_plane():
@@ -425,11 +432,6 @@ def test_the_groups_settle_what_the_lattice_test_decides():
     assert settled == {("degree 0", True), ("degree 0", False), ("zero groups", True)}
 
 
-def test_degree_0_still_checks_the_chain_complex():
-    with pytest.raises(StructureError):
-        homology_map_is_iso(identity_map(triangle_on_one_edge()), 0)
-
-
 @pytest.mark.parametrize("k", [0.0, False])
 def test_degree_0_shortcut_takes_no_degree_that_is_no_int(k):
     with pytest.raises(InputError, match="homology degree must be an int"):
@@ -472,11 +474,11 @@ def test_the_checks_reduce_only_boundaries(monkeypatch):
     assert all(any(cols is hml._boundary_columns(disk, k) for k in (2, 3)) for cols in built)
 
 
-# -- the premise of trusting library-built sets: their simplicial identities
-# hold, so dd = 0 need not be multiplied out on them
+# -- the premise of trusting every set: a library builder keeps the
+# simplicial identities of what it is handed, so dd = 0 need not be
+# multiplied out on what it builds
 
 def assert_library_built_and_simplicial(x):
-    assert not x._by_hand
     for k in range(2, x.dim_bound + 1):
         assert all(sset._broken_face_identities(x, k, s.faces) == [] for s in x.dims[k])
     for k in range(1, x.dim_bound + 1):
@@ -528,11 +530,9 @@ def test_the_golden_pushouts_keep_the_simplicial_identities():
     lambda x: sub_complex(x, [range(x.size(k)) for k in range(3)])[0],
     lambda x: attach_nondeg(x, 1, [0, 1])[0],
 ], ids=["disjoint_union", "pullback_ssets", "sub_complex", "attach_nondeg"])
-def test_a_set_built_from_a_hand_built_one_is_still_checked(build):
-    x = build(triangle_on_one_edge())
-    assert x._by_hand
-    with pytest.raises(StructureError):
-        homology(x, 1)
+def test_a_set_built_from_a_hand_built_one_is_simplicial(build):
+    # a hand-built set was validated by its constructor
+    assert_library_built_and_simplicial(build(SimplicialSet(2, boundary(2, 2).dims)))
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)

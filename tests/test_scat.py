@@ -59,9 +59,10 @@ def test_broken_composition_is_caught():
     tables = list(compose[(0, 0, 1)])
     tables[1] = tuple(tuple(r) for r in lvl)
     compose[(0, 0, 1)] = tuple(tables)
-    broken = SimplicialCategory(cat.objects, cat.hom, compose, cat.identities,
-                                cat.dim_bound)
+    broken = scat._category(cat.objects, cat.hom, compose, cat.identities, cat.dim_bound)
     assert validate_scat(broken) != []
+    with pytest.raises(InputError, match="not a simplicial category: dim 1:"):
+        public_copy(broken)
 
 
 @pytest.mark.parametrize("identities, message", [
@@ -70,9 +71,10 @@ def test_broken_composition_is_caught():
 ])
 def test_validate_scat_names_broken_identities(identities, message):
     cat = functor_U(standard_simplex(1, D))
-    broken = SimplicialCategory(cat.objects, cat.hom, cat.compose, identities,
-                                cat.dim_bound)
+    broken = scat._category(cat.objects, cat.hom, cat.compose, identities, cat.dim_bound)
     assert validate_scat(broken) == [message]
+    with pytest.raises(InputError, match=f"not a simplicial category: {message}"):
+        public_copy(broken)
 
 
 def max_monoid(d):
@@ -307,13 +309,22 @@ def test_build_compose_rejects_missing_homs_and_bad_identities(n_objects, identi
 
 
 def with_entries(cat, entries, identities=None):
-    """cat with compose[t][k][g][f] = v for each ((t, k, g, f), v)."""
+    """cat with compose[t][k][g][f] = v for each ((t, k, g, f), v), stored
+    through ``scat._category`` with no check: the result need not be a
+    simplicial category, which the public constructor would refuse."""
     compose = {t: [[list(row) for row in lvl] for lvl in levels]
                for t, levels in cat.compose.items()}
     for (t, k, g, f), v in entries:
         compose[t][k][g][f] = v
-    return SimplicialCategory(cat.objects, cat.hom, compose,
-                              identities or cat.identities, cat.dim_bound)
+    compose = {t: tuple(tuple(map(tuple, lvl)) for lvl in levels)
+               for t, levels in compose.items()}
+    return scat._category(cat.objects, cat.hom, compose,
+                          identities or cat.identities, cat.dim_bound)
+
+
+def public_copy(cat):
+    """cat's data handed to the public constructor, which validates it."""
+    return SimplicialCategory(cat.objects, cat.hom, cat.compose, cat.identities, cat.dim_bound)
 
 
 @pytest.mark.parametrize("cat, entries, prefix", [
@@ -333,6 +344,8 @@ def test_each_law_is_checked_in_its_own_dimension(cat, entries, prefix):
     bad = validate_scat(broken)
     assert bad and all(v.startswith(prefix) for v in bad)
     assert reference_validate_scat(broken) != []
+    with pytest.raises(InputError, match=f"not a simplicial category: {prefix}"):
+        public_copy(broken)
 
 
 
@@ -498,8 +511,10 @@ def test_missing_homs_share_one_empty_set(monkeypatch):
     coproduct([cod, cod])               # one empty set, made by the builder
     assert calls == [D]
     pt = point(D)
+    units = (((0,),),) * (D + 1)        # the one composite of each Hom(a, a)_k
     cat = SimplicialCategory(objects=("x", "y"), hom={(0, 0): pt, (1, 1): pt},
-                             compose={}, identities=(0, 0), dim_bound=D)
+                             compose={(0, 0, 0): units, (1, 1, 1): units},
+                             identities=(0, 0), dim_bound=D)
     assert calls == [D, D]
     assert cat.hom[(0, 1)] is cat.hom[(1, 0)] and cat.hom[(0, 1)].is_empty()
 
@@ -579,8 +594,12 @@ def test_pi0_data_raises_on_every_call():
     h = from_simplicial_complex([(0, 1), (2,)], 1)
     table = [[g if f == 0 else f if g == 0 else 2 for f in range(3)]
              for g in range(3)]
-    cat = SimplicialCategory(objects=("x",), hom={(0, 0): h},
-                             compose={(0, 0, 0): (table, ())}, identities=(0,))
+    # stored with no check: the public constructor refuses the category
+    # (composition is not associative, and dimension 1 has no table)
+    compose = {(0, 0, 0): (tuple(map(tuple, table)), ())}
+    with pytest.raises(InputError, match="not a simplicial category"):
+        SimplicialCategory(objects=("x",), hom={(0, 0): h}, compose=compose, identities=(0,))
+    cat = scat._category(("x",), {(0, 0): h}, compose, (0,), 1)
     for _ in range(2):
         with pytest.raises(StructureError, match="not well defined"):
             pi0_data(cat)
@@ -842,6 +861,12 @@ def test_validators_agree_with_the_reference(data):
     else:
         cat = corrupt_scat(data, data.draw(st.sampled_from(categories)))
         assert (validate_scat(cat) == []) == (reference_validate_scat(cat) == [])
+        # the public constructor refuses exactly what the validator faults
+        if validate_scat(cat):
+            with pytest.raises(InputError, match="not a simplicial category"):
+                public_copy(cat)
+        else:
+            assert public_copy(cat) == cat
 
 
 # -- identity towers -------------------------------------------------------------

@@ -8,7 +8,7 @@ from sccat import homology as hml, scat, search, sset, words
 from sccat.constructions_basic import codiscrete_groupoid
 from sccat.pi1 import edge_path_presentation
 from sccat.sset import (
-    SimplicialSet, Simplex, SSetMap, _broken_face_identities, attach_nondeg, boundary,
+    SimplicialSet, Simplex, SSetMap, _broken_face_identities, _sset, attach_nondeg, boundary,
     boundary_inclusion, compose_maps, compose_words, degeneracy_words, disjoint_union,
     empty_sset, enumerate_sset_maps, from_nondegenerate,
     from_simplicial_complex, horn, horn_inclusion, identity_map, is_iso_map,
@@ -100,8 +100,10 @@ def test_validate_catches_broken_identity():
     bad_faces[0] = (bad_faces[0] + 1) % x.size(1)
     dims[2][top] = Simplex(faces=tuple(bad_faces), degens=rec.degens,
                            base=rec.base, word=rec.word)
-    broken = SimplicialSet(2, dims)
+    broken = _sset(2, tuple(map(tuple, dims)))
     assert validate_sset(broken) != []
+    with pytest.raises(InputError, match="not a simplicial set: dim 2 simplex"):
+        SimplicialSet(2, dims)
 
 
 # Delta[1] at dim_bound 3.  Dimension 0: vertices 0, 1.  Dimension 1: s_0 of
@@ -133,7 +135,9 @@ def test_validate_sset_names_each_broken_record(k, idx, fields, message):
     assert validate_sset(x) == []
     dims = [list(level) for level in x.dims]
     dims[k][idx] = dims[k][idx]._replace(**fields)
-    assert message in validate_sset(SimplicialSet(3, dims))
+    assert message in validate_sset(_sset(3, tuple(map(tuple, dims))))
+    with pytest.raises(InputError, match="not a simplicial set"):
+        SimplicialSet(3, dims)
 
 
 # -- the projective-plane test complex (degenerate face of a nondeg cell) ----
@@ -904,12 +908,18 @@ def test_validate_sset_lists_the_old_messages_on_corrupted_records(data):
         value = tuple(data.draw(st.lists(st.integers(0, k), max_size=k + 1)))
     dims = [list(level) for level in x.dims]
     dims[k][idx] = rec._replace(**{field: value})
-    bad = SimplicialSet(x.dim_bound, dims)
+    bad = _sset(x.dim_bound, tuple(map(tuple, dims)))
     got, want = outcome(validate_sset, bad), outcome(validate_sset_by_record, bad)
     if want is IndexError:      # the old validator applied the word past its base
         assert f"dim {k} simplex {idx}: degeneracy word entry out of range" in got
     else:
         assert got == want
+    # the public constructor refuses exactly what the validator faults
+    if got == []:
+        SimplicialSet(x.dim_bound, dims)
+    else:
+        with pytest.raises(InputError, match="not a simplicial set"):
+            SimplicialSet(x.dim_bound, dims)
 
 
 @pytest.mark.parametrize("x", CORRUPTED)
@@ -939,8 +949,6 @@ MEMOIZED = [
 @pytest.mark.parametrize("fn, x, args", MEMOIZED,
                          ids=[fn.__name__ for fn, _, _ in MEMOIZED])
 def test_memoized_results_are_shared(fn, x, args):
-    # assert_chain_complex returns None: the product count in test_homology
-    # shows that it is stored
     assert fn(x, *args) is fn(x, *args)
 
 

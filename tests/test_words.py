@@ -14,7 +14,7 @@ from sccat.scat import (SFunctor, SimplicialCategory, _category, build_compose,
                         compose_sfunctors, coproduct, functor_U, functor_U_map,
                         identity_sfunctor, singleton_cat, u_functor, validate_scat,
                         validate_sfunctor)
-from sccat.sset import (SimplicialSet, SSetMap, _from_keys, boundary, boundary_inclusion,
+from sccat.sset import (SimplicialSet, SSetMap, _from_keys, _sset, boundary, boundary_inclusion,
                         empty_sset, enumerate_sset_maps, horn_inclusion, identity_map,
                         point, standard_simplex, validate_sset)
 from sccat.verdict import Budget, BudgetExceeded, InputError, _Steps
@@ -776,14 +776,17 @@ def test_u_pushouts_keep_the_records_of_the_base(m, k, d):
 
 
 def test_a_hand_built_base_keeps_its_records_as_given():
-    # Delta[1] by hand with one degenerate simplex flagged nondegenerate: the
-    # pushout of U(bd Delta[1] -> Delta[1]) onto U of it keeps that record,
-    # and validate_sset names it there as in the base
+    # Delta[1] with one degenerate simplex flagged nondegenerate, which the
+    # public constructor refuses, stored with no check: the pushout of
+    # U(bd Delta[1] -> Delta[1]) onto U of it keeps that record, and
+    # validate_sset names it there as in the base
     inc = boundary_inclusion(1, D)
     dims = [list(level) for level in inc.target.dims]
     k, idx = next((k, i) for k in range(1, D + 1) for i, r in enumerate(dims[k]) if r.word)
     dims[k][idx] = dims[k][idx]._replace(base=idx, word=())
-    x = SimplicialSet(D, dims)
+    with pytest.raises(InputError, match="flagged nondegenerate"):
+        SimplicialSet(D, dims)
+    x = _sset(D, tuple(map(tuple, dims)))
     base, att = functor_U(x), Attachment.from_sset_mono(inc)
     glue = glue_for_u(att, base, 0, 1, SSetMap(inc.source, x, inc.assign))
     hom = pushout_generating(base, att, glue, B).category.hom[(0, 1)]
